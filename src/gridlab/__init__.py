@@ -9,15 +9,14 @@ from .decomposition import (TreeDecomposition, Violation,
                             vertex_cover_dp)
 from .embedding import (EmbeddedGraph, FaceLabeling, all_nations,
                         canonicalize, canonicalize_components, dual_graph,
-                        emb_dump, emb_dumps, emb_load, emb_loads, genus,
+                        emb_dump, emb_dumps, emb_load, emb_loads,
                         is_canonical, map_graph, radial_embedding,
                         radial_graph, union_radial_dual)
 from .errors import (ConstructionError, FormatError, GridlabError,
                      SizeLimitError)
-from .generators import (GeneratorSpec, grid, grid_map,
-                         partially_triangulated_grid, random_canonical_map,
-                         random_graph, random_planar_triangulation,
-                         wheel_map)
+from .generators import (grid, grid_map, partially_triangulated_grid,
+                         random_canonical_map, random_graph,
+                         random_planar_triangulation, wheel_map)
 from .graph import (Bipartition, BoundReport, CliqueWitness, SimpleGraph,
                     gr_dump, gr_dumps, gr_load, gr_loads, half_square,
                     k_neighborhood, max_clique_exact, power_clique_or_bound,

@@ -1,4 +1,4 @@
-"""Pure-Python exact treewidth kernel (fallback for the compiled core).
+"""Exact treewidth kernel in pure Python.
 
 Branch and bound over elimination orderings with subset memoization,
 seeded by a min-fill upper bound and pruned by a degeneracy lower bound.

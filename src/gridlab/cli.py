@@ -7,10 +7,8 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or parse error,
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
-import os
 import sys
 import time
 
@@ -422,10 +420,8 @@ def sweep(family, values, seeds, k, output):
     except ValueError:
         raise click.UsageError("--values/--seeds must be integers")
     row_fn, _ = _SWEEP_FAMILIES[family]
-    jobs = [(v, s) for v in value_list for s in seed_list]
 
-    def run(job):
-        v, s = job
+    def run(v, s):
         started = time.monotonic()
         try:
             if family == "power":
@@ -440,12 +436,7 @@ def sweep(family, values, seeds, k, output):
         row["runtime_s"] = f"{time.monotonic() - started:.3f}"
         return row
 
-    threads = max(1, int(os.environ.get("GRIDLAB_THREADS", "1")))
-    if threads > 1 and jobs:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+    rows = [run(v, s) for v in value_list for s in seed_list]
     rows.sort(key=lambda row: (row["family"],
                                *(str(row[c]) for c in CSV_COLUMNS)))
     with open(output, "w", newline="") as f:

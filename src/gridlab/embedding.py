@@ -127,9 +127,6 @@ class EmbeddedGraph:
 
     def components(self):
         """Vertex sets of connected components."""
-        return self.simple_multigraph_components()
-
-    def simple_multigraph_components(self):
         parent = list(range(self.num_vertices))
 
         def find(x):
@@ -150,24 +147,13 @@ class EmbeddedGraph:
 
     def genus(self):
         """Euler genus 2 - V + E - F of the stored embedding, summed over
-        connected components (each component on its own surface)."""
-        comps = self.components()
-        face_comp = {}
-        for i, walk in enumerate(self.faces):
-            face_comp[i] = self.vertex_of[walk[0]]
-        comp_of_vertex = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of_vertex[v] = ci
-        total = 0
-        for ci, comp in enumerate(comps):
-            vs = len(comp)
-            es = sum(1 for d in range(0, len(self.twin), 1)
-                     if self.vertex_of[d] in set(comp)) // 2
-            fs = sum(1 for i, walk in enumerate(self.faces)
-                     if comp_of_vertex[self.vertex_of[walk[0]]] == ci)
-            total += 2 - vs + es - fs
-        return total
+        connected components (each component on its own surface).
+
+        Every vertex owns a rotation orbit and every dart and face lies
+        in exactly one component, so the per-component sums collapse to
+        2C - V + E - F."""
+        return (2 * len(self.components()) - self.num_vertices
+                + self.num_edges() - len(self.faces))
 
     def simple_graph(self):
         """Underlying SimpleGraph: loops dropped, multi-edges collapsed."""
@@ -292,11 +278,6 @@ def union_radial_dual(e, fl):
     for a, b in d.edges:
         edges.add((n + a, n + b))
     return SimpleGraph(r.n, edges)
-
-
-def genus(e):
-    """Euler genus of the stored embedding (not minimized)."""
-    return e.genus()
 
 
 # ---------------------------------------------------------------------------

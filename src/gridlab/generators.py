@@ -8,43 +8,11 @@ All generators are deterministic functions of their parameters and seed
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .embedding import (EmbeddedGraph, FaceLabeling, canonicalize_components,
                         is_canonical, map_graph)
 from .errors import GridlabError
 from .graph import SimpleGraph
-
-FAMILIES = ("wheel_map", "grid", "partially_triangulated_grid",
-            "random_map", "random_planar_triangulation")
-
-
-@dataclass
-class GeneratorSpec:
-    """Family tag plus parameters; the seed fully determines the output."""
-
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        for key, value in self.params.items():
-            if key != "seed" and int(value) < 1:
-                raise ValueError(f"parameter {key}={value} must be positive")
-
-    def build(self):
-        p = self.params
-        if self.family == "wheel_map":
-            return wheel_map(p["r"])
-        if self.family == "grid":
-            return grid(p["rows"], p["cols"])
-        if self.family == "partially_triangulated_grid":
-            return partially_triangulated_grid(p["rows"], p["cols"],
-                                               p["seed"])
-        if self.family == "random_map":
-            return random_canonical_map(p["nations"], p["seed"])
-        return random_planar_triangulation(p["n"], p["seed"])
 
 
 def grid(rows, cols):

@@ -2,7 +2,7 @@ import pytest
 
 from gridlab.embedding import (EmbeddedGraph, FaceLabeling, all_nations,
                                canonicalize, canonicalize_components,
-                               dual_graph, genus, is_canonical, map_graph,
+                               dual_graph, is_canonical, map_graph,
                                radial_embedding, radial_graph,
                                union_radial_dual)
 from gridlab.errors import GridlabError
@@ -36,13 +36,22 @@ def test_triangle_faces_and_genus():
     assert t.num_vertices == 3 and t.num_edges() == 3
     assert len(t.faces) == 2
     assert all(len(w) == 3 for w in t.faces)
-    assert genus(t) == 0
+    assert t.genus() == 0
 
 
 def test_genus_counts_components_separately():
     b = bowtie()
     assert len(b.faces) == 3
     assert b.genus() == 0
+    # one vertex with two interleaved loops: one face, Euler genus 2
+    loops = EmbeddedGraph([2, 3, 0, 1], [1, 2, 3, 0], [0, 0, 0, 0])
+    assert len(loops.faces) == 1
+    assert loops.genus() == 2
+    # two disjoint edges: each component is a sphere (2 - V + E - F
+    # over the whole graph would give -2)
+    edges = EmbeddedGraph([1, 0, 3, 2], [0, 1, 2, 3], [0, 1, 2, 3])
+    assert len(edges.components()) == 2
+    assert edges.genus() == 0
 
 
 def test_grid_map_derived_graphs():

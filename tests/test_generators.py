@@ -2,8 +2,7 @@ import pytest
 
 from gridlab.embedding import (dual_graph, is_canonical, map_graph,
                                radial_graph)
-from gridlab.generators import (GeneratorSpec, grid, grid_map,
-                                partially_triangulated_grid,
+from gridlab.generators import (grid, grid_map, partially_triangulated_grid,
                                 random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph
@@ -99,19 +98,3 @@ def test_random_canonical_map_properties():
             assert e.genus() == 0
             assert len(e.components()) == 1
 
-
-def test_generator_spec_dispatch():
-    e, fl = GeneratorSpec("wheel_map", {"r": 2}).build()
-    assert map_graph(e, fl).is_complete()
-    g = GeneratorSpec("grid", {"rows": 2, "cols": 3}).build()
-    assert g == grid(2, 3)
-    t = GeneratorSpec("random_planar_triangulation",
-                      {"n": 6, "seed": 1}).build()
-    assert t == random_planar_triangulation(6, 1)
-
-
-def test_generator_spec_validation():
-    with pytest.raises(ValueError):
-        GeneratorSpec("moebius_map", {})
-    with pytest.raises(ValueError):
-        GeneratorSpec("grid", {"rows": 0, "cols": 3})

@@ -1,18 +1,17 @@
 from gridlab import _kernels
-from gridlab._kernels import _pure
 from gridlab.generators import grid, random_graph
 from gridlab.graph import SimpleGraph
 
 
 def test_implementation_tag():
-    assert _kernels.IMPLEMENTATION in ("pure", "cython")
+    assert _kernels.IMPLEMENTATION == "pure"
 
 
 def test_q_set_is_fill_neighborhood():
     # path 0-1-2: eliminating 1 makes 0 and 2 neighbors
     masks = SimpleGraph.path(3).adjacency_masks()
-    assert _pure.q_set(masks, 0b010, 0) == 0b100
-    assert _pure.q_set(masks, 0, 0) == 0b010
+    assert _kernels.q_set(masks, 0b010, 0) == 0b100
+    assert _kernels.q_set(masks, 0, 0) == 0b010
 
 
 def test_known_widths():
@@ -39,16 +38,3 @@ def test_bounds_bracket_exact():
         hi, _ = _kernels.min_fill_order(g.n, masks)
         assert lo <= exact <= hi
 
-
-def test_compiled_matches_pure():
-    # meaningful only when the compiled kernel is active, but harmless
-    # (and still a determinism check) under the fallback
-    for seed in range(20):
-        g = random_graph(10, seed, 0.35)
-        masks = g.adjacency_masks()
-        assert (_kernels.treewidth_order(g.n, masks)
-                == _pure.treewidth_order(g.n, masks))
-        assert (_kernels.min_fill_order(g.n, masks)
-                == _pure.min_fill_order(g.n, masks))
-        assert (_kernels.degeneracy(g.n, masks)
-                == _pure.degeneracy(g.n, masks))
