@@ -21,10 +21,10 @@ from .graph import (Bipartition, BoundReport, CliqueWitness, SimpleGraph,
                     gr_dump, gr_dumps, gr_load, gr_loads, half_square,
                     k_neighborhood, max_clique_exact, power_clique_or_bound,
                     power_graph)
-from .minors import (ContractionSequence, GridPattern, MinorModel,
-                     clean_subgrid, clique_to_grid, double_radial_minor,
-                     largest_grid_minor, minor_containment_exact,
-                     model_dumps, model_loads, model_to_contraction_sequence,
+from .minors import (ContractionSequence, MinorModel, clean_subgrid,
+                     clique_to_grid, double_radial_minor, largest_grid_minor,
+                     minor_containment_exact, model_dumps, model_loads,
+                     model_to_contraction_sequence,
                      nation_grid_transfer_instance, primal_dual_width_report,
                      radial_grid_to_dual_grid, sequence_dumps, sequence_loads,
                      verify_model)

@@ -18,7 +18,7 @@ from . import decomposition as dec
 from . import embedding as emb
 from . import graph as gr
 from . import minors
-from .errors import ConstructionError, FormatError, SizeLimitError
+from .errors import FormatError, GridlabError, SizeLimitError
 from .generators import (grid, partially_triangulated_grid, random_graph,
                          random_canonical_map, random_planar_triangulation,
                          wheel_map)
@@ -34,29 +34,51 @@ CSV_COLUMNS = ["schema", "family", "r", "rows", "cols", "nations", "n", "k",
                "error", "runtime_s"]
 
 
-def _fail(message, code):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+# the first matching entry gives the exit code; any other exception is a
+# bug and keeps its traceback
+EXIT_CODES = {FormatError: EXIT_USAGE, OSError: EXIT_USAGE,
+              SizeLimitError: EXIT_SIZE, GridlabError: EXIT_VERIFY,
+              ValueError: EXIT_VERIFY}
+
+# gen family -> the options it needs
+GEN_FAMILIES = {"wheel-map": ["r"], "grid": ["rows", "cols"],
+                "ptgrid": ["rows", "cols"], "random-map": ["nations"],
+                "triangulation": ["n"], "nation-grid": ["size"]}
 
 
-def _load_emb(path):
+class _Gridlab(click.Group):
+    """Command group that maps every expected error to its exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            # sys.exit, not ctx.exit: under standalone_mode=False click
+            # returns the code of ctx.exit instead of raising it
+            sys.exit(next(code for kind, code in EXIT_CODES.items()
+                          if isinstance(exc, kind)))
+
+
+def _read(path, loads):
+    """Parse the file at `path` with `loads`; failing to open, decode or
+    parse it raises one FormatError that names the file."""
     try:
-        e, fl = emb.emb_load(path)
-    except FormatError as exc:
-        _fail(f"{path}: {exc}", EXIT_USAGE)
+        with open(path, encoding="utf-8") as f:
+            return loads(f.read())
+    except (OSError, UnicodeDecodeError, FormatError) as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def _emb_map_loads(text):
+    """.emb text that must carry a nation labeling."""
+    e, fl = emb.emb_loads(text)
     if fl is None:
-        _fail(f"{path}: no nation labeling in file", EXIT_USAGE)
+        raise FormatError("no nation labeling in file")
     return e, fl
 
 
-def _load_gr(path):
-    try:
-        return gr.gr_load(path)
-    except FormatError as exc:
-        _fail(f"{path}: {exc}", EXIT_USAGE)
-
-
-@click.group()
+@click.group(cls=_Gridlab)
 def main():
     """Treewidth and grid-minor constructions for maps, powers and duals."""
 
@@ -65,15 +87,15 @@ def main():
 # gen
 
 @main.command()
-@click.argument("family", type=click.Choice(
-    ["wheel-map", "grid", "ptgrid", "random-map", "triangulation",
-     "nation-grid"]))
-@click.option("--r", type=int, help="wheel parameter (r^2 spokes)")
-@click.option("--rows", type=int)
-@click.option("--cols", type=int)
-@click.option("--nations", type=int)
-@click.option("--n", type=int, help="triangulation vertex count")
-@click.option("--size", type=int, help="nation grid side")
+@click.argument("family", type=click.Choice(list(GEN_FAMILIES)))
+@click.option("--r", type=click.IntRange(min=1),
+              help="wheel parameter (r^2 spokes)")
+@click.option("--rows", type=click.IntRange(min=1))
+@click.option("--cols", type=click.IntRange(min=1))
+@click.option("--nations", type=click.IntRange(min=1))
+@click.option("--n", type=click.IntRange(min=3),
+              help="triangulation vertex count")
+@click.option("--size", type=click.IntRange(min=1), help="nation grid side")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("-o", "--output", required=True, type=click.Path())
 @click.option("--seq-output", type=click.Path(),
@@ -81,40 +103,28 @@ def main():
                    "contraction sequence as JSON")
 def gen(family, r, rows, cols, nations, n, size, seed, output, seq_output):
     """Generate an instance and write it as .emb or .gr."""
-    try:
-        if family == "wheel-map":
-            if r is None:
-                raise click.UsageError("wheel-map needs --r")
-            e, fl = wheel_map(r)
-            emb.emb_dump(e, fl, output)
-        elif family == "grid":
-            if rows is None or cols is None:
-                raise click.UsageError("grid needs --rows and --cols")
-            gr.gr_dump(grid(rows, cols), output)
-        elif family == "ptgrid":
-            if rows is None or cols is None:
-                raise click.UsageError("ptgrid needs --rows and --cols")
-            gr.gr_dump(partially_triangulated_grid(rows, cols, seed), output)
-        elif family == "random-map":
-            if nations is None:
-                raise click.UsageError("random-map needs --nations")
-            e, fl = random_canonical_map(nations, seed)
-            emb.emb_dump(e, fl, output)
-        elif family == "triangulation":
-            if n is None:
-                raise click.UsageError("triangulation needs --n")
-            e = random_planar_triangulation(n, seed)
-            emb.emb_dump(e, emb.all_nations(e), output)
-        else:
-            if size is None:
-                raise click.UsageError("nation-grid needs --size")
-            e, fl, seq = minors.nation_grid_transfer_instance(size)
-            emb.emb_dump(e, fl, output)
-            if seq_output:
-                with open(seq_output, "w") as f:
-                    f.write(minors.sequence_dumps(seq))
-    except ValueError as exc:
-        _fail(str(exc), EXIT_USAGE)
+    given = {"r": r, "rows": rows, "cols": cols, "nations": nations, "n": n,
+             "size": size}
+    missing = [f"--{p}" for p in GEN_FAMILIES[family] if given[p] is None]
+    if missing:
+        raise click.UsageError(f"{family} needs {' and '.join(missing)}")
+    if family == "wheel-map":
+        emb.emb_dump(*wheel_map(r), output)
+    elif family == "grid":
+        gr.gr_dump(grid(rows, cols), output)
+    elif family == "ptgrid":
+        gr.gr_dump(partially_triangulated_grid(rows, cols, seed), output)
+    elif family == "random-map":
+        emb.emb_dump(*random_canonical_map(nations, seed), output)
+    elif family == "triangulation":
+        e = random_planar_triangulation(n, seed)
+        emb.emb_dump(e, emb.all_nations(e), output)
+    else:
+        e, fl, seq = minors.nation_grid_transfer_instance(size)
+        emb.emb_dump(e, fl, output)
+        if seq_output:
+            with open(seq_output, "w") as f:
+                f.write(minors.sequence_dumps(seq))
     click.echo(f"wrote {output}")
 
 
@@ -135,13 +145,9 @@ def derive(input_path, kind, output):
     if kind is None:
         raise click.UsageError("pick one of --map/--dual/--radial/--union/"
                                "--canonicalize")
-    e, fl = _load_emb(input_path)
+    e, fl = _read(input_path, _emb_map_loads)
     if kind == "canonicalize":
-        try:
-            e2, fl2 = emb.canonicalize(e, fl)
-        except Exception as exc:
-            _fail(str(exc), EXIT_VERIFY)
-        emb.emb_dump(e2, fl2, output)
+        emb.emb_dump(*emb.canonicalize(e, fl), output)
     else:
         if kind == "map":
             g = emb.map_graph(e, fl)
@@ -164,12 +170,8 @@ def derive(input_path, kind, output):
 @click.option("-o", "--output", type=click.Path())
 def tw(input_path, exact, output):
     """Treewidth of a .gr graph; optionally write the decomposition."""
-    g = _load_gr(input_path)
-    try:
-        width, td = (dec.treewidth_exact(g) if exact
-                     else dec.treewidth_upper(g))
-    except SizeLimitError as exc:
-        _fail(str(exc), EXIT_SIZE)
+    g = _read(input_path, gr.gr_loads)
+    width, td = dec.treewidth_exact(g) if exact else dec.treewidth_upper(g)
     if output:
         dec.td_dump(td, g.n, output)
     click.echo(f"width {width}")
@@ -181,7 +183,7 @@ def tw(input_path, exact, output):
 @main.command()
 @click.option("--radial-to-map", "emb_path", type=click.Path(exists=True),
               help=".emb map whose radial decomposition is lifted")
-@click.option("--power", "k", type=int,
+@click.option("--power", "k", type=click.IntRange(min=1),
               help="lift a decomposition of G to one of G^k")
 @click.option("--gr", "gr_path", type=click.Path(exists=True),
               help="base graph for --power")
@@ -189,25 +191,19 @@ def tw(input_path, exact, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def lift(emb_path, k, gr_path, td_path, output):
     """Lift a tree decomposition (radial to map, or G to G^k)."""
-    try:
-        td, _ = dec.td_load(td_path)
-    except FormatError as exc:
-        _fail(f"{td_path}: {exc}", EXIT_USAGE)
-    try:
-        if emb_path:
-            e, fl = _load_emb(emb_path)
-            td2 = dec.lift_radial_to_map(td, e, fl)
-            n = len(fl.nations)
-        elif k:
-            if not gr_path:
-                raise click.UsageError("--power needs --gr")
-            g = _load_gr(gr_path)
-            td2 = dec.lift_power(td, g, k)
-            n = g.n
-        else:
-            raise click.UsageError("pick --radial-to-map or --power")
-    except ValueError as exc:
-        _fail(str(exc), EXIT_VERIFY)
+    td, _ = _read(td_path, dec.td_loads)
+    if emb_path:
+        e, fl = _read(emb_path, _emb_map_loads)
+        td2 = dec.lift_radial_to_map(td, e, fl)
+        n = len(fl.nations)
+    elif k:
+        if not gr_path:
+            raise click.UsageError("--power needs --gr")
+        g = _read(gr_path, gr.gr_loads)
+        td2 = dec.lift_power(td, g, k)
+        n = g.n
+    else:
+        raise click.UsageError("pick --radial-to-map or --power")
     dec.td_dump(td2, n, output)
     click.echo(f"width {td2.width}")
 
@@ -222,29 +218,18 @@ def lift(emb_path, k, gr_path, td_path, output):
 def check(td_path, gr_path, model_path):
     """Verify a decomposition against a graph, or a minor model."""
     if model_path:
-        try:
-            with open(model_path) as f:
-                model = minors.model_loads(f.read())
-        except (ValueError, KeyError) as exc:
-            _fail(f"{model_path}: {exc}", EXIT_USAGE)
-        violation = minors.verify_model(model)
-        if violation is not None:
-            _fail(str(violation), EXIT_VERIFY)
-        click.echo("ok")
-        return
-    if not (td_path and gr_path):
+        violation = minors.verify_model(_read(model_path, minors.model_loads))
+    elif td_path and gr_path:
+        g = _read(gr_path, gr.gr_loads)
+        td, n = _read(td_path, dec.td_loads)
+        if n != g.n:
+            raise GridlabError(f"decomposition is over {n} vertices, "
+                               f"graph has {g.n}")
+        violation = td.validate(g)
+    else:
         raise click.UsageError("pass --model, or both --td and --gr")
-    g = _load_gr(gr_path)
-    try:
-        td, n = dec.td_load(td_path)
-    except FormatError as exc:
-        _fail(f"{td_path}: {exc}", EXIT_USAGE)
-    if n != g.n:
-        _fail(f"decomposition is over {n} vertices, graph has {g.n}",
-              EXIT_VERIFY)
-    violation = td.validate(g)
     if violation is not None:
-        _fail(str(violation), EXIT_VERIFY)
+        raise GridlabError(str(violation))
     click.echo("ok")
 
 
@@ -253,30 +238,24 @@ def check(td_path, gr_path, model_path):
 
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True))
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=click.IntRange(min=1), required=True)
 @click.option("-o", "--output", type=click.Path())
-@click.option("--witness-r", type=int,
+@click.option("--witness-r", type=click.IntRange(min=1),
               help="run the clique-or-degree-bound case analysis for r")
 def power(input_path, k, output, witness_r):
     """k-th power of a .gr graph; optional clique/bound case analysis."""
-    g = _load_gr(input_path)
-    try:
-        gk = gr.power_graph(g, k)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_USAGE)
+    g = _read(input_path, gr.gr_loads)
+    gk = gr.power_graph(g, k)
     if output:
         gr.gr_dump(gk, output)
     click.echo(f"power graph: n={gk.n} m={len(gk.edges)} "
                f"max_degree={gk.max_degree()}")
-    if witness_r:
-        try:
-            result = gr.power_clique_or_bound(g, k, witness_r)
-        except ValueError as exc:
-            _fail(str(exc), EXIT_VERIFY)
+    if witness_r is not None:
+        result = gr.power_clique_or_bound(g, k, witness_r)
         if isinstance(result, gr.CliqueWitness):
             bad = result.verify(g)
             if bad is not None:
-                _fail(f"witness pair {bad} too far apart", EXIT_VERIFY)
+                raise GridlabError(f"witness pair {bad} too far apart")
             click.echo(f"clique witness of size {len(result.vertices)}")
         else:
             click.echo(f"degree bound: max_degree(G^k) = "
@@ -292,11 +271,7 @@ def power(input_path, k, output, witness_r):
 @click.option("-o", "--output", type=click.Path())
 def grid_minor(input_path, output):
     """Largest r x r grid minor of a .gr graph (desk scale)."""
-    g = _load_gr(input_path)
-    try:
-        r, model = minors.largest_grid_minor(g)
-    except SizeLimitError as exc:
-        _fail(str(exc), EXIT_SIZE)
+    r, model = minors.largest_grid_minor(_read(input_path, gr.gr_loads))
     if output:
         with open(output, "w") as f:
             f.write(minors.model_dumps(model))
@@ -315,16 +290,9 @@ def grid_minor(input_path, output):
 def transfer(emb_path, seq_path, output):
     """Convert a grid minor of the radial-dual union into a grid minor
     of the dual."""
-    e, fl = _load_emb(emb_path)
-    try:
-        with open(seq_path) as f:
-            seq = minors.sequence_loads(f.read())
-    except (ValueError, KeyError) as exc:
-        _fail(f"{seq_path}: {exc}", EXIT_USAGE)
-    try:
-        model = minors.radial_grid_to_dual_grid(seq, e, fl)
-    except ConstructionError as exc:
-        _fail(str(exc), EXIT_VERIFY)
+    e, fl = _read(emb_path, _emb_map_loads)
+    seq = _read(seq_path, minors.sequence_loads)
+    model = minors.radial_grid_to_dual_grid(seq, e, fl)
     if output:
         with open(output, "w") as f:
             f.write(minors.model_dumps(model))

@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import FormatError, SizeLimitError
+from .errors import (ConstructionError, FormatError, SizeLimitError,
+                     _raises_format_error)
 from .graph import SimpleGraph, k_neighborhood, power_graph
 
 TREEWIDTH_EXACT_LIMIT = 20  # documented desk-scale limit
@@ -42,9 +43,6 @@ class TreeDecomposition:
     @property
     def width(self):
         return max((len(b) for b in self.bags), default=0) - 1
-
-    def num_nodes(self):
-        return len(self.bags)
 
     def node_neighbors(self):
         nb = [[] for _ in self.bags]
@@ -116,7 +114,8 @@ class TreeDecomposition:
 
 def decomposition_from_order(g, order):
     """Tree decomposition from an elimination ordering (fill-in bags)."""
-    assert sorted(order) == list(range(g.n))
+    if sorted(order) != list(range(g.n)):
+        raise ValueError("order is not a permutation of the vertices")
     adj = [set(a) for a in g.adj]
     pos = {v: i for i, v in enumerate(order)}
     bags = []
@@ -148,10 +147,7 @@ def treewidth_exact(g):
     if g.n == 0:
         return -1, TreeDecomposition([frozenset()], [])
     width, order = _kernels.treewidth_order(g.n, g.adjacency_masks())
-    td = decomposition_from_order(g, list(order))
-    assert td.width == width, (td.width, width)
-    assert td.validate(g) is None
-    return width, td
+    return width, _from_kernel_order(g, width, order, "treewidth_exact")
 
 
 def treewidth_upper(g):
@@ -159,10 +155,23 @@ def treewidth_upper(g):
     if g.n == 0:
         return -1, TreeDecomposition([frozenset()], [])
     width, order = _kernels.min_fill_order(g.n, g.adjacency_masks())
+    return width, _from_kernel_order(g, width, order, "treewidth_upper")
+
+
+def _checked(td, g, stage):
+    violation = td.validate(g)
+    if violation is not None:
+        raise ConstructionError(f"{stage} produced an invalid "
+                                f"decomposition: {violation}")
+    return td
+
+
+def _from_kernel_order(g, width, order, stage):
     td = decomposition_from_order(g, list(order))
-    assert td.width == width
-    assert td.validate(g) is None
-    return width, td
+    if td.width != width:
+        raise ConstructionError(f"{stage}: the kernel reported width "
+                                f"{width}, its order gives {td.width}")
+    return _checked(td, g, stage)
 
 
 def _require_valid(td, g, what):
@@ -190,9 +199,8 @@ def lift_radial_to_map(td_r, e, fl):
             else:
                 new_bag |= incident[x]
         bags.append(new_bag)
-    td_m = TreeDecomposition(bags, td_r.tree_edges)
-    assert td_m.validate(m_graph) is None
-    return td_m
+    return _checked(TreeDecomposition(bags, td_r.tree_edges), m_graph,
+                    "lift_radial_to_map")
 
 
 def lift_power(td, g, k):
@@ -206,9 +214,8 @@ def lift_power(td, g, k):
         for v in bag:
             new_bag |= k_neighborhood(g, v, k)
         bags.append(new_bag)
-    td_k = TreeDecomposition(bags, td.tree_edges)
-    assert td_k.validate(gk) is None
-    return td_k
+    return _checked(TreeDecomposition(bags, td.tree_edges), gk,
+                    "lift_power")
 
 
 def vertex_cover_dp(g, td):
@@ -283,8 +290,14 @@ def vertex_cover_dp(g, td):
         cover |= {verts[i] for i in range(len(verts)) if mask >> i & 1}
         for c, cmask in choice[x][mask].items():
             stack.append((c, cmask))
-    assert len(cover) == size
-    assert all(u in cover or v in cover for u, v in g.edges)
+    if len(cover) != size:
+        raise ConstructionError(f"vertex_cover_dp: the traceback gives "
+                                f"{len(cover)} vertices, the optimum is "
+                                f"{size}")
+    bare = [(u, v) for u, v in g.edges if u not in cover and v not in cover]
+    if bare:
+        raise ConstructionError(f"vertex_cover_dp: edge {min(bare)} is "
+                                f"not covered")
     return size, cover
 
 
@@ -303,6 +316,7 @@ def td_dumps(td, n):
     return "\n".join(lines) + "\n"
 
 
+@_raises_format_error
 def td_loads(text):
     """Parse PACE .td text.  Returns (TreeDecomposition, n)."""
     header = None
@@ -333,7 +347,7 @@ def td_loads(text):
     if header is None:
         raise FormatError("missing solution line")
     num_bags, max_bag, n = header
-    if set(bags) != set(range(num_bags)):
+    if len(bags) != num_bags or set(bags) != set(range(num_bags)):
         raise FormatError("bag ids do not match header count")
     bag_list = [bags[i] for i in range(num_bags)]
     if max((len(b) for b in bag_list), default=0) != max_bag:

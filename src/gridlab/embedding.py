@@ -9,7 +9,8 @@ outputs always collapse duplicates and drop loops.
 
 from __future__ import annotations
 
-from .errors import FormatError, GridlabError
+from .errors import (ConstructionError, FormatError, GridlabError,
+                     _raises_format_error)
 from .graph import Bipartition, SimpleGraph
 
 
@@ -330,7 +331,10 @@ class _MutableMap:
         rot_v = self.rot[v]
         i = rot_v.index(e_dart)
         p_dart = rot_v[(i - 1) % len(rot_v)]
-        assert p_dart != e_dart, "degree-1 lake corner survived step 2"
+        if p_dart == e_dart:
+            raise ConstructionError(f"canonicalize step 3: lake corner "
+                                    f"dart {e_dart} of vertex {v} has "
+                                    f"degree 1 after step 2")
         v1 = self.next_vertex
         self.next_vertex += 1
         s = self.next_dart
@@ -448,7 +452,10 @@ def canonicalize_components(e, fl):
         if len(corners) >= 2:
             for e_dart in corners:
                 m.split_lake_corner(v, e_dart)
-            assert not m.lake_corner_darts(v)
+            if m.lake_corner_darts(v):
+                raise ConstructionError(f"canonicalize step 3: vertex {v} "
+                                        f"still touches a lake after "
+                                        f"splitting")
 
     whole, fl_whole = m.to_embedded(len(fl.nations))
     comps = whole.components()
@@ -562,6 +569,7 @@ def emb_dumps(e, fl=None):
     return "\n".join(lines) + "\n"
 
 
+@_raises_format_error
 def emb_loads(text):
     """Parse .emb text: (EmbeddedGraph, FaceLabeling or None)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -590,20 +598,12 @@ def emb_loads(text):
             raise FormatError(
                 f"field {key!r} has {len(fields[key])} entries, "
                 f"expected {n_darts}")
-    try:
-        e = EmbeddedGraph(fields["twin"], fields["next"],
-                          fields["vertex_of"])
-    except ValueError as exc:
-        raise FormatError(str(exc))
+    e = EmbeddedGraph(fields["twin"], fields["next"], fields["vertex_of"])
     fl = None
     if "nations" in fields:
         nations = fields["nations"]
-        lakes = set(range(len(e.faces))) - set(nations)
-        try:
-            fl = FaceLabeling(nations, lakes)
-            fl.check(e)
-        except ValueError as exc:
-            raise FormatError(str(exc))
+        fl = FaceLabeling(nations, set(range(len(e.faces))) - set(nations))
+        fl.check(e)
     return e, fl
 
 

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+import functools
+
 
 class GridlabError(Exception):
     """Base class for errors raised by this package."""
@@ -22,3 +24,23 @@ class FormatError(GridlabError):
 class ConstructionError(GridlabError):
     """A constructive procedure detected that its own intermediate
     invariants do not hold on the given input."""
+
+
+# what indexing, converting and building objects from malformed text raise
+_PARSE_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError)
+
+
+def _raises_format_error(loads):
+    """Make a `*_loads` parser raise FormatError and nothing else on
+    malformed text.  A ValueError keeps its message, which this package
+    writes for users; the others also name their Python type."""
+
+    @functools.wraps(loads)
+    def parse(text):
+        try:
+            return loads(text)
+        except _PARSE_ERRORS as exc:
+            message = (str(exc) if isinstance(exc, ValueError)
+                       else f"{type(exc).__name__}: {exc}")
+            raise FormatError(message) from exc
+    return parse

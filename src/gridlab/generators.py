@@ -11,7 +11,7 @@ import random
 
 from .embedding import (EmbeddedGraph, FaceLabeling, canonicalize_components,
                         is_canonical, map_graph)
-from .errors import GridlabError
+from .errors import ConstructionError, GridlabError
 from .graph import SimpleGraph
 
 
@@ -116,7 +116,9 @@ def wheel_map(r):
     outer = [f for f, walk in enumerate(e.faces) if len(walk) != 3]
     if s == 2:
         # two digon-free faces of equal length; fall back to Euler count
-        assert len(e.faces) == 3
+        if len(e.faces) != 3:
+            raise ConstructionError(f"wheel_map: the 2-spoke wheel has "
+                                    f"{len(e.faces)} faces, expected 3")
         sizes = sorted(range(3), key=lambda f: len(e.faces[f]))
         inner, outer = sizes[:2], sizes[2:]
     if len(outer) != 1 or len(inner) != s:
@@ -150,7 +152,9 @@ def grid_map(rows, cols):
                 rot.append((v + w, ("v", v)))
             rots.append(rot)
     e = _build_from_rotations(rots)
-    assert e.genus() == 0
+    if e.genus() != 0:
+        raise ConstructionError(f"grid_map: the {rows}x{cols} grid "
+                                f"embedding has genus {e.genus()}")
     cell_face = {}
     outer = None
     for f, walk in enumerate(e.faces):
@@ -199,7 +203,9 @@ def _triangle():
 def _insert_into_face(e, face_idx, new_vertex):
     """Insert a vertex inside a triangular face, joined to its corners."""
     walk = e.faces[face_idx]
-    assert len(walk) == 3
+    if len(walk) != 3:
+        raise ConstructionError(f"random_planar_triangulation: face "
+                                f"{face_idx} has {len(walk)} sides")
     base = len(e.twin)
     twin = list(e.twin)
     nxt = list(e.nxt)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, field
 
-from .errors import FormatError, SizeLimitError
+from .errors import FormatError, SizeLimitError, _raises_format_error
 
 MAX_CLIQUE_LIMIT = 40  # documented desk-scale limit for max_clique_exact
 
@@ -61,9 +61,6 @@ class SimpleGraph:
     def has_edge(self, u, v):
         return _normalize_edge(u, v) in self.edges if u != v else False
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def bfs_distances(self, source):
         """Distances from source; -1 for unreachable vertices."""
         dist = [-1] * self.n
@@ -76,9 +73,6 @@ class SimpleGraph:
                     dist[w] = dist[u] + 1
                     queue.append(w)
         return dist
-
-    def distance_matrix(self):
-        return [self.bfs_distances(v) for v in range(self.n)]
 
     def is_connected(self):
         if self.n <= 1:
@@ -410,6 +404,7 @@ def gr_dumps(g):
     return "\n".join(lines) + "\n"
 
 
+@_raises_format_error
 def gr_loads(text):
     """Parse PACE .gr text."""
     n = m = None

@@ -12,23 +12,12 @@ from dataclasses import dataclass
 from .decomposition import treewidth_exact
 from .embedding import (all_nations, dual_graph, is_canonical,
                         radial_embedding, union_radial_dual)
-from .errors import ConstructionError, SizeLimitError
+from .errors import ConstructionError, SizeLimitError, _raises_format_error
 from .generators import grid, grid_map
 from .graph import SimpleGraph
 
 MINOR_PATTERN_LIMIT = 10   # documented desk-scale limits
 MINOR_HOST_LIMIT = 16
-
-
-@dataclass(frozen=True)
-class GridPattern:
-    """rows x cols grid, vertex (i,j) -> i*cols + j."""
-
-    rows: int
-    cols: int
-
-    def graph(self):
-        return grid(self.rows, self.cols)
 
 
 @dataclass(frozen=True)
@@ -64,6 +53,16 @@ class MinorModel:
 def verify_model(m):
     """None when every MinorModel invariant holds, else a ModelViolation."""
     h, g = m.pattern, m.host
+    for v in sorted(m.branch_sets):
+        if not 0 <= v < h.n:
+            return ModelViolation("coverage", v,
+                                  f"branch set for {v}, which is not a "
+                                  f"pattern vertex")
+    for key in sorted(m.edge_witness):
+        if key not in h.edges:
+            return ModelViolation("witness", key,
+                                  f"witness for {key}, which is not a "
+                                  f"pattern edge")
     for v in range(h.n):
         s = m.branch_sets.get(v)
         if not s:
@@ -504,7 +503,10 @@ def radial_grid_to_dual_grid(seq, e, fl):
     # keep the contractions, discard edge deletions: the partially
     # triangulated grid, with the same vertex set and coordinates
     verts_p, edges_p, labels = seq.replay(skip_edge_deletions=True)
-    assert verts_p == verts
+    if verts_p != verts:
+        raise ConstructionError(
+            "radial_grid_to_dual_grid: skipping the edge deletions "
+            "changed the surviving vertices")
     for u, v in edges_p:
         (x1, y1), (x2, y2) = coords[u], coords[v]
         if max(abs(x1 - x2), abs(y1 - y2)) > 1:
@@ -569,13 +571,19 @@ def radial_grid_to_dual_grid(seq, e, fl):
                 if host.has_edge(x, y))
             inner = _shortest_path(lambda v: host_adj[v], cursor, ua,
                                    labels[a])
-            assert inner is not None, "label set is not connected"
+            if inner is None:
+                raise ConstructionError(
+                    f"radial_grid_to_dual_grid: label set of {a} is not "
+                    f"connected")
             walk.extend(inner[1:])
             walk.append(ub)
             cursor = ub
         inner = _shortest_path(lambda v: host_adj[v], cursor,
                                vhat[dst_key], labels[p_grid[-1]])
-        assert inner is not None, "label set is not connected"
+        if inner is None:
+            raise ConstructionError(
+                f"radial_grid_to_dual_grid: label set of {p_grid[-1]} is "
+                f"not connected")
         walk.extend(inner[1:])
         # make it simple within its own vertex set
         walk = _shortest_path(lambda v: host_adj[v], walk[0], walk[-1],
@@ -688,7 +696,10 @@ def nation_grid_transfer_instance(size):
     u0, v0 = size - half, -half
     window = {v for v, (u, q) in pos.items()
               if u0 <= u < u0 + k and v0 <= q < v0 + k}
-    assert len(window) == k * k
+    if len(window) != k * k:
+        raise ConstructionError(
+            f"nation_grid_transfer_instance: the window has {len(window)} "
+            f"vertices, expected {k * k}")
     ops = [("delete_vertex", v)
            for v in sorted(set(range(host.n)) - window)]
     for a, b in sorted(host.edges):
@@ -736,7 +747,9 @@ def clean_subgrid(grid_rows, grid_cols, extra_edges):
             break
     top, left, side = found
     guarantee = min(grid_rows, grid_cols) // (2 * len(extra) + 1)
-    assert side >= guarantee, (side, guarantee)
+    if side < guarantee:
+        raise ConstructionError(f"clean_subgrid: window side {side} is "
+                                f"below the guaranteed {guarantee}")
 
     def vid(i, j):
         return i * grid_cols + j
@@ -760,7 +773,9 @@ def clean_subgrid(grid_rows, grid_cols, extra_edges):
     verts, edges, _ = seq.replay()
     window_ids = {vid(i, j) for i in range(top, top + side)
                   for j in range(left, left + side)}
-    assert verts == window_ids
+    if verts != window_ids:
+        raise ConstructionError("clean_subgrid: folding left vertices "
+                                "outside the window")
     keep = set()
     for i in range(top, top + side):
         for j in range(left, left + side):
@@ -768,11 +783,15 @@ def clean_subgrid(grid_rows, grid_cols, extra_edges):
                 keep.add((vid(i, j), vid(i, j + 1)))
             if i + 1 < top + side:
                 keep.add((vid(i, j), vid(i + 1, j)))
-    assert keep <= edges
+    if not keep <= edges:
+        raise ConstructionError(f"clean_subgrid: folding lost grid edge "
+                                f"{min(keep - edges)}")
     for u, v in sorted(edges - keep):
         seq.ops.append(("delete_edge", u, v))
     verts, edges, _ = seq.replay()
-    assert edges == keep
+    if edges != keep:
+        raise ConstructionError("clean_subgrid: the edge deletions leave "
+                                "a graph other than the window grid")
     return (top, left, side), seq
 
 
@@ -876,8 +895,20 @@ def _graph_to_json(g):
     return {"n": g.n, "edges": sorted(list(e) for e in g.edges)}
 
 
+def _json_int(x):
+    # bool is an int subclass in Python, but `true` is no JSON integer
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_ints(xs):
+    return [_json_int(x) for x in xs]
+
+
 def _graph_from_json(obj):
-    return SimpleGraph(obj["n"], [tuple(e) for e in obj["edges"]])
+    return SimpleGraph(_json_int(obj["n"]),
+                       [_json_ints(e) for e in obj["edges"]])
 
 
 def model_dumps(m):
@@ -892,13 +923,15 @@ def model_dumps(m):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@_raises_format_error
 def model_loads(text):
     obj = json.loads(text)
     return MinorModel(
         _graph_from_json(obj["pattern"]),
         _graph_from_json(obj["host"]),
-        {int(v): set(s) for v, s in obj["branch_sets"].items()},
-        {tuple(k): tuple(w) for k, w in obj["edge_witness"]},
+        {int(v): _json_ints(s) for v, s in obj["branch_sets"].items()},
+        {tuple(_json_ints(k)): tuple(_json_ints(w))
+         for k, w in obj["edge_witness"]},
     )
 
 
@@ -908,7 +941,9 @@ def sequence_dumps(seq):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@_raises_format_error
 def sequence_loads(text):
     obj = json.loads(text)
     return ContractionSequence(_graph_from_json(obj["host"]),
-                               [tuple(op) for op in obj["ops"]])
+                               [(op[0], *_json_ints(op[1:]))
+                                for op in obj["ops"]])

@@ -1,10 +1,12 @@
 import csv
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from gridlab.cli import main
-from gridlab.graph import gr_load, gr_loads
+from gridlab.graph import SimpleGraph, gr_load, gr_loads
+from gridlab.minors import MinorModel, model_dumps, verify_model
 
 
 def run(runner, args):
@@ -147,3 +149,104 @@ def test_gen_missing_param_is_usage_error(tmp_path):
     runner = CliRunner()
     res = run(runner, ["gen", "wheel-map", "-o", str(tmp_path / "x.emb")])
     assert res.exit_code == 2
+
+
+def assert_one_error_line(res, code, names=None):
+    """Exit `code` with exactly one `error:` line on stderr and no
+    traceback."""
+    assert res.exit_code == code, res.output
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    assert "Traceback" not in res.output
+    if names is not None:
+        assert names in lines[0]
+
+
+OK_GR = "p tw 2 1\n1 2\n"
+EMPTY_OP_SEQ = json.dumps({"host": {"n": 2, "edges": [[0, 1]]},
+                           "ops": [[]]})
+
+
+@pytest.mark.parametrize("name, content, command", [
+    ("bad.gr", b"p tw x 1\n", ["tw", "{bad}"]),
+    ("bad.gr", b"p tw 2 1\n1 1\n", ["tw", "{bad}"]),
+    ("bad.gr", b"\xff\xfep tw 2 1\n1 2\n", ["tw", "{bad}"]),
+    ("bad.td", b"s td 1 2 2\nb x 1 2\n",
+     ["check", "--td", "{bad}", "--gr", "{ok}"]),
+    ("bad.td", b"s td 1 0 2\nb\n", ["check", "--td", "{bad}", "--gr", "{ok}"]),
+    ("bad.td", b"s td 2 1 2\nb 1 1\nb 2 2\n1 1\n",
+     ["check", "--td", "{bad}", "--gr", "{ok}"]),
+    ("bad.json", b"[1, 2]\n", ["check", "--model", "{bad}"]),
+    ("bad.json", EMPTY_OP_SEQ.encode(),
+     ["transfer", "--emb", "{emb}", "--seq", "{bad}"]),
+])
+def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
+                                                 command):
+    runner = CliRunner()
+    paths = {"bad": tmp_path / name, "ok": tmp_path / "ok.gr",
+             "emb": tmp_path / "w.emb"}
+    paths["bad"].write_bytes(content)
+    paths["ok"].write_text(OK_GR)
+    run(runner, ["gen", "wheel-map", "--r", "1", "-o", str(paths["emb"])])
+    args = [a.format(**{k: str(p) for k, p in paths.items()})
+            for a in command]
+    assert_one_error_line(run(runner, args), 2, names=str(paths["bad"]))
+
+
+def test_each_error_kind_maps_to_its_exit_code(tmp_path):
+    runner = CliRunner()
+    # ConstructionError: the sequence without its edge deletions leaves
+    # a graph that is not a grid
+    emb, seq = tmp_path / "ng.emb", tmp_path / "ng.json"
+    run(runner, ["gen", "nation-grid", "--size", "12", "-o", str(emb),
+                 "--seq-output", str(seq)])
+    obj = json.loads(seq.read_text())
+    obj["ops"] = [op for op in obj["ops"] if op[0] != "delete_edge"]
+    seq.write_text(json.dumps(obj))
+    assert_one_error_line(run(runner, ["transfer", "--emb", str(emb),
+                                       "--seq", str(seq)]), 1)
+    # ValueError: a well-formed .td that does not decompose the radial
+    # graph
+    m, td = tmp_path / "m.emb", tmp_path / "bad.td"
+    run(runner, ["gen", "random-map", "--nations", "4", "-o", str(m)])
+    td.write_text("s td 1 1 1\nb 1 1\n")
+    assert_one_error_line(run(runner, ["lift", "--radial-to-map", str(m),
+                                       str(td), "-o",
+                                       str(tmp_path / "out.td")]), 1)
+    # ValueError from the library: no grid minor of an empty graph
+    empty = tmp_path / "empty.gr"
+    empty.write_text("p tw 0 0\n")
+    assert_one_error_line(run(runner, ["grid-minor", str(empty)]), 1)
+    # OSError: an output path in a missing directory
+    assert_one_error_line(run(runner, [
+        "gen", "grid", "--rows", "2", "--cols", "2",
+        "-o", str(tmp_path / "missing" / "g.gr")]), 2)
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--k", "0"), ("--witness-r", "0"), ("--witness-r", "-1")])
+def test_power_ranges_are_usage_errors(tmp_path, option, value):
+    grf = tmp_path / "g.gr"
+    grf.write_text(OK_GR)
+    args = ["power", str(grf), "--k", "1", option, value]
+    assert run(CliRunner(), args).exit_code == 2
+
+
+# a pattern key with no pattern vertex, naming host vertex 7 of a
+# 1-vertex host; a witness on a pattern non-edge; an extra key whose
+# branch set overlaps another
+BAD_CERTIFICATES = [
+    MinorModel(SimpleGraph(1), SimpleGraph(1), {0: {0}, 1: {7}}, {}),
+    MinorModel(SimpleGraph(2), SimpleGraph(2, [(0, 1)]), {0: {0}, 1: {1}},
+               {(0, 1): (0, 1)}),
+    MinorModel(SimpleGraph(1), SimpleGraph(1), {0: {0}, 1: {0}}, {}),
+]
+
+
+@pytest.mark.parametrize("model", BAD_CERTIFICATES)
+def test_check_rejects_keys_outside_the_pattern(tmp_path, model):
+    assert verify_model(model) is not None
+    path = tmp_path / "model.json"
+    path.write_text(model_dumps(model))
+    assert_one_error_line(run(CliRunner(), ["check", "--model", str(path)]),
+                          1)

@@ -1,11 +1,12 @@
 import pytest
 
+from gridlab import _kernels
 from gridlab.decomposition import (TreeDecomposition,
                                    decomposition_from_order, lift_power,
                                    lift_radial_to_map, treewidth_exact,
                                    treewidth_upper, vertex_cover_dp)
 from gridlab.embedding import map_graph, radial_graph
-from gridlab.errors import SizeLimitError
+from gridlab.errors import ConstructionError, SizeLimitError
 from gridlab.generators import grid, random_canonical_map, random_graph
 from gridlab.graph import SimpleGraph, power_graph
 
@@ -37,6 +38,20 @@ def test_decomposition_from_order_always_valid():
         g = random_graph(9, seed, 0.3)
         td = decomposition_from_order(g, list(range(g.n)))
         assert td.validate(g) is None
+    with pytest.raises(ValueError):
+        decomposition_from_order(SimpleGraph.path(3), [0, 1, 1])
+
+
+def test_kernel_width_mismatch_names_the_stage(monkeypatch):
+    kernel = _kernels.treewidth_order
+
+    def off_by_one(n, masks):
+        width, order = kernel(n, masks)
+        return width + 1, order
+
+    monkeypatch.setattr(_kernels, "treewidth_order", off_by_one)
+    with pytest.raises(ConstructionError, match="treewidth_exact"):
+        treewidth_exact(grid(2, 3))
 
 
 def test_exact_matches_brute_oracle():

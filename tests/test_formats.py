@@ -1,6 +1,13 @@
+import json
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gridlab
 from gridlab.decomposition import td_dumps, td_loads, treewidth_exact
 from gridlab.embedding import emb_dumps, emb_loads
 from gridlab.errors import FormatError
@@ -41,6 +48,10 @@ def test_gr_parse_errors():
         gr_loads("1 2\np tw 3 1\n")
     with pytest.raises(FormatError):
         gr_loads("p tw 3 2\n1 2\n")  # header edge count off
+    with pytest.raises(FormatError):
+        gr_loads("p tw x 1\n")
+    with pytest.raises(FormatError):
+        gr_loads("p tw 2 1\n1 1\n")  # self-loop
     # comments and blank lines are fine
     g = gr_loads("c hello\n\np tw 2 1\n1 2\n")
     assert g == SimpleGraph(2, [(0, 1)])
@@ -65,6 +76,31 @@ def test_td_parse_errors():
         td_loads("s td 1 5 3\nb 1 1 2\n")  # max bag size mismatch
     with pytest.raises(FormatError):
         td_loads("s td 2 1 2\nb 1 1\n")  # missing bag 2
+    with pytest.raises(FormatError):
+        td_loads("s td 1 2 2\nb x 1 2\n")
+    with pytest.raises(FormatError):
+        td_loads("s td 1 0 2\nb\n")
+    with pytest.raises(FormatError):
+        td_loads("s td 2 1 2\nb 1 1\nb 2 2\n1 1\n")  # tree self-loop
+
+
+def test_td_header_bag_count_is_not_allocated():
+    # run under a 1 GiB address-space cap: a parser that builds
+    # range(num_bags) from the header fails with MemoryError instead of
+    # exhausting the machine
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from gridlab.decomposition import td_loads\n"
+            "from gridlab.errors import FormatError\n"
+            "try:\n"
+            "    td_loads('s td 10000000000 1 2\\n')\n"
+            "except FormatError:\n"
+            "    print('refused')\n")
+    src = os.path.dirname(os.path.dirname(gridlab.__file__))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.stdout == "refused\n", res.stderr
 
 
 def test_emb_round_trip_byte_identical():
@@ -102,6 +138,24 @@ def test_model_json_byte_identical():
         assert model_dumps(model_loads(text)) == text
 
 
+def test_json_loaders_take_only_json_integers():
+    g = grid(2, 2)
+    good = json.loads(model_dumps(
+        minor_containment_exact(SimpleGraph.cycle(4), g)))
+    for obj in ([1, 2],
+                {**good, "pattern": {**good["pattern"], "n": 1.5}},
+                {**good, "host": {**good["host"], "n": True}},
+                {**good, "branch_sets": {**good["branch_sets"], "0": ["0"]}},
+                {**good, "edge_witness": [[[0, 1], [0, 1.0]]]}):
+        with pytest.raises(FormatError):
+            model_loads(json.dumps(obj))
+    host = good["host"]
+    for ops in ([["delete_vertex"]], [["contract", 0, 1.5]],
+                [["delete_vertex", "3"]]):
+        with pytest.raises(FormatError):
+            sequence_loads(json.dumps({"host": host, "ops": ops}))
+
+
 def test_sequence_json_byte_identical():
     g = grid(3, 3)
     seq = ContractionSequence(g, [("contract", 0, 1), ("delete_vertex", 8),
@@ -115,3 +169,54 @@ def test_sequence_json_byte_identical():
 def test_gr_round_trip_property(n, seed):
     g = random_graph(n, seed, 0.5) if n > 1 else SimpleGraph(1)
     assert gr_loads(gr_dumps(g)) == g
+
+
+def valid_texts():
+    g = grid(2, 3)
+    _, td = treewidth_exact(g)
+    e, fl = wheel_map(2)
+    m = minor_containment_exact(SimpleGraph.cycle(4), g)
+    seq = ContractionSequence(g, [("contract", 0, 1), ("delete_vertex", 5),
+                                  ("delete_edge", 3, 4)])
+    return {"gr": (gr_loads, gr_dumps(g)),
+            "td": (td_loads, td_dumps(td, g.n)),
+            "emb": (emb_loads, emb_dumps(e, fl)),
+            "model": (model_loads, model_dumps(m)),
+            "sequence": (sequence_loads, sequence_dumps(seq))}
+
+
+VALID_TEXTS = valid_texts()
+# tokens that break counts, signs, types, keywords and JSON structure
+FUZZ_TOKENS = ["0", "-1", "1", "2", "7", "1.5", "x", "b", "s", "p", "td",
+               "tw", "emb", "twin", "next", "vertex_of", "nations", "c",
+               "10000000000", "\n", " ", "[", "]", "{", "}", ",", ":",
+               '"n"', '"ops"', '"a"', "null", "true", "[]", "{}"]
+
+
+@pytest.mark.parametrize("fmt", sorted(VALID_TEXTS))
+def test_mutated_text_loads_or_raises_format_error(fmt):
+    loads, text = VALID_TEXTS[fmt]
+    tokens = re.split(r"(\s+|[\[\]{},:])", text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["replace", "delete",
+                                               "insert"]),
+                              st.integers(0, len(tokens) - 1),
+                              st.sampled_from(FUZZ_TOKENS)),
+                    min_size=1, max_size=4))
+    def check(mutations):
+        mutated = list(tokens)
+        for action, i, token in mutations:
+            i %= len(mutated) or 1
+            if action == "replace" and mutated:
+                mutated[i] = token
+            elif action == "delete" and mutated:
+                del mutated[i]
+            else:
+                mutated.insert(i, token)
+        try:
+            loads("".join(mutated))
+        except FormatError:
+            pass
+
+    check()
