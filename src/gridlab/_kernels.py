@@ -1,13 +1,34 @@
 """Exact treewidth kernel in pure Python.
 
-Branch and bound over elimination orderings with subset memoization,
-seeded by a min-fill upper bound and pruned by a degeneracy lower bound.
-Graphs are given as neighbor bitmasks.
+Graphs are given as neighbor bitmasks.  `treewidth_order` is a branch
+and bound over elimination orderings with subset memoization:
+
+- upper bound: the greedy min-fill order (`min_fill_order`);
+- lower bound at the root: the largest of the degeneracy and two
+  minor-min-width runs (`minor_min_width`, Bodlaender & Koster,
+  "Contraction and treewidth lower bounds", JGAA 2006).  When it meets
+  the upper bound the min-fill order is returned without a search;
+- the search carries the fill graph of the eliminated set and reduces
+  without branching at simplicial and almost simplicial vertices
+  (Gogate & Dechter, "A complete anytime algorithm for treewidth",
+  UAI 2004).
+
+The search is exponential; `decomposition.treewidth_exact` refuses
+graphs with more than `TREEWIDTH_EXACT_LIMIT` (20) vertices.  Each call
+logs one debug record with its search statistics on the
+`gridlab.kernels` logger.
 """
 
 from __future__ import annotations
 
+import logging
+
 IMPLEMENTATION = "pure"
+
+# neighbor choices for the contraction step of `minor_min_width`
+MMW_RULES = ("min-d", "least-c")
+
+log = logging.getLogger("gridlab.kernels")
 
 
 def _bits(mask):
@@ -15,21 +36,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def q_set(masks, eliminated, v):
-    """Vertices outside `eliminated` (and != v) reachable from v through
-    eliminated vertices: v's neighborhood in the fill graph after
-    eliminating `eliminated`."""
-    reach = 1 << v
-    while True:
-        nb = 0
-        for u in _bits(reach):
-            nb |= masks[u]
-        new = reach | (nb & eliminated)
-        if new == reach:
-            return nb & ~eliminated & ~(1 << v)
-        reach = new
 
 
 def min_fill_order(n, masks):
@@ -70,19 +76,73 @@ def degeneracy(n, masks):
     return best
 
 
+def minor_min_width(n, masks, rule="min-d"):
+    """Minor-min-width, a treewidth lower bound: the max over a sequence
+    of minors of their minimum degree.  Each step takes a minimum-degree
+    vertex (ties to smaller id) and contracts it into the neighbor of
+    least degree (`rule` "min-d") or with the fewest common neighbors
+    ("least-c")."""
+    adj = list(masks)
+    alive = (1 << n) - 1
+    best = 0
+    while alive:
+        v = min(_bits(alive), key=lambda u: bin(adj[u]).count("1"))
+        nb = adj[v]
+        best = max(best, bin(nb).count("1"))
+        alive &= ~(1 << v)
+        if not nb:
+            continue
+        if rule == "min-d":
+            u = min(_bits(nb), key=lambda w: bin(adj[w]).count("1"))
+        else:
+            u = min(_bits(nb), key=lambda w: bin(adj[w] & nb).count("1"))
+        rest = nb & ~(1 << u)
+        for w in _bits(nb):
+            adj[w] &= ~(1 << v)
+        for w in _bits(rest):
+            adj[w] |= 1 << u
+        adj[u] |= rest
+    return best
+
+
+def _eliminate(adj, v):
+    """The fill graph after eliminating v: its neighbors become a clique."""
+    q = adj[v]
+    child = list(adj)
+    child[v] = 0
+    keep = ~(1 << v)
+    for w in _bits(q):
+        child[w] = (adj[w] | q) & keep & ~(1 << w)
+    return child
+
+
+def _non_clique(adj, s):
+    """The vertices of s that miss a neighbor in s.  s is a clique iff
+    this set is empty, and s minus u is a clique iff this set minus u
+    is one."""
+    bad = 0
+    for u in _bits(s):
+        if s & ~(1 << u) & ~adj[u]:
+            bad |= 1 << u
+    return bad
+
+
 def treewidth_order(n, masks):
     """Exact treewidth and an optimal elimination order."""
     if n == 0:
         return -1, []
     full = (1 << n) - 1
     ub, ub_order = min_fill_order(n, masks)
-    lb = degeneracy(n, masks)
-    if lb >= ub:
-        return ub, ub_order
+    lb, bound = max([(degeneracy(n, masks), "degeneracy")]
+                    + [(minor_min_width(n, masks, rule), "mmw " + rule)
+                       for rule in MMW_RULES], key=lambda b: b[0])
     best = [ub, list(ub_order)]
     memo = {}
+    nodes = 0
 
-    def search(eliminated, cost, order):
+    def search(eliminated, adj, cost, order):
+        # adj is the fill graph of `eliminated` on the other vertices
+        nonlocal nodes
         if cost >= best[0]:
             return
         if eliminated == full:
@@ -93,22 +153,27 @@ def treewidth_order(n, masks):
         if seen is not None and seen <= cost:
             return
         memo[eliminated] = cost
+        nodes += 1
 
         cand = []
         for v in _bits(full & ~eliminated):
-            q = q_set(masks, eliminated, v)
+            q = adj[v]
             qn = bin(q).count("1")
             if max(cost, qn) >= best[0]:
                 continue
-            # simplicial vertex: eliminating it first is always optimal
-            simplicial = True
-            for u in _bits(q):
-                if q & ~(1 << u) & ~q_set(masks, eliminated, u):
-                    simplicial = False
-                    break
-            if simplicial:
+            # Eliminating v first is optimal when q is a clique
+            # (simplicial v), and also when q minus one vertex u is a
+            # clique and |q| <= cost (almost simplicial v): the fill
+            # graph after eliminating v is then G contracted along vu,
+            # a minor of G of treewidth at most tw(G), so the width
+            # max(cost, |q|, tw(G / vu)) is at most max(cost, tw(G)).
+            bad = _non_clique(adj, q)
+            if not bad or (qn <= cost and any(
+                    not _non_clique(adj, bad & ~(1 << u))
+                    for u in _bits(bad))):
                 order.append(v)
-                search(eliminated | (1 << v), max(cost, qn), order)
+                search(eliminated | (1 << v), _eliminate(adj, v),
+                       max(cost, qn), order)
                 order.pop()
                 return
             cand.append((qn, v))
@@ -117,8 +182,17 @@ def treewidth_order(n, masks):
             if max(cost, qn) >= best[0]:
                 break
             order.append(v)
-            search(eliminated | (1 << v), max(cost, qn), order)
+            search(eliminated | (1 << v), _eliminate(adj, v),
+                   max(cost, qn), order)
             order.pop()
 
-    search(0, lb, [])
+    if lb < ub:
+        search(0, list(masks), lb, [])
+    # a single dict argument becomes the record's `args`
+    log.debug("treewidth_order n=%(n)d lb=%(lb)d (%(lb_bound)s) ub=%(ub)d "
+              "root_closed=%(root_closed)s width=%(width)d nodes=%(nodes)d "
+              "memo=%(memo)d",
+              {"n": n, "lb": lb, "lb_bound": bound, "ub": ub,
+               "root_closed": lb >= ub, "width": best[0], "nodes": nodes,
+               "memo": len(memo)})
     return best[0], best[1]

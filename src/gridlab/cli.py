@@ -35,10 +35,11 @@ CSV_COLUMNS = ["schema", "family", "r", "rows", "cols", "nations", "n", "k",
 
 
 # the first matching entry gives the exit code; any other exception is a
-# bug and keeps its traceback
+# bug and keeps its traceback.  An input too large for the machine's
+# memory (say a .gr header claiming 10^10 vertices) is a size refusal.
 EXIT_CODES = {FormatError: EXIT_USAGE, OSError: EXIT_USAGE,
-              SizeLimitError: EXIT_SIZE, GridlabError: EXIT_VERIFY,
-              ValueError: EXIT_VERIFY}
+              SizeLimitError: EXIT_SIZE, MemoryError: EXIT_SIZE,
+              GridlabError: EXIT_VERIFY, ValueError: EXIT_VERIFY}
 
 # gen family -> the options it needs
 GEN_FAMILIES = {"wheel-map": ["r"], "grid": ["rows", "cols"],
@@ -53,7 +54,9 @@ class _Gridlab(click.Group):
         try:
             return super().invoke(ctx)
         except tuple(EXIT_CODES) as exc:
-            click.echo(f"error: {exc}", err=True)
+            # a MemoryError usually has an empty message
+            message = "out of memory" if isinstance(exc, MemoryError) else exc
+            click.echo(f"error: {message}", err=True)
             # sys.exit, not ctx.exit: under standalone_mode=False click
             # returns the code of ctx.exit instead of raising it
             sys.exit(next(code for kind, code in EXIT_CODES.items()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import (ConstructionError, FormatError, SizeLimitError,
-                     _raises_format_error)
+                     _int_token, _raises_format_error)
 from .graph import SimpleGraph, k_neighborhood, power_graph
 
 TREEWIDTH_EXACT_LIMIT = 20  # documented desk-scale limit
@@ -332,18 +332,28 @@ def td_loads(text):
                 raise FormatError("duplicate solution line", lineno)
             if len(parts) != 5 or parts[1] != "td":
                 raise FormatError(f"bad solution line {line!r}", lineno)
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = tuple(_int_token(t, lineno) for t in parts[2:])
         elif parts[0] == "b":
             if header is None:
                 raise FormatError("bag before solution line", lineno)
-            bag_id = int(parts[1]) - 1
+            if len(parts) < 2:
+                raise FormatError("bag line without a bag id", lineno)
+            bag_id = _int_token(parts[1], lineno, 1) - 1
             if bag_id in bags:
                 raise FormatError(f"duplicate bag {bag_id + 1}", lineno)
-            bags[bag_id] = frozenset(int(v) - 1 for v in parts[2:])
+            bags[bag_id] = frozenset(_int_token(v, lineno, 1) - 1
+                                     for v in parts[2:])
         else:
             if len(parts) != 2:
                 raise FormatError(f"bad tree edge {line!r}", lineno)
-            edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+            if header is None:
+                raise FormatError("tree edge before solution line", lineno)
+            a, b = (_int_token(t, lineno, 1) - 1 for t in parts)
+            if a == b:
+                raise FormatError(f"tree self-loop {line!r}", lineno)
+            if max(a, b) >= header[0]:
+                raise FormatError(f"tree edge {line!r} out of range", lineno)
+            edges.append((a, b))
     if header is None:
         raise FormatError("missing solution line")
     num_bags, max_bag, n = header

@@ -26,6 +26,19 @@ class ConstructionError(GridlabError):
     invariants do not hold on the given input."""
 
 
+def _int_token(token, line, low=0):
+    """`token` as an integer of at least `low`; otherwise a FormatError
+    naming the line."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise FormatError(f"expected an integer, found {token!r}",
+                          line) from None
+    if value < low:
+        raise FormatError(f"{value} is below {low}", line)
+    return value
+
+
 # what indexing, converting and building objects from malformed text raise
 _PARSE_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError)
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass, field
 
-from .errors import FormatError, SizeLimitError, _raises_format_error
+from .errors import (FormatError, SizeLimitError, _int_token,
+                     _raises_format_error)
 
 MAX_CLIQUE_LIMIT = 40  # documented desk-scale limit for max_clique_exact
 
@@ -419,16 +420,18 @@ def gr_loads(text):
                 raise FormatError(f"bad problem line {line!r}", lineno)
             if n is not None:
                 raise FormatError("duplicate problem line", lineno)
-            n, m = int(parts[2]), int(parts[3])
+            n, m = (_int_token(t, lineno) for t in parts[2:])
             continue
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"bad edge line {line!r}", lineno)
         if n is None:
             raise FormatError("edge before problem line", lineno)
-        u, v = int(parts[0]) - 1, int(parts[1]) - 1
+        u, v = (_int_token(t, lineno) - 1 for t in parts)
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"edge {line!r} out of range", lineno)
+        if u == v:
+            raise FormatError(f"self-loop {line!r}", lineno)
         edges.append((u, v))
     if n is None:
         raise FormatError("missing problem line")

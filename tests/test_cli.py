@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import gridlab
 from gridlab.cli import main
 from gridlab.graph import SimpleGraph, gr_load, gr_loads
 from gridlab.minors import MinorModel, model_dumps, verify_model
@@ -221,6 +225,24 @@ def test_each_error_kind_maps_to_its_exit_code(tmp_path):
     assert_one_error_line(run(runner, [
         "gen", "grid", "--rows", "2", "--cols", "2",
         "-o", str(tmp_path / "missing" / "g.gr")]), 2)
+
+
+def test_out_of_memory_is_a_size_refusal(tmp_path):
+    # under a 1 GiB address-space cap, the min-fill heuristic cannot
+    # allocate the adjacency of a graph with 10^10 isolated vertices
+    huge = tmp_path / "huge.gr"
+    huge.write_text("p tw 10000000000 0\n")
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from gridlab.cli import main\n"
+            "main(sys.argv[1:])\n")
+    src = os.path.dirname(os.path.dirname(gridlab.__file__))
+    res = subprocess.run(
+        [sys.executable, "-c", code, "tw", "--upper", str(huge)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 3, res.stderr
+    assert res.stderr == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("option, value", [

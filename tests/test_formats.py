@@ -48,10 +48,13 @@ def test_gr_parse_errors():
         gr_loads("1 2\np tw 3 1\n")
     with pytest.raises(FormatError):
         gr_loads("p tw 3 2\n1 2\n")  # header edge count off
-    with pytest.raises(FormatError):
-        gr_loads("p tw x 1\n")
-    with pytest.raises(FormatError):
-        gr_loads("p tw 2 1\n1 1\n")  # self-loop
+    with pytest.raises(FormatError, match="^line 2: expected an integer, "
+                                          "found 'x'$"):
+        gr_loads("c bad count\np tw x 1\n")
+    with pytest.raises(FormatError, match="^line 2: "):
+        gr_loads("p tw 3 1\n1 y\n")
+    with pytest.raises(FormatError, match="^line 2: self-loop"):
+        gr_loads("p tw 2 1\n1 1\n")
     # comments and blank lines are fine
     g = gr_loads("c hello\n\np tw 2 1\n1 2\n")
     assert g == SimpleGraph(2, [(0, 1)])
@@ -76,12 +79,19 @@ def test_td_parse_errors():
         td_loads("s td 1 5 3\nb 1 1 2\n")  # max bag size mismatch
     with pytest.raises(FormatError):
         td_loads("s td 2 1 2\nb 1 1\n")  # missing bag 2
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^line 2: expected an integer, "
+                                          "found 'x'$"):
         td_loads("s td 1 2 2\nb x 1 2\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^line 2: bag line without"):
         td_loads("s td 1 0 2\nb\n")
-    with pytest.raises(FormatError):
-        td_loads("s td 2 1 2\nb 1 1\nb 2 2\n1 1\n")  # tree self-loop
+    with pytest.raises(FormatError, match="^line 1: "):
+        td_loads("s td 1 x 2\n")
+    with pytest.raises(FormatError, match="^line 2: 0 is below 1$"):
+        td_loads("s td 1 1 2\nb 1 0\n")
+    with pytest.raises(FormatError, match="^line 4: tree self-loop"):
+        td_loads("s td 2 1 2\nb 1 1\nb 2 2\n1 1\n")
+    with pytest.raises(FormatError, match="^line 4: tree edge '1 3' out"):
+        td_loads("s td 2 1 2\nb 1 1\nb 2 2\n1 3\n")
 
 
 def test_td_header_bag_count_is_not_allocated():

@@ -1,17 +1,21 @@
+import logging
+
+from oracles import treewidth_brute
+
 from gridlab import _kernels
-from gridlab.generators import grid, random_graph
-from gridlab.graph import SimpleGraph
+from gridlab.decomposition import decomposition_from_order
+from gridlab.embedding import all_nations, dual_graph
+from gridlab.generators import grid, random_graph, random_planar_triangulation
+from gridlab.graph import SimpleGraph, power_graph
+
+
+def _dual(n, seed):
+    t = random_planar_triangulation(n, seed)
+    return dual_graph(t, all_nations(t))
 
 
 def test_implementation_tag():
     assert _kernels.IMPLEMENTATION == "pure"
-
-
-def test_q_set_is_fill_neighborhood():
-    # path 0-1-2: eliminating 1 makes 0 and 2 neighbors
-    masks = SimpleGraph.path(3).adjacency_masks()
-    assert _kernels.q_set(masks, 0b010, 0) == 0b100
-    assert _kernels.q_set(masks, 0, 0) == 0b010
 
 
 def test_known_widths():
@@ -22,6 +26,10 @@ def test_known_widths():
         (SimpleGraph.complete(7), 6),
         (grid(3, 3), 3),
         (grid(4, 4), 4),
+        # cubic duals that MMW leaves open; the almost simplicial rule
+        # closes them
+        (_dual(11, 2), 4),
+        (_dual(12, 1), 4),
     ]
     for g, want in cases:
         width, order = _kernels.treewidth_order(g.n, g.adjacency_masks())
@@ -29,12 +37,41 @@ def test_known_widths():
         assert sorted(order) == list(range(g.n))
 
 
+def test_exact_matches_brute_on_small_graphs():
+    graphs = []
+    for seed in range(60):
+        g = random_graph(4 + seed % 6, seed, 0.25 + 0.05 * (seed % 5))
+        graphs += [g, power_graph(g, 2)]
+    for n in (4, 5, 6):
+        graphs += [_dual(n, seed) for seed in range(8)]
+    for seed in range(60):
+        graphs.append(random_graph(9, 100 + seed, 0.4))
+    assert len(graphs) >= 200 and max(g.n for g in graphs) <= 9
+    for g in graphs:
+        width, order = _kernels.treewidth_order(g.n, g.adjacency_masks())
+        assert width == treewidth_brute(g)
+        assert decomposition_from_order(g, order).width == width
+
+
 def test_bounds_bracket_exact():
     for seed in range(15):
         g = random_graph(11, seed, 0.3)
         masks = g.adjacency_masks()
-        lo = _kernels.degeneracy(g.n, masks)
         exact, _ = _kernels.treewidth_order(g.n, masks)
         hi, _ = _kernels.min_fill_order(g.n, masks)
-        assert lo <= exact <= hi
+        assert _kernels.degeneracy(g.n, masks) <= exact <= hi
+        for rule in _kernels.MMW_RULES:
+            assert _kernels.minor_min_width(g.n, masks, rule) <= exact
 
+
+def test_search_statistics_are_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger="gridlab.kernels")
+    for g in (_dual(12, 1), grid(4, 4)):
+        _kernels.treewidth_order(g.n, g.adjacency_masks())
+    searched, closed = [rec.args for rec in caplog.records
+                        if rec.name == "gridlab.kernels"]
+    assert searched["n"] == 20 and not searched["root_closed"]
+    assert 0 < searched["nodes"] < 100
+    assert searched["lb"] < searched["ub"] == searched["width"] == 4
+    assert closed["root_closed"] and closed["lb_bound"].startswith("mmw")
+    assert closed["nodes"] == closed["memo"] == 0
