@@ -54,6 +54,7 @@ class TreeDecomposition:
     def validate(self, g):
         """None if this is a valid decomposition of g, else a Violation."""
         b = len(self.bags)
+        nb = self.node_neighbors()
         # tree shape: connected and acyclic
         if len(set(self.tree_edges)) != len(self.tree_edges):
             return Violation("tree", None, "duplicate tree edge")
@@ -61,7 +62,6 @@ class TreeDecomposition:
             return Violation("tree", None,
                              f"{len(self.tree_edges)} edges on {b} nodes")
         if b:
-            nb = self.node_neighbors()
             seen = {0}
             stack = [0]
             while stack:
@@ -85,7 +85,6 @@ class TreeDecomposition:
             if not any(u in bag and v in bag for bag in self.bags):
                 return Violation("T2", (u, v), f"edge {(u, v)} in no bag")
         # T3
-        nb = self.node_neighbors()
         for v in range(g.n):
             nodes = {i for i, bag in enumerate(self.bags) if v in bag}
             start = min(nodes)

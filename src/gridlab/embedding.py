@@ -16,9 +16,13 @@ from .graph import Bipartition, SimpleGraph
 
 class EmbeddedGraph:
     """Immutable rotation-system embedding of a connected-or-not
-    multigraph; faces and genus are derived, not stored."""
+    multigraph.
 
-    __slots__ = ("num_vertices", "twin", "nxt", "vertex_of",
+    `rotations[v]` is the tuple of darts based at v in rotation order,
+    starting at the smallest; it is stored when the constructor checks
+    the rotation orbits.  Faces and genus are derived lazily."""
+
+    __slots__ = ("num_vertices", "twin", "nxt", "vertex_of", "rotations",
                  "_faces", "_face_of")
 
     def __init__(self, twin, nxt, vertex_of):
@@ -34,30 +38,34 @@ class EmbeddedGraph:
                                  f"involution at dart {i}")
         if sorted(nxt) != list(range(d)):
             raise ValueError("next is not a permutation of the darts")
-        # rotation orbits must be exactly the per-vertex dart classes
-        seen_vertex = {}
+        # rotation orbits must be exactly the per-vertex dart classes;
+        # the first dart met of each vertex is its smallest
+        orbit_of = {}
         visited = [False] * d
         for start in range(d):
             if visited[start]:
                 continue
             v = vertex_of[start]
-            if v in seen_vertex:
+            if v in orbit_of:
                 raise ValueError(
                     f"vertex {v} has more than one rotation orbit")
-            seen_vertex[v] = start
+            orbit = []
             cur = start
             while not visited[cur]:
                 visited[cur] = True
                 if vertex_of[cur] != v:
                     raise ValueError(
                         f"rotation orbit of dart {start} mixes vertices")
+                orbit.append(cur)
                 cur = nxt[cur]
+            orbit_of[v] = tuple(orbit)
         n = (max(vertex_of) + 1) if vertex_of else 0
-        if set(seen_vertex) != set(range(n)):
+        if set(orbit_of) != set(range(n)):
             raise ValueError("vertex ids must be contiguous from 0")
         self.twin = twin
         self.nxt = nxt
         self.vertex_of = vertex_of
+        self.rotations = tuple(orbit_of[v] for v in range(n))
         self.num_vertices = n
         self._faces = None
         self._face_of = None
@@ -69,25 +77,12 @@ class EmbeddedGraph:
         return len(self.twin) // 2
 
     def vertex_darts(self, v):
-        """Darts based at v in rotation order, starting at the smallest."""
-        start = min((d for d in range(len(self.twin))
-                     if self.vertex_of[d] == v), default=None)
-        if start is None:
-            return []
-        out = [start]
-        cur = self.nxt[start]
-        while cur != start:
-            out.append(cur)
-            cur = self.nxt[cur]
-        return out
-
-    def degree(self, v):
-        return sum(1 for d in range(len(self.twin))
-                   if self.vertex_of[d] == v)
+        """Darts based at v in rotation order, starting at the smallest,
+        as a fresh list the caller may change."""
+        return list(self.rotations[v])
 
     def max_degree(self):
-        return max((self.degree(v) for v in range(self.num_vertices)),
-                   default=0)
+        return max(map(len, self.rotations), default=0)
 
     @property
     def faces(self):
@@ -167,10 +162,9 @@ class EmbeddedGraph:
 
     def incident_nations(self, fl):
         """vertex -> set of nation indices whose face touches it."""
-        nation_index = {f: i for i, f in enumerate(fl.nations)}
         out = [set() for _ in range(self.num_vertices)]
         for d in range(len(self.twin)):
-            i = nation_index.get(self.face_of[d])
+            i = fl.nation_of.get(self.face_of[d])
             if i is not None:
                 out[self.vertex_of[d]].add(i)
         return out
@@ -192,9 +186,12 @@ class FaceLabeling:
     `nations` is an ordered tuple: nation i of every derived graph
     (dual, map, radial) is nations[i].  Order is preserved by
     canonicalize, which is what map-graph identity tests rely on.
+    `fl.nation_of` is the face -> nation index dict
+    `{f: i for i, f in enumerate(fl.nations)}`, built once here so that
+    no consumer rebuilds it.
     """
 
-    __slots__ = ("nations", "lakes")
+    __slots__ = ("nations", "lakes", "nation_of")
 
     def __init__(self, nations, lakes):
         nations = tuple(nations)
@@ -207,6 +204,7 @@ class FaceLabeling:
             raise ValueError("a face cannot be both nation and lake")
         self.nations = nations
         self.lakes = lakes
+        self.nation_of = {f: i for i, f in enumerate(nations)}
 
     def check(self, e):
         all_faces = set(range(len(e.faces)))
@@ -231,11 +229,10 @@ def all_nations(e):
 def dual_graph(e, fl):
     """Modified dual on nations: edge iff two nations share a primal edge."""
     fl.check(e)
-    nation_index = {f: i for i, f in enumerate(fl.nations)}
     edges = set()
     for d in range(len(e.twin)):
-        a = nation_index.get(e.face_of[d])
-        b = nation_index.get(e.face_of[e.twin[d]])
+        a = fl.nation_of.get(e.face_of[d])
+        b = fl.nation_of.get(e.face_of[e.twin[d]])
         if a is not None and b is not None and a != b:
             edges.add((min(a, b), max(a, b)))
     return SimpleGraph(len(fl.nations), edges)
@@ -299,10 +296,9 @@ class _MutableMap:
         self.rot = {v: e.vertex_darts(v) for v in range(e.num_vertices)}
         self.twin = dict(enumerate(e.twin))
         self.vertex_of = dict(enumerate(e.vertex_of))
-        nation_index = {f: i for i, f in enumerate(fl.nations)}
         self.label = {}
         for f, walk in enumerate(e.faces):
-            tag = ((NATION, nation_index[f]) if f in nation_index
+            tag = ((NATION, fl.nation_of[f]) if f in fl.nation_of
                    else (LAKE,))
             for d in walk:
                 self.label[d] = tag
@@ -505,24 +501,23 @@ def canonicalize(e, fl):
 
 
 def is_canonical(e, fl):
-    """All three canonical-map properties."""
+    """All three canonical-map properties: no lake-lake edge, no vertex
+    with two lake corners, no lake-only vertex."""
     fl.check(e)
-    lake_faces = fl.lakes
-    # no lake-only vertices / no lake-lake edges
-    for d in range(len(e.twin)):
-        if (e.face_of[d] in lake_faces
-                and e.face_of[e.twin[d]] in lake_faces):
-            return False
-    for v in range(e.num_vertices):
-        lake_corners = sum(1 for d in e.vertex_darts(v)
-                           if e.face_of[d] in lake_faces)
-        if lake_corners > 1:
-            return False
-        if lake_corners == len(e.vertex_darts(v)) > 0 and lake_corners:
-            # degree-1 vertex with a single lake corner only happens on
-            # lake-only vertices, which step 1 forbids
-            if all(e.face_of[d] in lake_faces for d in e.vertex_darts(v)):
+    lakes = fl.lakes
+    face_of = e.face_of
+    lake_vertices = set()
+    # one pass over the corners checks the first two properties, and
+    # they imply the third: every vertex owns a dart, so a lake-only
+    # vertex has two lake corners or degree 1, and at a degree-1 vertex
+    # the dart and its twin lie on the same face, so its lake corner is
+    # a lake-lake edge
+    for d, f in enumerate(face_of):
+        if f in lakes:
+            v = e.vertex_of[d]
+            if face_of[e.twin[d]] in lakes or v in lake_vertices:
                 return False
+            lake_vertices.add(v)
     return True
 
 

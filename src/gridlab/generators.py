@@ -210,34 +210,22 @@ def _insert_into_face(e, face_idx, new_vertex):
     twin = list(e.twin)
     nxt = list(e.nxt)
     vertex_of = list(e.vertex_of)
-    prev = [0] * len(e.nxt)
-    for d, m in enumerate(e.nxt):
-        prev[m] = d
-    new_at_corner = {}
-    for idx, d in enumerate(walk):
-        a = base + 2 * idx       # dart at the corner vertex
-        b = base + 2 * idx + 1   # dart at the new vertex
-        twin.extend([b, a])
-        vertex_of.extend([e.vertex_of[d], new_vertex])
-        # place a just before d in the corner's rotation
-        p = prev[d]
-        if p == d:  # degree-1 corner: rotation is a self-cycle
-            nxt.extend([d, 0])
-            nxt[d] = a
-        else:
-            nxt[p] = a
-            nxt.extend([d, 0])
-        new_at_corner[idx] = (a, b)
-    for orientation in (True, False):
-        order = [new_at_corner[i][1] for i in
-                 (range(2, -1, -1) if orientation else range(3))]
-        for i, b in enumerate(order):
-            nxt[b] = order[(i + 1) % 3]
-        candidate = EmbeddedGraph(twin, nxt, vertex_of)
-        if (candidate.genus() == 0
-                and all(len(wk) == 3 for wk in candidate.faces)):
-            return candidate
-    raise GridlabError("vertex insertion broke the triangulation")
+    for i, d in enumerate(walk):
+        corner = base + 2 * i    # dart at the corner vertex
+        spoke = corner + 1       # dart at the new vertex
+        twin += [spoke, corner]
+        vertex_of += [e.vertex_of[d], new_vertex]
+        # the corner dart goes just before d in its vertex's rotation;
+        # around the new vertex the spokes turn against the walk
+        rot = e.rotations[e.vertex_of[d]]
+        nxt[rot[rot.index(d) - 1]] = corner
+        nxt += [d, base + 2 * ((i - 1) % 3) + 1]
+    out = EmbeddedGraph(twin, nxt, vertex_of)
+    if out.genus() != 0 or any(len(wk) != 3 for wk in out.faces):
+        raise ConstructionError(f"random_planar_triangulation: inserting "
+                                f"vertex {new_vertex} into face "
+                                f"{face_idx} broke the triangulation")
+    return out
 
 
 def random_planar_triangulation(n, seed):

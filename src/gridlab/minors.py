@@ -443,11 +443,8 @@ def _nation_fan(e, fl, u, a, b, acceptable):
     corner leaves a linear fan; with no lake both cyclic directions are
     tried, preferring the shorter (then lexicographically smaller) one.
     """
-    nation_index = {f: i for i, f in enumerate(fl.nations)}
-    corners = []
-    for d in e.vertex_darts(u):
-        f = e.face_of[d]
-        corners.append(nation_index.get(f))  # None marks the lake corner
+    # None marks the lake corner
+    corners = [fl.nation_of.get(e.face_of[d]) for d in e.vertex_darts(u)]
     lake_positions = [i for i, c in enumerate(corners) if c is None]
     if len(lake_positions) > 1:
         raise ConstructionError(f"vertex {u} has several lake corners; "

@@ -66,3 +66,36 @@ def power_max_degree(g, k):
     return max(sum(1 for v in range(g.n)
                    if v != u and dist[u][v] is not None and dist[u][v] <= k)
                for u in range(g.n))
+
+
+def is_canonical_per_vertex(e, fl):
+    """The three canonical-map properties checked one vertex at a time,
+    with each vertex's darts and the faces found by scanning all darts."""
+    d_count = len(e.twin)
+    walks = []
+    seen = set()
+    for start in range(d_count):
+        if start not in seen:
+            walk = []
+            cur = start
+            while cur not in seen:
+                seen.add(cur)
+                walk.append(cur)
+                cur = e.nxt[e.twin[cur]]
+            walks.append(walk)
+    # faces are numbered by their smallest dart, as in EmbeddedGraph.faces
+    walks.sort(key=min)
+    face_of = {d: f for f, walk in enumerate(walks) for d in walk}
+    if set(fl.nations) | fl.lakes != set(range(len(walks))):
+        raise ValueError("nations and lakes do not cover all faces")
+    on_lake = [face_of[d] in fl.lakes for d in range(d_count)]
+    if any(on_lake[d] and on_lake[e.twin[d]] for d in range(d_count)):
+        return False  # lake-lake edge
+    for v in range(e.num_vertices):
+        darts = [d for d in range(d_count) if e.vertex_of[d] == v]
+        lake_corners = sum(on_lake[d] for d in darts)
+        if lake_corners > 1:
+            return False  # vertex touching lakes twice
+        if darts and lake_corners == len(darts):
+            return False  # lake-only vertex
+    return True

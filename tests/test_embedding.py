@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gridlab.embedding import (EmbeddedGraph, FaceLabeling, all_nations,
@@ -9,6 +11,7 @@ from gridlab.errors import GridlabError
 from gridlab.generators import (_build_from_rotations, _triangle, grid_map,
                                 random_canonical_map,
                                 random_planar_triangulation, wheel_map)
+from oracles import is_canonical_per_vertex
 
 
 def bowtie():
@@ -176,3 +179,85 @@ def test_incident_nations():
     # the center vertex of a 2x2 nation grid touches all four nations
     center = [v for v in range(e.num_vertices) if len(inc[v]) == 4]
     assert len(center) == 1
+
+
+def random_rotation_system(rng, n):
+    """Random embedding on n vertices with loops, parallel edges and
+    pendant vertices; darts are numbered at random, so a vertex's
+    smallest dart sits anywhere in its rotation."""
+    # every vertex owns a dart; an edge (v, v) is a loop
+    ends = [(v, rng.randrange(v + 1)) for v in range(n)]
+    ends += [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randrange(2 * n))]
+    ends += [ends[rng.randrange(len(ends))] for _ in range(n // 3)]
+    ids = rng.sample(range(2 * len(ends)), 2 * len(ends))
+    twin = [0] * len(ids)
+    vertex_of = [0] * len(ids)
+    rot = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(ends):
+        a, b = ids[2 * i], ids[2 * i + 1]
+        twin[a], twin[b] = b, a
+        vertex_of[a], vertex_of[b] = u, v
+        rot[u].append(a)
+        rot[v].append(b)
+    nxt = [0] * len(ids)
+    for r in rot:
+        rng.shuffle(r)
+        for i, d in enumerate(r):
+            nxt[d] = r[(i + 1) % len(r)]
+    return EmbeddedGraph(twin, nxt, vertex_of)
+
+
+def test_vertex_darts_and_max_degree_match_a_dart_scan():
+    rng = random.Random(5)
+    for trial in range(300):
+        e = random_rotation_system(rng, 1 + trial % 12)
+        degrees = []
+        for v in range(e.num_vertices):
+            own = [d for d in range(e.num_darts()) if e.vertex_of[d] == v]
+            walk = [min(own)]
+            while e.nxt[walk[-1]] != walk[0]:
+                walk.append(e.nxt[walk[-1]])
+            assert sorted(walk) == own
+            got = e.vertex_darts(v)
+            assert got == walk
+            got.pop()  # callers may change the list they get
+            assert e.vertex_darts(v) == walk
+            degrees.append(len(own))
+        assert e.max_degree() == max(degrees)
+
+
+def test_is_canonical_matches_the_per_vertex_oracle():
+    rng = random.Random(11)
+    verdicts = set()
+    for trial in range(1500):
+        e = random_rotation_system(rng, 1 + trial % 10)
+        faces = list(range(len(e.faces)))
+        lakes = set(rng.sample(faces, rng.randrange(len(faces))))
+        fl = FaceLabeling([f for f in faces if f not in lakes], lakes)
+        want = is_canonical_per_vertex(e, fl)
+        assert is_canonical(e, fl) == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    # a triangle with a pendant vertex whose only corner lies on a lake
+    e = _build_from_rotations([[(1, "a"), (2, "c")],
+                               [(2, "b"), (0, "a")],
+                               [(0, "c"), (3, "p"), (1, "b")],
+                               [(2, "p")]])
+    pendant_face = e.face_of[e.vertex_darts(3)[0]]
+    other = 1 - pendant_face
+    fl = FaceLabeling([other], {pendant_face})
+    assert not is_canonical_per_vertex(e, fl)
+    assert not is_canonical(e, fl)
+    assert is_canonical(e, FaceLabeling([pendant_face], {other}))
+    # an isolated edge on a lake: no vertex has two lake corners, so the
+    # lake-lake edge is the only fault
+    e = _build_from_rotations([[(1, "a"), (2, "c")],
+                               [(2, "b"), (0, "a")],
+                               [(0, "c"), (1, "b")],
+                               [(4, "x")],
+                               [(3, "x")]])
+    lake = e.face_of[e.vertex_darts(3)[0]]
+    fl = FaceLabeling([f for f in range(3) if f != lake], {lake})
+    assert not is_canonical_per_vertex(e, fl)
+    assert not is_canonical(e, fl)

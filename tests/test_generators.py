@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from gridlab.embedding import (dual_graph, is_canonical, map_graph,
+from gridlab.embedding import (dual_graph, emb_dumps, is_canonical, map_graph,
                                radial_graph)
 from gridlab.generators import (grid, grid_map, partially_triangulated_grid,
                                 random_canonical_map, random_graph,
@@ -98,3 +100,35 @@ def test_random_canonical_map_properties():
             assert e.genus() == 0
             assert len(e.components()) == 1
 
+
+
+def _emb_sha256(e, fl=None):
+    return hashlib.sha256(emb_dumps(e, fl).encode()).hexdigest()
+
+
+def test_generated_instances_are_pinned():
+    # a generator change must not silently change the instances
+    triangulations = {
+        (3, 0):
+            "595a63658a1ca5c26e3e9f57e49485985e29e18c38b1c53b3d892ca02a41e32c",
+        (10, 1):
+            "84d4ae75ea682f248402e26884b4a37c1d7331be8023f2f5c25e7bf01d8d67ea",
+        (30, 2):
+            "f9142165a9448144a499f1dc787a338f6f91a817a416ce469b5be7e998d7da3b",
+        (100, 3):
+            "b0ce3ffc38db12e751afc1d15dcd269a2f86a42e179e5eb2a14bd834bea35f1b",
+    }
+    for (n, seed), digest in triangulations.items():
+        assert _emb_sha256(random_planar_triangulation(n, seed)) == digest
+    maps = {
+        (1, 0):
+            "22e71dcee48bca0e6fbe4c6121c0c5ffac845816a91713fffd1d64061bcd4968",
+        (5, 1):
+            "41358d2653b8fb7345e72fbb17ac4e1d3749498bd041a1f4084e8f9c5a4f4c6e",
+        (12, 2):
+            "3ef5f51da842616213112cc4cd967a092a6faf4f9da379207562d83824a558fc",
+        (40, 3):
+            "b248da53051cca6c834163a6ed71e00c42b22494b37f25047c2638aab2764deb",
+    }
+    for (nations, seed), digest in maps.items():
+        assert _emb_sha256(*random_canonical_map(nations, seed)) == digest
