@@ -21,6 +21,7 @@ logs one debug record with its search statistics on the
 
 from __future__ import annotations
 
+import heapq
 import logging
 
 IMPLEMENTATION = "pure"
@@ -38,28 +39,51 @@ def _bits(mask):
         mask ^= low
 
 
+def _fill(adj, v):
+    """Number of non-adjacent pairs among the neighbors of v."""
+    nb = adj[v]
+    missing = 0
+    for u in _bits(nb):
+        missing += (nb & ~adj[u]).bit_count() - 1
+    return missing // 2
+
+
 def min_fill_order(n, masks):
-    """Greedy min-fill elimination: (width, order).  Ties to smaller id."""
-    adj = [masks[v] for v in range(n)]
+    """Greedy min-fill elimination: (width, order).  Ties to smaller id.
+
+    Incremental (Bodlaender & Koster, "Treewidth computations I. Upper
+    bounds", Inf. Comput. 2010): a heap holds (fill, id) entries and is
+    invalidated lazily.  Eliminating v changes the fill only of its
+    neighbors (whose neighborhood changed) and of their neighbors (which
+    may see a new edge among theirs), so only those are recomputed.
+    """
+    # adj holds the live neighbors of each live vertex
+    adj = list(masks)
+    fill = [_fill(adj, v) for v in range(n)]
+    heap = [(f, v) for v, f in enumerate(fill)]
+    heapq.heapify(heap)
     alive = (1 << n) - 1
     order = []
     width = 0
-    while alive:
-        best_v, best_fill = -1, None
-        for v in _bits(alive):
-            nb = adj[v] & alive
-            fill = 0
-            for u in _bits(nb):
-                fill += bin(nb & ~adj[u] & ~(1 << u)).count("1")
-            fill //= 2
-            if best_fill is None or fill < best_fill:
-                best_v, best_fill = v, fill
-        nb = adj[best_v] & alive
-        width = max(width, bin(nb).count("1"))
+    while heap:
+        f, v = heapq.heappop(heap)
+        if not alive >> v & 1 or f != fill[v]:
+            continue  # eliminated, or a stale entry
+        nb = adj[v]
+        width = max(width, nb.bit_count())
+        keep = ~(1 << v)
+        touched = nb
         for u in _bits(nb):
-            adj[u] |= nb & ~(1 << u)
-        alive &= ~(1 << best_v)
-        order.append(best_v)
+            adj[u] = (adj[u] | nb) & keep & ~(1 << u)
+            touched |= adj[u]
+        adj[v] = 0
+        alive &= keep
+        order.append(v)
+        for u in _bits(touched & alive):
+            f = _fill(adj, u)
+            if f != fill[u]:
+                fill[u] = f
+                heapq.heappush(heap, (f, u))
     return width, order
 
 

@@ -261,6 +261,12 @@ def power(input_path, k, output, witness_r):
                 raise GridlabError(f"witness pair {bad} too far apart")
             click.echo(f"clique witness of size {len(result.vertices)}")
         else:
+            bad = result.verify(g)
+            if bad is not None:
+                raise GridlabError(
+                    f"degree bound fails: vertex {bad} has "
+                    f"{gk.degree(bad)} >= {result.degree_bound} "
+                    f"neighbors in G^k")
             click.echo(f"degree bound: max_degree(G^k) = "
                        f"{gk.max_degree()} < {result.degree_bound} "
                        f"({result.parity} case)")
@@ -399,7 +405,7 @@ def sweep(family, values, seeds, k, output):
                 row = row_fn(v, k, s)
             else:
                 row = row_fn(v, s)
-        except Exception as exc:  # per-row failures never abort the sweep
+        except tuple(EXIT_CODES) as exc:  # expected failures end one row
             row = _blank_row() | {"family": family, "seed": s,
                                   "error": f"{type(exc).__name__}: {exc}"}
             key = _SWEEP_FAMILIES[family][1]

@@ -80,23 +80,24 @@ class TreeDecomposition:
         for v in covered:
             if not 0 <= v < g.n:
                 return Violation("T1", v, f"bag vertex {v} not in graph")
+        # vertex -> indices of the bags holding it; every bag vertex is
+        # in range(g.n) now
+        where = [set() for _ in range(g.n)]
+        for i, bag in enumerate(self.bags):
+            for v in bag:
+                where[v].add(i)
         # T2
         for u, v in sorted(g.edges):
-            if not any(u in bag and v in bag for bag in self.bags):
+            if where[u].isdisjoint(where[v]):
                 return Violation("T2", (u, v), f"edge {(u, v)} in no bag")
-        # T3
+        # T3: T is a tree, so the bags of v induce a subtree iff the tree
+        # edges joining two of them number one fewer than the bags
+        inside = [0] * g.n
+        for a, c in self.tree_edges:
+            for v in self.bags[a] & self.bags[c]:
+                inside[v] += 1
         for v in range(g.n):
-            nodes = {i for i, bag in enumerate(self.bags) if v in bag}
-            start = min(nodes)
-            seen = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in nb[x]:
-                    if y in nodes and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if seen != nodes:
+            if inside[v] != len(where[v]) - 1:
                 return Violation(
                     "T3", v, f"bags of vertex {v} are not connected in T")
         return None
@@ -207,12 +208,9 @@ def lift_power(td, g, k):
     occurrence with its whole radius-k neighborhood."""
     _require_valid(td, g, "base graph")
     gk = power_graph(g, k)
-    bags = []
-    for bag in td.bags:
-        new_bag = set()
-        for v in bag:
-            new_bag |= k_neighborhood(g, v, k)
-        bags.append(new_bag)
+    # every vertex lies in some bag (T1), so each ball is needed
+    balls = [k_neighborhood(g, v, k) for v in range(g.n)]
+    bags = [set().union(*(balls[v] for v in bag)) for bag in td.bags]
     return _checked(TreeDecomposition(bags, td.tree_edges), gk,
                     "lift_power")
 
@@ -237,43 +235,52 @@ def vertex_cover_dp(g, td):
                 order.append(y)
 
     bag_lists = [sorted(bag) for bag in td.bags]
+    children = [[y for y in nb[x] if y != parent[x]] for x in range(b)]
     dp = [None] * b       # node -> {mask: best size}
-    choice = [None] * b   # node -> {mask: {child: child_mask}}
+    choice = [None] * b   # node -> {mask: child masks, as children[node]}
 
     for x in reversed(order):
         verts = bag_lists[x]
         idx = {v: i for i, v in enumerate(verts)}
-        local_edges = [(idx[u], idx[v]) for u, v in g.edges
-                       if u in idx and v in idx]
-        children = [y for y in nb[x] if y != parent[x]]
+        # local neighbor masks: a mask is a cover of the bag iff the
+        # vertices it leaves out are independent
+        local_nb = [sum(1 << idx[w] for w in g.adj[v] if w in idx)
+                    for v in verts]
+        # per child: the bag-local mask of the shared vertices, and for
+        # each selection of them the first child mask of least size that
+        # makes it (Cygan et al., Parameterized Algorithms, 2015, 7.3)
+        joins = []
+        for c in children[x]:
+            shared = [(i, 1 << idx[v]) for i, v in enumerate(bag_lists[c])
+                      if v in idx]
+            best = {}
+            for cmask, csize in dp[c].items():
+                key = 0
+                for i, bit in shared:
+                    if cmask >> i & 1:
+                        key |= bit
+                if key not in best or csize < best[key][0]:
+                    best[key] = (csize, cmask)
+            joins.append((sum(bit for _, bit in shared), best))
+        full = (1 << len(verts)) - 1
         table = {}
         picks = {}
-        for mask in range(1 << len(verts)):
-            if any(not (mask >> iu & 1) and not (mask >> iv & 1)
-                   for iu, iv in local_edges):
+        for mask in range(full + 1):
+            left_out = full & ~mask
+            if any(left_out >> i & 1 and local_nb[i] & left_out
+                   for i in range(len(verts))):
                 continue
-            chosen = {verts[i] for i in range(len(verts)) if mask >> i & 1}
-            total = len(chosen)
-            pick = {}
-            feasible = True
-            for c in children:
-                cverts = bag_lists[c]
-                common = [v for v in cverts if v in idx]
-                best_c, best_mask = None, None
-                for cmask, csize in dp[c].items():
-                    sel = {cverts[i] for i in range(len(cverts))
-                           if cmask >> i & 1}
-                    if any((v in sel) != (v in chosen) for v in common):
-                        continue
-                    adjusted = csize - len(sel & chosen)
-                    if best_c is None or adjusted < best_c:
-                        best_c, best_mask = adjusted, cmask
-                if best_c is None:
-                    feasible = False
+            total = mask.bit_count()
+            pick = []
+            for shared_mask, best in joins:
+                key = mask & shared_mask
+                found = best.get(key)
+                if found is None:
                     break
-                total += best_c
-                pick[c] = best_mask
-            if feasible:
+                # the shared vertices it selects are counted in `mask`
+                total += found[0] - key.bit_count()
+                pick.append(found[1])
+            else:
                 table[mask] = total
                 picks[mask] = pick
         dp[x] = table
@@ -287,8 +294,7 @@ def vertex_cover_dp(g, td):
         x, mask = stack.pop()
         verts = bag_lists[x]
         cover |= {verts[i] for i in range(len(verts)) if mask >> i & 1}
-        for c, cmask in choice[x][mask].items():
-            stack.append((c, cmask))
+        stack.extend(zip(children[x], choice[x][mask]))
     if len(cover) != size:
         raise ConstructionError(f"vertex_cover_dp: the traceback gives "
                                 f"{len(cover)} vertices, the optimum is "

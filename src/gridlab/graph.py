@@ -7,7 +7,7 @@ Vertices are integers 0..n-1.  Edges are unordered pairs stored as
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (FormatError, SizeLimitError, _int_token,
                      _raises_format_error)
@@ -207,9 +207,8 @@ class CliqueWitness:
 class BoundReport:
     """Outcome of power_clique_or_bound when no large clique was found.
 
-    Certifies max_degree(G^k) < degree_bound (r^4 for even k, r^6 for
-    odd k).  `stage_sizes` records the neighborhood sizes observed in
-    the case analysis.
+    Claims max_degree(G^k) < degree_bound (r^4 for even k, r^6 for odd
+    k); `verify` checks the claim.
     """
 
     k: int
@@ -217,7 +216,14 @@ class BoundReport:
     parity: str  # "even" or "odd"
     degree_bound: int
     center: int
-    stage_sizes: dict = field(default_factory=dict)
+
+    def verify(self, g):
+        """None if every vertex has fewer than degree_bound neighbors in
+        G^k, else the first vertex that has at least that many."""
+        for v in range(g.n):
+            if len(k_neighborhood(g, v, self.k)) - 1 >= self.degree_bound:
+                return v
+        return None
 
 
 def power_graph(g, k):
@@ -226,23 +232,32 @@ def power_graph(g, k):
         raise ValueError("power exponent k must be >= 1")
     if k == 1:
         return g
-    edges = []
-    for u in range(g.n):
-        dist = g.bfs_distances(u)
-        for v in range(u + 1, g.n):
-            if 1 <= dist[v] <= k:
-                edges.append((u, v))
+    edges = [(u, v) for u in range(g.n) for v in k_neighborhood(g, u, k)
+             if v > u]
     return SimpleGraph(g.n, edges)
 
 
 def k_neighborhood(g, v, k):
-    """All vertices at distance <= k from v, including v."""
+    """All vertices at distance <= k from v, including v: a BFS from v
+    that stops at depth k."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    dist = g.bfs_distances(v)
-    return {u for u in range(g.n) if 0 <= dist[u] <= k}
+    adj = g.adj
+    ball = {v}
+    frontier = [v]
+    for _ in range(k):
+        nxt = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in ball:
+                    ball.add(w)
+                    nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    return ball
 
 
 def half_square(g, bip):
@@ -285,8 +300,8 @@ def power_clique_or_bound(g, k, r):
     """Case analysis at the maximum-degree vertex of G^k.
 
     Returns a CliqueWitness of size >= r^2 when one of the stages finds
-    one, else a BoundReport certifying max_degree(G^k) < r^4 (even k) or
-    < r^6 (odd k).
+    one, else a BoundReport claiming max_degree(G^k) < r^4 (even k) or
+    < r^6 (odd k); `BoundReport.verify` checks the claim.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
@@ -298,16 +313,13 @@ def power_clique_or_bound(g, k, r):
 
     # center = vertex of maximum k-neighborhood size (max degree in G^k),
     # smallest id on ties.
-    best_v, best_size = 0, -1
-    for v in range(g.n):
-        size = len(k_neighborhood(g, v, k))
-        if size > best_size:
-            best_v, best_size = v, size
-    v = best_v
-    nk = k_neighborhood(g, v, k)
+    v, nk = 0, set()
+    for u in range(g.n):
+        ball = k_neighborhood(g, u, k)
+        if len(ball) > len(nk):
+            v, nk = u, ball
     half = k // 2
     n_half = k_neighborhood(g, v, half)
-    sizes = {"n_k": len(nk), "n_half": len(n_half)}
 
     if len(n_half) >= target:
         # pairwise distance <= 2*floor(k/2) <= k
@@ -323,11 +335,10 @@ def power_clique_or_bound(g, k, r):
             cls = min(big, key=min)
             return CliqueWitness(cls, k)
         return BoundReport(k=k, r=r, parity="even", degree_bound=r ** 4,
-                           center=v, stage_sizes=sizes)
+                           center=v)
 
     # odd k: second stage over N_{k-1}, third over N_k
     nk1 = k_neighborhood(g, v, k - 1)
-    sizes["n_k_minus_1"] = len(nk1)
     classes = collections.defaultdict(set)
     for u in nk1:
         classes[label[u]].add(u)
@@ -358,7 +369,7 @@ def power_clique_or_bound(g, k, r):
         raise ValueError(
             "case analysis exhausted but degree bound fails (k=1 only)")
     return BoundReport(k=k, r=r, parity="odd", degree_bound=r ** 6,
-                       center=v, stage_sizes=sizes)
+                       center=v)
 
 
 def max_clique_exact(g):

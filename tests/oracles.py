@@ -99,3 +99,92 @@ def is_canonical_per_vertex(e, fl):
         if darts and lake_corners == len(darts):
             return False  # lake-only vertex
     return True
+
+
+def min_fill_rescan(n, masks):
+    """Greedy min-fill elimination that recomputes the fill of every live
+    vertex at every step: (width, order), ties to the smaller id."""
+    def bits(mask):
+        return [i for i in range(n) if mask >> i & 1]
+
+    adj = list(masks)
+    alive = (1 << n) - 1
+    order = []
+    width = 0
+    while alive:
+        best_v, best_fill = -1, None
+        for v in bits(alive):
+            nb = adj[v] & alive
+            fill = 0
+            for u in bits(nb):
+                fill += bin(nb & ~adj[u] & ~(1 << u)).count("1")
+            fill //= 2
+            if best_fill is None or fill < best_fill:
+                best_v, best_fill = v, fill
+        nb = adj[best_v] & alive
+        width = max(width, bin(nb).count("1"))
+        for u in bits(nb):
+            adj[u] |= nb & ~(1 << u)
+        alive &= ~(1 << best_v)
+        order.append(best_v)
+    return width, order
+
+
+def first_decomposition_violation(bags, tree_edges, g):
+    """(condition, witness) of the first failed tree-decomposition
+    condition of `bags` joined by `tree_edges` over g, or None.
+
+    Checked from the definitions in the order tree shape (witness None),
+    T1 (the least vertex of g in no bag, else the least bag vertex not
+    in g), T2 (the least edge in no bag) and T3 (the least vertex whose
+    bags do not induce a connected subtree).
+    """
+    b = len(bags)
+    # a tree: b - 1 distinct edges joining all b nodes (union-find)
+    root = list(range(b))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for x, y in tree_edges:
+        root[find(x)] = find(y)
+    if (len(set(tree_edges)) != len(tree_edges)
+            or len(tree_edges) != max(b - 1, 0)
+            or len({find(x) for x in range(b)}) > 1):
+        return "tree", None
+    covered = set().union(*bags)
+    for v in range(g.n):
+        if v not in covered:
+            return "T1", v
+    outside = sorted(v for v in covered if not 0 <= v < g.n)
+    if outside:
+        return "T1", outside[0]
+    for u, v in sorted(g.edges):
+        if not any(u in bag and v in bag for bag in bags):
+            return "T2", (u, v)
+    # T3 as running intersection: every node on the tree path between two
+    # bags holding v holds v
+    nbrs = {x: set() for x in range(b)}
+    for x, y in tree_edges:
+        nbrs[x].add(y)
+        nbrs[y].add(x)
+
+    def path(x, y):
+        # depth-first search from x, keeping the path to the current node
+        stack = [(x, [x])]
+        while stack:
+            z, walk = stack.pop()
+            if z == y:
+                return walk
+            stack += [(w, walk + [w]) for w in nbrs[z]
+                      if len(walk) < 2 or w != walk[-2]]
+        raise AssertionError("unreachable")
+
+    for v in range(g.n):
+        nodes = [i for i, bag in enumerate(bags) if v in bag]
+        if any(v not in bags[z] for x, y in itertools.combinations(nodes, 2)
+               for z in path(x, y)):
+            return "T3", v
+    return None

@@ -8,8 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 import gridlab
+from gridlab import cli
 from gridlab.cli import main
-from gridlab.graph import SimpleGraph, gr_load, gr_loads
+from gridlab.graph import BoundReport, SimpleGraph, gr_load, gr_loads
 from gridlab.minors import MinorModel, model_dumps, verify_model
 
 
@@ -76,6 +77,20 @@ def test_power_witness(tmp_path):
     res = run(runner, ["power", str(grf), "--k", "2", "--witness-r", "3"])
     assert res.exit_code == 0
     assert "clique witness" in res.output
+
+
+def test_power_refuses_a_false_degree_bound(tmp_path, monkeypatch):
+    grf = tmp_path / "p4.gr"
+    grf.write_text("p tw 4 3\n1 2\n2 3\n3 4\n")
+    # in P_4 squared, vertices 2 and 3 (ids 1 and 2) have 3 neighbors
+    monkeypatch.setattr(gridlab.graph, "power_clique_or_bound",
+                        lambda g, k, r: BoundReport(k=k, r=r, parity="even",
+                                                    degree_bound=3,
+                                                    center=0))
+    res = run(CliRunner(), ["power", str(grf), "--k", "2",
+                            "--witness-r", "1"])
+    assert_one_error_line(res, 1)
+    assert "vertex 1 has 3 >= 3" in res.stderr
 
 
 def test_grid_minor_and_transfer(tmp_path):
@@ -147,6 +162,27 @@ def test_sweep_empty_values_gives_header_only(tmp_path):
     assert res.exit_code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1
+
+
+def test_sweep_keeps_the_traceback_of_a_bug(tmp_path, monkeypatch):
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--family", "wheel", "--values", "1", "-o", str(out)]
+
+    def refused(r, seed):
+        raise ValueError("no such wheel")
+
+    monkeypatch.setitem(cli._SWEEP_FAMILIES, "wheel", (refused, "r"))
+    res = run(CliRunner(), args)
+    assert res.exit_code == 1
+    [row] = csv.DictReader(out.open())
+    assert row["error"] == "ValueError: no such wheel"
+
+    def buggy(r, seed):
+        raise RuntimeError("bug in a row")
+
+    monkeypatch.setitem(cli._SWEEP_FAMILIES, "wheel", (buggy, "r"))
+    with pytest.raises(RuntimeError, match="bug in a row"):
+        run(CliRunner(), args)
 
 
 def test_gen_missing_param_is_usage_error(tmp_path):

@@ -42,10 +42,20 @@ def test_power_rejects_k0():
 
 
 def test_power_matches_distance_oracle():
-    for seed in range(8):
-        g = random_graph(9, seed)
+    graphs = [random_graph(9, seed) for seed in range(8)]
+    # disconnected: sparse gnp graphs, isolated vertices, two paths
+    graphs += [random_graph(12, seed, 0.1) for seed in range(8)]
+    graphs += [SimpleGraph(4), SimpleGraph(9, [(0, 1), (1, 2), (2, 3),
+                                               (5, 6), (6, 7), (7, 8)])]
+    for g in graphs:
         dist = all_pairs_distances(g)
-        for k in (1, 2, 3):
+        for k in range(5):
+            balls = [{v for v in range(g.n)
+                      if dist[u][v] is not None and dist[u][v] <= k}
+                     for u in range(g.n)]
+            assert [k_neighborhood(g, u, k) for u in range(g.n)] == balls
+            if k == 0:
+                continue
             gk = power_graph(g, k)
             for u in range(g.n):
                 for v in range(u + 1, g.n):
@@ -142,6 +152,18 @@ def test_power_bound_long_path():
     assert out.parity == "odd" and out.degree_bound == 4096
 
 
+def test_bound_report_verify():
+    p = SimpleGraph.path(100)
+    for k in (4, 5):
+        assert power_clique_or_bound(p, k, 4).verify(p) is None
+    # in P_100 squared, vertex 2 is the first with 4 neighbors
+    false_claim = BoundReport(k=2, r=1, parity="even", degree_bound=4,
+                              center=0)
+    assert false_claim.verify(p) == 2
+    assert BoundReport(k=2, r=2, parity="even", degree_bound=5,
+                       center=0).verify(p) is None
+
+
 def test_power_clique_or_bound_random_sound():
     for seed in range(12):
         g = random_graph(10, seed, 0.25)
@@ -152,6 +174,7 @@ def test_power_clique_or_bound_random_sound():
                 assert out.verify(g) is None
             else:
                 assert power_max_degree(g, k) < out.degree_bound
+                assert out.verify(g) is None
 
 
 def test_max_clique_known():

@@ -1,11 +1,13 @@
 import logging
 
-from oracles import treewidth_brute
+from oracles import min_fill_rescan, treewidth_brute
 
 from gridlab import _kernels
 from gridlab.decomposition import decomposition_from_order
-from gridlab.embedding import all_nations, dual_graph
-from gridlab.generators import grid, random_graph, random_planar_triangulation
+from gridlab.embedding import all_nations, dual_graph, radial_graph
+from gridlab.generators import (grid, partially_triangulated_grid,
+                                random_canonical_map, random_graph,
+                                random_planar_triangulation)
 from gridlab.graph import SimpleGraph, power_graph
 
 
@@ -75,3 +77,37 @@ def test_search_statistics_are_logged(caplog):
     assert searched["lb"] < searched["ub"] == searched["width"] == 4
     assert closed["root_closed"] and closed["lb_bound"].startswith("mmw")
     assert closed["nodes"] == closed["memo"] == 0
+
+
+def _disjoint_union(g, h):
+    return SimpleGraph(g.n + h.n, list(g.edges)
+                       + [(u + g.n, v + g.n) for u, v in h.edges])
+
+
+def test_min_fill_matches_full_rescan():
+    graphs = []
+    for seed in range(40):
+        g = random_graph(5 + seed % 20, seed, 0.1 + 0.05 * (seed % 5))
+        graphs += [g, power_graph(g, 2)]
+    for seed in range(30):
+        graphs.append(radial_graph(*random_canonical_map(2 + seed % 25,
+                                                         seed))[0])
+    for seed in range(30):
+        graphs.append(partially_triangulated_grid(2 + seed % 7,
+                                                  3 + seed % 5, seed))
+    # isolated vertices, several components, and graphs where every
+    # vertex ties
+    for seed in range(30):
+        g = random_graph(8 + seed % 5, seed, 0.15)
+        graphs += [SimpleGraph(g.n + 3, g.edges),
+                   _disjoint_union(g, random_graph(6, seed, 0.5))]
+    for n in range(1, 11):
+        graphs += [SimpleGraph(n), SimpleGraph.complete(n)]
+    for n in range(3, 13):
+        graphs += [SimpleGraph.cycle(n),
+                   _disjoint_union(SimpleGraph.cycle(n), SimpleGraph.cycle(n))]
+    assert len(graphs) >= 200
+    for g in graphs:
+        masks = g.adjacency_masks()
+        assert _kernels.min_fill_order(g.n, masks) == min_fill_rescan(g.n,
+                                                                      masks)
