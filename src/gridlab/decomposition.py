@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import (ConstructionError, FormatError, SizeLimitError,
                      _int_token, _raises_format_error)
-from .graph import SimpleGraph, k_neighborhood, power_graph
+from .graph import SimpleGraph, _bfs_parents, k_neighborhood, power_graph
 
 TREEWIDTH_EXACT_LIMIT = 20  # documented desk-scale limit
 
@@ -61,25 +61,17 @@ class TreeDecomposition:
         if len(self.tree_edges) != max(b - 1, 0):
             return Violation("tree", None,
                              f"{len(self.tree_edges)} edges on {b} nodes")
-        if b:
-            seen = {0}
-            stack = [0]
-            while stack:
-                x = stack.pop()
-                for y in nb[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if len(seen) != b:
-                return Violation("tree", None, "tree is disconnected")
+        if b and len(_bfs_parents(nb, 0)) != b:
+            return Violation("tree", None, "tree is disconnected")
         # T1
         covered = set().union(*self.bags) if self.bags else set()
         for v in range(g.n):
             if v not in covered:
                 return Violation("T1", v, f"vertex {v} in no bag")
-        for v in covered:
-            if not 0 <= v < g.n:
-                return Violation("T1", v, f"bag vertex {v} not in graph")
+        outside = [v for v in covered if not 0 <= v < g.n]
+        if outside:
+            v = min(outside)
+            return Violation("T1", v, f"bag vertex {v} not in graph")
         # vertex -> indices of the bags holding it; every bag vertex is
         # in range(g.n) now
         where = [set() for _ in range(g.n)]
@@ -226,13 +218,8 @@ def vertex_cover_dp(g, td):
     b = len(td.bags)
     nb = td.node_neighbors()
     root = 0
-    order = [root]
-    parent = {root: None}
-    for x in order:
-        for y in nb[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
+    parent = _bfs_parents(nb, root)
+    order = list(parent)
 
     bag_lists = [sorted(bag) for bag in td.bags]
     children = [[y for y in nb[x] if y != parent[x]] for x in range(b)]
@@ -289,12 +276,12 @@ def vertex_cover_dp(g, td):
     best_mask = min(dp[root], key=lambda m: dp[root][m])
     size = dp[root][best_mask]
     cover = set()
-    stack = [(root, best_mask)]
-    while stack:
-        x, mask = stack.pop()
+    mask_of = {root: best_mask}
+    for x in order:
+        mask = mask_of[x]
         verts = bag_lists[x]
         cover |= {verts[i] for i in range(len(verts)) if mask >> i & 1}
-        stack.extend(zip(children[x], choice[x][mask]))
+        mask_of.update(zip(children[x], choice[x][mask]))
     if len(cover) != size:
         raise ConstructionError(f"vertex_cover_dp: the traceback gives "
                                 f"{len(cover)} vertices, the optimum is "

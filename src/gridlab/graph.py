@@ -62,44 +62,8 @@ class SimpleGraph:
     def has_edge(self, u, v):
         return _normalize_edge(u, v) in self.edges if u != v else False
 
-    def bfs_distances(self, source):
-        """Distances from source; -1 for unreachable vertices."""
-        dist = [-1] * self.n
-        dist[source] = 0
-        queue = collections.deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self.adj[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
-
     def is_connected(self):
-        if self.n <= 1:
-            return True
-        return self.bfs_distances(0).count(-1) == 0
-
-    def components(self):
-        """Vertex sets of connected components, each sorted, in order of
-        smallest member."""
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            stack = [s]
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            out.append(sorted(comp))
-        return out
+        return self.n <= 1 or len(_bfs_parents(self.adj, 0)) == self.n
 
     def subgraph(self, vertices):
         """Induced subgraph on `vertices` (re-indexed).
@@ -109,8 +73,9 @@ class SimpleGraph:
         """
         old_ids = sorted(set(vertices))
         index = {v: i for i, v in enumerate(old_ids)}
-        edges = [(index[u], index[v]) for u, v in self.edges
-                 if u in index and v in index]
+        adj = self.adj
+        edges = [(index[u], index[w]) for u in old_ids if 0 <= u < self.n
+                 for w in adj[u] if u < w and w in index]
         return SimpleGraph(len(old_ids), edges), old_ids
 
     def is_complete(self):
@@ -186,19 +151,29 @@ class CliqueWitness:
     pairwise_distance_bound: int
 
     def __init__(self, vertices, pairwise_distance_bound):
+        bound = int(pairwise_distance_bound)
+        if bound < 0:
+            raise ValueError("pairwise distance bound must be nonnegative")
         object.__setattr__(self, "vertices", frozenset(vertices))
-        object.__setattr__(self, "pairwise_distance_bound",
-                           int(pairwise_distance_bound))
+        object.__setattr__(self, "pairwise_distance_bound", bound)
 
     def verify(self, g):
-        """Check every pair by BFS.  Returns None if ok, else an offending
-        pair (u, v)."""
+        """None if every pair lies within the bound in g, else an
+        offending pair (u, v) with u <= v.
+
+        A vertex outside g offends first: the least such x, paired with
+        the least other witness vertex, or with itself when alone.
+        """
         verts = sorted(self.vertices)
-        k = self.pairwise_distance_bound
+        outside = [x for x in verts if not 0 <= x < g.n]
+        if outside:
+            x = outside[0]
+            y = next((v for v in verts if v != x), x)
+            return (min(x, y), max(x, y))
         for i, u in enumerate(verts):
-            dist = g.bfs_distances(u)
+            ball = k_neighborhood(g, u, self.pairwise_distance_bound)
             for v in verts[i + 1:]:
-                if dist[v] < 0 or dist[v] > k:
+                if v not in ball:
                     return (u, v)
         return None
 
@@ -277,23 +252,42 @@ def half_square(g, bip):
     return SimpleGraph(len(old_ids), edges), old_ids
 
 
-def _bfs_tree_labels(g, center, depth_cap):
-    """Label each vertex with its BFS-tree ancestor at depth exactly
-    depth_cap (the vertex itself if shallower).  BFS explores neighbors
-    in increasing id so ties break toward smaller ids."""
-    parent = {center: None}
-    depth = {center: 0}
-    label = {center: center}
-    queue = collections.deque([center])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(g.adj[u]):
-            if w not in depth:
-                depth[w] = depth[u] + 1
+def _bfs_parents(neighbors, source, allowed=None):
+    """Breadth-first search tree from `source` as {vertex: parent} in
+    discovery order, the source mapped to None.  `neighbors[u]` lists
+    the neighbors of u; they are explored in increasing id, so ties
+    break toward smaller ids.  Only vertices in `allowed` (every vertex
+    when None) are entered after the source."""
+    parent = {source: None}
+    order = [source]
+    for u in order:
+        for w in sorted(neighbors[u]):
+            if w not in parent and (allowed is None or w in allowed):
                 parent[w] = u
-                label[w] = w if depth[w] <= depth_cap else label[u]
-                queue.append(w)
-    return label, depth
+                order.append(w)
+    return parent
+
+
+def _bfs_tree_labels(g, center, depth_cap):
+    """Label each vertex reachable from center with its BFS-tree
+    ancestor at depth exactly depth_cap (the vertex itself if
+    shallower)."""
+    depth = {}
+    label = {}
+    for w, u in _bfs_parents(g.adj, center).items():
+        depth[w] = 0 if u is None else depth[u] + 1
+        label[w] = w if depth[w] <= depth_cap else label[u]
+    return label
+
+
+def _least_big_class(label, members, target):
+    """Group `members` by label; the class of at least `target` members
+    with the least minimum, or None."""
+    classes = collections.defaultdict(set)
+    for u in members:
+        classes[label[u]].add(u)
+    big = [c for c in classes.values() if len(c) >= target]
+    return min(big, key=min) if big else None
 
 
 def power_clique_or_bound(g, k, r):
@@ -325,36 +319,22 @@ def power_clique_or_bound(g, k, r):
         # pairwise distance <= 2*floor(k/2) <= k
         return CliqueWitness(n_half, k)
 
-    label, _ = _bfs_tree_labels(g, v, half)
+    label = _bfs_tree_labels(g, v, half)
     if k % 2 == 0:
-        classes = collections.defaultdict(set)
-        for u in nk:
-            classes[label[u]].add(u)
-        big = [c for c in classes.values() if len(c) >= target]
-        if big:
-            cls = min(big, key=min)
+        cls = _least_big_class(label, nk, target)
+        if cls is not None:
             return CliqueWitness(cls, k)
         return BoundReport(k=k, r=r, parity="even", degree_bound=r ** 4,
                            center=v)
 
     # odd k: second stage over N_{k-1}, third over N_k
-    nk1 = k_neighborhood(g, v, k - 1)
-    classes = collections.defaultdict(set)
-    for u in nk1:
-        classes[label[u]].add(u)
-    big = [c for c in classes.values() if len(c) >= target]
-    if big:
-        # members within floor(k/2) of a common label: pairwise <= k-1
-        cls = min(big, key=min)
+    # members within floor(k/2) of a common label: pairwise <= k-1
+    cls = _least_big_class(label, k_neighborhood(g, v, k - 1), target)
+    if cls is not None:
         return CliqueWitness(cls, k)
 
-    label2, _ = _bfs_tree_labels(g, v, k - 1)
-    classes2 = collections.defaultdict(set)
-    for u in nk:
-        classes2[label2[u]].add(u)
-    big2 = [c for c in classes2.values() if len(c) >= target]
-    if big2:
-        cls = min(big2, key=min)
+    cls = _least_big_class(_bfs_tree_labels(g, v, k - 1), nk, target)
+    if cls is not None:
         witness = CliqueWitness(cls, k)
         if witness.verify(g) is not None:
             # Only reachable for k = 1, where the two-stage argument

@@ -4,7 +4,6 @@ extraction, and embedding a graph into its double radial graph."""
 
 from __future__ import annotations
 
-import collections
 import json
 import math
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from .embedding import (all_nations, dual_graph, is_canonical,
                         radial_embedding, union_radial_dual)
 from .errors import ConstructionError, SizeLimitError, _raises_format_error
 from .generators import grid, grid_map
-from .graph import SimpleGraph
+from .graph import SimpleGraph, _bfs_parents
 
 MINOR_PATTERN_LIMIT = 10   # documented desk-scale limits
 MINOR_HOST_LIMIT = 16
@@ -372,14 +371,9 @@ def _assign_grid_coords(verts, edges):
         adj[v].add(u)
 
     def bfs(src):
-        dist = {src: 0}
-        queue = collections.deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
+        dist = {}
+        for w, u in _bfs_parents(adj, src).items():
+            dist[w] = 0 if u is None else dist[u] + 1
         return dist
 
     corners = sorted(v for v in verts if len(adj[v]) == 2)
@@ -417,59 +411,39 @@ def _assign_grid_coords(verts, edges):
 
 def _shortest_path(neighbors, src, dst, allowed):
     """BFS path within `allowed`, neighbors explored in increasing id."""
-    if src == dst:
-        return [src]
-    prev = {src: None}
-    queue = collections.deque([src])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(neighbors(u)):
-            if w in allowed and w not in prev:
-                prev[w] = u
-                if w == dst:
-                    path = [w]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                queue.append(w)
-    return None
+    parent = _bfs_parents(neighbors, src, allowed)
+    if dst not in parent:
+        return None
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def _nation_fan(e, fl, u, a, b, acceptable):
     """Path of nations from a to b in the rotation around shared vertex u
     (indices into fl.nations), every member passing `acceptable`.
 
-    A canonical map gives u at most one lake corner, so dropping that
-    corner leaves a linear fan; with no lake both cyclic directions are
-    tried, preferring the shorter (then lexicographically smaller) one.
+    Both cyclic directions are tried, preferring the shorter (then
+    lexicographically smaller) one.  A canonical map gives u at most one
+    lake corner, and no fan passes through it.
     """
     # None marks the lake corner
     corners = [fl.nation_of.get(e.face_of[d]) for d in e.vertex_darts(u)]
-    lake_positions = [i for i, c in enumerate(corners) if c is None]
-    if len(lake_positions) > 1:
+    if corners.count(None) > 1:
         raise ConstructionError(f"vertex {u} has several lake corners; "
                                 f"map is not canonical")
+    m = len(corners)
+    pa = [i for i, c in enumerate(corners) if c == a]
+    pb = [i for i, c in enumerate(corners) if c == b]
     candidates = []
-    if lake_positions:
-        cut = lake_positions[0]
-        linear = corners[cut + 1:] + corners[:cut]
-        pa = [i for i, c in enumerate(linear) if c == a]
-        pb = [i for i, c in enumerate(linear) if c == b]
-        for i in pa:
-            for j in pb:
-                seg = linear[i:j + 1] if i <= j else linear[j:i + 1][::-1]
-                candidates.append(seg)
-    else:
-        m = len(corners)
-        pa = [i for i, c in enumerate(corners) if c == a]
-        pb = [i for i, c in enumerate(corners) if c == b]
-        for i in pa:
-            for j in pb:
-                fwd = [corners[(i + t) % m] for t in range((j - i) % m + 1)]
-                bwd = [corners[(i - t) % m] for t in range((i - j) % m + 1)]
-                candidates.extend([fwd, bwd])
+    for i in pa:
+        for j in pb:
+            fwd = [corners[(i + t) % m] for t in range((j - i) % m + 1)]
+            bwd = [corners[(i - t) % m] for t in range((i - j) % m + 1)]
+            candidates.extend([fwd, bwd])
     candidates = [seg for seg in candidates
-                  if all(acceptable(c) for c in seg)]
+                  if None not in seg and all(acceptable(c) for c in seg)]
     if not candidates:
         raise ConstructionError(
             f"no nation fan from {a} to {b} around vertex {u} stays in "
@@ -553,7 +527,7 @@ def radial_grid_to_dual_grid(seq, e, fl):
         cut position (index of the last vertex contracted toward src)."""
         src, dst = anchor[src_key], anchor[dst_key]
         allowed_p = {v for v in verts if in_rect(v, narrow)}
-        p_grid = _shortest_path(lambda v: adj_p[v], src, dst, allowed_p)
+        p_grid = _shortest_path(adj_p, src, dst, allowed_p)
         if p_grid is None:
             raise ConstructionError(
                 f"no path between blocks {src_key} and {dst_key} inside "
@@ -566,8 +540,7 @@ def radial_grid_to_dual_grid(seq, e, fl):
             ua, ub = min(
                 (x, y) for x in labels[a] for y in labels[b]
                 if host.has_edge(x, y))
-            inner = _shortest_path(lambda v: host_adj[v], cursor, ua,
-                                   labels[a])
+            inner = _shortest_path(host_adj, cursor, ua, labels[a])
             if inner is None:
                 raise ConstructionError(
                     f"radial_grid_to_dual_grid: label set of {a} is not "
@@ -575,16 +548,15 @@ def radial_grid_to_dual_grid(seq, e, fl):
             walk.extend(inner[1:])
             walk.append(ub)
             cursor = ub
-        inner = _shortest_path(lambda v: host_adj[v], cursor,
-                               vhat[dst_key], labels[p_grid[-1]])
+        inner = _shortest_path(host_adj, cursor, vhat[dst_key],
+                               labels[p_grid[-1]])
         if inner is None:
             raise ConstructionError(
                 f"radial_grid_to_dual_grid: label set of {p_grid[-1]} is "
                 f"not connected")
         walk.extend(inner[1:])
         # make it simple within its own vertex set
-        walk = _shortest_path(lambda v: host_adj[v], walk[0], walk[-1],
-                              set(walk))
+        walk = _shortest_path(host_adj, walk[0], walk[-1], set(walk))
 
         def acceptable(nation):
             v = owner_of.get(n + nation)
@@ -607,8 +579,7 @@ def radial_grid_to_dual_grid(seq, e, fl):
                 raise ConstructionError(
                     f"nation {nation} on the transfer path leaves the "
                     f"thickened rectangle")
-        path = _shortest_path(lambda v: dual.adj[v], path[0], path[-1],
-                              set(path))
+        path = _shortest_path(dual.adj, path[0], path[-1], set(path))
         # cut at the first edge crossing the mid line of the block gap
         axis_coord = [coords[owner_of[n + d]][cut_axis] for d in path]
         cut = None
@@ -799,8 +770,8 @@ def _is_two_connected(g):
     if g.n < 3 or not g.is_connected():
         return False
     for v in range(g.n):
-        rest, _ = g.subgraph(set(range(g.n)) - {v})
-        if not rest.is_connected():
+        rest = set(range(g.n)) - {v}
+        if len(_bfs_parents(g.adj, 0 if v else 1, rest)) != g.n - 1:
             return False
     return True
 
@@ -865,18 +836,9 @@ def model_to_contraction_sequence(m):
     ops = [("delete_vertex", v) for v in sorted(set(range(g.n)) - used)]
     for v in sorted(m.branch_sets):
         s = m.branch_sets[v]
-        sub, old = g.subgraph(s)
-        # contract along a spanning tree, leaves inward
-        order = [min(s)]
-        parent = {min(s): None}
-        for x in order:
-            xi = old.index(x)
-            for yi in sorted(sub.adj[xi]):
-                y = old[yi]
-                if y not in parent:
-                    parent[y] = x
-                    order.append(y)
-        for x in reversed(order[1:]):
+        # contract along a BFS tree, leaves inward
+        parent = _bfs_parents(g.adj, min(s), s)
+        for x in reversed(list(parent)[1:]):
             ops.append(("contract", parent[x], x))
     seq = ContractionSequence(g, ops)
     verts, edges, _ = seq.replay()

@@ -147,7 +147,8 @@ def test_sweep_wheel(tmp_path):
     res = run(runner, ["sweep", "--family", "wheel",
                        "--values", "1,2", "-o", str(out)])
     assert res.exit_code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 2
     widths = sorted(int(r["tw_M"]) for r in rows)
     assert widths == [0, 3]
@@ -174,7 +175,8 @@ def test_sweep_keeps_the_traceback_of_a_bug(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._SWEEP_FAMILIES, "wheel", (refused, "r"))
     res = run(CliRunner(), args)
     assert res.exit_code == 1
-    [row] = csv.DictReader(out.open())
+    with out.open() as f:
+        [row] = csv.DictReader(f)
     assert row["error"] == "ValueError: no such wheel"
 
     def buggy(r, seed):

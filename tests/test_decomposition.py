@@ -32,6 +32,8 @@ def test_validate_catches_each_condition():
     assert v is not None and v.condition == "tree"
     v = TreeDecomposition([{0, 1}], []).validate(g)
     assert v is not None and v.condition == "T1" and v.witness == 2
+    v = TreeDecomposition([{0, 1, 3, -1}, {1, 2}], [(0, 1)]).validate(g)
+    assert v is not None and v.condition == "T1" and v.witness == -1
     v = TreeDecomposition([{0, 1}, {2}], [(0, 1)]).validate(g)
     assert v is not None and v.condition == "T2" and v.witness == (1, 2)
     v = TreeDecomposition([{0, 1}, {1, 2}, {0, 2}],
@@ -100,16 +102,19 @@ def test_lift_radial_to_map_on_random_maps():
 
 
 def _mutated(td, n, rng):
-    """td with one bag vertex dropped, one vertex outside range(n)
-    added, or one tree edge removed or rewired."""
+    """td with one bag vertex dropped, one or several vertices outside
+    range(n) added, or one tree edge removed or rewired."""
     bags = [set(bag) for bag in td.bags]
     edges = list(td.tree_edges)
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:
         bag = rng.choice([bag for bag in bags if bag])
         bag.discard(rng.choice(sorted(bag)))
     elif kind == 1:
         rng.choice(bags).add(rng.choice([-1, n, n + 2]))
+    elif kind == 4:
+        for v in rng.sample([-9, -2, -1, n, n + 2, n + 8], rng.randint(2, 4)):
+            rng.choice(bags).add(v)
     elif edges:
         a, b = edges.pop(rng.randrange(len(edges)))
         if kind == 3:

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -133,12 +136,65 @@ def test_clique_witness_verify():
     assert CliqueWitness({0, 3}, 2).verify(g) == (0, 3)
 
 
+def test_clique_witness_rejects_vertices_outside_the_graph():
+    p3 = SimpleGraph.path(3)
+    assert CliqueWitness({-1, 1}, 1).verify(p3) == (-1, 1)
+    assert CliqueWitness({-3, 0}, 0).verify(p3) == (-3, 0)
+    assert CliqueWitness({0, 3}, 5).verify(p3) == (0, 3)
+    # the least outside vertex is reported, alone if nothing else
+    assert CliqueWitness({7, 3, 1}, 5).verify(p3) == (1, 3)
+    assert CliqueWitness({4}, 0).verify(p3) == (4, 4)
+    assert CliqueWitness({0}, 1).verify(SimpleGraph(0)) == (0, 0)
+    with pytest.raises(ValueError):
+        CliqueWitness({0, 1}, -1)
+
+
+def test_clique_witness_verify_matches_distance_oracle():
+    rng = random.Random(11)
+    for seed in range(60):
+        n = 2 + seed % 10
+        g = random_graph(n, seed, rng.choice([0.1, 0.25, 0.5]))
+        dist = all_pairs_distances(g)
+        for _ in range(5):
+            verts = sorted(rng.sample(range(n), rng.randint(1, min(n, 5))))
+            k = rng.randrange(4)
+            bad = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]
+                   if dist[u][v] is None or dist[u][v] > k]
+            assert CliqueWitness(verts, k).verify(g) == min(bad, default=None)
+
+
+def test_subgraph_matches_definition():
+    rng = random.Random(5)
+    for seed in range(40):
+        g = random_graph(2 + seed % 12, seed, 0.3)
+        pool = list(range(-2, g.n + 2))
+        for _ in range(5):
+            verts = [rng.choice(pool) for _ in range(rng.randrange(8))]
+            sub, old = g.subgraph(verts)
+            assert old == sorted(set(verts))
+            assert sub.n == len(old)
+            assert sub.edges == {(i, j) for i in range(sub.n)
+                                 for j in range(i + 1, sub.n)
+                                 if (old[i], old[j]) in g.edges}
+
+
 def test_power_clique_star():
     star = SimpleGraph.star(9)
     out = power_clique_or_bound(star, 2, 3)
     assert isinstance(out, CliqueWitness)
     assert len(out.vertices) >= 9
     assert out.verify(star) is None
+
+
+def test_power_clique_takes_the_big_class_with_the_least_member():
+    # center 0 with legs 1 and 2; leg 2 owns leaves 3..6, leg 1 leaves
+    # 7..10, so both leg classes are big and the one holding 1 wins
+    g = SimpleGraph(11, [(0, 1), (0, 2)] + [(2, x) for x in range(3, 7)]
+                    + [(1, x) for x in range(7, 11)])
+    for k in (2, 3):
+        out = power_clique_or_bound(g, k, 2)
+        assert out == CliqueWitness({1, 7, 8, 9, 10}, k)
+        assert out.verify(g) is None
 
 
 def test_power_bound_long_path():
@@ -175,6 +231,31 @@ def test_power_clique_or_bound_random_sound():
             else:
                 assert power_max_degree(g, k) < out.degree_bound
                 assert out.verify(g) is None
+
+
+def test_power_clique_or_bound_results_are_pinned():
+    # the BFS tie-breaking toward smaller ids decides which class wins;
+    # a traversal change must not silently change the outcomes
+    got = []
+    for seed in range(20):
+        g = random_graph(8 + seed % 7, seed, 0.2 + 0.05 * (seed % 4))
+        for k in (1, 2, 3, 4):
+            for r in (1, 2, 3):
+                try:
+                    out = power_clique_or_bound(g, k, r)
+                except ValueError as exc:
+                    got.append(("ValueError", str(exc)))
+                    continue
+                if isinstance(out, CliqueWitness):
+                    got.append(("clique", sorted(out.vertices),
+                                out.pairwise_distance_bound))
+                else:
+                    got.append(("bound", out.k, out.r, out.parity,
+                                out.degree_bound, out.center))
+    assert [sum(o[0] == kind for o in got)
+            for kind in ("clique", "bound", "ValueError")] == [137, 84, 19]
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "6807cf50ab8996d19e999583444fbc284d526b6920464cf1de01caa5485e910a")
 
 
 def test_max_clique_known():

@@ -1,13 +1,15 @@
+import hashlib
+
 import pytest
 
 from gridlab.embedding import radial_embedding, union_radial_dual
 from gridlab.errors import ConstructionError, SizeLimitError
 from gridlab.generators import (_build_from_rotations, _triangle, grid,
-                                random_graph, random_planar_triangulation,
-                                wheel_map)
+                                grid_map, random_canonical_map, random_graph,
+                                random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph, max_clique_exact
 from gridlab.minors import (ContractionSequence, MinorModel, _assign_grid_coords,
-                            clean_subgrid, clique_to_grid, double_radial_minor,
+                            _is_two_connected, _nation_fan, clean_subgrid, clique_to_grid, double_radial_minor,
                             largest_grid_minor, minor_containment_exact,
                             model_dumps, model_loads,
                             model_to_contraction_sequence,
@@ -15,6 +17,8 @@ from gridlab.minors import (ContractionSequence, MinorModel, _assign_grid_coords
                             primal_dual_width_report,
                             radial_grid_to_dual_grid, sequence_dumps,
                             sequence_loads, verify_model)
+
+from oracles import all_pairs_distances
 
 
 def cube_embedding():
@@ -300,3 +304,102 @@ def test_sequence_json_round_trip():
     seq2 = sequence_loads(text)
     assert sequence_dumps(seq2) == text
     assert seq2.replay() == seq.replay()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_transfer_and_double_radial_models_are_pinned():
+    # the BFS tie-breaking toward smaller ids picks the transfer paths
+    # and the contraction trees; a traversal change must not silently
+    # change the models or the sequences
+    transfer = {
+        12: "e345e2b893c3ecbb8ff12d64d5e3c55f4b55214f4c694876846201a1419093ee",
+        18: "bdfe8052e179e11ad49a26a8f10c99dda13684dd0e5984d58ac462ea936e63e2",
+        31: "196d2996cd8dd863889d2624fea9c3544a8f3abc24d75e07fa5745fb6d1d9586",
+    }
+    models = {}
+    for size, digest in transfer.items():
+        e, fl, seq = nation_grid_transfer_instance(size)
+        models[size] = radial_grid_to_dual_grid(seq, e, fl)
+        assert _sha256(model_dumps(models[size])) == digest
+    double = {
+        (9, 1):
+            "4a56ea3bda3900cf80be3f0e0892d6566f53d69cc781e42a9364b500b8f11998",
+        (40, 2):
+            "c5f69b8470ea40455f5f28901ca960527444365a649f5cd35a8794f838a1e0df",
+    }
+    for (n, seed), digest in double.items():
+        models[n, seed] = double_radial_minor(
+            random_planar_triangulation(n, seed))
+        assert _sha256(model_dumps(models[n, seed])) == digest
+    sequences = {
+        18: "17e33ebaa48eaa2237854b38366a5f6bdb62e460e7b256649bca70a5ab3926b2",
+        (9, 1):
+            "b95c1d903883ca0d9777d4c16d47f5fac7d321e6797d7a2c93f3436f26f6bc9c",
+    }
+    for key, digest in sequences.items():
+        seq = model_to_contraction_sequence(models[key])
+        assert _sha256(sequence_dumps(seq)) == digest
+
+
+def test_nation_fans_are_pinned():
+    # every fan around every vertex, with and without a rejected nation;
+    # the outer face of the grid map puts lake corners on its border
+    pins = {
+        "grid_map(3, 4)": (
+            grid_map(3, 4), 14, 280,
+            "6298aea94c9ef99ef0858818434a0369f7658b16641cac9e0f29bbd2ffd76f52"),
+        "random_canonical_map(12, 1)": (
+            random_canonical_map(12, 1), 12, 352,
+            "94b79f17e9dfe5e679043658ccc8ceb6ac34339eaa52a64c4c4df0e8ed93f458"),
+    }
+    for name, ((e, fl), lake_vertices, count, digest) in pins.items():
+        fans = []
+        lakes = 0
+        for u in range(e.num_vertices):
+            corners = [fl.nation_of.get(e.face_of[d])
+                       for d in e.vertex_darts(u)]
+            lakes += None in corners
+            nations = sorted(set(corners) - {None})
+            for a in nations:
+                for b in nations:
+                    for acceptable in (lambda c: True, lambda c: c % 3 != 1):
+                        try:
+                            fans.append(
+                                _nation_fan(e, fl, u, a, b, acceptable))
+                        except ConstructionError:
+                            fans.append(None)
+        assert (lakes, len(fans), _sha256(repr(fans))) == (
+            lake_vertices, count, digest), name
+
+
+def _connected_by_distances(n, edges):
+    dist = all_pairs_distances(SimpleGraph(n, edges))
+    return all(d is not None for row in dist for d in row)
+
+
+def test_connectivity_matches_distance_oracle():
+    graphs = [SimpleGraph(0), SimpleGraph(1), SimpleGraph(2, [(0, 1)]),
+              SimpleGraph(5), SimpleGraph.path(6), SimpleGraph.cycle(7),
+              SimpleGraph.star(5), SimpleGraph.complete(4),
+              # two triangles sharing vertex 2: a cut vertex
+              SimpleGraph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4),
+                              (3, 4)]),
+              # a 4-cycle plus an isolated vertex
+              SimpleGraph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])]
+    graphs += [random_graph(n, seed, p) for n in range(2, 15)
+               for seed in range(3) for p in (0.15, 0.3, 0.6)]
+    seen = set()
+    for g in graphs:
+        connected = _connected_by_distances(g.n, g.edges)
+        two = g.n >= 3 and connected and all(
+            _connected_by_distances(
+                g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges
+                          if v not in (a, b)])
+            for v in range(g.n))
+        assert g.is_connected() == connected
+        assert _is_two_connected(g) == two
+        seen.add((connected, two))
+    assert seen == {(False, False), (True, False), (True, True)}
