@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import (ConstructionError, FormatError, GridlabError,
                      _raises_format_error)
-from .graph import Bipartition, SimpleGraph
+from .graph import Bipartition, SimpleGraph, _bfs_parents
 
 
 class EmbeddedGraph:
@@ -86,35 +86,25 @@ class EmbeddedGraph:
 
     @property
     def faces(self):
-        """Face walks as dart tuples; orbit of d -> nxt[twin[d]], each
-        rotated to start at its smallest dart, sorted by that dart."""
+        """Face walks as dart tuples; orbit of d -> nxt[twin[d]].  Each
+        walk starts at the least unvisited dart, so it starts at its
+        smallest dart and the walks are sorted by that dart."""
         if self._faces is None:
-            d = len(self.twin)
-            visited = [False] * d
+            face_of = [None] * len(self.twin)
             walks = []
-            for start in range(d):
-                if visited[start]:
+            for start in range(len(self.twin)):
+                if face_of[start] is not None:
                     continue
                 walk = []
                 cur = start
-                while not visited[cur]:
-                    visited[cur] = True
+                while face_of[cur] is None:
+                    face_of[cur] = len(walks)
                     walk.append(cur)
                     cur = self.nxt[self.twin[cur]]
                 walks.append(tuple(walk))
-            walks.sort(key=lambda w: min(w))
-            self._faces = [self._rotate_to_min(w) for w in walks]
-            face_of = [None] * d
-            for i, w in enumerate(self._faces):
-                for dart in w:
-                    face_of[dart] = i
+            self._faces = walks
             self._face_of = face_of
         return self._faces
-
-    @staticmethod
-    def _rotate_to_min(walk):
-        i = walk.index(min(walk))
-        return walk[i:] + walk[:i]
 
     @property
     def face_of(self):
@@ -281,32 +271,20 @@ def union_radial_dual(e, fl):
 # ---------------------------------------------------------------------------
 # canonicalization
 
-NATION = "N"
-LAKE = "L"
-
-
 class _MutableMap:
     """Scratch rotation system for canonicalization surgery.
 
-    Keeps original dart ids; new darts get fresh ids.  `label[d]` is
-    ("N", i) for darts on nation i's boundary, ("L",) for lake darts.
+    Keeps original dart ids; new darts get fresh ids.  `label[d]` is the
+    index of the nation on dart d's face, or None on a lake.
     """
 
     def __init__(self, e, fl):
         self.rot = {v: e.vertex_darts(v) for v in range(e.num_vertices)}
         self.twin = dict(enumerate(e.twin))
         self.vertex_of = dict(enumerate(e.vertex_of))
-        self.label = {}
-        for f, walk in enumerate(e.faces):
-            tag = ((NATION, fl.nation_of[f]) if f in fl.nation_of
-                   else (LAKE,))
-            for d in walk:
-                self.label[d] = tag
+        self.label = {d: fl.nation_of.get(f) for d, f in enumerate(e.face_of)}
         self.next_dart = len(e.twin)
         self.next_vertex = e.num_vertices
-
-    def darts(self):
-        return self.twin.keys()
 
     def delete_edge(self, d):
         t = self.twin[d]
@@ -319,7 +297,7 @@ class _MutableMap:
             del self.rot[v]
 
     def lake_corner_darts(self, v):
-        return [d for d in self.rot[v] if self.label[d] == (LAKE,)]
+        return [d for d in self.rot[v] if self.label[d] is None]
 
     def split_lake_corner(self, v, e_dart):
         """Move the lake wedge at corner dart `e_dart` to a fresh vertex
@@ -327,6 +305,7 @@ class _MutableMap:
         rot_v = self.rot[v]
         i = rot_v.index(e_dart)
         p_dart = rot_v[(i - 1) % len(rot_v)]
+        a_dart = rot_v[(i + 1) % len(rot_v)]
         if p_dart == e_dart:
             raise ConstructionError(f"canonicalize step 3: lake corner "
                                     f"dart {e_dart} of vertex {v} has "
@@ -348,75 +327,42 @@ class _MutableMap:
         self.rot[v1] = [s1, p_dart, e_dart]
         self.vertex_of[p_dart] = v1
         self.vertex_of[e_dart] = v1
-        # both sides of the star edge are nation faces after step 2;
-        # labels settle by orbit propagation
-        self.label[s] = None
-        self.label[s1] = None
-        self.propagate_labels()
+        # the face walks now run twin(pp) -> s -> p and twin(e) -> s1 ->
+        # a, and every other dart keeps its face
+        self.label[s] = self.label[p_dart]
+        self.label[s1] = self.label[a_dart]
 
-    def face_orbits(self):
-        nxt = {}
-        for r in self.rot.values():
-            for i, d in enumerate(r):
-                nxt[d] = r[(i + 1) % len(r)]
-        visited = set()
-        orbits = []
-        for start in sorted(self.twin):
-            if start in visited:
-                continue
-            walk = []
-            cur = start
-            while cur not in visited:
-                visited.add(cur)
-                walk.append(cur)
-                cur = nxt[self.twin[cur]]
-            orbits.append(walk)
-        return orbits
-
-    def propagate_labels(self):
-        for walk in self.face_orbits():
-            tags = {self.label[d] for d in walk} - {None}
-            if len(tags) != 1:
-                raise GridlabError(
-                    f"face walk carries labels {tags}; surgery invariant "
-                    f"broken")
-            tag = tags.pop()
-            for d in walk:
-                self.label[d] = tag
-
-    def to_embedded(self, num_nations):
-        """Compact to an EmbeddedGraph plus its FaceLabeling (nation
-        order preserved by index)."""
-        dart_ids = sorted(self.twin)
+    def to_embedded(self, vertices):
+        """Compact the component on `vertices` to (EmbeddedGraph,
+        FaceLabeling, nation_ids), keeping the order of darts, vertices
+        and nations."""
+        dart_ids = sorted(d for v in vertices for d in self.rot[v])
         dmap = {d: i for i, d in enumerate(dart_ids)}
-        vertex_ids = sorted(self.rot)
-        vmap = {v: i for i, v in enumerate(vertex_ids)}
+        vmap = {v: i for i, v in enumerate(sorted(vertices))}
         twin = [dmap[self.twin[d]] for d in dart_ids]
         vertex_of = [vmap[self.vertex_of[d]] for d in dart_ids]
         nxt = [0] * len(dart_ids)
-        for r in self.rot.values():
+        for v in vmap:
+            r = self.rot[v]
             for i, d in enumerate(r):
                 nxt[dmap[d]] = dmap[r[(i + 1) % len(r)]]
         e2 = EmbeddedGraph(twin, nxt, vertex_of)
         nation_face = {}
         lakes = set()
         for f, walk in enumerate(e2.faces):
-            tags = {self.label[dart_ids[d]] for d in walk}
-            if len(tags) != 1:
+            labels = {self.label[dart_ids[d]] for d in walk}
+            if len(labels) != 1:
                 raise GridlabError("inconsistent face labels after surgery")
-            tag = tags.pop()
-            if tag == (LAKE,):
+            nation = labels.pop()
+            if nation is None:
                 lakes.add(f)
+            elif nation in nation_face:
+                raise GridlabError(f"nation {nation} split by surgery")
             else:
-                i = tag[1]
-                if i in nation_face:
-                    raise GridlabError(f"nation {i} split by surgery")
-                nation_face[i] = f
-        if set(nation_face) != set(range(num_nations)):
-            raise GridlabError("nation set changed by surgery")
-        fl2 = FaceLabeling([nation_face[i] for i in range(num_nations)],
-                           lakes)
-        return e2, fl2
+                nation_face[nation] = f
+        nation_ids = tuple(sorted(nation_face))
+        fl2 = FaceLabeling([nation_face[i] for i in nation_ids], lakes)
+        return e2, fl2, nation_ids
 
 
 def canonicalize_components(e, fl):
@@ -429,17 +375,12 @@ def canonicalize_components(e, fl):
     fl.check(e)
     m = _MutableMap(e, fl)
 
-    # step 2 (and implicitly step 1): drop lake-lake edges until none
-    # remain, then drop the vertices that lost all their darts
-    changed = True
-    while changed:
-        changed = False
-        for d in sorted(m.twin):
-            if d not in m.twin or d > m.twin[d]:
-                continue
-            if m.label[d] == (LAKE,) and m.label[m.twin[d]] == (LAKE,):
-                m.delete_edge(d)
-                changed = True
+    # step 2 (and implicitly step 1): drop lake-lake edges, then the
+    # vertices that lost all their darts; one pass suffices, because a
+    # deletion changes no other dart's label
+    for d in [d for d, t in m.twin.items()
+              if d < t and m.label[d] is None and m.label[t] is None]:
+        m.delete_edge(d)
     m.delete_dartless_vertices()
 
     # step 3: vertices touching lakes more than once get split
@@ -453,35 +394,19 @@ def canonicalize_components(e, fl):
                                         f"still touches a lake after "
                                         f"splitting")
 
-    whole, fl_whole = m.to_embedded(len(fl.nations))
-    comps = whole.components()
-    if len(comps) == 1:
-        return [(whole, fl_whole, tuple(range(len(fl.nations))))]
-
+    # every edge left has a nation on one side, so every component keeps
+    # a nation
+    adj = {v: {m.vertex_of[m.twin[d]] for d in r} for v, r in m.rot.items()}
     out = []
-    for comp in comps:
-        comp_set = set(comp)
-        dart_ids = [d for d in range(whole.num_darts())
-                    if whole.vertex_of[d] in comp_set]
-        dmap = {d: i for i, d in enumerate(dart_ids)}
-        vmap = {v: i for i, v in enumerate(comp)}
-        sub = EmbeddedGraph(
-            [dmap[whole.twin[d]] for d in dart_ids],
-            [dmap[whole.nxt[d]] for d in dart_ids],
-            [vmap[whole.vertex_of[d]] for d in dart_ids])
-        nation_ids = []
-        nations = []
-        face_lookup = {}
-        for f, walk in enumerate(sub.faces):
-            face_lookup[whole.face_of[dart_ids[walk[0]]]] = f
-        for i, f in enumerate(fl_whole.nations):
-            if f in face_lookup:
-                nation_ids.append(i)
-                nations.append(face_lookup[f])
-        if not nations:
-            continue  # all-lake component: nothing of the map survives
-        lakes = set(range(len(sub.faces))) - set(nations)
-        out.append((sub, FaceLabeling(nations, lakes), tuple(nation_ids)))
+    seen = set()
+    for v in sorted(m.rot):
+        if v not in seen:
+            comp = _bfs_parents(adj, v)
+            seen.update(comp)
+            out.append(m.to_embedded(comp))
+    kept = sorted(i for _, _, nation_ids in out for i in nation_ids)
+    if kept != list(range(len(fl.nations))):
+        raise GridlabError("nation set changed by surgery")
     return out
 
 

@@ -526,7 +526,9 @@ def radial_grid_to_dual_grid(seq, e, fl):
         vhat[dst_key], routed through the label sets of `wide`, plus its
         cut position (index of the last vertex contracted toward src)."""
         src, dst = anchor[src_key], anchor[dst_key]
-        allowed_p = {v for v in verts if in_rect(v, narrow)}
+        x0, x1, y0, y1 = narrow
+        allowed_p = {at[x, y] for x in range(x0, x1 + 1)
+                     for y in range(y0, y1 + 1)}
         p_grid = _shortest_path(adj_p, src, dst, allowed_p)
         if p_grid is None:
             raise ConstructionError(
@@ -830,7 +832,11 @@ def primal_dual_width_report(e):
 def model_to_contraction_sequence(m):
     """ContractionSequence realizing the model: delete non-branch
     vertices, contract each branch set into its smallest member, delete
-    the leftover non-pattern edges."""
+    the leftover non-pattern edges.  Raises ValueError on a model that
+    verify_model rejects."""
+    violation = verify_model(m)
+    if violation is not None:
+        raise ValueError(f"invalid input model: {violation}")
     g = m.host
     used = set().union(*m.branch_sets.values()) if m.branch_sets else set()
     ops = [("delete_vertex", v) for v in sorted(set(range(g.n)) - used)]

@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 
 from gridlab.embedding import (EmbeddedGraph, FaceLabeling, all_nations,
                                canonicalize, canonicalize_components,
-                               dual_graph, is_canonical, map_graph,
+                               dual_graph, emb_dumps, is_canonical, map_graph,
                                radial_embedding, radial_graph,
                                union_radial_dual)
 from gridlab.errors import GridlabError
@@ -150,6 +151,40 @@ def test_canonicalize_drops_lake_lake_edges():
     fl = FaceLabeling([0, 1], set(range(2, len(tri.faces))))
     for e2, fl2, _ in canonicalize_components(tri, fl):
         assert is_canonical(e2, fl2)
+
+
+
+def test_canonicalize_components_outputs_are_pinned():
+    # random triangulations with seeded random nation subsets (in random
+    # order); a surgery change must not silently change the canonical
+    # maps, their lakes or the nation indices they map back to
+    pins = {
+        (4, 14):
+            "f8c3ce75a61e0fb50006ff5008d3bd9a0d8e6e6beabc5ed985780fb28115635c",
+        (14, 26):
+            "be499759e4be2263d43198046fe6347d5e21318b8c6376ebf65f7fd7763d54c4",
+        (26, 38):
+            "857845dd1ec4e73c015cbc86b5cb3ccc88c0561d782fc530958838a8ba105b13",
+    }
+    multi_component = lake_split = 0
+    for (lo, hi), digest in pins.items():
+        h = hashlib.sha256()
+        for n in range(lo, hi):
+            for seed in range(14):
+                tri = random_planar_triangulation(n, seed)
+                rng = random.Random(f"canon:{n}:{seed}")
+                faces = range(len(tri.faces))
+                nations = rng.sample(faces, rng.randint(1, len(faces)))
+                fl = FaceLabeling(nations, set(faces) - set(nations))
+                parts = canonicalize_components(tri, fl)
+                for e2, fl2, nation_ids in parts:
+                    h.update(emb_dumps(e2, fl2).encode())
+                    h.update(repr((sorted(fl2.lakes), nation_ids)).encode())
+                h.update(b"|")
+                multi_component += len(parts) > 1
+                lake_split += sum(e2.num_vertices for e2, _, _ in parts) > n
+        assert h.hexdigest() == digest, (lo, hi)
+    assert multi_component >= 1 and lake_split >= 1
 
 
 def test_wheel_is_canonical():

@@ -191,6 +191,24 @@ def test_model_to_contraction_sequence_consistent():
                     == sorted(m.branch_sets.values(), key=min))
 
 
+
+def test_model_to_contraction_sequence_rejects_invalid_models():
+    c4 = SimpleGraph.cycle(4)
+    bad = [
+        # P_2 on branch sets {0}, {2}: the witness is no edge of C_4, so
+        # a sequence would leave two isolated vertices
+        (MinorModel(SimpleGraph.path(2), c4, {0: {0}, 1: {2}},
+                    {(0, 1): (0, 2)}),
+         "invalid input model: witness: witness (0, 2) is not a host edge"),
+        # a branch vertex outside the host
+        (MinorModel(SimpleGraph(1), c4, {0: {-1, 0, 1}}, {}),
+         "invalid input model: coverage: branch vertex -1 not in host"),
+    ]
+    for m, message in bad:
+        with pytest.raises(ValueError) as exc:
+            model_to_contraction_sequence(m)
+        assert str(exc.value) == message
+
 def test_transfer_deletion_only_instances():
     for size, want_side in ((12, 1), (18, 2)):
         e, fl, seq = nation_grid_transfer_instance(size)

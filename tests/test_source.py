@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import gridlab
@@ -14,3 +15,39 @@ def test_no_bare_assert_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _literal(path, name):
+    """Value of the module-level literal assignment `name` in `path`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise KeyError(f"{path.name} has no literal {name}")
+
+
+def test_benchmark_span_names_exist():
+    # the benchmark traces gridlab by name; a refactor that renames or
+    # deletes a traced attribute must fail here, not only in a traced run
+    bench = SRC.parents[1] / "gridbench"
+    layers = _literal(bench / "spans.py", "LAYERS")
+    module_of = {layer: module for module, layer in layers.items()}
+    names = set()
+    for spans in _literal(bench / "run.py", "EXPECTED_SPANS").values():
+        for span in spans:
+            layer, _, attr = span.partition(".")
+            names.add((module_of[layer], attr))
+    for module, cls, method in _literal(bench / "spans.py", "METHODS"):
+        names.add((module, f"{cls}.{method}"))
+    for function in _literal(bench / "spans.py", "KERNEL_FUNCTIONS"):
+        names.add(("gridlab._kernels", function))
+    missing = []
+    for module, attr in sorted(names):
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{attr}")
+    assert len(names) == 45 and missing == []
