@@ -153,10 +153,12 @@ class EmbeddedGraph:
     def incident_nations(self, fl):
         """vertex -> set of nation indices whose face touches it."""
         out = [set() for _ in range(self.num_vertices)]
-        for d in range(len(self.twin)):
-            i = fl.nation_of.get(self.face_of[d])
+        nation_of = fl.nation_of
+        vertex_of = self.vertex_of
+        for d, f in enumerate(self.face_of):
+            i = nation_of.get(f)
             if i is not None:
-                out[self.vertex_of[d]].add(i)
+                out[vertex_of[d]].add(i)
         return out
 
     def __eq__(self, other):
@@ -220,9 +222,11 @@ def dual_graph(e, fl):
     """Modified dual on nations: edge iff two nations share a primal edge."""
     fl.check(e)
     edges = set()
-    for d in range(len(e.twin)):
-        a = fl.nation_of.get(e.face_of[d])
-        b = fl.nation_of.get(e.face_of[e.twin[d]])
+    face_of = e.face_of
+    nation_of = fl.nation_of
+    for d, t in enumerate(e.twin):
+        a = nation_of.get(face_of[d])
+        b = nation_of.get(face_of[t])
         if a is not None and b is not None and a != b:
             edges.add((min(a, b), max(a, b)))
     return SimpleGraph(len(fl.nations), edges)

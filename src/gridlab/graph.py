@@ -252,18 +252,24 @@ def half_square(g, bip):
     return SimpleGraph(len(old_ids), edges), old_ids
 
 
-def _bfs_parents(neighbors, source, allowed=None):
+def _bfs_parents(neighbors, source, allowed=None, target=None):
     """Breadth-first search tree from `source` as {vertex: parent} in
     discovery order, the source mapped to None.  `neighbors[u]` lists
     the neighbors of u; they are explored in increasing id, so ties
     break toward smaller ids.  Only vertices in `allowed` (every vertex
-    when None) are entered after the source."""
+    when None) are entered after the source.  The search stops once
+    `target` (when given) is entered; the parents found up to then are
+    those of the full search."""
     parent = {source: None}
+    if source == target:
+        return parent
     order = [source]
     for u in order:
         for w in sorted(neighbors[u]):
             if w not in parent and (allowed is None or w in allowed):
                 parent[w] = u
+                if w == target:
+                    return parent
                 order.append(w)
     return parent
 

@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from . import _json_writer
 from .decomposition import treewidth_exact
 from .embedding import (all_nations, dual_graph, is_canonical,
                         radial_embedding, union_radial_dual)
@@ -62,6 +63,11 @@ def verify_model(m):
             return ModelViolation("witness", key,
                                   f"witness for {key}, which is not a "
                                   f"pattern edge")
+    # owner[x] is the least pattern vertex whose branch set holds x; the
+    # least overlapping pair is the least (owner[x], v) with v another
+    # owner of x, reported once coverage and connectivity hold for all
+    owner = {}
+    overlap = None
     for v in range(h.n):
         s = m.branch_sets.get(v)
         if not s:
@@ -71,16 +77,17 @@ def verify_model(m):
             if not 0 <= x < g.n:
                 return ModelViolation("coverage", v,
                                       f"branch vertex {x} not in host")
+            u = owner.setdefault(x, v)
+            if u != v and (overlap is None or (u, v) < overlap):
+                overlap = (u, v)
         sub, _ = g.subgraph(s)
         if not sub.is_connected():
             return ModelViolation("connected", v,
                                   f"branch set of {v} is disconnected")
-    for u in range(h.n):
-        for v in range(u + 1, h.n):
-            if m.branch_sets.get(u, frozenset()) & m.branch_sets.get(
-                    v, frozenset()):
-                return ModelViolation("disjoint", (u, v),
-                                      f"branch sets of {u} and {v} overlap")
+    if overlap is not None:
+        u, v = overlap
+        return ModelViolation("disjoint", overlap,
+                              f"branch sets of {u} and {v} overlap")
     for u, v in sorted(h.edges):
         w = m.edge_witness.get((u, v))
         if w is None:
@@ -411,7 +418,7 @@ def _assign_grid_coords(verts, edges):
 
 def _shortest_path(neighbors, src, dst, allowed):
     """BFS path within `allowed`, neighbors explored in increasing id."""
-    parent = _bfs_parents(neighbors, src, allowed)
+    parent = _bfs_parents(neighbors, src, allowed, target=dst)
     if dst not in parent:
         return None
     path = [dst]
@@ -500,7 +507,9 @@ def radial_grid_to_dual_grid(seq, e, fl):
         return any(u >= n for u in labels[v])
 
     host_adj = host.adj
-    dual = dual_graph(e, fl)
+    # the union's nation-nation edges are exactly the dual's
+    dual = SimpleGraph(len(fl.nations),
+                       [(a - n, b - n) for a, b in host.edges if a >= n])
 
     vhat = {}
     anchor = {}
@@ -769,13 +778,40 @@ def clean_subgrid(grid_rows, grid_cols, extra_edges):
 # graph vs. double radial
 
 def _is_two_connected(g):
-    if g.n < 3 or not g.is_connected():
+    """n >= 3, connected and no cut vertex, by one iterative lowpoint
+    depth-first search (Hopcroft & Tarjan 1973): the root has exactly
+    one tree child, and no other vertex p has a child c with
+    low[c] >= disc[p]."""
+    if g.n < 3:
         return False
-    for v in range(g.n):
-        rest = set(range(g.n)) - {v}
-        if len(_bfs_parents(g.adj, 0 if v else 1, rest)) != g.n - 1:
-            return False
-    return True
+    adj = g.adj
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[0] = 0
+    seen = 1
+    root_children = 0
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        p, it = stack[-1]
+        for c in it:
+            if disc[c] < 0:
+                disc[c] = low[c] = seen
+                seen += 1
+                stack.append((c, iter(adj[c])))
+                break
+            if disc[c] < low[p]:
+                low[p] = disc[c]
+        else:
+            stack.pop()
+            if stack:
+                q = stack[-1][0]
+                if q == 0:
+                    root_children += 1
+                elif low[p] >= disc[q]:
+                    return False
+                if low[p] < low[q]:
+                    low[q] = low[p]
+    return seen == g.n and root_children == 1
 
 
 def double_radial_minor(e):
@@ -857,7 +893,7 @@ def model_to_contraction_sequence(m):
 
 
 def _graph_to_json(g):
-    return {"n": g.n, "edges": sorted(list(e) for e in g.edges)}
+    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
 def _json_int(x):
@@ -885,7 +921,7 @@ def model_dumps(m):
         "edge_witness": [[list(k), list(w)]
                          for k, w in sorted(m.edge_witness.items())],
     }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _json_writer.dumps(obj) + "\n"
 
 
 @_raises_format_error
@@ -903,7 +939,7 @@ def model_loads(text):
 def sequence_dumps(seq):
     obj = {"host": _graph_to_json(seq.host),
            "ops": [list(op) for op in seq.ops]}
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return _json_writer.dumps(obj) + "\n"
 
 
 @_raises_format_error

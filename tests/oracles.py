@@ -188,3 +188,75 @@ def first_decomposition_violation(bags, tree_edges, g):
                for z in path(x, y)):
             return "T3", v
     return None
+
+
+def _connected_within(vertices, edges):
+    """Whether `vertices` induce a connected graph over `edges`, by a
+    stack walk over the induced edges."""
+    vertices = set(vertices)
+    nbrs = {v: [] for v in vertices}
+    for u, v in edges:
+        if u in vertices and v in vertices:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    if not vertices:
+        return True
+    start = min(vertices)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen == vertices
+
+
+def is_two_connected_by_deletion(g):
+    """At least three vertices, connected, and still connected after
+    deleting any one vertex."""
+    edges = set(g.edges)
+    everything = set(range(g.n))
+    return (g.n >= 3 and _connected_within(everything, edges)
+            and all(_connected_within(everything - {v}, edges)
+                    for v in range(g.n)))
+
+
+def first_model_violation(m):
+    """(kind, witness) of the first failed minor-model condition of m,
+    or None, checked from the definition in the order of verify_model:
+    keys (the least branch-set key that is no pattern vertex, kind
+    "coverage"; then the least witness key that is no pattern edge,
+    kind "witness"), then per pattern vertex in increasing order its
+    coverage (a nonempty branch set inside the host) and connectivity,
+    then disjointness (the least overlapping pair), then per pattern
+    edge in increasing order its witness (present, a host edge, joining
+    the two branch sets)."""
+    h, g = m.pattern, m.host
+    bad_keys = sorted(v for v in m.branch_sets if v not in range(h.n))
+    if bad_keys:
+        return "coverage", bad_keys[0]
+    bad_edges = sorted(k for k in m.edge_witness if k not in h.edges)
+    if bad_edges:
+        return "witness", bad_edges[0]
+    for v in range(h.n):
+        s = m.branch_sets.get(v, set())
+        if not s or any(x not in range(g.n) for x in s):
+            return "coverage", v
+        inside = [(a, b) for a, b in itertools.combinations(sorted(s), 2)
+                  if (a, b) in g.edges]
+        if not _connected_within(s, inside):
+            return "connected", v
+    for u, v in itertools.combinations(range(h.n), 2):
+        if m.branch_sets[u] & m.branch_sets[v]:
+            return "disjoint", (u, v)
+    for u, v in sorted(h.edges):
+        if (u, v) not in m.edge_witness:
+            return "witness", (u, v)
+        a, b = m.edge_witness[(u, v)]
+        if (min(a, b), max(a, b)) not in g.edges:
+            return "witness", (u, v)
+        bu, bv = m.branch_sets[u], m.branch_sets[v]
+        if not ((a in bu and b in bv) or (a in bv and b in bu)):
+            return "witness", (u, v)
+    return None

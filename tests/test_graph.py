@@ -8,9 +8,9 @@ from gridlab.embedding import map_graph, radial_graph
 from gridlab.errors import SizeLimitError
 from gridlab.generators import grid, random_canonical_map, random_graph
 from gridlab.graph import (Bipartition, BoundReport, CliqueWitness,
-                           SimpleGraph, half_square, k_neighborhood,
-                           max_clique_exact, power_clique_or_bound,
-                           power_graph)
+                           SimpleGraph, _bfs_parents, half_square,
+                           k_neighborhood, max_clique_exact,
+                           power_clique_or_bound, power_graph)
 
 from oracles import all_pairs_distances, power_max_degree
 
@@ -161,6 +161,24 @@ def test_clique_witness_verify_matches_distance_oracle():
             bad = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]
                    if dist[u][v] is None or dist[u][v] > k]
             assert CliqueWitness(verts, k).verify(g) == min(bad, default=None)
+
+
+def test_bfs_with_a_target_stops_there_with_the_same_parents():
+    rng = random.Random(5)
+    for seed in range(60):
+        g = random_graph(12 + seed % 9, seed, 0.15 + seed % 4 * 0.05)
+        allowed = (None if seed % 3 == 0 else
+                   set(rng.sample(range(g.n), g.n * 2 // 3)))
+        full = _bfs_parents(g.adj, 0, allowed)
+        order = list(full)
+        for target in range(g.n):
+            got = _bfs_parents(g.adj, 0, allowed, target=target)
+            if target in full:
+                # the full search's discovery order cut just after target
+                assert list(got.items()) == [
+                    (v, full[v]) for v in order[:order.index(target) + 1]]
+            else:
+                assert got == full
 
 
 def test_subgraph_matches_definition():

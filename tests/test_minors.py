@@ -1,6 +1,9 @@
+import functools
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridlab.embedding import radial_embedding, union_radial_dual
 from gridlab.errors import ConstructionError, SizeLimitError
@@ -18,7 +21,8 @@ from gridlab.minors import (ContractionSequence, MinorModel, _assign_grid_coords
                             radial_grid_to_dual_grid, sequence_dumps,
                             sequence_loads, verify_model)
 
-from oracles import all_pairs_distances
+from oracles import (all_pairs_distances, first_model_violation,
+                     is_two_connected_by_deletion)
 
 
 def cube_embedding():
@@ -412,12 +416,132 @@ def test_connectivity_matches_distance_oracle():
     seen = set()
     for g in graphs:
         connected = _connected_by_distances(g.n, g.edges)
-        two = g.n >= 3 and connected and all(
-            _connected_by_distances(
-                g.n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges
-                          if v not in (a, b)])
-            for v in range(g.n))
+        two = is_two_connected_by_deletion(g)
         assert g.is_connected() == connected
         assert _is_two_connected(g) == two
         seen.add((connected, two))
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+def _connectivity_case(rng):
+    """A random graph on at most 40 vertices, relabelled at random: G(n,
+    p), a cycle with chords (2-connected), two such blocks glued at one
+    vertex (a cut vertex), or two disjoint ones (disconnected)."""
+    n = rng.randint(1, 40)
+    kind = rng.randrange(4) if n >= 6 else 0
+    edges = set()
+
+    def block(verts):
+        for i, v in enumerate(verts):
+            edges.add((v, verts[i - 1]))
+        for _ in range(rng.randrange(len(verts))):
+            edges.add(tuple(rng.sample(verts, 2)))
+
+    if kind == 0:
+        p = rng.choice((0.05, 0.1, 0.2, 0.4))
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p}
+    elif kind == 1:
+        block(list(range(n)))
+    else:
+        cut = rng.randint(3, n - 3)
+        block(list(range(cut)))
+        block(list(range(cut - (kind == 2), n)))
+    label = list(range(n))
+    rng.shuffle(label)
+    return SimpleGraph(n, [(label[u], label[v]) for u, v in edges
+                           if u != v])
+
+
+def test_two_connectivity_matches_deletion_oracle():
+    rng = random.Random(2024)
+    counts = {}
+    for _ in range(2000):
+        g = _connectivity_case(rng)
+        two = is_two_connected_by_deletion(g)
+        assert _is_two_connected(g) == two, sorted(g.edges)
+        key = "two" if two else "connected" if g.is_connected() else "split"
+        counts[key] = counts.get(key, 0) + 1
+    assert min(counts.values()) >= 300, counts
+
+
+def test_two_connectivity_is_iterative_and_linear():
+    # a recursive or per-vertex-deletion check would hit the recursion
+    # limit or take n BFS passes here
+    assert _is_two_connected(SimpleGraph.cycle(20000))
+    assert not _is_two_connected(SimpleGraph.path(20000))
+
+
+@functools.lru_cache(maxsize=None)
+def _large_valid_models():
+    e, fl, seq = nation_grid_transfer_instance(55)
+    models = (radial_grid_to_dual_grid(seq, e, fl),
+              double_radial_minor(random_planar_triangulation(50, 0)),
+              double_radial_minor(random_planar_triangulation(64, 3)))
+    for m in models:
+        assert m.pattern.n >= 50 and verify_model(m) is None
+    return models
+
+
+def _mutated_model(m, rng):
+    """m after one random mutation: a branch vertex moved (to another
+    branch set or to a host neighbour), a branch set grown by a host
+    neighbour (often still valid), a witness endpoint shared by the two
+    branch sets it joins, a witness pointed at a non-edge or at a host
+    edge that need not join its branch sets, or a branch set emptied."""
+    h, g = m.pattern, m.host
+    branch = {v: set(s) for v, s in m.branch_sets.items()}
+    witness = dict(m.edge_witness)
+    u, v = rng.sample(range(h.n), 2)
+    kind = rng.randrange(4)
+    if kind == 0 and branch[u]:
+        x = rng.choice(sorted(branch[u]))
+        move = rng.randrange(3)
+        if move < 2:
+            branch[u].discard(x)
+        if move == 0:
+            branch[v].add(x)
+        else:
+            branch[u].add(rng.choice(sorted(g.adj[x]) or [x]))
+    elif kind == 1:
+        # the endpoint of a witness in one branch set is adjacent to the
+        # other set, which therefore stays connected when it takes it
+        (u, v), (a, b) = rng.choice(sorted(m.edge_witness.items()))
+        branch[v if a in branch[u] else u].add(a)
+    elif kind == 2:
+        key = rng.choice(sorted(h.edges))
+        if rng.random() < 0.5:
+            witness[key] = rng.choice(sorted(g.edges))
+        else:
+            a, b = rng.sample(range(g.n), 2)
+            while g.has_edge(a, b):
+                a, b = rng.sample(range(g.n), 2)
+            witness[key] = (a, b)
+    else:
+        branch[u] = set()
+    return MinorModel(h, g, branch, witness)
+
+
+def _verify_model_against_oracle(which, seeds):
+    m = _large_valid_models()[which]
+    for seed in seeds:
+        m = _mutated_model(m, random.Random(seed))
+    got = verify_model(m)
+    expect = first_model_violation(m)
+    assert (got and (got.kind, got.witness)) == expect
+    return expect and expect[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2),
+       st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3))
+def test_verify_model_matches_definition_oracle(which, seeds):
+    _verify_model_against_oracle(which, seeds)
+
+
+def test_model_mutations_reach_every_violation_kind():
+    rng = random.Random(9)
+    found = {_verify_model_against_oracle(
+        which, [rng.randrange(2 ** 32) for _ in range(rng.randint(1, 3))])
+        for which in range(3) for _ in range(100)}
+    assert found == {None, "coverage", "connected", "disjoint", "witness"}

@@ -17,6 +17,22 @@ def test_no_bare_assert_in_package():
     assert found == []
 
 
+def test_no_indented_json_dumps_in_package():
+    # json.dumps(..., indent=...) runs CPython's pure-Python encoder;
+    # indented output goes through gridlab._json_writer instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("dump", "dumps")
+                  and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "json"
+                  and any(k.arg == "indent" for k in node.keywords)]
+    assert found == []
+
+
 def _literal(path, name):
     """Value of the module-level literal assignment `name` in `path`."""
     tree = ast.parse(path.read_text(), filename=str(path))
