@@ -134,20 +134,15 @@ class ContractionSequence:
         if kind in (ContractionSequence.CONTRACT,
                     ContractionSequence.DELETE_EDGE):
             _, u, v = op
-            return (kind, int(u), int(v))
+            return (kind, _json_int(u), _json_int(v))
         if kind == ContractionSequence.DELETE_VERTEX:
             _, v = op
-            return (kind, int(v))
+            return (kind, _json_int(v))
         raise ValueError(f"unknown operation {kind!r}")
 
-    def replay(self, skip_edge_deletions=False):
+    def replay(self):
         """Apply the operations.  Returns (vertices, edges, labels) where
-        labels[v] is the set of host vertices contracted into v.
-
-        With skip_edge_deletions the edge deletions become no-ops (loops
-        and duplicate edges from contractions are still removed); the
-        surviving vertex set is unchanged by that switch.
-        """
+        labels[v] is the set of host vertices contracted into v."""
         adj = {v: set() for v in range(self.host.n)}
         for u, v in self.host.edges:
             adj[u].add(v)
@@ -173,12 +168,11 @@ class ContractionSequence:
                 if u not in adj or v not in adj:
                     raise ConstructionError(
                         f"delete_edge {op}: missing vertex")
-                if not skip_edge_deletions:
-                    if v not in adj[u]:
-                        raise ConstructionError(
-                            f"delete_edge {op}: edge not present")
-                    adj[u].discard(v)
-                    adj[v].discard(u)
+                if v not in adj[u]:
+                    raise ConstructionError(
+                        f"delete_edge {op}: edge not present")
+                adj[u].discard(v)
+                adj[v].discard(u)
             else:
                 _, v = op
                 if v not in adj:
@@ -458,6 +452,22 @@ def _nation_fan(e, fl, u, a, b, acceptable):
     return min(candidates, key=lambda seg: (len(seg), seg))
 
 
+def _uncut_graph(host, labels):
+    """(owner, adj) of a successful replay's graph with its edge
+    deletions undone: owner maps each host vertex to the survivor whose
+    label set holds it; adj joins two survivors when a host edge runs
+    between their label sets.  Exact, as contractions only merge label
+    sets and vertex deletions drop whole ones."""
+    owner = {u: v for v, lab in labels.items() for u in lab}
+    adj = {v: set() for v in labels}
+    for a, b in host.edges:
+        u, v = owner.get(a), owner.get(b)
+        if u is not None and v is not None and u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return owner, adj
+
+
 def radial_grid_to_dual_grid(seq, e, fl):
     """Convert a k x k grid minor of the radial-dual union into a
     (floor(k/6)-1) x (floor(k/6)-1) grid minor of the dual graph.
@@ -471,37 +481,26 @@ def radial_grid_to_dual_grid(seq, e, fl):
     if seq.host != host:
         raise ConstructionError(
             "sequence host differs from the union of radial and dual")
-    verts, edges, _ = seq.replay()
+    verts, edges, labels = seq.replay()
     k, coords = _assign_grid_coords(verts, edges)
     t = k // 6 - 1
     if t < 1:
         raise ConstructionError(
             f"grid side {k} too small: need k >= 12 for a nonempty output")
-
-    # keep the contractions, discard edge deletions: the partially
-    # triangulated grid, with the same vertex set and coordinates
-    verts_p, edges_p, labels = seq.replay(skip_edge_deletions=True)
-    if verts_p != verts:
-        raise ConstructionError(
-            "radial_grid_to_dual_grid: skipping the edge deletions "
-            "changed the surviving vertices")
-    for u, v in edges_p:
-        (x1, y1), (x2, y2) = coords[u], coords[v]
-        if max(abs(x1 - x2), abs(y1 - y2)) > 1:
-            raise ConstructionError(
-                f"edge {(u, v)} spans non-neighboring grid cells; the "
-                f"contracted graph is not a partially triangulated grid")
     at = {coords[v]: v for v in verts}
-    adj_p = {v: set() for v in verts}
-    for u, v in edges_p:
-        adj_p[u].add(v)
-        adj_p[v].add(u)
 
+    # the partially triangulated grid: the contractions without the
+    # edge deletions, on the same vertices and coordinates
+    owner_of, adj_p = _uncut_graph(host, labels)
+    for u in adj_p:
+        for v in adj_p[u]:
+            (x1, y1), (x2, y2) = coords[u], coords[v]
+            if max(abs(x1 - x2), abs(y1 - y2)) > 1:
+                raise ConstructionError(
+                    f"edge {(u, v)} spans non-neighboring grid cells; the "
+                    f"contracted graph is not a partially triangulated "
+                    f"grid")
     n = e.num_vertices
-    owner_of = {}  # union-graph vertex -> contracted vertex carrying it
-    for v, lab in labels.items():
-        for u in lab:
-            owner_of[u] = v
 
     def facial(v):
         return any(u >= n for u in labels[v])
@@ -945,6 +944,4 @@ def sequence_dumps(seq):
 @_raises_format_error
 def sequence_loads(text):
     obj = json.loads(text)
-    return ContractionSequence(_graph_from_json(obj["host"]),
-                               [(op[0], *_json_ints(op[1:]))
-                                for op in obj["ops"]])
+    return ContractionSequence(_graph_from_json(obj["host"]), obj["ops"])

@@ -260,3 +260,36 @@ def first_model_violation(m):
         if not ((a in bu and b in bv) or (a in bv and b in bu)):
             return "witness", (u, v)
     return None
+
+
+def replay_by_definition(host, ops):
+    """(vertices, edges, labels) after applying ops to the host's
+    explicit vertex and edge sets one at a time: contract(u, v)
+    relabels v as u and drops the loops, delete_edge removes one edge,
+    delete_vertex removes a vertex with its edges.  labels[v] holds the
+    host vertices merged into v.  Raises LookupError where an op names
+    a missing vertex or edge."""
+    vertices = set(range(host.n))
+    edges = set(host.edges)
+    labels = {v: {v} for v in vertices}
+    for kind, *ids in ops:
+        if any(x not in vertices for x in ids):
+            raise LookupError(f"{kind} {ids}: missing vertex")
+        if kind == "delete_vertex":
+            (v,) = ids
+            vertices.remove(v)
+            del labels[v]
+            edges = {(a, b) for a, b in edges if v not in (a, b)}
+            continue
+        u, v = ids
+        if (min(u, v), max(u, v)) not in edges:
+            raise LookupError(f"{kind} {ids}: edge not present")
+        if kind == "delete_edge":
+            edges.remove((min(u, v), max(u, v)))
+            continue
+        vertices.remove(v)
+        labels[u] |= labels.pop(v)
+        relabelled = {(u if a == v else a, u if b == v else b)
+                      for a, b in edges}
+        edges = {(min(a, b), max(a, b)) for a, b in relabelled if a != b}
+    return vertices, edges, labels

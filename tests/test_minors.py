@@ -11,8 +11,10 @@ from gridlab.generators import (_build_from_rotations, _triangle, grid,
                                 grid_map, random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph, max_clique_exact
-from gridlab.minors import (ContractionSequence, MinorModel, _assign_grid_coords,
-                            _is_two_connected, _nation_fan, clean_subgrid, clique_to_grid, double_radial_minor,
+from gridlab.minors import (ContractionSequence, MinorModel,
+                            _assign_grid_coords, _is_two_connected,
+                            _nation_fan, _uncut_graph, clean_subgrid,
+                            clique_to_grid, double_radial_minor,
                             largest_grid_minor, minor_containment_exact,
                             model_dumps, model_loads,
                             model_to_contraction_sequence,
@@ -22,7 +24,7 @@ from gridlab.minors import (ContractionSequence, MinorModel, _assign_grid_coords
                             sequence_loads, verify_model)
 
 from oracles import (all_pairs_distances, first_model_violation,
-                     is_two_connected_by_deletion)
+                     is_two_connected_by_deletion, replay_by_definition)
 
 
 def cube_embedding():
@@ -129,8 +131,6 @@ def test_contraction_sequence_replay():
     assert verts == {0, 2, 3}
     assert edges == {(0, 3), (2, 3)}
     assert labels[0] == {0, 1}
-    verts, edges, _ = seq.replay(skip_edge_deletions=True)
-    assert (0, 2) in edges
     final, old = seq.result()
     assert old == [0, 2, 3]
     assert final.edges == frozenset({(0, 2), (1, 2)})
@@ -138,13 +138,115 @@ def test_contraction_sequence_replay():
 
 def test_contraction_sequence_rejects_bad_ops():
     g = SimpleGraph.path(3)
-    with pytest.raises(ValueError):
-        ContractionSequence(g, [("frobnicate", 0, 1)])
+    # ids are ints, not floats, bools or strings, and each kind takes
+    # its own number of them
+    for op in (("frobnicate", 0, 1), ("contract", 0.9, True),
+               ("contract", 0, 1.0), ("delete_edge", False, 1),
+               ("delete_vertex", "3"), ("delete_vertex", 1.0),
+               ("contract", 0), ("delete_vertex", 0, 1)):
+        with pytest.raises(ValueError):
+            ContractionSequence(g, [op])
     with pytest.raises(ConstructionError):
         ContractionSequence(g, [("contract", 0, 2)]).replay()
     with pytest.raises(ConstructionError):
         ContractionSequence(g, [("delete_vertex", 1),
                                 ("delete_edge", 0, 1)]).replay()
+
+
+def _random_sequence(rng):
+    """(host, ops): a random graph on 2..14 vertices and a valid
+    sequence of contractions, edge deletions and vertex deletions on
+    it, each op naming what is there at its turn."""
+    n = rng.randint(2, 14)
+    host = random_graph(n, rng.randrange(10 ** 6), rng.choice((0.2, 0.4,
+                                                                0.7)))
+    ops = []
+    for _ in range(rng.randint(0, n + 3)):
+        verts, edges, _ = replay_by_definition(host, ops)
+        kind = rng.choice(("contract", "contract", "delete_edge",
+                           "delete_vertex"))
+        if kind == "delete_vertex" or not edges:
+            if verts:
+                ops.append(("delete_vertex", rng.choice(sorted(verts))))
+        else:
+            u, v = rng.choice(sorted(edges))
+            ops.append((kind, *rng.sample((u, v), 2)))
+    return host, ops
+
+
+def _mutated_ops(host, ops, rng):
+    """ops after one mutation: a contraction or edge deletion of a pair
+    that is no edge at its turn, a deletion of a vertex that is gone, or
+    two ops swapped."""
+    ops = list(ops)
+    kind = rng.randrange(4)
+    if kind == 3 and len(ops) >= 2:
+        i, j = rng.sample(range(len(ops)), 2)
+        ops[i], ops[j] = ops[j], ops[i]
+        return ops
+    i = rng.randint(0, len(ops))
+    try:
+        verts, edges, _ = replay_by_definition(host, ops[:i])
+    except LookupError:  # an earlier mutation broke the prefix
+        verts, edges = set(range(host.n)), set()
+    if kind == 2:
+        gone = sorted(set(range(-1, host.n + 1)) - verts)
+        ops.insert(i, ("delete_vertex", rng.choice(gone)))
+    else:
+        ids = sorted(verts) + [-1, host.n]
+        pairs = [(a, b) for a in ids for b in ids
+                 if (min(a, b), max(a, b)) not in edges]
+        ops.insert(i, ("delete_edge" if kind == 1 else "contract",
+                       *rng.choice(pairs)))
+    return ops
+
+
+def _replay_against_oracle(seed, mutation_seeds):
+    """Check replay, on a random valid sequence and on it after the
+    mutations, against replay_by_definition; True when the mutated
+    sequence still replays."""
+    host, ops = _random_sequence(random.Random(seed))
+    for s in mutation_seeds:
+        ops = _mutated_ops(host, ops, random.Random(s))
+    seq = ContractionSequence(host, ops)
+    try:
+        expect = replay_by_definition(host, ops)
+    except LookupError:
+        with pytest.raises(ConstructionError):
+            seq.replay()
+        return False
+    assert seq.replay() == expect
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3))
+def test_replay_matches_definition_oracle(seed, mutation_seeds):
+    _replay_against_oracle(seed, mutation_seeds)
+
+
+def test_sequence_mutations_reach_both_outcomes():
+    rng = random.Random(11)
+    outcomes = {_replay_against_oracle(
+        rng.randrange(2 ** 32),
+        [rng.randrange(2 ** 32) for _ in range(rng.randint(1, 3))])
+        for _ in range(300)}
+    assert outcomes == {False, True}
+
+
+def test_uncut_graph_is_the_replay_without_edge_deletions():
+    rng = random.Random(12)
+    for _ in range(1000):
+        host, ops = _random_sequence(rng)
+        _, _, labels = ContractionSequence(host, ops).replay()
+        owner, adj = _uncut_graph(host, labels)
+        verts, edges, uncut_labels = replay_by_definition(
+            host, [op for op in ops if op[0] != "delete_edge"])
+        assert uncut_labels == labels and set(adj) == verts
+        assert {(min(u, v), max(u, v)) for u in adj for v in adj[u]} == edges
+        assert all(u in adj[v] for u in adj for v in adj[u])
+        assert owner == {x: v for v, s in labels.items() for x in s}
 
 
 def test_clean_subgrid_no_extras_keeps_everything():
@@ -225,10 +327,11 @@ def test_transfer_deletion_only_instances():
             assert all(0 <= x < nations for x in s)
 
 
-def test_transfer_contraction_heavy_instance():
-    # 2x2 block coarsening of the window grid forces the transfer to
-    # walk through real contraction labels
-    size = 36
+@functools.lru_cache(maxsize=None)
+def _coarsened_transfer_instance(size):
+    """(e, fl, seq, side): nation_grid_transfer_instance(size) with its
+    window grid cut to an even side and coarsened by 2x2 blocks, so the
+    transfer walks through real contraction labels."""
     e, fl, seq = nation_grid_transfer_instance(size)
     verts, edges, _ = seq.replay()
     k, coords = _assign_grid_coords(verts, edges)
@@ -246,10 +349,14 @@ def test_transfer_contraction_heavy_instance():
             ops.append(("contract", root, at[(2 * bx + 1, 2 * by)]))
             ops.append(("contract", root, at[(2 * bx, 2 * by + 1)]))
             ops.append(("contract", root, at[(2 * bx + 1, 2 * by + 1)]))
-    seq2 = ContractionSequence(seq.host, ops)
+    return e, fl, ContractionSequence(seq.host, ops), q // 2
+
+
+def test_transfer_contraction_heavy_instance():
+    e, fl, seq2, side = _coarsened_transfer_instance(36)
     v2, e2, _ = seq2.replay()
     k2, _ = _assign_grid_coords(v2, e2)
-    assert k2 == q // 2
+    assert k2 == side
     m = radial_grid_to_dual_grid(seq2, e, fl)
     assert verify_model(m) is None
     assert len(m.branch_sets) == (k2 // 6 - 1) ** 2
@@ -340,12 +447,19 @@ def test_transfer_and_double_radial_models_are_pinned():
         12: "e345e2b893c3ecbb8ff12d64d5e3c55f4b55214f4c694876846201a1419093ee",
         18: "bdfe8052e179e11ad49a26a8f10c99dda13684dd0e5984d58ac462ea936e63e2",
         31: "196d2996cd8dd863889d2624fea9c3544a8f3abc24d75e07fa5745fb6d1d9586",
+        # the 2x2-coarsened 36: the one pinned transfer whose label sets
+        # are not singletons
+        "36 coarsened":
+            "e7b64868adf3bab66af8c49bc4ce244802b9546b4bfee6b1c022ade7da474b87",
     }
     models = {}
-    for size, digest in transfer.items():
-        e, fl, seq = nation_grid_transfer_instance(size)
-        models[size] = radial_grid_to_dual_grid(seq, e, fl)
-        assert _sha256(model_dumps(models[size])) == digest
+    for key, digest in transfer.items():
+        if key == "36 coarsened":
+            e, fl, seq, _ = _coarsened_transfer_instance(36)
+        else:
+            e, fl, seq = nation_grid_transfer_instance(key)
+        models[key] = radial_grid_to_dual_grid(seq, e, fl)
+        assert _sha256(model_dumps(models[key])) == digest
     double = {
         (9, 1):
             "4a56ea3bda3900cf80be3f0e0892d6566f53d69cc781e42a9364b500b8f11998",
