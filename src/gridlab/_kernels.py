@@ -43,8 +43,11 @@ def _fill(adj, v):
     """Number of non-adjacent pairs among the neighbors of v."""
     nb = adj[v]
     missing = 0
-    for u in _bits(nb):
-        missing += (nb & ~adj[u]).bit_count() - 1
+    m = nb
+    while m:
+        low = m & -m
+        missing += (nb & ~adj[low.bit_length() - 1]).bit_count() - 1
+        m ^= low
     return missing // 2
 
 
@@ -53,15 +56,19 @@ def min_fill_order(n, masks):
 
     Incremental (Bodlaender & Koster, "Treewidth computations I. Upper
     bounds", Inf. Comput. 2010): a heap holds (fill, id) entries and is
-    invalidated lazily.  Eliminating v changes the fill only of its
-    neighbors (whose neighborhood changed) and of their neighbors (which
-    may see a new edge among theirs), so only those are recomputed.
+    invalidated lazily.  Eliminating v with neighborhood N makes N a
+    clique.  The fill of each vertex of N, whose neighborhood changed,
+    is recomputed.  Any other vertex x keeps its neighborhood, so its
+    fill drops by the number of new fill edges inside N(x) & N; only
+    the neighbors of a vertex that gained an edge can see one.
     """
     # adj holds the live neighbors of each live vertex
     adj = list(masks)
     fill = [_fill(adj, v) for v in range(n)]
     heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
+    # added[u]: the fill edges u gained in the current step
+    added = [0] * n
     alive = (1 << n) - 1
     order = []
     width = 0
@@ -71,19 +78,51 @@ def min_fill_order(n, masks):
             continue  # eliminated, or a stale entry
         nb = adj[v]
         width = max(width, nb.bit_count())
-        keep = ~(1 << v)
-        touched = nb
-        for u in _bits(nb):
-            adj[u] = (adj[u] | nb) & keep & ~(1 << u)
-            touched |= adj[u]
+        vbit = 1 << v
         adj[v] = 0
-        alive &= keep
+        alive ^= vbit
         order.append(v)
-        for u in _bits(touched & alive):
+        grown = 0  # the vertices of N that gained an edge
+        reach = 0  # their neighbors before this step
+        m = nb
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            old = adj[u]
+            new = nb & ~old & ~low
+            adj[u] = (old | new) ^ vbit
+            if new:
+                added[u] = new
+                grown |= low
+                reach |= old
+        m = nb
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
             f = _fill(adj, u)
             if f != fill[u]:
                 fill[u] = f
                 heapq.heappush(heap, (f, u))
+        m = reach & alive & ~nb
+        while m:
+            low = m & -m
+            x = low.bit_length() - 1
+            m ^= low
+            s = adj[x] & nb
+            if not s & (s - 1):
+                continue  # fewer than two neighbors in N
+            # each new edge inside s is counted from both ends
+            twice = 0
+            k = s & grown
+            while k:
+                low = k & -k
+                twice += (added[low.bit_length() - 1] & s).bit_count()
+                k ^= low
+            if twice:
+                fill[x] -= twice // 2
+                heapq.heappush(heap, (fill[x], x))
     return width, order
 
 
@@ -94,8 +133,8 @@ def degeneracy(n, masks):
     alive = (1 << n) - 1
     best = 0
     while alive:
-        v = min(_bits(alive), key=lambda u: bin(adj[u] & alive).count("1"))
-        best = max(best, bin(adj[v] & alive).count("1"))
+        v = min(_bits(alive), key=lambda u: (adj[u] & alive).bit_count())
+        best = max(best, (adj[v] & alive).bit_count())
         alive &= ~(1 << v)
     return best
 
@@ -110,16 +149,16 @@ def minor_min_width(n, masks, rule="min-d"):
     alive = (1 << n) - 1
     best = 0
     while alive:
-        v = min(_bits(alive), key=lambda u: bin(adj[u]).count("1"))
+        v = min(_bits(alive), key=lambda u: adj[u].bit_count())
         nb = adj[v]
-        best = max(best, bin(nb).count("1"))
+        best = max(best, nb.bit_count())
         alive &= ~(1 << v)
         if not nb:
             continue
         if rule == "min-d":
-            u = min(_bits(nb), key=lambda w: bin(adj[w]).count("1"))
+            u = min(_bits(nb), key=lambda w: adj[w].bit_count())
         else:
-            u = min(_bits(nb), key=lambda w: bin(adj[w] & nb).count("1"))
+            u = min(_bits(nb), key=lambda w: (adj[w] & nb).bit_count())
         rest = nb & ~(1 << u)
         for w in _bits(nb):
             adj[w] &= ~(1 << v)
@@ -182,7 +221,7 @@ def treewidth_order(n, masks):
         cand = []
         for v in _bits(full & ~eliminated):
             q = adj[v]
-            qn = bin(q).count("1")
+            qn = q.bit_count()
             if max(cost, qn) >= best[0]:
                 continue
             # Eliminating v first is optimal when q is a clique

@@ -906,9 +906,32 @@ def _json_ints(xs):
     return [_json_int(x) for x in xs]
 
 
+def _json_key(k):
+    # int() also takes "00", "+1", " 1" and "1_0"; only the form that
+    # model_dumps writes is accepted, so distinct keys name distinct
+    # vertices
+    try:
+        v = int(k)
+    except ValueError:
+        v = None
+    if v is None or str(v) != k:
+        raise ValueError(f"branch set key {k!r} is not a canonical integer")
+    return v
+
+
+def _unique_keys(pairs):
+    # json.loads would keep only the last of two equal keys
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ValueError(f"duplicate key {k!r}")
+        obj[k] = v
+    return obj
+
+
 def _graph_from_json(obj):
     return SimpleGraph(_json_int(obj["n"]),
-                       [_json_ints(e) for e in obj["edges"]])
+                       [(_json_int(u), _json_int(v)) for u, v in obj["edges"]])
 
 
 def model_dumps(m):
@@ -925,11 +948,11 @@ def model_dumps(m):
 
 @_raises_format_error
 def model_loads(text):
-    obj = json.loads(text)
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
     return MinorModel(
         _graph_from_json(obj["pattern"]),
         _graph_from_json(obj["host"]),
-        {int(v): _json_ints(s) for v, s in obj["branch_sets"].items()},
+        {_json_key(v): _json_ints(s) for v, s in obj["branch_sets"].items()},
         {tuple(_json_ints(k)): tuple(_json_ints(w))
          for k, w in obj["edge_witness"]},
     )

@@ -207,6 +207,10 @@ def assert_one_error_line(res, code, names=None):
 OK_GR = "p tw 2 1\n1 2\n"
 EMPTY_OP_SEQ = json.dumps({"host": {"n": 2, "edges": [[0, 1]]},
                            "ops": [[]]})
+# branch set keys "0" and "00" that int() would both read as vertex 0
+NONCANONICAL_KEY_MODEL = json.dumps({
+    "pattern": {"n": 2, "edges": []}, "host": {"n": 2, "edges": []},
+    "branch_sets": {"0": [0], "00": [1]}, "edge_witness": []})
 
 
 @pytest.mark.parametrize("name, content, command", [
@@ -221,6 +225,8 @@ EMPTY_OP_SEQ = json.dumps({"host": {"n": 2, "edges": [[0, 1]]},
     ("bad.json", b"[1, 2]\n", ["check", "--model", "{bad}"]),
     ("bad.json", EMPTY_OP_SEQ.encode(),
      ["transfer", "--emb", "{emb}", "--seq", "{bad}"]),
+    ("bad.json", NONCANONICAL_KEY_MODEL.encode(),
+     ["check", "--model", "{bad}"]),
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
                                                  command):

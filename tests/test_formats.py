@@ -168,6 +168,32 @@ def test_json_loaders_take_only_json_integers():
             sequence_loads(json.dumps({"host": host, "ops": ops}))
 
 
+def test_model_branch_set_keys_are_canonical_and_distinct():
+    good = model_dumps(minor_containment_exact(SimpleGraph.cycle(4),
+                                               grid(2, 2)))
+    assert '"0": [' in good and '"1": [' in good
+    # int() takes each of these keys; "00" next to "0" would otherwise
+    # drop one of the two branch sets
+    for key in ("0_0", " 1", "+1", "00", "-0", "x"):
+        with pytest.raises(FormatError, match="canonical"):
+            model_loads(good.replace('"1": [', f'"{key}": ['))
+    with pytest.raises(FormatError, match="duplicate key '0'"):
+        model_loads(good.replace('"1": [', '"0": ['))
+
+
+def test_json_edges_are_pairs_of_json_integers():
+    host = {"n": 3, "edges": [[0, 1], [1, 2]]}
+    g = sequence_loads(json.dumps({"host": host, "ops": []})).host
+    assert g == SimpleGraph(3, [(0, 1), (1, 2)])
+    for edge, message in (([0], "not enough values"),
+                          ([0, 1, 2], "too many values"),
+                          ([0, True], "expected an integer, got True"),
+                          ([0, 1.0], "expected an integer, got 1.0")):
+        bad = {"n": 3, "edges": [[1, 2], edge]}
+        with pytest.raises(FormatError, match=re.escape(message)):
+            sequence_loads(json.dumps({"host": bad, "ops": []}))
+
+
 def test_sequence_json_byte_identical():
     g = grid(3, 3)
     seq = ContractionSequence(g, [("contract", 0, 1), ("delete_vertex", 8),

@@ -1,5 +1,6 @@
 import logging
 
+from hypothesis import given, settings, strategies as st
 from oracles import min_fill_rescan, treewidth_brute
 
 from gridlab import _kernels
@@ -106,8 +107,23 @@ def test_min_fill_matches_full_rescan():
     for n in range(3, 13):
         graphs += [SimpleGraph.cycle(n),
                    _disjoint_union(SimpleGraph.cycle(n), SimpleGraph.cycle(n))]
+    # eliminations that add many fill edges, so that the vertices outside
+    # the eliminated neighborhood get large fill deltas
+    for side in range(4, 9):
+        graphs.append(power_graph(partially_triangulated_grid(side, side,
+                                                              side), 2))
+    for nations in (40, 50, 60):
+        graphs.append(radial_graph(*random_canonical_map(nations,
+                                                         nations))[0])
     assert len(graphs) >= 200
     for g in graphs:
         masks = g.adjacency_masks()
         assert _kernels.min_fill_order(g.n, masks) == min_fill_rescan(g.n,
                                                                       masks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 10 ** 6), st.floats(0.05, 0.6))
+def test_min_fill_matches_full_rescan_on_random_graphs(n, seed, p):
+    masks = random_graph(n, seed, p).adjacency_masks()
+    assert _kernels.min_fill_order(n, masks) == min_fill_rescan(n, masks)

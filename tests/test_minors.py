@@ -380,6 +380,28 @@ def test_transfer_rejects_wrong_host():
         radial_grid_to_dual_grid(seq, e2, fl2)
 
 
+def test_transfer_rejects_a_long_uncut_edge():
+    # contract a deleted vertex w into window vertex a, where w also
+    # touches window vertex b two cells from a, and delete the new edge
+    # ab: the final graph is still the k x k grid, but without its edge
+    # deletions the contracted graph joins non-neighboring cells
+    e, fl, seq = nation_grid_transfer_instance(12)
+    verts, edges, _ = seq.replay()
+    _, coords = _assign_grid_coords(verts, edges)
+    host = seq.host
+    w, a, b = next(
+        (w, a, b) for w in range(host.n) if w not in verts
+        for a in host.adj[w] & verts for b in host.adj[w] & verts
+        if max(abs(p - q) for p, q in zip(coords[a], coords[b])) > 1)
+    ops = [("contract", a, w)] + [op for op in seq.ops
+                                  if op != ("delete_vertex", w)]
+    ops.append(("delete_edge", min(a, b), max(a, b)))
+    long_edge = ContractionSequence(host, ops)
+    assert long_edge.replay()[:2] == (verts, edges)
+    with pytest.raises(ConstructionError, match="non-neighboring grid cells"):
+        radial_grid_to_dual_grid(long_edge, e, fl)
+
+
 def test_double_radial_minor_triangle_and_cube():
     for e in (_triangle(), cube_embedding()):
         m = double_radial_minor(e)
