@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import (ConstructionError, FormatError, SizeLimitError,
                      _int_token, _raises_format_error)
-from .graph import SimpleGraph, _bfs_parents, k_neighborhood, power_graph
+from .graph import _bfs_parents, k_neighborhood, power_graph
 
 TREEWIDTH_EXACT_LIMIT = 20  # documented desk-scale limit
 
@@ -361,7 +361,3 @@ def td_dump(td, n, path):
     with open(path, "w") as f:
         f.write(td_dumps(td, n))
 
-
-def td_load(path):
-    with open(path) as f:
-        return td_loads(f.read())

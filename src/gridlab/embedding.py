@@ -535,7 +535,3 @@ def emb_dump(e, fl, path):
     with open(path, "w") as f:
         f.write(emb_dumps(e, fl))
 
-
-def emb_load(path):
-    with open(path) as f:
-        return emb_loads(f.read())

@@ -1,4 +1,4 @@
-"""Plain undirected graphs: powers, half-squares, neighborhoods, cliques.
+"""Plain undirected graphs: powers and neighborhoods.
 
 Vertices are integers 0..n-1.  Edges are unordered pairs stored as
 (min, max) tuples.  All functions are pure; SimpleGraph is immutable.
@@ -9,10 +9,7 @@ from __future__ import annotations
 import collections
 from dataclasses import dataclass
 
-from .errors import (FormatError, SizeLimitError, _int_token,
-                     _raises_format_error)
-
-MAX_CLIQUE_LIMIT = 40  # documented desk-scale limit for max_clique_exact
+from .errors import FormatError, _int_token, _raises_format_error
 
 
 def _normalize_edge(u, v):
@@ -235,23 +232,6 @@ def k_neighborhood(g, v, k):
     return ball
 
 
-def half_square(g, bip):
-    """Half-square on bip.left: edge iff distance exactly 2 in g.
-
-    Returns (graph, old_ids): vertex i of the result is old_ids[i] in g.
-    """
-    bip.check(g)
-    old_ids = sorted(bip.left)
-    index = {v: i for i, v in enumerate(old_ids)}
-    edges = set()
-    for u in old_ids:
-        for w in g.adj[u]:
-            for x in g.adj[w]:
-                if x != u and x in index:
-                    edges.add(_normalize_edge(index[u], index[x]))
-    return SimpleGraph(len(old_ids), edges), old_ids
-
-
 def _bfs_parents(neighbors, source, allowed=None, target=None):
     """Breadth-first search tree from `source` as {vertex: parent} in
     discovery order, the source mapped to None.  `neighbors[u]` lists
@@ -358,39 +338,6 @@ def power_clique_or_bound(g, k, r):
                        center=v)
 
 
-def max_clique_exact(g):
-    """Maximum clique by branch and bound over vertex bitmasks.
-
-    Deterministic: fixed branching order, first optimum found is kept.
-    Refuses graphs with more than MAX_CLIQUE_LIMIT vertices.
-    """
-    if g.n > MAX_CLIQUE_LIMIT:
-        raise SizeLimitError(
-            f"max_clique_exact limited to {MAX_CLIQUE_LIMIT} vertices, "
-            f"got {g.n}")
-    if g.n == 0:
-        return set()
-    masks = g.adjacency_masks()
-    best = [0, 0]  # size, mask
-
-    def expand(current_mask, size, cand):
-        if size + bin(cand).count("1") <= best[0]:
-            return
-        if cand == 0:
-            if size > best[0]:
-                best[0], best[1] = size, current_mask
-            return
-        while cand:
-            if size + bin(cand).count("1") <= best[0]:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(current_mask | (1 << v), size + 1, cand & masks[v])
-
-    expand(0, 0, (1 << g.n) - 1)
-    return {v for v in range(g.n) if best[1] >> v & 1}
-
-
 # ---------------------------------------------------------------------------
 # PACE-style .gr format
 
@@ -442,7 +389,3 @@ def gr_dump(g, path):
     with open(path, "w") as f:
         f.write(gr_dumps(g))
 
-
-def gr_load(path):
-    with open(path) as f:
-        return gr_loads(f.read())

@@ -1,6 +1,6 @@
 """Minor certificates and the constructive minor arguments: the
-radial-to-dual grid transfer, clique-to-grid conversion, clean-subgrid
-extraction, and embedding a graph into its double radial graph."""
+radial-to-dual grid transfer and embedding a graph into its double
+radial graph."""
 
 from __future__ import annotations
 
@@ -37,13 +37,20 @@ class MinorModel:
     __slots__ = ("pattern", "host", "branch_sets", "edge_witness")
 
     def __init__(self, pattern, host, branch_sets, edge_witness):
+        """Branch-set keys must be ints.  `edge_witness` maps pattern
+        edges to host edges, as a mapping or a sequence of pairs; no two
+        of its keys may name the same pattern edge."""
         self.pattern = pattern
         self.host = host
-        self.branch_sets = {int(v): frozenset(s)
+        self.branch_sets = {_json_int(v): frozenset(s)
                             for v, s in dict(branch_sets).items()}
         self.edge_witness = {}
-        for (u, v), (a, b) in dict(edge_witness).items():
+        pairs = (edge_witness.items() if isinstance(edge_witness, dict)
+                 else edge_witness)
+        for (u, v), (a, b) in pairs:
             key = (min(u, v), max(u, v))
+            if key in self.edge_witness:
+                raise ValueError(f"pattern edge {key} is witnessed twice")
             self.edge_witness[key] = (min(a, b), max(a, b))
 
     def __repr__(self):
@@ -332,25 +339,6 @@ def largest_grid_minor(g):
         if model is not None:
             return r, model
     raise AssertionError("unreachable: the 1x1 grid is always a minor")
-
-
-def clique_to_grid(witness, r, host):
-    """r x r grid model from a clique witness of size >= r^2 whose
-    vertices are pairwise adjacent in the host."""
-    verts = sorted(witness.vertices)
-    if len(verts) < r * r:
-        raise ConstructionError(
-            f"witness has {len(verts)} vertices, need {r * r}")
-    chosen = verts[:r * r]
-    for i, a in enumerate(chosen):
-        for b in chosen[i + 1:]:
-            if not host.has_edge(a, b):
-                raise ConstructionError(
-                    f"witness pair {(a, b)} not adjacent in host")
-    pattern = grid(r, r)
-    branch = {v: {chosen[v]} for v in range(r * r)}
-    ew = {(u, v): (chosen[u], chosen[v]) for u, v in pattern.edges}
-    return _checked(MinorModel(pattern, host, branch, ew), "clique_to_grid")
 
 
 # ---------------------------------------------------------------------------
@@ -687,93 +675,6 @@ def nation_grid_transfer_instance(size):
 
 
 # ---------------------------------------------------------------------------
-# clean subgrid extraction
-
-def clean_subgrid(grid_rows, grid_cols, extra_edges):
-    """Largest square window of the grid with no extra-edge endpoint in
-    its interior, plus the contraction sequence folding everything
-    outside the window into its boundary.
-
-    Returns ((top, left, side), ContractionSequence).  The window side is
-    at least floor(min(rows, cols) / (2*len(extra_edges) + 1)).
-    """
-    if grid_rows < 1 or grid_cols < 1:
-        raise ValueError("grid must be nonempty")
-    base = grid(grid_rows, grid_cols)
-    extra = []
-    for u, v in extra_edges:
-        if not (0 <= u < base.n and 0 <= v < base.n) or u == v:
-            raise ValueError(f"bad extra edge {(u, v)}")
-        extra.append((min(u, v), max(u, v)))
-    host = SimpleGraph(base.n, set(base.edges) | set(extra))
-    endpoints = {divmod(x, grid_cols) for e in extra for x in e}
-
-    found = None
-    for side in range(min(grid_rows, grid_cols), 0, -1):
-        for top in range(grid_rows - side + 1):
-            for left in range(grid_cols - side + 1):
-                interior = all(
-                    not (top < i < top + side - 1
-                         and left < j < left + side - 1)
-                    for i, j in endpoints)
-                if interior:
-                    found = (top, left, side)
-                    break
-            if found:
-                break
-        if found:
-            break
-    top, left, side = found
-    guarantee = min(grid_rows, grid_cols) // (2 * len(extra) + 1)
-    if side < guarantee:
-        raise ConstructionError(f"clean_subgrid: window side {side} is "
-                                f"below the guaranteed {guarantee}")
-
-    def vid(i, j):
-        return i * grid_cols + j
-
-    ops = []
-    # fold rows above and below the window inward (farthest row first so
-    # each contraction edge still exists), then columns
-    for i in range(top):
-        for j in range(grid_cols):
-            ops.append(("contract", vid(i + 1, j), vid(i, j)))
-    for i in range(grid_rows - 1, top + side - 1, -1):
-        for j in range(grid_cols):
-            ops.append(("contract", vid(i - 1, j), vid(i, j)))
-    for j in range(left):
-        for i in range(top, top + side):
-            ops.append(("contract", vid(i, j + 1), vid(i, j)))
-    for j in range(grid_cols - 1, left + side - 1, -1):
-        for i in range(top, top + side):
-            ops.append(("contract", vid(i, j - 1), vid(i, j)))
-    seq = ContractionSequence(host, ops)
-    verts, edges, _ = seq.replay()
-    window_ids = {vid(i, j) for i in range(top, top + side)
-                  for j in range(left, left + side)}
-    if verts != window_ids:
-        raise ConstructionError("clean_subgrid: folding left vertices "
-                                "outside the window")
-    keep = set()
-    for i in range(top, top + side):
-        for j in range(left, left + side):
-            if j + 1 < left + side:
-                keep.add((vid(i, j), vid(i, j + 1)))
-            if i + 1 < top + side:
-                keep.add((vid(i, j), vid(i + 1, j)))
-    if not keep <= edges:
-        raise ConstructionError(f"clean_subgrid: folding lost grid edge "
-                                f"{min(keep - edges)}")
-    for u, v in sorted(edges - keep):
-        seq.ops.append(("delete_edge", u, v))
-    verts, edges, _ = seq.replay()
-    if edges != keep:
-        raise ConstructionError("clean_subgrid: the edge deletions leave "
-                                "a graph other than the window grid")
-    return (top, left, side), seq
-
-
-# ---------------------------------------------------------------------------
 # graph vs. double radial
 
 def _is_two_connected(g):
@@ -862,34 +763,7 @@ def primal_dual_width_report(e):
 
 
 # ---------------------------------------------------------------------------
-# conversions and JSON serialization
-
-def model_to_contraction_sequence(m):
-    """ContractionSequence realizing the model: delete non-branch
-    vertices, contract each branch set into its smallest member, delete
-    the leftover non-pattern edges.  Raises ValueError on a model that
-    verify_model rejects."""
-    violation = verify_model(m)
-    if violation is not None:
-        raise ValueError(f"invalid input model: {violation}")
-    g = m.host
-    used = set().union(*m.branch_sets.values()) if m.branch_sets else set()
-    ops = [("delete_vertex", v) for v in sorted(set(range(g.n)) - used)]
-    for v in sorted(m.branch_sets):
-        s = m.branch_sets[v]
-        # contract along a BFS tree, leaves inward
-        parent = _bfs_parents(g.adj, min(s), s)
-        for x in reversed(list(parent)[1:]):
-            ops.append(("contract", parent[x], x))
-    seq = ContractionSequence(g, ops)
-    verts, edges, _ = seq.replay()
-    pattern_edges = {tuple(sorted((min(m.branch_sets[u]),
-                                   min(m.branch_sets[v]))))
-                     for u, v in m.pattern.edges}
-    for u, v in sorted(edges - pattern_edges):
-        seq.ops.append(("delete_edge", u, v))
-    return seq
-
+# JSON serialization
 
 def _graph_to_json(g):
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
@@ -953,8 +827,7 @@ def model_loads(text):
         _graph_from_json(obj["pattern"]),
         _graph_from_json(obj["host"]),
         {_json_key(v): _json_ints(s) for v, s in obj["branch_sets"].items()},
-        {tuple(_json_ints(k)): tuple(_json_ints(w))
-         for k, w in obj["edge_witness"]},
+        [(_json_ints(k), _json_ints(w)) for k, w in obj["edge_witness"]],
     )
 
 
@@ -966,5 +839,5 @@ def sequence_dumps(seq):
 
 @_raises_format_error
 def sequence_loads(text):
-    obj = json.loads(text)
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
     return ContractionSequence(_graph_from_json(obj["host"]), obj["ops"])

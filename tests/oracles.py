@@ -293,3 +293,44 @@ def replay_by_definition(host, ops):
                       for a, b in edges}
         edges = {(min(a, b), max(a, b)) for a, b in relabelled if a != b}
     return vertices, edges, labels
+
+
+def half_square(g, left):
+    """(edges, old_ids) of the half-square of g on the vertex set `left`:
+    two vertices of `left` are adjacent when their distance in g is
+    exactly 2.  Vertex i of the result is old_ids[i] in g."""
+    dist = all_pairs_distances(g)
+    old_ids = sorted(left)
+    edges = {(i, j) for i, j in itertools.combinations(range(len(old_ids)), 2)
+             if dist[old_ids[i]][old_ids[j]] == 2}
+    return edges, old_ids
+
+
+def contraction_ops(m):
+    """Operations turning m.host into m.pattern for a valid minor model
+    m: delete the vertices in no branch set, contract each branch set
+    into its least member along a breadth-first tree from that member
+    (neighbours in increasing id, leaves first), then delete the edges
+    left over between branch sets joined by no pattern edge."""
+    g = m.host
+    nbrs = {v: set() for v in range(g.n)}
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    used = set().union(*m.branch_sets.values())
+    ops = [("delete_vertex", v) for v in sorted(set(range(g.n)) - used)]
+    for v in sorted(m.branch_sets):
+        s = m.branch_sets[v]
+        root = min(s)
+        parent = {root: None}
+        order = [root]
+        for u in order:
+            for w in sorted(nbrs[u] & s):
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+        ops += [("contract", parent[x], x) for x in reversed(order[1:])]
+    _, edges, _ = replay_by_definition(g, ops)
+    kept = {tuple(sorted((min(m.branch_sets[u]), min(m.branch_sets[v]))))
+            for u, v in m.pattern.edges}
+    return ops + [("delete_edge", u, v) for u, v in sorted(edges - kept)]

@@ -15,16 +15,16 @@ from gridlab.generators import (grid, random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import (BoundReport, CliqueWitness, SimpleGraph, gr_dumps,
                            gr_loads, power_graph, power_clique_or_bound)
-from gridlab.minors import (largest_grid_minor, minor_containment_exact,
-                            model_dumps, model_loads,
-                            model_to_contraction_sequence,
+from gridlab.minors import (ContractionSequence, largest_grid_minor,
+                            minor_containment_exact, model_dumps, model_loads,
                             nation_grid_transfer_instance,
                             primal_dual_width_report,
                             radial_grid_to_dual_grid, sequence_dumps,
                             sequence_loads, verify_model,
                             double_radial_minor)
 
-from oracles import power_max_degree, treewidth_brute, vertex_cover_brute
+from oracles import (contraction_ops, power_max_degree, treewidth_brute,
+                     vertex_cover_brute)
 
 
 def random_map_corpus(count=100):
@@ -135,7 +135,7 @@ def test_radial_grid_transfer_on_nation_grids():
         host = union_radial_dual(e, fl)
         side, model = largest_grid_minor(host)
         assert side < 12
-        seq = model_to_contraction_sequence(model)
+        seq = ContractionSequence(model.host, contraction_ops(model))
         with pytest.raises(ConstructionError):
             radial_grid_to_dual_grid(seq, e, fl)
 
@@ -184,7 +184,7 @@ def test_oracle_self_consistency():
             m = minor_containment_exact(h, g)
             if m is None:
                 continue
-            seq = model_to_contraction_sequence(m)
+            seq = ContractionSequence(m.host, contraction_ops(m))
             _, _, labels = seq.replay()
             assert (sorted(labels.values(), key=min)
                     == sorted(m.branch_sets.values(), key=min))
@@ -215,6 +215,6 @@ def test_format_round_trips_byte_identical():
     m = minor_containment_exact(SimpleGraph.cycle(4), grid(3, 3))
     text = model_dumps(m)
     assert model_dumps(model_loads(text)) == text
-    seq = model_to_contraction_sequence(m)
+    seq = ContractionSequence(m.host, contraction_ops(m))
     text = sequence_dumps(seq)
     assert sequence_dumps(sequence_loads(text)) == text

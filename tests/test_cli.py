@@ -10,7 +10,7 @@ from click.testing import CliRunner
 import gridlab
 from gridlab import cli
 from gridlab.cli import main
-from gridlab.graph import BoundReport, SimpleGraph, gr_load, gr_loads
+from gridlab.graph import BoundReport, SimpleGraph, gr_loads
 from gridlab.minors import MinorModel, model_dumps, verify_model
 
 
@@ -44,9 +44,9 @@ def test_derive_union_is_radial_plus_dual(tmp_path):
         paths[kind] = tmp_path / f"{kind}.gr"
         assert run(runner, ["derive", str(emb), f"--{kind}",
                             "-o", str(paths[kind])]).exit_code == 0
-    radial = gr_load(paths["radial"])
-    dual = gr_load(paths["dual"])
-    union = gr_load(paths["union"])
+    radial = gr_loads(paths["radial"].read_text())
+    dual = gr_loads(paths["dual"].read_text())
+    union = gr_loads(paths["union"].read_text())
     n = union.n - dual.n
     shifted = {(n + a, n + b) for a, b in dual.edges}
     assert union.edges == radial.edges | shifted
@@ -211,6 +211,13 @@ EMPTY_OP_SEQ = json.dumps({"host": {"n": 2, "edges": [[0, 1]]},
 NONCANONICAL_KEY_MODEL = json.dumps({
     "pattern": {"n": 2, "edges": []}, "host": {"n": 2, "edges": []},
     "branch_sets": {"0": [0], "00": [1]}, "edge_witness": []})
+# pattern edge (0, 1) witnessed twice: first by the non-edge (0, 2), then
+# as [1, 0] by the host edge (0, 1)
+DUPLICATE_WITNESS_MODEL = json.dumps({
+    "pattern": {"n": 2, "edges": [[0, 1]]},
+    "host": {"n": 3, "edges": [[0, 1]]},
+    "branch_sets": {"0": [0], "1": [1]},
+    "edge_witness": [[[0, 1], [0, 2]], [[1, 0], [0, 1]]]})
 
 
 @pytest.mark.parametrize("name, content, command", [
@@ -226,6 +233,8 @@ NONCANONICAL_KEY_MODEL = json.dumps({
     ("bad.json", EMPTY_OP_SEQ.encode(),
      ["transfer", "--emb", "{emb}", "--seq", "{bad}"]),
     ("bad.json", NONCANONICAL_KEY_MODEL.encode(),
+     ["check", "--model", "{bad}"]),
+    ("bad.json", DUPLICATE_WITNESS_MODEL.encode(),
      ["check", "--model", "{bad}"]),
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridlab import _kernels
 from gridlab.decomposition import (TreeDecomposition,
@@ -123,7 +125,11 @@ def _mutated(td, n, rng):
     return TreeDecomposition(bags, edges)
 
 
-def test_validate_matches_definition_oracle():
+@functools.lru_cache(maxsize=None)
+def _valid_decompositions():
+    """(graph, valid decomposition) pairs: min-fill and shuffled-order
+    decompositions of random graphs, and min-fill decompositions of
+    radial graphs."""
     rng = random.Random(7)
     cases = []
     for seed in range(30):
@@ -135,16 +141,33 @@ def test_validate_matches_definition_oracle():
     for seed in range(10):
         r, _ = radial_graph(*random_canonical_map(3 + seed, seed))
         cases.append((r, treewidth_upper(r)[1]))
-    found = set()
     for g, td in cases:
         assert td.validate(g) is None
-        for _ in range(8):
-            bad = _mutated(td, g.n, rng)
-            got = bad.validate(g)
-            expect = first_decomposition_violation(bad.bags,
-                                                   bad.tree_edges, g)
-            assert (got and (got.condition, got.witness)) == expect
-            found.add(expect and expect[0])
+    return cases
+
+
+def _validate_against_oracle(which, seeds):
+    g, td = _valid_decompositions()[which]
+    for seed in seeds:
+        td = _mutated(td, g.n, random.Random(seed))
+    got = td.validate(g)
+    expect = first_decomposition_violation(td.bags, td.tree_edges, g)
+    assert (got and (got.condition, got.witness)) == expect
+    return expect and expect[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 69),
+       st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3))
+def test_validate_matches_definition_oracle(which, seeds):
+    _validate_against_oracle(which, seeds)
+
+
+def test_decomposition_mutations_reach_every_condition():
+    rng = random.Random(7)
+    found = {_validate_against_oracle(
+        which, [rng.randrange(2 ** 32) for _ in range(rng.randint(1, 3))])
+        for which in range(70) for _ in range(4)}
     assert found == {None, "tree", "T1", "T2", "T3"}
 
 

@@ -16,9 +16,9 @@ from gridlab.generators import (grid, random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph, gr_dumps, gr_loads
 from gridlab._json_writer import _int_lists, dumps as indented_dumps
-from gridlab.minors import (ContractionSequence, minor_containment_exact,
-                            model_dumps, model_loads, sequence_dumps,
-                            sequence_loads)
+from gridlab.minors import (ContractionSequence, MinorModel,
+                            minor_containment_exact, model_dumps, model_loads,
+                            sequence_dumps, sequence_loads)
 
 
 def graph_corpus():
@@ -179,6 +179,43 @@ def test_model_branch_set_keys_are_canonical_and_distinct():
             model_loads(good.replace('"1": [', f'"{key}": ['))
     with pytest.raises(FormatError, match="duplicate key '0'"):
         model_loads(good.replace('"1": [', '"0": ['))
+
+
+def test_minor_model_keys_are_ints_and_edges_are_witnessed_once():
+    p2 = SimpleGraph(2, [(0, 1)])
+    host = SimpleGraph(3, [(0, 1)])
+    ok = MinorModel(p2, host, {0: {0}, 1: {1}}, {(1, 0): (1, 0)})
+    assert ok.branch_sets == {0: {0}, 1: {1}}
+    assert ok.edge_witness == {(0, 1): (0, 1)}
+    # int() would read "0" and "00" as 0 and 1.9 as 1, merging branch
+    # sets, and True as vertex 1
+    for branch_sets in ({"0": {0}, "00": {1}, 1.9: {1}}, {0: {0}, "1": {1}},
+                        {0: {0}, 1.0: {1}}, {0: {0}, True: {1}}):
+        with pytest.raises(ValueError):
+            MinorModel(p2, host, branch_sets, {(0, 1): (0, 1)})
+    # the last witness would win and hide the non-edge (0, 2)
+    for witness in ({(0, 1): (0, 2), (1, 0): (0, 1)},
+                    [((0, 1), (0, 2)), ((0, 1), (0, 1))]):
+        with pytest.raises(ValueError, match=re.escape(
+                "pattern edge (0, 1) is witnessed twice")):
+            MinorModel(p2, host, {0: {0}, 1: {1}}, witness)
+    text = json.dumps({"pattern": {"n": 2, "edges": [[0, 1]]},
+                       "host": {"n": 3, "edges": [[0, 1]]},
+                       "branch_sets": {"0": [0], "1": [1]},
+                       "edge_witness": [[[0, 1], [0, 2]], [[0, 1], [0, 1]]]})
+    with pytest.raises(FormatError, match="witnessed twice"):
+        model_loads(text)
+
+
+def test_sequence_loads_refuses_duplicate_keys():
+    # json.loads alone keeps the last "ops", dropping the deletion
+    host = '{"n": 2, "edges": [[0, 1]]}'
+    for text in (f'{{"host": {host}, "ops": [["delete_vertex", 0]], '
+                 f'"ops": []}}',
+                 '{"host": {"n": 2, "n": 3, "edges": []}, "ops": []}'):
+        with pytest.raises(FormatError, match="duplicate key"):
+            sequence_loads(text)
+    assert sequence_loads(f'{{"host": {host}, "ops": []}}').host.n == 2
 
 
 def test_json_edges_are_pairs_of_json_integers():

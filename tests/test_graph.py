@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlab.embedding import map_graph, radial_graph
-from gridlab.errors import SizeLimitError
 from gridlab.generators import grid, random_canonical_map, random_graph
 from gridlab.graph import (Bipartition, BoundReport, CliqueWitness,
-                           SimpleGraph, _bfs_parents, half_square,
-                           k_neighborhood, max_clique_exact,
+                           SimpleGraph, _bfs_parents, k_neighborhood,
                            power_clique_or_bound, power_graph)
 
-from oracles import all_pairs_distances, power_max_degree
+from oracles import all_pairs_distances, half_square, power_max_degree
 
 
 def test_simple_graph_rejects_loops_and_range():
@@ -102,11 +100,9 @@ def test_k_neighborhood_basics():
 
 def test_half_square_tiny():
     g = SimpleGraph(2, [(0, 1)])
-    hs, ids = half_square(g, Bipartition({0}, {1}))
-    assert hs.n == 1 and not hs.edges and ids == [0]
+    assert half_square(g, {0}) == (set(), [0])
     path = SimpleGraph.path(3)  # u - x - w
-    hs, ids = half_square(path, Bipartition({0, 2}, {1}))
-    assert hs.edges == frozenset({(0, 1)}) and ids == [0, 2]
+    assert half_square(path, {0, 2}) == ({(0, 1)}, [0, 2])
 
 
 def test_half_square_of_radial_is_map_graph():
@@ -116,9 +112,9 @@ def test_half_square_of_radial_is_map_graph():
         for nations in (2, 4, 6, 8):
             e, fl = random_canonical_map(nations, seed)
             r, bip = radial_graph(e, fl)
-            hs, ids = half_square(r, Bipartition(bip.right, bip.left))
+            edges, ids = half_square(r, bip.right)
             assert ids == sorted(bip.right)
-            assert hs == map_graph(e, fl)
+            assert SimpleGraph(len(ids), edges) == map_graph(e, fl)
 
 
 def test_bipartition_check():
@@ -275,24 +271,3 @@ def test_power_clique_or_bound_results_are_pinned():
     assert hashlib.sha256(repr(got).encode()).hexdigest() == (
         "6807cf50ab8996d19e999583444fbc284d526b6920464cf1de01caa5485e910a")
 
-
-def test_max_clique_known():
-    assert max_clique_exact(SimpleGraph.complete(5)) == {0, 1, 2, 3, 4}
-    c5 = SimpleGraph.cycle(5)
-    clique = max_clique_exact(c5)
-    assert len(clique) == 2
-    u, v = sorted(clique)
-    assert c5.has_edge(u, v)
-
-
-def test_max_clique_petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    petersen = SimpleGraph(10, outer + inner + spokes)
-    assert len(max_clique_exact(petersen)) == 2
-
-
-def test_max_clique_size_refusal():
-    with pytest.raises(SizeLimitError):
-        max_clique_exact(SimpleGraph(41))

@@ -10,21 +10,20 @@ from gridlab.errors import ConstructionError, SizeLimitError
 from gridlab.generators import (_build_from_rotations, _triangle, grid,
                                 grid_map, random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
-from gridlab.graph import SimpleGraph, max_clique_exact
+from gridlab.graph import SimpleGraph
 from gridlab.minors import (ContractionSequence, MinorModel,
                             _assign_grid_coords, _is_two_connected,
-                            _nation_fan, _uncut_graph, clean_subgrid,
-                            clique_to_grid, double_radial_minor,
+                            _nation_fan, _uncut_graph, double_radial_minor,
                             largest_grid_minor, minor_containment_exact,
                             model_dumps, model_loads,
-                            model_to_contraction_sequence,
                             nation_grid_transfer_instance,
                             primal_dual_width_report,
                             radial_grid_to_dual_grid, sequence_dumps,
                             sequence_loads, verify_model)
 
-from oracles import (all_pairs_distances, first_model_violation,
-                     is_two_connected_by_deletion, replay_by_definition)
+from oracles import (all_pairs_distances, contraction_ops,
+                     first_model_violation, is_two_connected_by_deletion,
+                     replay_by_definition)
 
 
 def cube_embedding():
@@ -109,19 +108,6 @@ def test_largest_grid_minor_known():
     # a long cycle contracts to C4, the 2x2 grid, but no further
     r, _ = largest_grid_minor(SimpleGraph.cycle(8))
     assert r == 2
-
-
-def test_clique_to_grid():
-    k9 = SimpleGraph.complete(9)
-    clique = max_clique_exact(k9)
-    m = clique_to_grid(type("W", (), {"vertices": clique})(), 3, k9)
-    assert verify_model(m) is None
-    assert m.pattern == grid(3, 3)
-    with pytest.raises(ConstructionError):
-        clique_to_grid(type("W", (), {"vertices": {0, 1, 2}})(), 2, k9)
-    with pytest.raises(ConstructionError):
-        clique_to_grid(type("W", (), {"vertices": {0, 1, 2, 3}})(), 2,
-                       SimpleGraph.path(4))
 
 
 def test_contraction_sequence_replay():
@@ -249,37 +235,6 @@ def test_uncut_graph_is_the_replay_without_edge_deletions():
         assert owner == {x: v for v, s in labels.items() for x in s}
 
 
-def test_clean_subgrid_no_extras_keeps_everything():
-    (top, left, side), seq = clean_subgrid(5, 7, [])
-    assert (top, left, side) == (0, 0, 5)
-    verts, edges, _ = seq.replay()
-    assert len(verts) == 25
-
-
-def test_clean_subgrid_center_endpoint():
-    # one chord into the middle of a 9x9 grid still leaves a window of
-    # side at least 3
-    extra = [(4 * 9 + 4, 0)]
-    (top, left, side), seq = clean_subgrid(9, 9, extra)
-    assert side >= 3
-    final, _ = seq.result()
-    assert final == grid(side, side)
-
-
-def test_clean_subgrid_two_extras():
-    extra = [(5 * 12 + 5, 6 * 12 + 6), (2 * 12 + 9, 9 * 12 + 2)]
-    (top, left, side), seq = clean_subgrid(12, 12, extra)
-    assert side >= 12 // 5
-    final, _ = seq.result()
-    assert final == grid(side, side)
-    # no extra-edge endpoint strictly inside the window
-    for u, v in extra:
-        for x in (u, v):
-            i, j = divmod(x, 12)
-            assert not (top < i < top + side - 1
-                        and left < j < left + side - 1)
-
-
 def test_model_to_contraction_sequence_consistent():
     for seed in range(6):
         g = random_graph(9, seed, 0.45)
@@ -288,7 +243,7 @@ def test_model_to_contraction_sequence_consistent():
             m = minor_containment_exact(h, g)
             if m is None:
                 continue
-            seq = model_to_contraction_sequence(m)
+            seq = ContractionSequence(m.host, contraction_ops(m))
             final, old = seq.result()
             assert final == h or final.num_edges() == h.num_edges()
             # labels reproduce the branch sets
@@ -296,24 +251,6 @@ def test_model_to_contraction_sequence_consistent():
             assert (sorted(labels.values(), key=min)
                     == sorted(m.branch_sets.values(), key=min))
 
-
-
-def test_model_to_contraction_sequence_rejects_invalid_models():
-    c4 = SimpleGraph.cycle(4)
-    bad = [
-        # P_2 on branch sets {0}, {2}: the witness is no edge of C_4, so
-        # a sequence would leave two isolated vertices
-        (MinorModel(SimpleGraph.path(2), c4, {0: {0}, 1: {2}},
-                    {(0, 1): (0, 2)}),
-         "invalid input model: witness: witness (0, 2) is not a host edge"),
-        # a branch vertex outside the host
-        (MinorModel(SimpleGraph(1), c4, {0: {-1, 0, 1}}, {}),
-         "invalid input model: coverage: branch vertex -1 not in host"),
-    ]
-    for m, message in bad:
-        with pytest.raises(ValueError) as exc:
-            model_to_contraction_sequence(m)
-        assert str(exc.value) == message
 
 def test_transfer_deletion_only_instances():
     for size, want_side in ((12, 1), (18, 2)):
@@ -368,7 +305,7 @@ def test_transfer_rejects_small_grids():
         host = union_radial_dual(e, fl)
         side, model = largest_grid_minor(host)
         assert side < 12
-        seq = model_to_contraction_sequence(model)
+        seq = ContractionSequence(model.host, contraction_ops(model))
         with pytest.raises(ConstructionError):
             radial_grid_to_dual_grid(seq, e, fl)
 
@@ -498,7 +435,8 @@ def test_transfer_and_double_radial_models_are_pinned():
             "b95c1d903883ca0d9777d4c16d47f5fac7d321e6797d7a2c93f3436f26f6bc9c",
     }
     for key, digest in sequences.items():
-        seq = model_to_contraction_sequence(models[key])
+        m = models[key]
+        seq = ContractionSequence(m.host, contraction_ops(m))
         assert _sha256(sequence_dumps(seq)) == digest
 
 

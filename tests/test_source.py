@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pathlib
 
 import gridlab
@@ -67,3 +68,27 @@ def test_benchmark_span_names_exist():
         if obj is None:
             missing.append(f"{module}.{attr}")
     assert len(names) == 45 and missing == []
+
+
+def test_public_api_is_pinned():
+    # adding or dropping a public name must show up as an edit here
+    public = sorted(name for name, obj in vars(gridlab).items()
+                    if not name.startswith("_") and not inspect.ismodule(obj))
+    assert public == [
+        "Bipartition", "BoundReport", "CliqueWitness", "ConstructionError",
+        "ContractionSequence", "EmbeddedGraph", "FaceLabeling", "FormatError",
+        "GridlabError", "KERNEL_IMPLEMENTATION", "MinorModel", "SimpleGraph",
+        "SizeLimitError", "TreeDecomposition", "Violation", "all_nations",
+        "canonicalize", "canonicalize_components", "decomposition_from_order",
+        "double_radial_minor", "dual_graph", "emb_dump", "emb_dumps",
+        "emb_loads", "gr_dump", "gr_dumps", "gr_loads", "grid", "grid_map",
+        "is_canonical", "k_neighborhood", "largest_grid_minor", "lift_power",
+        "lift_radial_to_map", "map_graph", "minor_containment_exact",
+        "model_dumps", "model_loads", "nation_grid_transfer_instance",
+        "partially_triangulated_grid", "power_clique_or_bound", "power_graph",
+        "primal_dual_width_report", "radial_embedding", "radial_graph",
+        "radial_grid_to_dual_grid", "random_canonical_map", "random_graph",
+        "random_planar_triangulation", "sequence_dumps", "sequence_loads",
+        "td_dump", "td_dumps", "td_loads", "treewidth_exact",
+        "treewidth_upper", "union_radial_dual", "verify_model",
+        "vertex_cover_dp", "wheel_map"]
