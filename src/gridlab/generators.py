@@ -54,7 +54,8 @@ def partially_triangulated_grid(rows, cols, seed):
 
 def _build_from_rotations(neighbor_lists):
     """EmbeddedGraph from per-vertex rotations given as neighbor-id lists
-    (no loops; parallel edges allowed if distinguished by position).
+    (parallel edges allowed if distinguished by key; a loop lists its
+    vertex twice with one key).
 
     neighbor_lists[v] lists, in rotation order, (neighbor, edge_key)
     pairs; the two endpoints of an edge must use the same key.
@@ -87,23 +88,12 @@ def _build_from_rotations(neighbor_lists):
 
 def wheel_map(r):
     """Embedded wheel with r^2 spokes; bounded faces are nations (in
-    spoke order), the outer face is the lake."""
+    spoke order), the outer face is the lake.  At r = 1 the rim is a
+    loop around the single spoke."""
     if r < 1:
         raise ValueError("r must be >= 1")
     s = r * r
-    if s == 1:
-        # degenerate wheel: one spoke plus a rim loop around the hub
-        twin = [1, 0, 3, 2]
-        # dart 0: hub->rim (spoke), dart 1: rim->hub,
-        # darts 2,3: the rim loop at vertex 1
-        nxt = [0, 2, 3, 1]
-        vertex_of = [0, 1, 1, 1]
-        e = EmbeddedGraph(twin, nxt, vertex_of)
-        spoke_face = e.face_of[0]
-        lake = ({0, 1} - {spoke_face}).pop()
-        return e, FaceLabeling((spoke_face,), {lake})
-    hub_rot = [(i, ("spoke", i)) for i in range(1, s + 1)]
-    rots = [hub_rot]
+    rots = [[(i, ("spoke", i)) for i in range(1, s + 1)]]
     for i in range(1, s + 1):
         nxt_rim = i % s + 1
         prev_rim = (i - 2) % s + 1
@@ -111,23 +101,12 @@ def wheel_map(r):
                      (prev_rim, ("rim", min(i, prev_rim), max(i, prev_rim))),
                      (nxt_rim, ("rim", min(i, nxt_rim), max(i, nxt_rim)))])
     e = _build_from_rotations(rots)
-    # bounded faces are the triangles; identify the outer face by size
-    inner = [f for f, walk in enumerate(e.faces) if len(walk) == 3]
-    outer = [f for f, walk in enumerate(e.faces) if len(walk) != 3]
-    if s == 2:
-        # two digon-free faces of equal length; fall back to Euler count
-        if len(e.faces) != 3:
-            raise ConstructionError(f"wheel_map: the 2-spoke wheel has "
-                                    f"{len(e.faces)} faces, expected 3")
-        sizes = sorted(range(3), key=lambda f: len(e.faces[f]))
-        inner, outer = sizes[:2], sizes[2:]
-    if len(outer) != 1 or len(inner) != s:
-        raise GridlabError("unexpected wheel face structure")
-    # order nations by the smallest incident rim vertex on the hub side
-    def nation_key(f):
-        return min(e.vertex_of[d] for d in e.faces[f]
-                   if e.vertex_of[d] != 0)
-    return e, FaceLabeling(sorted(inner, key=nation_key), set(outer))
+    # the face after each hub dart is that spoke's triangle
+    nations = [e.face_of[d] for d in e.rotations[0]]
+    if len(e.faces) != s + 1 or len(set(nations)) != s:
+        raise ConstructionError(f"wheel_map: the {s}-spoke wheel has "
+                                f"{len(e.faces)} faces, expected {s + 1}")
+    return e, FaceLabeling(nations, set(range(s + 1)) - set(nations))
 
 
 def grid_map(rows, cols):
@@ -152,32 +131,15 @@ def grid_map(rows, cols):
                 rot.append((v + w, ("v", v)))
             rots.append(rot)
     e = _build_from_rotations(rots)
-    if e.genus() != 0:
+    # the smallest dart at corner (i, j) points east and walks cell (i, j)
+    nations = [e.face_of[e.rotations[i * w + j][0]]
+               for i in range(rows) for j in range(cols)]
+    if len(e.faces) != rows * cols + 1 or len(set(nations)) != rows * cols:
         raise ConstructionError(f"grid_map: the {rows}x{cols} grid "
-                                f"embedding has genus {e.genus()}")
-    cell_face = {}
-    outer = None
-    for f, walk in enumerate(e.faces):
-        verts = {e.vertex_of[d] for d in walk}
-        if len(walk) == 4 and len(verts) == 4:
-            top_left = min(verts)
-            i, j = divmod(top_left, w)
-            if (verts == {top_left, top_left + 1, top_left + w,
-                          top_left + w + 1} and i < rows and j < cols
-                    and (i, j) not in cell_face):
-                cell_face[(i, j)] = f
-                continue
-        if outer is not None:
-            raise GridlabError("ambiguous outer face in grid map")
-        outer = f
-    if rows == 1 and cols == 1 and outer is None:
-        # C4 on the sphere: both faces are unit squares; pick one as lake
-        (i, j), f = sorted(cell_face.items())[0]
-        outer = cell_face.pop(sorted(cell_face)[-1])
-    if len(cell_face) != rows * cols or outer is None:
-        raise GridlabError("unexpected grid-map face structure")
-    nations = [cell_face[(i, j)] for i in range(rows) for j in range(cols)]
-    return e, FaceLabeling(nations, {outer})
+                                f"embedding has {len(e.faces)} faces, "
+                                f"expected {rows * cols + 1}")
+    return e, FaceLabeling(nations, set(range(rows * cols + 1))
+                           - set(nations))
 
 
 def random_graph(n, seed, edge_prob=0.4):

@@ -117,6 +117,14 @@ class SimpleGraph:
         return SimpleGraph(m + 1, [(0, i) for i in range(1, m + 1)])
 
 
+def _strict_int(x):
+    # bool is an int subclass in Python, but `true` is no JSON integer,
+    # and int() would truncate 1.9 or parse "2"
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """Two-sided vertex partition of a carrier graph."""
@@ -148,7 +156,7 @@ class CliqueWitness:
     pairwise_distance_bound: int
 
     def __init__(self, vertices, pairwise_distance_bound):
-        bound = int(pairwise_distance_bound)
+        bound = _strict_int(pairwise_distance_bound)
         if bound < 0:
             raise ValueError("pairwise distance bound must be nonnegative")
         object.__setattr__(self, "vertices", frozenset(vertices))
@@ -188,6 +196,19 @@ class BoundReport:
     parity: str  # "even" or "odd"
     degree_bound: int
     center: int
+
+    def __post_init__(self):
+        for x in (self.k, self.r, self.degree_bound, self.center):
+            _strict_int(x)
+        if self.k < 1 or self.r < 1:
+            raise ValueError("a degree bound needs k >= 1 and r >= 1")
+        parity = "odd" if self.k % 2 else "even"
+        bound = self.r ** (6 if self.k % 2 else 4)
+        if (self.parity, self.degree_bound) != (parity, bound):
+            raise ValueError(
+                f"k = {self.k}, r = {self.r} is the {parity} case with "
+                f"degree bound {bound}, not the {self.parity} case with "
+                f"{self.degree_bound}")
 
     def verify(self, g):
         """None if every vertex has fewer than degree_bound neighbors in

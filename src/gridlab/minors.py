@@ -14,7 +14,7 @@ from .embedding import (all_nations, dual_graph, is_canonical,
                         radial_embedding, union_radial_dual)
 from .errors import ConstructionError, SizeLimitError, _raises_format_error
 from .generators import grid, grid_map
-from .graph import SimpleGraph, _bfs_parents
+from .graph import SimpleGraph, _bfs_parents, _strict_int
 
 MINOR_PATTERN_LIMIT = 10   # documented desk-scale limits
 MINOR_HOST_LIMIT = 16
@@ -42,7 +42,7 @@ class MinorModel:
         of its keys may name the same pattern edge."""
         self.pattern = pattern
         self.host = host
-        self.branch_sets = {_json_int(v): frozenset(s)
+        self.branch_sets = {_strict_int(v): frozenset(s)
                             for v, s in dict(branch_sets).items()}
         self.edge_witness = {}
         pairs = (edge_witness.items() if isinstance(edge_witness, dict)
@@ -141,10 +141,10 @@ class ContractionSequence:
         if kind in (ContractionSequence.CONTRACT,
                     ContractionSequence.DELETE_EDGE):
             _, u, v = op
-            return (kind, _json_int(u), _json_int(v))
+            return (kind, _strict_int(u), _strict_int(v))
         if kind == ContractionSequence.DELETE_VERTEX:
             _, v = op
-            return (kind, _json_int(v))
+            return (kind, _strict_int(v))
         raise ValueError(f"unknown operation {kind!r}")
 
     def replay(self):
@@ -157,37 +157,24 @@ class ContractionSequence:
         labels = {v: {v} for v in adj}
 
         for op in self.ops:
-            if op[0] == self.CONTRACT:
-                _, u, v = op
-                if u not in adj or v not in adj:
-                    raise ConstructionError(f"contract {op}: missing vertex")
-                if v not in adj[u]:
-                    raise ConstructionError(
-                        f"contract {op}: edge not present")
-                for w in adj.pop(v):
-                    adj[w].discard(v)
-                    if w != u:
-                        adj[u].add(w)
-                        adj[w].add(u)
-                labels[u] |= labels.pop(v)
-            elif op[0] == self.DELETE_EDGE:
-                _, u, v = op
-                if u not in adj or v not in adj:
-                    raise ConstructionError(
-                        f"delete_edge {op}: missing vertex")
-                if v not in adj[u]:
-                    raise ConstructionError(
-                        f"delete_edge {op}: edge not present")
-                adj[u].discard(v)
-                adj[v].discard(u)
-            else:
-                _, v = op
-                if v not in adj:
-                    raise ConstructionError(
-                        f"delete_vertex {op}: missing vertex")
+            kind, u, v = op[0], op[1], op[-1]  # u == v for delete_vertex
+            if u not in adj or v not in adj:
+                raise ConstructionError(f"{kind} {op}: missing vertex")
+            if kind == self.DELETE_VERTEX:
                 for w in adj.pop(v):
                     adj[w].discard(v)
                 del labels[v]
+                continue
+            if v not in adj[u]:
+                raise ConstructionError(f"{kind} {op}: edge not present")
+            adj[u].discard(v)
+            adj[v].discard(u)
+            if kind == self.CONTRACT:
+                for w in adj.pop(v):
+                    adj[w].discard(v)
+                    adj[u].add(w)
+                    adj[w].add(u)
+                labels[u] |= labels.pop(v)
         edges = {(min(u, w), max(u, w)) for u in adj for w in adj[u]}
         return set(adj), edges, labels
 
@@ -385,15 +372,9 @@ def _assign_grid_coords(verts, edges):
     if sorted(coords.values()) != [(x, y) for x in range(k)
                                    for y in range(k)]:
         raise ConstructionError("vertices do not fill the k x k grid")
-    want = set()
-    for x in range(k):
-        for y in range(k):
-            if x + 1 < k:
-                want.add(((x, y), (x + 1, y)))
-            if y + 1 < k:
-                want.add(((x, y), (x, y + 1)))
-    have = {tuple(sorted((coords[u], coords[v]))) for u, v in edges}
-    if have != want:
+    index = {v: x * k + y for v, (x, y) in coords.items()}
+    placed = SimpleGraph(k * k, [(index[u], index[v]) for u, v in edges])
+    if placed != grid(k, k):
         raise ConstructionError("edge set is not the k x k grid")
     return k, coords
 
@@ -517,42 +498,37 @@ def radial_grid_to_dual_grid(seq, e, fl):
         x0, x1, y0, y1 = rect
         return x0 <= x <= x1 and y0 <= y <= y1
 
-    def transfer_path(src_key, dst_key, narrow, wide, cut_axis, cut_line):
+    def transfer_path(src_key, dst_key, cut_axis, cut_line):
         """Simple path in the dual between vhat[src_key] and
-        vhat[dst_key], routed through the label sets of `wide`, plus its
-        cut position (index of the last vertex contracted toward src)."""
-        src, dst = anchor[src_key], anchor[dst_key]
-        x0, x1, y0, y1 = narrow
-        allowed_p = {at[x, y] for x in range(x0, x1 + 1)
-                     for y in range(y0, y1 + 1)}
-        p_grid = _shortest_path(adj_p, src, dst, allowed_p)
+        vhat[dst_key], plus its cut position (index of the last vertex
+        contracted toward src).  The grid path stays in the narrow
+        rectangle spanning both blocks; its nations stay in `wide`, that
+        rectangle thickened by one."""
+        (i, j), (i2, j2) = src_key, dst_key
+        wide = (6 * i, 6 * i2 + 3, 6 * j, 6 * j2 + 3)
+        allowed_p = {at[x, y] for x in range(6 * i + 1, 6 * i2 + 3)
+                     for y in range(6 * j + 1, 6 * j2 + 3)}
+        p_grid = _shortest_path(adj_p, anchor[src_key], anchor[dst_key],
+                                allowed_p)
         if p_grid is None:
             raise ConstructionError(
                 f"no path between blocks {src_key} and {dst_key} inside "
                 f"the narrow rectangle")
         # lift into the union graph: witness edges between consecutive
         # label sets, stitched by paths inside each (connected) label set
-        walk = [vhat[src_key]]
-        cursor = vhat[src_key]
-        for a, b in zip(p_grid, p_grid[1:]):
-            ua, ub = min(
-                (x, y) for x in labels[a] for y in labels[b]
-                if host.has_edge(x, y))
-            inner = _shortest_path(host_adj, cursor, ua, labels[a])
+        hops = [min((x, y) for x in labels[a] for y in labels[b]
+                    if host.has_edge(x, y))
+                for a, b in zip(p_grid, p_grid[1:])]
+        entries = [vhat[src_key]] + [y for _, y in hops]
+        exits = [x for x, _ in hops] + [vhat[dst_key]]
+        walk = []
+        for a, enter, leave in zip(p_grid, entries, exits):
+            inner = _shortest_path(host_adj, enter, leave, labels[a])
             if inner is None:
                 raise ConstructionError(
                     f"radial_grid_to_dual_grid: label set of {a} is not "
                     f"connected")
-            walk.extend(inner[1:])
-            walk.append(ub)
-            cursor = ub
-        inner = _shortest_path(host_adj, cursor, vhat[dst_key],
-                               labels[p_grid[-1]])
-        if inner is None:
-            raise ConstructionError(
-                f"radial_grid_to_dual_grid: label set of {p_grid[-1]} is "
-                f"not connected")
-        walk.extend(inner[1:])
+            walk.extend(inner)
         # make it simple within its own vertex set
         walk = _shortest_path(host_adj, walk[0], walk[-1], set(walk))
 
@@ -592,7 +568,8 @@ def radial_grid_to_dual_grid(seq, e, fl):
                 f"crosses its cut line")
         return path, cut
 
-    branch = {key: {vhat[key] - n} for key in vhat}
+    # nation -> the block whose branch set holds it
+    claimed = {vhat[key] - n: key for key in vhat}
     witness = {}
 
     def grid_id(i, j):
@@ -600,38 +577,29 @@ def radial_grid_to_dual_grid(seq, e, fl):
 
     def absorb(key, nations):
         for d in nations:
-            for other, s in branch.items():
-                if d in s and other != key:
-                    raise ConstructionError(
-                        f"dual vertex {d} claimed by blocks {other} and "
-                        f"{key}; transfer paths are not disjoint")
-            branch[key].add(d)
+            other = claimed.setdefault(d, key)
+            if other != key:
+                raise ConstructionError(
+                    f"dual vertex {d} claimed by blocks {other} and "
+                    f"{key}; transfer paths are not disjoint")
 
     for i in range(1, t + 1):
         for j in range(1, t + 1):
-            if j + 1 <= t:
-                path, cut = transfer_path(
-                    (i, j), (i, j + 1),
-                    (6 * i + 1, 6 * i + 2, 6 * j + 1, 6 * (j + 1) + 2),
-                    (6 * i, 6 * i + 3, 6 * j, 6 * (j + 1) + 3),
-                    cut_axis=1, cut_line=6 * j + 4)
-                absorb((i, j), path[1:cut + 1])
-                absorb((i, j + 1), path[cut + 1:-1])
-                witness[(grid_id(i, j), grid_id(i, j + 1))] = (
-                    path[cut], path[cut + 1])
-            if i + 1 <= t:
-                path, cut = transfer_path(
-                    (i, j), (i + 1, j),
-                    (6 * i + 1, 6 * (i + 1) + 2, 6 * j + 1, 6 * j + 2),
-                    (6 * i, 6 * (i + 1) + 3, 6 * j, 6 * j + 3),
-                    cut_axis=0, cut_line=6 * i + 4)
-                absorb((i, j), path[1:cut + 1])
-                absorb((i + 1, j), path[cut + 1:-1])
-                witness[(grid_id(i, j), grid_id(i + 1, j))] = (
+            for di, dj in ((0, 1), (1, 0)):
+                src, dst = (i, j), (i + di, j + dj)
+                if max(dst) > t:
+                    continue
+                path, cut = transfer_path(src, dst, cut_axis=dj,
+                                          cut_line=6 * (i * di + j * dj) + 4)
+                absorb(src, path[1:cut + 1])
+                absorb(dst, path[cut + 1:-1])
+                witness[(grid_id(*src), grid_id(*dst))] = (
                     path[cut], path[cut + 1])
 
-    branch_sets = {grid_id(i, j): branch[(i, j)]
+    branch_sets = {grid_id(i, j): set()
                    for i in range(1, t + 1) for j in range(1, t + 1)}
+    for d, key in claimed.items():
+        branch_sets[grid_id(*key)].add(d)
     return _checked(MinorModel(grid(t, t), dual, branch_sets, witness),
                     "radial_grid_to_dual_grid")
 
@@ -769,15 +737,8 @@ def _graph_to_json(g):
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
-def _json_int(x):
-    # bool is an int subclass in Python, but `true` is no JSON integer
-    if type(x) is not int:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return x
-
-
 def _json_ints(xs):
-    return [_json_int(x) for x in xs]
+    return [_strict_int(x) for x in xs]
 
 
 def _json_key(k):
@@ -804,8 +765,9 @@ def _unique_keys(pairs):
 
 
 def _graph_from_json(obj):
-    return SimpleGraph(_json_int(obj["n"]),
-                       [(_json_int(u), _json_int(v)) for u, v in obj["edges"]])
+    return SimpleGraph(_strict_int(obj["n"]),
+                       [(_strict_int(u), _strict_int(v))
+                        for u, v in obj["edges"]])
 
 
 def model_dumps(m):

@@ -60,12 +60,39 @@ def vertex_cover_brute(g):
     raise AssertionError("unreachable")
 
 
+def _power_degrees(g, k):
+    """Degree of each vertex of G^k straight from the distance matrix."""
+    dist = all_pairs_distances(g)
+    return [sum(1 for v in range(g.n)
+                if v != u and dist[u][v] is not None and dist[u][v] <= k)
+            for u in range(g.n)]
+
+
 def power_max_degree(g, k):
     """Max degree of G^k straight from the distance matrix."""
+    return max(_power_degrees(g, k))
+
+
+def first_power_degree_at_least(g, k, bound):
+    """Least vertex with at least `bound` neighbors in G^k, or None."""
+    return next((u for u, d in enumerate(_power_degrees(g, k))
+                 if d >= bound), None)
+
+
+def first_far_pair(vertices, bound, g):
+    """The pair a clique witness must report: the least vertex outside
+    g with the least other witness vertex (itself when alone), else the
+    least pair farther apart than `bound`; None when there is neither."""
+    verts = sorted(vertices)
+    outside = [x for x in verts if not 0 <= x < g.n]
+    if outside:
+        x = outside[0]
+        y = min((v for v in verts if v != x), default=x)
+        return (min(x, y), max(x, y))
     dist = all_pairs_distances(g)
-    return max(sum(1 for v in range(g.n)
-                   if v != u and dist[u][v] is not None and dist[u][v] <= k)
-               for u in range(g.n))
+    far = [(u, v) for u, v in itertools.combinations(verts, 2)
+           if dist[u][v] is None or dist[u][v] > bound]
+    return min(far, default=None)
 
 
 def is_canonical_per_vertex(e, fl):

@@ -10,6 +10,10 @@ from click.testing import CliRunner
 import gridlab
 from gridlab import cli
 from gridlab.cli import main
+from gridlab.embedding import (all_nations, canonicalize, emb_dumps,
+                               emb_loads, is_canonical)
+from gridlab.generators import (partially_triangulated_grid,
+                                random_planar_triangulation, wheel_map)
 from gridlab.graph import BoundReport, SimpleGraph, gr_loads
 from gridlab.minors import MinorModel, model_dumps, verify_model
 
@@ -69,6 +73,67 @@ def test_lift_radial_to_map(tmp_path):
                         "--gr", str(mapg)]).exit_code == 0
 
 
+def test_lift_power(tmp_path):
+    runner = CliRunner()
+    g, g2 = tmp_path / "g.gr", tmp_path / "g2.gr"
+    td, td2 = tmp_path / "g.td", tmp_path / "g2.td"
+    run(runner, ["gen", "ptgrid", "--rows", "3", "--cols", "3",
+                 "-o", str(g)])
+    run(runner, ["power", str(g), "--k", "2", "-o", str(g2)])
+    assert run(runner, ["tw", str(g), "-o", str(td)]).exit_code == 0
+    res = run(runner, ["lift", "--power", "2", "--gr", str(g), str(td),
+                       "-o", str(td2)])
+    assert res.exit_code == 0 and res.output.startswith("width ")
+    assert run(runner, ["check", "--td", str(td2),
+                        "--gr", str(g2)]).exit_code == 0
+    res = run(runner, ["lift", "--power", "2", str(td), "-o", str(td2)])
+    assert res.exit_code == 2
+    assert "--power needs --gr" in res.output
+
+
+def test_gen_ptgrid_and_triangulation(tmp_path):
+    runner = CliRunner()
+    grf, tri = tmp_path / "pt.gr", tmp_path / "tri.emb"
+    assert run(runner, ["gen", "ptgrid", "--rows", "3", "--cols", "4",
+                        "--seed", "1", "-o", str(grf)]).exit_code == 0
+    assert gr_loads(grf.read_text()) == partially_triangulated_grid(3, 4, 1)
+    assert run(runner, ["gen", "triangulation", "--n", "8", "--seed", "2",
+                        "-o", str(tri)]).exit_code == 0
+    e = random_planar_triangulation(8, 2)
+    assert tri.read_text() == emb_dumps(e, all_nations(e))
+
+
+def test_derive_canonicalize(tmp_path):
+    runner = CliRunner()
+    src, out = tmp_path / "w.emb", tmp_path / "canon.emb"
+    run(runner, ["gen", "wheel-map", "--r", "2", "-o", str(src)])
+    assert run(runner, ["derive", str(src), "--canonicalize",
+                        "-o", str(out)]).exit_code == 0
+    e, fl = emb_loads(out.read_text())
+    assert is_canonical(e, fl)
+    assert out.read_text() == emb_dumps(*canonicalize(*wheel_map(2)))
+
+
+def test_check_refuses_a_decomposition_over_other_vertices(tmp_path):
+    td, grf = tmp_path / "two.td", tmp_path / "three.gr"
+    td.write_text("s td 1 2 2\nb 1 1 2\n")
+    grf.write_text("p tw 3 1\n1 2\n")
+    res = run(CliRunner(), ["check", "--td", str(td), "--gr", str(grf)])
+    assert_one_error_line(res, 1, names="over 2 vertices, graph has 3")
+
+
+@pytest.mark.parametrize("family, value", [
+    ("map", "4"), ("power", "6"), ("primal-dual", "6")])
+def test_sweep_families(tmp_path, family, value):
+    out = tmp_path / "sweep.csv"
+    res = run(CliRunner(), ["sweep", "--family", family, "--values", value,
+                            "-o", str(out)])
+    assert res.exit_code == 0
+    with out.open() as f:
+        [row] = csv.DictReader(f)
+    assert row["family"] == family and row["verdict"] == "ok"
+
+
 def test_power_witness(tmp_path):
     runner = CliRunner()
     grf = tmp_path / "star.gr"
@@ -82,15 +147,16 @@ def test_power_witness(tmp_path):
 def test_power_refuses_a_false_degree_bound(tmp_path, monkeypatch):
     grf = tmp_path / "p4.gr"
     grf.write_text("p tw 4 3\n1 2\n2 3\n3 4\n")
-    # in P_4 squared, vertices 2 and 3 (ids 1 and 2) have 3 neighbors
+    # r = 1 claims that no vertex of G^2 has a neighbor; in P_4 squared
+    # vertex 0 (id 1 in the file) has 2
     monkeypatch.setattr(gridlab.graph, "power_clique_or_bound",
                         lambda g, k, r: BoundReport(k=k, r=r, parity="even",
-                                                    degree_bound=3,
+                                                    degree_bound=r ** 4,
                                                     center=0))
     res = run(CliRunner(), ["power", str(grf), "--k", "2",
                             "--witness-r", "1"])
     assert_one_error_line(res, 1)
-    assert "vertex 1 has 3 >= 3" in res.stderr
+    assert "vertex 0 has 2 >= 1" in res.stderr
 
 
 def test_grid_minor_and_transfer(tmp_path):

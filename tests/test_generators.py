@@ -132,3 +132,23 @@ def test_generated_instances_are_pinned():
     }
     for (nations, seed), digest in maps.items():
         assert _emb_sha256(*random_canonical_map(nations, seed)) == digest
+    wheels = {
+        1: "42d52a1127aaf62c216c7bb08b6353687fe04e4a0dd1ccf3088bcda079eb1538",
+        2: "49d17568eee9951e4e5bcea957894e2481777e8caad628f5a016c939c477f7df",
+        3: "73bbdabe03b70ff1c98f99cc00852bd0b1bccff5fbee007824b31c3efa737dd9",
+        4: "9ded2379e019adb2f11dc534b0ec2819c91ef6a31f1ed2d908643768b4fd31c1",
+    }
+    for r, digest in wheels.items():
+        assert _emb_sha256(*wheel_map(r)) == digest
+    grid_maps = {
+        (1, 1):
+            "4cccdf48b3e29d889d0d1c5abf1c53bcf17702b1a2815841f1bb340317e06d2e",
+        (1, 3):
+            "8d4dab017f46dd1325e10a3c5210bfe676b09320d610d3eb0f6c87b4f9aec457",
+        (3, 4):
+            "25fb59601bb4083cc8c3c4ab9302df47aeff9a5f2d043639187af461c0535d0b",
+        (12, 12):
+            "950f2f2d9b386c5d8994463c60d5800a910efed0bc32df3a062d6a85b3cda9db",
+    }
+    for (rows, cols), digest in grid_maps.items():
+        assert _emb_sha256(*grid_map(rows, cols)) == digest

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 
@@ -10,7 +11,9 @@ from gridlab.graph import (Bipartition, BoundReport, CliqueWitness,
                            SimpleGraph, _bfs_parents, k_neighborhood,
                            power_clique_or_bound, power_graph)
 
-from oracles import all_pairs_distances, half_square, power_max_degree
+from oracles import (all_pairs_distances, first_far_pair,
+                     first_power_degree_at_least, half_square,
+                     power_max_degree)
 
 
 def test_simple_graph_rejects_loops_and_range():
@@ -226,12 +229,39 @@ def test_bound_report_verify():
     p = SimpleGraph.path(100)
     for k in (4, 5):
         assert power_clique_or_bound(p, k, 4).verify(p) is None
-    # in P_100 squared, vertex 2 is the first with 4 neighbors
-    false_claim = BoundReport(k=2, r=1, parity="even", degree_bound=4,
+    # r = 1 claims that no vertex of G^2 has a neighbor; with 0 and 1
+    # isolated, vertex 2 is the first with one
+    false_claim = BoundReport(k=2, r=1, parity="even", degree_bound=1,
                               center=0)
-    assert false_claim.verify(p) == 2
-    assert BoundReport(k=2, r=2, parity="even", degree_bound=5,
-                       center=0).verify(p) is None
+    assert false_claim.verify(SimpleGraph(4, [(2, 3)])) == 2
+    # r = 2 claims degree < 16 in G^2: K_{1,15} squared is K_16, and
+    # K_{1,16} squared is K_17
+    claim = BoundReport(k=2, r=2, parity="even", degree_bound=16, center=0)
+    assert claim.verify(p) is None
+    assert claim.verify(SimpleGraph.star(15)) is None
+    assert claim.verify(SimpleGraph.star(16)) == 0
+
+
+@pytest.mark.parametrize("fields", [
+    dict(k=2, r=1, parity="odd", degree_bound=10 ** 9, center=99),
+    dict(k=2, r=1, parity="even", degree_bound=4, center=0),
+    dict(k=3, r=2, parity="odd", degree_bound=16, center=0),
+    dict(k=3, r=2, parity="even", degree_bound=64, center=0),
+    dict(k=0, r=1, parity="even", degree_bound=1, center=0),
+    dict(k=2, r=0, parity="even", degree_bound=0, center=0),
+    dict(k=True, r=1, parity="odd", degree_bound=1, center=0),
+    dict(k=2.0, r=1, parity="even", degree_bound=1, center=0),
+    dict(k=2, r=1, parity="even", degree_bound=1, center="0"),
+])
+def test_bound_report_rejects_a_self_contradicting_claim(fields):
+    with pytest.raises(ValueError):
+        BoundReport(**fields)
+
+
+@pytest.mark.parametrize("bound", [1.9, True, "2", None])
+def test_clique_witness_takes_only_an_int_bound(bound):
+    with pytest.raises(ValueError):
+        CliqueWitness({0, 1}, bound)
 
 
 def test_power_clique_or_bound_random_sound():
@@ -271,3 +301,102 @@ def test_power_clique_or_bound_results_are_pinned():
     assert hashlib.sha256(repr(got).encode()).hexdigest() == (
         "6807cf50ab8996d19e999583444fbc284d526b6920464cf1de01caa5485e910a")
 
+
+@functools.lru_cache(maxsize=None)
+def _power_certificates():
+    """(graph, certificate) pairs that verify: what power_clique_or_bound
+    returns on random graphs, a path, a cycle and a star."""
+    graphs = [random_graph(6 + seed % 10, seed, 0.1 + 0.05 * (seed % 4))
+              for seed in range(30)]
+    graphs += [SimpleGraph.path(15), SimpleGraph.cycle(12),
+               SimpleGraph.star(12)]
+    cases = []
+    for g in graphs:
+        for k in (1, 2, 3, 4):
+            for r in (1, 2):
+                try:
+                    out = power_clique_or_bound(g, k, r)
+                except ValueError:  # k = 1 past the second stage
+                    continue
+                assert out.verify(g) is None
+                cases.append((g, out))
+    return cases
+
+
+def _claim(k, r, center):
+    odd = k % 2 == 1
+    return BoundReport(k=k, r=r, parity="odd" if odd else "even",
+                       degree_bound=r ** (6 if odd else 4), center=center)
+
+
+def _mutated_certificate(g, cert, rng):
+    """(g, cert) after one change.  A clique witness gains a vertex of g
+    or one outside it, loses a vertex, or has its bound lowered.  A
+    degree bound is claimed for k + 1 or r - 1, or g gains an edge or a
+    vertex with 12 or 16 new leaves."""
+    kind = rng.randrange(4)
+    if isinstance(cert, CliqueWitness):
+        verts = set(cert.vertices)
+        bound = cert.pairwise_distance_bound
+        if kind == 0 and g.n:
+            verts.add(rng.randrange(g.n))
+        elif kind == 1:
+            verts.add(rng.choice([-3, -1, g.n, g.n + 2]))
+        elif kind == 2 and len(verts) > 1:
+            verts.discard(rng.choice(sorted(verts)))
+        else:
+            bound = max(bound - 1, 0)
+        return g, CliqueWitness(verts, bound)
+    k, r = cert.k, cert.r
+    if kind == 0:
+        k += 1
+    elif kind == 1:
+        r = max(r - 1, 1)
+    elif kind == 2:
+        missing = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                   if (u, v) not in g.edges]
+        if missing:
+            g = SimpleGraph(g.n, g.edges | {rng.choice(missing)})
+    else:
+        hub = g.n
+        leaves = rng.choice([12, 16])
+        g = SimpleGraph(hub + 1 + leaves, g.edges
+                        | {(rng.randrange(hub), hub)}
+                        | {(hub, hub + 1 + i) for i in range(leaves)})
+    return g, _claim(k, r, cert.center)
+
+
+def _certificate_against_oracle(which, seeds):
+    """Check verify on a certificate after the mutations against the
+    distance-matrix oracles; returns the certificate's kind and what was
+    found wrong, if anything."""
+    g, cert = _power_certificates()[which]
+    for seed in seeds:
+        g, cert = _mutated_certificate(g, cert, random.Random(seed))
+    got = cert.verify(g)
+    if isinstance(cert, BoundReport):
+        assert got == first_power_degree_at_least(g, cert.k,
+                                                   cert.degree_bound)
+        return "bound", None if got is None else "degree"
+    assert got == first_far_pair(cert.vertices, cert.pairwise_distance_bound,
+                                 g)
+    if got is None:
+        return "clique", None
+    return "clique", "far" if 0 <= min(got) <= max(got) < g.n else "outside"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 16),
+       st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3))
+def test_power_certificates_match_distance_oracles(which, seeds):
+    _certificate_against_oracle(which % len(_power_certificates()), seeds)
+
+
+def test_power_certificate_mutations_reach_every_outcome():
+    rng = random.Random(13)
+    found = {_certificate_against_oracle(
+        which, [rng.randrange(2 ** 32) for _ in range(rng.randint(1, 3))])
+        for which in range(len(_power_certificates())) for _ in range(3)}
+    assert found == {("clique", None), ("clique", "far"),
+                     ("clique", "outside"), ("bound", None),
+                     ("bound", "degree")}

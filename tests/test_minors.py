@@ -289,6 +289,32 @@ def _coarsened_transfer_instance(size):
     return e, fl, ContractionSequence(seq.host, ops), q // 2
 
 
+def _moved(k, old, new):
+    """Edges of the k x k grid with edge `old` replaced by `new`."""
+    return (grid(k, k).edges - {old}) | {new}
+
+
+# the 3 x 3 grid wrapped into a torus: every vertex has degree 4
+TORUS = {(min(a, b), max(a, b)) for v in range(9)
+         for a, b in ((v, v // 3 * 3 + (v + 1) % 3), (v, (v + 3) % 9))}
+
+
+@pytest.mark.parametrize("verts, edges, message", [
+    (range(5), SimpleGraph.path(5).edges, "5 vertices is not a square"),
+    ({0}, {(0, 1)}, "1x1 grid cannot have edges"),
+    (range(9), TORUS, "no degree-2 corner"),
+    (range(9), SimpleGraph.cycle(4).edges
+     | {(4 + i, 4 + (i + 1) % 5) for i in range(5)}, "disconnected"),
+    (range(9), _moved(3, (0, 1), (0, 6)), "no corner at distance k-1"),
+    (range(4), _moved(2, (0, 1), (0, 3)), "wrong parity"),
+    (range(9), _moved(3, (0, 1), (0, 5)), "do not fill"),
+    (range(4), grid(2, 2).edges - {(0, 1)}, "edge set is not"),
+])
+def test_assign_grid_coords_rejects_non_grids(verts, edges, message):
+    with pytest.raises(ConstructionError, match=message):
+        _assign_grid_coords(set(verts), set(edges))
+
+
 def test_transfer_contraction_heavy_instance():
     e, fl, seq2, side = _coarsened_transfer_instance(36)
     v2, e2, _ = seq2.replay()
