@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import (ConstructionError, FormatError, SizeLimitError,
                      _int_token, _raises_format_error)
-from .graph import _bfs_parents, k_neighborhood, power_graph
+from .graph import _bfs_parents, _power_with_balls
 
 TREEWIDTH_EXACT_LIMIT = 20  # documented desk-scale limit
 
@@ -61,38 +61,59 @@ class TreeDecomposition:
         if len(self.tree_edges) != max(b - 1, 0):
             return Violation("tree", None,
                              f"{len(self.tree_edges)} edges on {b} nodes")
-        if b and len(_bfs_parents(nb, 0)) != b:
+        parent = _bfs_parents(nb, 0) if b else {}
+        if len(parent) != b:
             return Violation("tree", None, "tree is disconnected")
-        # T1
-        covered = set().union(*self.bags) if self.bags else set()
-        for v in range(g.n):
-            if v not in covered:
-                return Violation("T1", v, f"vertex {v} in no bag")
-        outside = [v for v in covered if not 0 <= v < g.n]
-        if outside:
-            v = min(outside)
+        # walking T from node 0, node i adds the vertices of its bag that
+        # its parent's bag lacks: each vertex once per component of the
+        # nodes holding it, at that component's top node (nearest node 0)
+        bags = self.bags
+        top = {}  # vertex -> bag of a top node (its only one under T3)
+        added = 0
+        for i, p in parent.items():
+            new = bags[i] if p is None else bags[i] - bags[p]
+            added += len(new)
+            top.update(dict.fromkeys(new, bags[i]))
+        # T1: the vertices added are the bag vertices
+        covered = top.keys()
+        if covered != set(range(g.n)):
+            for v in range(g.n):
+                if v not in covered:
+                    return Violation("T1", v, f"vertex {v} in no bag")
+            v = min(v for v in covered if not 0 <= v < g.n)
             return Violation("T1", v, f"bag vertex {v} not in graph")
-        # vertex -> indices of the bags holding it; every bag vertex is
-        # in range(g.n) now
+        # T3: every vertex is added at least once, so its nodes form one
+        # subtree each iff exactly n are added
+        if added != g.n:
+            return self._first_violation(g)
+        # T2: the bags of u and of v are subtrees, and two subtrees meet
+        # iff the top node of one lies in the other
+        uncovered = [(u, v) for u, v in g.edges
+                     if v not in top[u] and u not in top[v]]
+        if uncovered:
+            e = min(uncovered)
+            return Violation("T2", e, f"edge {e} in no bag")
+        return None
+
+    def _first_violation(self, g):
+        """T2 or T3 violation of a tree that meets T1 but not T3."""
+        # vertex -> indices of the bags holding it
         where = [set() for _ in range(g.n)]
         for i, bag in enumerate(self.bags):
             for v in bag:
                 where[v].add(i)
-        # T2
         for u, v in sorted(g.edges):
             if where[u].isdisjoint(where[v]):
                 return Violation("T2", (u, v), f"edge {(u, v)} in no bag")
-        # T3: T is a tree, so the bags of v induce a subtree iff the tree
-        # edges joining two of them number one fewer than the bags
         inside = [0] * g.n
         for a, c in self.tree_edges:
             for v in self.bags[a] & self.bags[c]:
                 inside[v] += 1
-        for v in range(g.n):
-            if inside[v] != len(where[v]) - 1:
-                return Violation(
-                    "T3", v, f"bags of vertex {v} are not connected in T")
-        return None
+        # T is a tree, so the bags of v form a subtree iff the tree edges
+        # joining two of them number one fewer than the bags; more than n
+        # vertices were added, so some v fails this
+        v = min(v for v in range(g.n) if inside[v] != len(where[v]) - 1)
+        return Violation("T3", v, f"bags of vertex {v} are not connected in T")
 
     def __eq__(self, other):
         if not isinstance(other, TreeDecomposition):
@@ -199,10 +220,9 @@ def lift_power(td, g, k):
     """Turn a decomposition of g into one of g^k by replacing each vertex
     occurrence with its whole radius-k neighborhood."""
     _require_valid(td, g, "base graph")
-    gk = power_graph(g, k)
     # every vertex lies in some bag (T1), so each ball is needed
-    balls = [k_neighborhood(g, v, k) for v in range(g.n)]
-    bags = [set().union(*(balls[v] for v in bag)) for bag in td.bags]
+    gk, balls = _power_with_balls(g, k)
+    bags = [set().union(*map(balls.__getitem__, bag)) for bag in td.bags]
     return _checked(TreeDecomposition(bags, td.tree_edges), gk,
                     "lift_power")
 
@@ -249,14 +269,17 @@ def vertex_cover_dp(g, td):
                 if key not in best or csize < best[key][0]:
                     best[key] = (csize, cmask)
             joins.append((sum(bit for _, bit in shared), best))
+        # the bag's independent sets in increasing order (each round adds
+        # masks above all earlier ones); their complements, taken in
+        # reverse, are the bag's covers in increasing order
+        free = [0]
+        for i, nb_mask in enumerate(local_nb):
+            free += [s | 1 << i for s in free if not s & nb_mask]
         full = (1 << len(verts)) - 1
         table = {}
         picks = {}
-        for mask in range(full + 1):
-            left_out = full & ~mask
-            if any(left_out >> i & 1 and local_nb[i] & left_out
-                   for i in range(len(verts))):
-                continue
+        for s in reversed(free):
+            mask = full ^ s
             total = mask.bit_count()
             pick = []
             for shared_mask, best in joins:
@@ -300,8 +323,11 @@ def td_dumps(td, n):
     """Serialize to PACE .td text; n is the carrier vertex count."""
     lines = [f"s td {len(td.bags)} {max((len(b) for b in td.bags), default=0)}"
              f" {n}"]
+    # keyed by the bags' own vertices, so ids outside range(n) keep
+    # their names
+    name = {v: str(v + 1) for v in set().union(*td.bags)}
     for i, bag in enumerate(td.bags):
-        body = " ".join(str(v + 1) for v in sorted(bag))
+        body = " ".join(map(name.__getitem__, sorted(bag)))
         lines.append(f"b {i + 1} {body}".rstrip())
     for a, b in td.tree_edges:
         lines.append(f"{a + 1} {b + 1}")

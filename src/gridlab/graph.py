@@ -221,13 +221,19 @@ class BoundReport:
 
 def power_graph(g, k):
     """k-th power: same vertices, edge iff 1 <= dist_G(u,v) <= k."""
-    if k < 1:
-        raise ValueError("power exponent k must be >= 1")
     if k == 1:
         return g
-    edges = [(u, v) for u in range(g.n) for v in k_neighborhood(g, u, k)
-             if v > u]
-    return SimpleGraph(g.n, edges)
+    return _power_with_balls(g, k)[0]
+
+
+def _power_with_balls(g, k):
+    """(g^k, the radius-k ball of every vertex of g), each ball
+    computed once."""
+    if k < 1:
+        raise ValueError("power exponent k must be >= 1")
+    balls = [k_neighborhood(g, v, k) for v in range(g.n)]
+    edges = [(u, v) for u in range(g.n) for v in balls[u] if v > u]
+    return SimpleGraph(g.n, edges), balls
 
 
 def k_neighborhood(g, v, k):

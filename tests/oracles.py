@@ -198,16 +198,27 @@ def first_decomposition_violation(bags, tree_edges, g):
         nbrs[x].add(y)
         nbrs[y].add(x)
 
+    # the tree rooted at node 0: the parent and depth of every node
+    parent = {0: None} if b else {}
+    depth = {0: 0}
+    stack = list(parent)
+    while stack:
+        z = stack.pop()
+        for w in nbrs[z]:
+            if w not in parent:
+                parent[w], depth[w] = z, depth[z] + 1
+                stack.append(w)
+
     def path(x, y):
-        # depth-first search from x, keeping the path to the current node
-        stack = [(x, [x])]
-        while stack:
-            z, walk = stack.pop()
-            if z == y:
-                return walk
-            stack += [(w, walk + [w]) for w in nbrs[z]
-                      if len(walk) < 2 or w != walk[-2]]
-        raise AssertionError("unreachable")
+        # the nodes met while climbing from the deeper end until both
+        # ends meet
+        walk = [x, y]
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            x = parent[x]
+            walk.append(x)
+        return walk
 
     for v in range(g.n):
         nodes = [i for i, bag in enumerate(bags) if v in bag]

@@ -21,6 +21,10 @@ from oracles import (all_pairs_distances, first_decomposition_violation,
                      treewidth_brute, vertex_cover_brute)
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_validate_accepts_path_decomposition():
     g = SimpleGraph.path(4)
     td = TreeDecomposition([{0, 1}, {1, 2}, {2, 3}], [(0, 1), (1, 2)])
@@ -171,8 +175,77 @@ def test_decomposition_mutations_reach_every_condition():
     assert found == {None, "tree", "T1", "T2", "T3"}
 
 
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
+def _large_lifts():
+    """(graph, decomposition) pairs with large bags: G^2 lifts of
+    partially triangulated grids and radial-to-map lifts of random
+    maps."""
+    for side in range(6, 13):
+        g = partially_triangulated_grid(side, side, side)
+        yield power_graph(g, 2), lift_power(treewidth_upper(g)[1], g, 2)
+    for nations in range(30, 81, 10):
+        e, fl = random_canonical_map(nations, nations)
+        r, _ = radial_graph(e, fl)
+        yield (map_graph(e, fl),
+               lift_radial_to_map(treewidth_upper(r)[1], e, fl))
+
+
+def _mutated_tree(td, g, rng):
+    """td with one vertex dropped from an interior bag, one endpoint of
+    a least-shared edge dropped from every bag holding both ends, or a
+    leaf bag hung from another node."""
+    bags = [set(bag) for bag in td.bags]
+    edges = list(td.tree_edges)
+    degree = [0] * len(bags)
+    for a, c in edges:
+        degree[a] += 1
+        degree[c] += 1
+    kind = rng.randrange(3)
+    if kind == 0:
+        bag = bags[rng.choice([x for x, d in enumerate(degree) if d > 1])]
+        bag.discard(rng.choice(sorted(bag)))
+    elif kind == 1:
+        shared = {e: [bag for bag in bags if e[0] in bag and e[1] in bag]
+                  for e in sorted(g.edges)}
+        fewest = min(map(len, shared.values()))
+        edge = rng.choice([e for e, held in shared.items()
+                           if len(held) == fewest])
+        w = rng.choice(edge)
+        for bag in shared[edge]:
+            bag.discard(w)
+    else:
+        x = rng.choice([x for x, d in enumerate(degree) if d == 1])
+        i = next(i for i, e in enumerate(edges) if x in e)
+        edges[i] = (x, rng.choice([y for y in range(len(bags))
+                                   if y not in edges[i]]))
+    return TreeDecomposition(bags, edges)
+
+
+def test_validate_matches_definition_oracle_on_large_lifts():
+    found = set()
+    for which, (g, td) in enumerate(_large_lifts()):
+        assert td.validate(g) is None
+        td = _mutated_tree(td, g, random.Random(which))
+        got = td.validate(g)
+        expect = first_decomposition_violation(td.bags, td.tree_edges, g)
+        assert (got and (got.condition, got.witness)) == expect
+        found.add(expect and expect[0])
+    assert {"T2", "T3"} <= found
+
+
+def test_validate_reports_t3_when_an_edge_meets_one_piece():
+    # a path of bags 0-1-2-3 in which the bags of vertex 1 form two
+    # pieces, and edge (0, 1) lies in only one of them: in the lower
+    # piece (bag 3, vertex 0's top node is bag 2), or in the upper one
+    # (bag 1, vertex 0's top node is bag 0).  The edge is covered, so the
+    # violation is T3 at vertex 1, not T2, whichever piece's top node a
+    # top-node test would take for vertex 1.
+    g = SimpleGraph(2, [(0, 1)])
+    for bags in ([{1}, set(), {0}, {0, 1}], [{0}, {0, 1}, set(), {1}]):
+        td = TreeDecomposition(bags, [(0, 1), (1, 2), (2, 3)])
+        expect = first_decomposition_violation(td.bags, td.tree_edges, g)
+        assert expect == ("T3", 1)
+        v = td.validate(g)
+        assert (v.condition, v.witness) == expect
 
 
 def test_lifted_decompositions_and_covers_are_pinned():
@@ -244,6 +317,31 @@ def test_lift_power():
                 for bag in td.bags]
 
 
+def test_lift_power_refuses_k_below_one():
+    g = SimpleGraph.path(4)
+    _, td = treewidth_exact(g)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            lift_power(td, g, k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            power_graph(g, k)
+
+
+def test_lift_power_validates_against_the_distance_power():
+    graphs = [random_graph(n, seed, 0.15) for n, seed in
+              zip(range(12, 30, 3), range(6))]
+    graphs += [partially_triangulated_grid(5, 6, seed) for seed in range(2)]
+    for g in graphs:
+        _, td = treewidth_upper(g)
+        dist = all_pairs_distances(g)
+        for k in (1, 2, 3):
+            gk = power_graph(g, k)
+            assert gk.edges == {
+                (u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                if dist[u][v] is not None and dist[u][v] <= k}
+            assert lift_power(td, g, k).validate(gk) is None
+
+
 def test_vertex_cover_dp_matches_brute():
     for seed in range(10):
         g = random_graph(9, seed, 0.35)
@@ -259,3 +357,45 @@ def test_vertex_cover_known():
     assert vertex_cover_dp(grid(3, 4), td)[0] == 6
     _, td = treewidth_exact(SimpleGraph.star(5))
     assert vertex_cover_dp(SimpleGraph.star(5), td) == (1, {0})
+
+
+def test_vertex_cover_ties_are_pinned():
+    # the DP keeps the first cover of least size in increasing mask
+    # order; a change of that order changes which optimum comes back
+    graphs = [random_graph(6 + seed % 11, seed, 0.2 + 0.05 * (seed % 5))
+              for seed in range(150)]
+    graphs += [radial_graph(*random_canonical_map(2 + seed % 6, seed))[0]
+               for seed in range(50)]
+    results = []
+    for g in graphs:
+        size, cover = vertex_cover_dp(g, treewidth_upper(g)[1])
+        results.append((size, sorted(cover)))
+    assert _sha256(repr(results)) == (
+        "8a969eb7fcee6caf7ad22631b43967038e1d2d2e31d434ccadbdac07b21d9bfc")
+
+
+def test_vertex_cover_dp_on_bipartite_bags_matches_brute():
+    # bipartite graphs have many independent sets per bag, so many
+    # covers per bag reach the join
+    checked = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        left = rng.randint(5, 7)
+        g = SimpleGraph(14, [(u, v) for u in range(left)
+                             for v in range(left, 14) if rng.random() < 0.6])
+        order = list(range(g.n))
+        rng.shuffle(order)
+        td = decomposition_from_order(g, order)
+        if not 7 <= td.width + 1 <= 9:
+            continue
+        size, cover = vertex_cover_dp(g, td)
+        assert size == vertex_cover_brute(g)[0]
+        checked += 1
+    assert checked >= 20
+
+
+def test_td_dumps_names_bag_vertices_outside_the_carrier():
+    # recorded before td_dumps kept a name table: -1 is written as 0
+    # and 5 as 6, though the carrier has 3 vertices
+    td = TreeDecomposition([{-1, 5}, {0}], [(0, 1)])
+    assert td_dumps(td, 3) == "s td 2 2 3\nb 1 0 6\nb 2 1\n1 2\n"
