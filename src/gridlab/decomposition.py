@@ -15,9 +15,11 @@ TREEWIDTH_EXACT_LIMIT = 20  # documented desk-scale limit
 
 @dataclass(frozen=True)
 class Violation:
-    """First failed tree-decomposition condition plus a witness."""
+    """First failed condition of a certificate plus a witness: "tree",
+    "T1", "T2" or "T3" for a tree decomposition, "coverage",
+    "disjoint", "connected" or "witness" for a minor model."""
 
-    condition: str  # "tree", "T1", "T2" or "T3"
+    condition: str
     witness: object
     message: str
 

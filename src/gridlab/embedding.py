@@ -10,7 +10,7 @@ outputs always collapse duplicates and drop loops.
 from __future__ import annotations
 
 from .errors import (ConstructionError, FormatError, GridlabError,
-                     _raises_format_error)
+                     _int_token, _raises_format_error)
 from .graph import Bipartition, SimpleGraph, _bfs_parents
 
 
@@ -152,13 +152,11 @@ class EmbeddedGraph:
 
     def incident_nations(self, fl):
         """vertex -> set of nation indices whose face touches it."""
+        fl.check(self)
         out = [set() for _ in range(self.num_vertices)]
-        nation_of = fl.nation_of
-        vertex_of = self.vertex_of
-        for d, f in enumerate(self.face_of):
-            i = nation_of.get(f)
+        for v, i in zip(self.vertex_of, fl.dart_nation):
             if i is not None:
-                out[vertex_of[d]].add(i)
+                out[v].add(i)
         return out
 
     def __eq__(self, other):
@@ -173,35 +171,42 @@ class EmbeddedGraph:
 
 
 class FaceLabeling:
-    """Partition of an embedding's faces into nations and lakes.
+    """The nations of embedding e, given as face ids; every other face
+    of e is a lake.
 
     `nations` is an ordered tuple: nation i of every derived graph
     (dual, map, radial) is nations[i].  Order is preserved by
     canonicalize, which is what map-graph identity tests rely on.
-    `fl.nation_of` is the face -> nation index dict
-    `{f: i for i, f in enumerate(fl.nations)}`, built once here so that
-    no consumer rebuilds it.
+    `lakes` is the frozenset of the other faces, and `dart_nation[d]`
+    is the nation index of dart d's face, or None on a lake; both are
+    derived once here, so that no consumer looks up a face again.
     """
 
-    __slots__ = ("nations", "lakes", "nation_of")
+    __slots__ = ("nations", "lakes", "dart_nation", "_shape")
 
-    def __init__(self, nations, lakes):
+    def __init__(self, e, nations):
         nations = tuple(nations)
-        if len(set(nations)) != len(nations):
-            raise ValueError("duplicate nation face id")
         if not nations:
             raise ValueError("at least one nation is required")
-        lakes = frozenset(lakes)
-        if lakes & set(nations):
-            raise ValueError("a face cannot be both nation and lake")
+        num_faces = len(e.faces)
+        index = [None] * num_faces
+        for i, f in enumerate(nations):
+            if type(f) is not int or not 0 <= f < num_faces:
+                raise ValueError(f"nation {f!r} is not a face of an "
+                                 f"embedding with {num_faces} faces")
+            if index[f] is not None:
+                raise ValueError(f"duplicate nation face id {f}")
+            index[f] = i
         self.nations = nations
-        self.lakes = lakes
-        self.nation_of = {f: i for i, f in enumerate(nations)}
+        self.lakes = frozenset(f for f, i in enumerate(index) if i is None)
+        self.dart_nation = tuple(index[f] for f in e.face_of)
+        self._shape = (len(e.twin), num_faces)
 
     def check(self, e):
-        all_faces = set(range(len(e.faces)))
-        if set(self.nations) | self.lakes != all_faces:
-            raise ValueError("nations and lakes do not cover all faces")
+        """Refuse an embedding whose dart or face count differs from
+        the one this labeling was built for."""
+        if (len(e.twin), len(e.faces)) != self._shape:
+            raise ValueError("face labeling of another embedding")
 
     def __eq__(self, other):
         if not isinstance(other, FaceLabeling):
@@ -215,18 +220,16 @@ class FaceLabeling:
 
 def all_nations(e):
     """FaceLabeling marking every face a nation (the no-lakes setting)."""
-    return FaceLabeling(range(len(e.faces)), ())
+    return FaceLabeling(e, range(len(e.faces)))
 
 
 def dual_graph(e, fl):
     """Modified dual on nations: edge iff two nations share a primal edge."""
     fl.check(e)
     edges = set()
-    face_of = e.face_of
-    nation_of = fl.nation_of
+    dart_nation = fl.dart_nation
     for d, t in enumerate(e.twin):
-        a = nation_of.get(face_of[d])
-        b = nation_of.get(face_of[t])
+        a, b = dart_nation[d], dart_nation[t]
         if a is not None and b is not None and a != b:
             edges.add((min(a, b), max(a, b)))
     return SimpleGraph(len(fl.nations), edges)
@@ -234,7 +237,6 @@ def dual_graph(e, fl):
 
 def map_graph(e, fl):
     """Map graph on nations: edge iff two nations share a primal vertex."""
-    fl.check(e)
     edges = set()
     for touching in e.incident_nations(fl):
         touching = sorted(touching)
@@ -250,7 +252,6 @@ def radial_graph(e, fl):
     Vertices 0..n-1 are the embedded graph's vertices; n+i is nation i.
     Returns (graph, bipartition) with the graph vertices on the left.
     """
-    fl.check(e)
     n = e.num_vertices
     edges = set()
     for v, touching in enumerate(e.incident_nations(fl)):
@@ -286,7 +287,7 @@ class _MutableMap:
         self.rot = {v: e.vertex_darts(v) for v in range(e.num_vertices)}
         self.twin = dict(enumerate(e.twin))
         self.vertex_of = dict(enumerate(e.vertex_of))
-        self.label = {d: fl.nation_of.get(f) for d, f in enumerate(e.face_of)}
+        self.label = dict(enumerate(fl.dart_nation))
         self.next_dart = len(e.twin)
         self.next_vertex = e.num_vertices
 
@@ -352,20 +353,17 @@ class _MutableMap:
                 nxt[dmap[d]] = dmap[r[(i + 1) % len(r)]]
         e2 = EmbeddedGraph(twin, nxt, vertex_of)
         nation_face = {}
-        lakes = set()
         for f, walk in enumerate(e2.faces):
             labels = {self.label[dart_ids[d]] for d in walk}
             if len(labels) != 1:
                 raise GridlabError("inconsistent face labels after surgery")
             nation = labels.pop()
-            if nation is None:
-                lakes.add(f)
-            elif nation in nation_face:
+            if nation in nation_face:
                 raise GridlabError(f"nation {nation} split by surgery")
-            else:
+            if nation is not None:
                 nation_face[nation] = f
         nation_ids = tuple(sorted(nation_face))
-        fl2 = FaceLabeling([nation_face[i] for i in nation_ids], lakes)
+        fl2 = FaceLabeling(e2, [nation_face[i] for i in nation_ids])
         return e2, fl2, nation_ids
 
 
@@ -433,18 +431,17 @@ def is_canonical(e, fl):
     """All three canonical-map properties: no lake-lake edge, no vertex
     with two lake corners, no lake-only vertex."""
     fl.check(e)
-    lakes = fl.lakes
-    face_of = e.face_of
+    dart_nation = fl.dart_nation
     lake_vertices = set()
     # one pass over the corners checks the first two properties, and
     # they imply the third: every vertex owns a dart, so a lake-only
     # vertex has two lake corners or degree 1, and at a degree-1 vertex
     # the dart and its twin lie on the same face, so its lake corner is
     # a lake-lake edge
-    for d, f in enumerate(face_of):
-        if f in lakes:
+    for d, i in enumerate(dart_nation):
+        if i is None:
             v = e.vertex_of[d]
-            if face_of[e.twin[d]] in lakes or v in lake_vertices:
+            if dart_nation[e.twin[d]] is None or v in lake_vertices:
                 return False
             lake_vertices.add(v)
     return True
@@ -496,16 +493,15 @@ def emb_dumps(e, fl=None):
 @_raises_format_error
 def emb_loads(text):
     """Parse .emb text: (EmbeddedGraph, FaceLabeling or None)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("emb "):
-        raise FormatError("missing 'emb <n_darts>' header", 1)
-    try:
-        n_darts = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise FormatError("bad 'emb' header", 1)
+    lines = [(lineno, line.split())
+             for lineno, line in enumerate(text.splitlines(), start=1)
+             if line.strip()]
+    lineno, header = lines[0] if lines else (1, [])
+    if header[:1] != ["emb"] or len(header) != 2:
+        raise FormatError("expected an 'emb <n_darts>' header", lineno)
+    n_darts = _int_token(header[1], lineno)
     fields = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
+    for lineno, parts in lines[1:]:
         key = parts[0]
         if key not in ("twin", "next", "vertex_of", "nations"):
             raise FormatError(f"unknown field {key!r}", lineno)
@@ -525,9 +521,7 @@ def emb_loads(text):
     e = EmbeddedGraph(fields["twin"], fields["next"], fields["vertex_of"])
     fl = None
     if "nations" in fields:
-        nations = fields["nations"]
-        fl = FaceLabeling(nations, set(range(len(e.faces))) - set(nations))
-        fl.check(e)
+        fl = FaceLabeling(e, fields["nations"])
     return e, fl
 
 

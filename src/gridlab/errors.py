@@ -39,8 +39,10 @@ def _int_token(token, line, low=0):
     return value
 
 
-# what indexing, converting and building objects from malformed text raise
-_PARSE_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError)
+# what indexing, converting and building objects from malformed text
+# raise; json.loads raises RecursionError on deeply nested text
+_PARSE_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError,
+                 RecursionError)
 
 
 def _raises_format_error(loads):

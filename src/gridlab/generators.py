@@ -106,7 +106,7 @@ def wheel_map(r):
     if len(e.faces) != s + 1 or len(set(nations)) != s:
         raise ConstructionError(f"wheel_map: the {s}-spoke wheel has "
                                 f"{len(e.faces)} faces, expected {s + 1}")
-    return e, FaceLabeling(nations, set(range(s + 1)) - set(nations))
+    return e, FaceLabeling(e, nations)
 
 
 def grid_map(rows, cols):
@@ -138,8 +138,7 @@ def grid_map(rows, cols):
         raise ConstructionError(f"grid_map: the {rows}x{cols} grid "
                                 f"embedding has {len(e.faces)} faces, "
                                 f"expected {rows * cols + 1}")
-    return e, FaceLabeling(nations, set(range(rows * cols + 1))
-                           - set(nations))
+    return e, FaceLabeling(e, nations)
 
 
 def random_graph(n, seed, edge_prob=0.4):
@@ -217,9 +216,8 @@ def random_canonical_map(nations, seed):
         if num_faces < nations:
             continue
         tri = random_planar_triangulation(n_tri, rng.randrange(2 ** 30))
-        nation_faces = sorted(rng.sample(range(num_faces), nations))
-        lakes = set(range(num_faces)) - set(nation_faces)
-        fl = FaceLabeling(nation_faces, lakes)
+        fl = FaceLabeling(tri, sorted(rng.sample(range(num_faces),
+                                                 nations)))
         try:
             parts = canonicalize_components(tri, fl)
         except GridlabError:

@@ -7,7 +7,7 @@ Vertices are integers 0..n-1.  Edges are unordered pairs stored as
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import FormatError, _int_token, _raises_format_error
 
@@ -188,27 +188,24 @@ class BoundReport:
     """Outcome of power_clique_or_bound when no large clique was found.
 
     Claims max_degree(G^k) < degree_bound (r^4 for even k, r^6 for odd
-    k); `verify` checks the claim.
+    k); `parity` and `degree_bound` are derived from k and r.  `verify`
+    checks the claim.
     """
 
     k: int
     r: int
-    parity: str  # "even" or "odd"
-    degree_bound: int
     center: int
+    parity: str = field(init=False)  # "even" or "odd"
+    degree_bound: int = field(init=False)
 
     def __post_init__(self):
-        for x in (self.k, self.r, self.degree_bound, self.center):
+        for x in (self.k, self.r, self.center):
             _strict_int(x)
         if self.k < 1 or self.r < 1:
             raise ValueError("a degree bound needs k >= 1 and r >= 1")
-        parity = "odd" if self.k % 2 else "even"
-        bound = self.r ** (6 if self.k % 2 else 4)
-        if (self.parity, self.degree_bound) != (parity, bound):
-            raise ValueError(
-                f"k = {self.k}, r = {self.r} is the {parity} case with "
-                f"degree bound {bound}, not the {self.parity} case with "
-                f"{self.degree_bound}")
+        odd = self.k % 2 == 1
+        object.__setattr__(self, "parity", "odd" if odd else "even")
+        object.__setattr__(self, "degree_bound", self.r ** (6 if odd else 4))
 
     def verify(self, g):
         """None if every vertex has fewer than degree_bound neighbors in
@@ -337,8 +334,7 @@ def power_clique_or_bound(g, k, r):
         cls = _least_big_class(label, nk, target)
         if cls is not None:
             return CliqueWitness(cls, k)
-        return BoundReport(k=k, r=r, parity="even", degree_bound=r ** 4,
-                           center=v)
+        return BoundReport(k=k, r=r, center=v)
 
     # odd k: second stage over N_{k-1}, third over N_k
     # members within floor(k/2) of a common label: pairwise <= k-1
@@ -361,8 +357,7 @@ def power_clique_or_bound(g, k, r):
     if len(nk) - 1 >= r ** 6:
         raise ValueError(
             "case analysis exhausted but degree bound fails (k=1 only)")
-    return BoundReport(k=k, r=r, parity="odd", degree_bound=r ** 6,
-                       center=v)
+    return BoundReport(k=k, r=r, center=v)
 
 
 # ---------------------------------------------------------------------------

@@ -6,28 +6,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 from . import _json_writer
-from .decomposition import treewidth_exact
+from .decomposition import Violation, treewidth_exact
 from .embedding import (all_nations, dual_graph, is_canonical,
-                        radial_embedding, union_radial_dual)
+                        radial_embedding, radial_graph, union_radial_dual)
 from .errors import ConstructionError, SizeLimitError, _raises_format_error
 from .generators import grid, grid_map
 from .graph import SimpleGraph, _bfs_parents, _strict_int
 
 MINOR_PATTERN_LIMIT = 10   # documented desk-scale limits
 MINOR_HOST_LIMIT = 16
-
-
-@dataclass(frozen=True)
-class ModelViolation:
-    kind: str  # "coverage", "disjoint", "connected", "witness"
-    witness: object
-    message: str
-
-    def __str__(self):
-        return f"{self.kind}: {self.message}"
 
 
 class MinorModel:
@@ -58,18 +47,20 @@ class MinorModel:
 
 
 def verify_model(m):
-    """None when every MinorModel invariant holds, else a ModelViolation."""
+    """None when every MinorModel invariant holds, else a Violation
+    whose condition is "coverage", "disjoint", "connected" or
+    "witness"."""
     h, g = m.pattern, m.host
     for v in sorted(m.branch_sets):
         if not 0 <= v < h.n:
-            return ModelViolation("coverage", v,
-                                  f"branch set for {v}, which is not a "
-                                  f"pattern vertex")
+            return Violation("coverage", v,
+                             f"branch set for {v}, which is not a "
+                             f"pattern vertex")
     for key in sorted(m.edge_witness):
         if key not in h.edges:
-            return ModelViolation("witness", key,
-                                  f"witness for {key}, which is not a "
-                                  f"pattern edge")
+            return Violation("witness", key,
+                             f"witness for {key}, which is not a "
+                             f"pattern edge")
     # owner[x] is the least pattern vertex whose branch set holds x; the
     # least overlapping pair is the least (owner[x], v) with v another
     # owner of x, reported once coverage and connectivity hold for all
@@ -78,35 +69,35 @@ def verify_model(m):
     for v in range(h.n):
         s = m.branch_sets.get(v)
         if not s:
-            return ModelViolation("coverage", v,
-                                  f"pattern vertex {v} has no branch set")
+            return Violation("coverage", v,
+                             f"pattern vertex {v} has no branch set")
         for x in s:
             if not 0 <= x < g.n:
-                return ModelViolation("coverage", v,
-                                      f"branch vertex {x} not in host")
+                return Violation("coverage", v,
+                                 f"branch vertex {x} not in host")
             u = owner.setdefault(x, v)
             if u != v and (overlap is None or (u, v) < overlap):
                 overlap = (u, v)
         sub, _ = g.subgraph(s)
         if not sub.is_connected():
-            return ModelViolation("connected", v,
-                                  f"branch set of {v} is disconnected")
+            return Violation("connected", v,
+                             f"branch set of {v} is disconnected")
     if overlap is not None:
         u, v = overlap
-        return ModelViolation("disjoint", overlap,
-                              f"branch sets of {u} and {v} overlap")
+        return Violation("disjoint", overlap,
+                         f"branch sets of {u} and {v} overlap")
     for u, v in sorted(h.edges):
         w = m.edge_witness.get((u, v))
         if w is None:
-            return ModelViolation("witness", (u, v),
-                                  f"pattern edge {(u, v)} has no witness")
+            return Violation("witness", (u, v),
+                             f"pattern edge {(u, v)} has no witness")
         a, b = w
         if not g.has_edge(a, b):
-            return ModelViolation("witness", (u, v),
-                                  f"witness {(a, b)} is not a host edge")
+            return Violation("witness", (u, v),
+                             f"witness {(a, b)} is not a host edge")
         bu, bv = m.branch_sets[u], m.branch_sets[v]
         if not ((a in bu and b in bv) or (a in bv and b in bu)):
-            return ModelViolation(
+            return Violation(
                 "witness", (u, v),
                 f"witness {(a, b)} does not join the two branch sets")
     return None
@@ -399,7 +390,7 @@ def _nation_fan(e, fl, u, a, b, acceptable):
     lake corner, and no fan passes through it.
     """
     # None marks the lake corner
-    corners = [fl.nation_of.get(e.face_of[d]) for d in e.vertex_darts(u)]
+    corners = [fl.dart_nation[d] for d in e.vertex_darts(u)]
     if corners.count(None) > 1:
         raise ConstructionError(f"vertex {u} has several lake corners; "
                                 f"map is not canonical")
@@ -696,8 +687,9 @@ def double_radial_minor(e):
     if not _is_two_connected(g):
         raise ConstructionError("graph is not 2-connected")
     r1 = radial_embedding(e)
-    r2 = radial_embedding(r1)
-    host = r2.simple_graph()
+    # nation f of all_nations(r1) is face f, so the host's vertex n1 + f
+    # is the diamond vertex of face f
+    host, _ = radial_graph(r1, all_nations(r1))
     n = e.num_vertices
     n1 = r1.num_vertices
     branch = {v: {v} for v in range(g.n)}

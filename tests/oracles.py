@@ -1,9 +1,13 @@
 """Independent brute-force oracles used to pin down expected values.
 
-Deliberately naive: these share no code with the package internals.
+Deliberately naive: these share no code with the package internals,
+except `double_radial_host`, which keeps the construction of R(R(G))
+as a second embedding for reference.
 """
 
 import itertools
+
+from gridlab.embedding import radial_embedding
 
 
 def all_pairs_distances(g):
@@ -95,13 +99,13 @@ def first_far_pair(vertices, bound, g):
     return min(far, default=None)
 
 
-def is_canonical_per_vertex(e, fl):
-    """The three canonical-map properties checked one vertex at a time,
-    with each vertex's darts and the faces found by scanning all darts."""
-    d_count = len(e.twin)
+def face_of_by_walks(e):
+    """dart -> face id, the faces found by walking d -> nxt[twin[d]]
+    from every dart and numbered by their smallest dart, as in
+    EmbeddedGraph.faces."""
     walks = []
     seen = set()
-    for start in range(d_count):
+    for start in range(len(e.twin)):
         if start not in seen:
             walk = []
             cur = start
@@ -110,10 +114,16 @@ def is_canonical_per_vertex(e, fl):
                 walk.append(cur)
                 cur = e.nxt[e.twin[cur]]
             walks.append(walk)
-    # faces are numbered by their smallest dart, as in EmbeddedGraph.faces
     walks.sort(key=min)
-    face_of = {d: f for f, walk in enumerate(walks) for d in walk}
-    if set(fl.nations) | fl.lakes != set(range(len(walks))):
+    return {d: f for f, walk in enumerate(walks) for d in walk}
+
+
+def is_canonical_per_vertex(e, fl):
+    """The three canonical-map properties checked one vertex at a time,
+    with each vertex's darts and the faces found by scanning all darts."""
+    d_count = len(e.twin)
+    face_of = face_of_by_walks(e)
+    if set(fl.nations) | fl.lakes != set(face_of.values()):
         raise ValueError("nations and lakes do not cover all faces")
     on_lake = [face_of[d] in fl.lakes for d in range(d_count)]
     if any(on_lake[d] and on_lake[e.twin[d]] for d in range(d_count)):
@@ -372,3 +382,9 @@ def contraction_ops(m):
     kept = {tuple(sorted((min(m.branch_sets[u]), min(m.branch_sets[v]))))
             for u, v in m.pattern.edges}
     return ops + [("delete_edge", u, v) for u, v in sorted(edges - kept)]
+
+
+def double_radial_host(e):
+    """R(R(G)) as the simple graph of the radial embedding of the radial
+    embedding of e."""
+    return radial_embedding(radial_embedding(e)).simple_graph()

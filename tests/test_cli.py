@@ -150,9 +150,7 @@ def test_power_refuses_a_false_degree_bound(tmp_path, monkeypatch):
     # r = 1 claims that no vertex of G^2 has a neighbor; in P_4 squared
     # vertex 0 (id 1 in the file) has 2
     monkeypatch.setattr(gridlab.graph, "power_clique_or_bound",
-                        lambda g, k, r: BoundReport(k=k, r=r, parity="even",
-                                                    degree_bound=r ** 4,
-                                                    center=0))
+                        lambda g, k, r: BoundReport(k=k, r=r, center=0))
     res = run(CliRunner(), ["power", str(grf), "--k", "2",
                             "--witness-r", "1"])
     assert_one_error_line(res, 1)
@@ -277,6 +275,8 @@ EMPTY_OP_SEQ = json.dumps({"host": {"n": 2, "edges": [[0, 1]]},
 NONCANONICAL_KEY_MODEL = json.dumps({
     "pattern": {"n": 2, "edges": []}, "host": {"n": 2, "edges": []},
     "branch_sets": {"0": [0], "00": [1]}, "edge_witness": []})
+# nested deeper than json.loads recurses
+DEEP_JSON = b"[" * 100000 + b"]" * 100000
 # pattern edge (0, 1) witnessed twice: first by the non-edge (0, 2), then
 # as [1, 0] by the host edge (0, 1)
 DUPLICATE_WITNESS_MODEL = json.dumps({
@@ -302,6 +302,11 @@ DUPLICATE_WITNESS_MODEL = json.dumps({
      ["check", "--model", "{bad}"]),
     ("bad.json", DUPLICATE_WITNESS_MODEL.encode(),
      ["check", "--model", "{bad}"]),
+    pytest.param("bad.json", DEEP_JSON, ["check", "--model", "{bad}"],
+                 id="deep-model"),
+    pytest.param("bad.json", DEEP_JSON,
+                 ["transfer", "--emb", "{emb}", "--seq", "{bad}"],
+                 id="deep-seq"),
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
                                                  command):

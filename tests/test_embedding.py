@@ -12,7 +12,7 @@ from gridlab.errors import GridlabError
 from gridlab.generators import (_build_from_rotations, _triangle, grid_map,
                                 random_canonical_map,
                                 random_planar_triangulation, wheel_map)
-from oracles import is_canonical_per_vertex
+from oracles import face_of_by_walks, is_canonical_per_vertex
 
 
 def bowtie():
@@ -84,14 +84,32 @@ def test_dual_is_subgraph_of_map_graph():
 
 def test_face_labeling_validation():
     t = _triangle()
-    with pytest.raises(ValueError):
-        FaceLabeling([], {0, 1})
-    with pytest.raises(ValueError):
-        FaceLabeling([0, 0], {1})
-    with pytest.raises(ValueError):
-        FaceLabeling([0], {0, 1})
-    with pytest.raises(ValueError):
-        FaceLabeling([0], set()).check(t)  # face 1 unassigned
+    with pytest.raises(ValueError, match="at least one nation"):
+        FaceLabeling(t, [])
+    for nations, named in (([0, 0], "duplicate nation face id 0"),
+                           ([-1], "nation -1 "), ([2], "nation 2 "),
+                           ([0, 7], "nation 7 "), ([1.0], "nation 1.0 "),
+                           (["1"], "nation '1' "), ([True], "nation True ")):
+        with pytest.raises(ValueError, match=named):
+            FaceLabeling(t, nations)
+    fl = FaceLabeling(t, [1])
+    assert fl.lakes == {0}
+    assert fl == FaceLabeling(t, (1,))
+
+
+def test_labelings_of_another_embedding_are_refused():
+    _, grid_labels = grid_map(2, 3)
+    # two 4-dart embeddings: two disjoint edges (2 faces) and one vertex
+    # with two interleaved loops (1 face)
+    edges = EmbeddedGraph([1, 0, 3, 2], [0, 1, 2, 3], [0, 1, 2, 3])
+    loops = EmbeddedGraph([2, 3, 0, 1], [1, 2, 3, 0], [0, 0, 0, 0])
+    for e, fl in ((grid_map(2, 2)[0], grid_labels),
+                  (loops, FaceLabeling(edges, [0, 1]))):
+        for derive in (dual_graph, map_graph, radial_graph, is_canonical,
+                       canonicalize_components,
+                       lambda e, fl: e.incident_nations(fl)):
+            with pytest.raises(ValueError, match="another embedding"):
+                derive(e, fl)
 
 
 def test_canonicalize_is_idempotent():
@@ -109,7 +127,8 @@ def test_canonicalize_moves_extra_lake_corners():
     b = bowtie()
     tri_faces = [f for f, w in enumerate(b.faces) if len(w) == 3]
     lake = ({0, 1, 2} - set(tri_faces)).pop()
-    fl = FaceLabeling(tri_faces, {lake})
+    fl = FaceLabeling(b, tri_faces)
+    assert fl.lakes == {lake}
     assert not is_canonical(b, fl)
     e2, fl2 = canonicalize(b, fl)
     assert is_canonical(e2, fl2)
@@ -130,8 +149,7 @@ def test_canonicalize_separates_lake_bridge():
     g = _build_from_rotations(rots)
     tri_faces = [f for f, w in enumerate(g.faces) if len(w) == 3]
     assert len(tri_faces) == 2
-    lakes = set(range(len(g.faces))) - set(tri_faces)
-    fl = FaceLabeling(tri_faces, lakes)
+    fl = FaceLabeling(g, tri_faces)
     with pytest.raises(GridlabError):
         canonicalize(g, fl)
     parts = canonicalize_components(g, fl)
@@ -148,7 +166,7 @@ def test_canonicalize_drops_lake_lake_edges():
     # all faces of a triangulation marked lake except two: the surgery
     # must trim everything not bordering a nation
     tri = random_planar_triangulation(8, 2)
-    fl = FaceLabeling([0, 1], set(range(2, len(tri.faces))))
+    fl = FaceLabeling(tri, [0, 1])
     for e2, fl2, _ in canonicalize_components(tri, fl):
         assert is_canonical(e2, fl2)
 
@@ -175,7 +193,7 @@ def test_canonicalize_components_outputs_are_pinned():
                 rng = random.Random(f"canon:{n}:{seed}")
                 faces = range(len(tri.faces))
                 nations = rng.sample(faces, rng.randint(1, len(faces)))
-                fl = FaceLabeling(nations, set(faces) - set(nations))
+                fl = FaceLabeling(tri, nations)
                 parts = canonicalize_components(tri, fl)
                 for e2, fl2, nation_ids in parts:
                     h.update(emb_dumps(e2, fl2).encode())
@@ -269,7 +287,7 @@ def test_is_canonical_matches_the_per_vertex_oracle():
         e = random_rotation_system(rng, 1 + trial % 10)
         faces = list(range(len(e.faces)))
         lakes = set(rng.sample(faces, rng.randrange(len(faces))))
-        fl = FaceLabeling([f for f in faces if f not in lakes], lakes)
+        fl = FaceLabeling(e, [f for f in faces if f not in lakes])
         want = is_canonical_per_vertex(e, fl)
         assert is_canonical(e, fl) == want
         verdicts.add(want)
@@ -281,10 +299,10 @@ def test_is_canonical_matches_the_per_vertex_oracle():
                                [(2, "p")]])
     pendant_face = e.face_of[e.vertex_darts(3)[0]]
     other = 1 - pendant_face
-    fl = FaceLabeling([other], {pendant_face})
+    fl = FaceLabeling(e, [other])
     assert not is_canonical_per_vertex(e, fl)
     assert not is_canonical(e, fl)
-    assert is_canonical(e, FaceLabeling([pendant_face], {other}))
+    assert is_canonical(e, FaceLabeling(e, [pendant_face]))
     # an isolated edge on a lake: no vertex has two lake corners, so the
     # lake-lake edge is the only fault
     e = _build_from_rotations([[(1, "a"), (2, "c")],
@@ -293,6 +311,20 @@ def test_is_canonical_matches_the_per_vertex_oracle():
                                [(4, "x")],
                                [(3, "x")]])
     lake = e.face_of[e.vertex_darts(3)[0]]
-    fl = FaceLabeling([f for f in range(3) if f != lake], {lake})
+    fl = FaceLabeling(e, [f for f in range(3) if f != lake])
     assert not is_canonical_per_vertex(e, fl)
     assert not is_canonical(e, fl)
+
+
+def test_dart_nation_matches_a_face_walk_lookup():
+    rng = random.Random(3)
+    for trial in range(300):
+        e = random_rotation_system(rng, 1 + trial % 12)
+        face_of = face_of_by_walks(e)
+        faces = sorted(set(face_of.values()))
+        nations = rng.sample(faces, rng.randint(1, len(faces)))
+        fl = FaceLabeling(e, nations)
+        assert fl.dart_nation == tuple(
+            nations.index(face_of[d]) if face_of[d] in nations else None
+            for d in range(e.num_darts()))
+        assert fl.lakes == set(faces) - set(nations)

@@ -138,6 +138,16 @@ def test_emb_parse_errors():
         emb_loads("emb 2\ntwin 0 1\nnext 0 1\nvertex_of 0 1\n")
     with pytest.raises(FormatError):
         emb_loads("emb 2\ntwin 1 0\nnext 0 x\nvertex_of 0 1\n")
+    # lines are numbered as in the file, blank ones included
+    with pytest.raises(FormatError, match="line 5: "):
+        emb_loads("emb 2\n\n\ntwin 1 0\nnext 0 x\nvertex_of 0 1\n")
+    for header, line in (("emb 2 junk", 1), ("emb x", 1), ("emb -2", 1),
+                         ("emb", 1), ("\n  \nemb 2 2", 3), ("twin 1 0", 1)):
+        with pytest.raises(FormatError, match=f"line {line}: "):
+            emb_loads(header + "\ntwin 1 0\nnext 0 1\nvertex_of 0 1\n")
+    # one edge has one face, so nation 5 is not a face
+    with pytest.raises(FormatError, match="nation 5 "):
+        emb_loads("emb 2\ntwin 1 0\nnext 0 1\nvertex_of 0 1\nnations 5\n")
 
 
 def test_model_json_byte_identical():
@@ -265,7 +275,8 @@ VALID_TEXTS = valid_texts()
 FUZZ_TOKENS = ["0", "-1", "1", "2", "7", "1.5", "x", "b", "s", "p", "td",
                "tw", "emb", "twin", "next", "vertex_of", "nations", "c",
                "10000000000", "\n", " ", "[", "]", "{", "}", ",", ":",
-               '"n"', '"ops"', '"a"', "null", "true", "[]", "{}"]
+               '"n"', '"ops"', '"a"', "null", "true", "[]", "{}",
+               "[" * 3000]
 
 
 @pytest.mark.parametrize("fmt", sorted(VALID_TEXTS))

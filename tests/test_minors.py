@@ -22,8 +22,8 @@ from gridlab.minors import (ContractionSequence, MinorModel,
                             sequence_loads, verify_model)
 
 from oracles import (all_pairs_distances, contraction_ops,
-                     first_model_violation, is_two_connected_by_deletion,
-                     replay_by_definition)
+                     double_radial_host, first_model_violation,
+                     is_two_connected_by_deletion, replay_by_definition)
 
 
 def cube_embedding():
@@ -61,16 +61,16 @@ def test_verify_model_catches_violations():
     ok = MinorModel(h, g, {0: {0, 1}, 1: {2, 3}}, {(0, 1): (1, 2)})
     assert verify_model(ok) is None
     v = verify_model(MinorModel(h, g, {0: {0, 1}}, {(0, 1): (1, 2)}))
-    assert v.kind == "coverage"
+    assert v.condition == "coverage"
     v = verify_model(MinorModel(h, g, {0: {0, 1}, 1: {1, 2}},
                                 {(0, 1): (1, 2)}))
-    assert v.kind == "disjoint"
+    assert v.condition == "disjoint"
     v = verify_model(MinorModel(h, g, {0: {0, 2}, 1: {3}},
                                 {(0, 1): (2, 3)}))
-    assert v.kind == "connected"
+    assert v.condition == "connected"
     v = verify_model(MinorModel(h, g, {0: {0, 1}, 1: {2, 3}},
                                 {(0, 1): (0, 3)}))
-    assert v.kind == "witness"
+    assert v.condition == "witness"
 
 
 def test_minor_containment_small_cases():
@@ -382,6 +382,14 @@ def test_double_radial_minor_random_triangulations():
             assert verify_model(m) is None
 
 
+def test_double_radial_host_is_the_radial_embedding_taken_twice():
+    cases = [cube_embedding()] + [random_planar_triangulation(n, seed)
+                                  for n in (4, 5, 8, 13, 30, 60)
+                                  for seed in range(3)]
+    for e in cases:
+        assert double_radial_minor(e).host == double_radial_host(e)
+
+
 def test_double_radial_minor_rejects_low_connectivity():
     # a path embedding is not 2-connected
     rots = [[(1, "a")], [(0, "a"), (2, "b")], [(1, "b")]]
@@ -481,8 +489,7 @@ def test_nation_fans_are_pinned():
         fans = []
         lakes = 0
         for u in range(e.num_vertices):
-            corners = [fl.nation_of.get(e.face_of[d])
-                       for d in e.vertex_darts(u)]
+            corners = [fl.dart_nation[d] for d in e.vertex_darts(u)]
             lakes += None in corners
             nations = sorted(set(corners) - {None})
             for a in nations:
@@ -628,7 +635,7 @@ def _verify_model_against_oracle(which, seeds):
         m = _mutated_model(m, random.Random(seed))
     got = verify_model(m)
     expect = first_model_violation(m)
-    assert (got and (got.kind, got.witness)) == expect
+    assert (got and (got.condition, got.witness)) == expect
     return expect and expect[0]
 
 
