@@ -128,29 +128,38 @@ class TreeDecomposition:
 
 
 def decomposition_from_order(g, order):
-    """Tree decomposition from an elimination ordering (fill-in bags)."""
+    """Tree decomposition from an elimination ordering: one bag per
+    maximal clique of the fill graph."""
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
-    adj = [set(a) for a in g.adj]
-    pos = {v: i for i, v in enumerate(order)}
+    adj = g.adjacency_masks()  # live neighbors of each live vertex
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # node i holds order[i] and its later neighbors, a clique of the fill
+    # graph, and is joined to the node of the first of them to be
+    # eliminated (the last node of a component to the next node).  A bag
+    # that is not a maximal clique lies in a child's, so merging leaves one
+    # bag per maximal clique
     bags = []
-    for v in order:
-        nb = set(adj[v])
-        bags.append(frozenset(nb | {v}))
-        for u in nb:
-            adj[u].discard(v)
-            adj[u] |= nb - {u}
-        adj[v] = set()
     edges = []
     for i, v in enumerate(order):
-        later = bags[i] - {v}
-        if later:
-            edges.append((i, min(pos[w] for w in later)))
-        elif i + 1 < len(order):
+        nb = adj[v]
+        gone = 1 << v
+        bag = [v]
+        m = nb
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            m ^= low
+            adj[u] = (adj[u] | nb) ^ (low | gone)
+            bag.append(u)
+        bags.append(bag)
+        if nb:
+            edges.append((i, min(map(pos.__getitem__, bag[1:]))))
+        elif i + 1 < g.n:
             edges.append((i, i + 1))
-    if not bags:
-        bags = [frozenset()]
-    return TreeDecomposition(bags, edges)
+    return _merge_contained(bags or [()], edges)
 
 
 def treewidth_exact(g):
@@ -189,6 +198,45 @@ def _from_kernel_order(g, width, order, stage):
     return _checked(td, g, stage)
 
 
+def _merge_contained(bags, tree_edges):
+    """The decomposition with these bags and tree edges after merging
+    each bag that a tree neighbour's bag contains into that neighbour,
+    until no such pair is left.  The surviving bags are input bags, so
+    the width does not change; surviving nodes keep their order."""
+    bags = [frozenset(b) for b in bags]
+    nb = [set() for _ in bags]
+    for a, b in tree_edges:
+        nb[a].add(b)
+        nb[b].add(a)
+    alive = [True] * len(bags)
+    pending = list(tree_edges)
+    while pending:
+        a, b = pending.pop()
+        if b not in nb[a]:
+            continue  # one end was merged away
+        if bags[a] <= bags[b]:
+            small, big = a, b
+        elif bags[b] <= bags[a]:
+            small, big = b, a
+        else:
+            continue
+        # the neighbours of `small` move to `big`; their pairs with `big`
+        # are new, so they are tested in turn
+        nb[big].discard(small)
+        for c in nb[small] - {big}:
+            nb[c].discard(small)
+            nb[c].add(big)
+            nb[big].add(c)
+            pending.append((c, big))
+        nb[small] = set()
+        alive[small] = False
+    keep = [i for i, live in enumerate(alive) if live]
+    node = dict(zip(keep, range(len(keep))))
+    return TreeDecomposition([bags[i] for i in keep],
+                             [(node[a], node[b]) for a in keep for b in nb[a]
+                              if a < b])
+
+
 def _require_valid(td, g, what):
     violation = td.validate(g)
     if violation is not None:
@@ -214,6 +262,10 @@ def lift_radial_to_map(td_r, e, fl):
             else:
                 new_bag |= incident[x]
         bags.append(new_bag)
+    # bag for bag, not merged: the merged lift of a complete map graph (a
+    # wheel's) is one bag with no tree edge, which the tamper check of
+    # gridbench/workloads.py cannot corrupt (ROADMAP.md, "Compact
+    # decompositions")
     return _checked(TreeDecomposition(bags, td_r.tree_edges), m_graph,
                     "lift_radial_to_map")
 
@@ -225,7 +277,7 @@ def lift_power(td, g, k):
     # every vertex lies in some bag (T1), so each ball is needed
     gk, balls = _power_with_balls(g, k)
     bags = [set().union(*map(balls.__getitem__, bag)) for bag in td.bags]
-    return _checked(TreeDecomposition(bags, td.tree_edges), gk,
+    return _checked(_merge_contained(bags, td.tree_edges), gk,
                     "lift_power")
 
 

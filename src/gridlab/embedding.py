@@ -507,10 +507,7 @@ def emb_loads(text):
             raise FormatError(f"unknown field {key!r}", lineno)
         if key in fields:
             raise FormatError(f"duplicate field {key!r}", lineno)
-        try:
-            fields[key] = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise FormatError(f"non-integer value in {key!r}", lineno)
+        fields[key] = [_int_token(x, lineno) for x in parts[1:]]
     for key in ("twin", "next", "vertex_of"):
         if key not in fields:
             raise FormatError(f"missing field {key!r}")

@@ -27,13 +27,13 @@ class ConstructionError(GridlabError):
 
 
 def _int_token(token, line, low=0):
-    """`token` as an integer of at least `low`; otherwise a FormatError
-    naming the line."""
-    try:
-        value = int(token)
-    except ValueError:
-        raise FormatError(f"expected an integer, found {token!r}",
-                          line) from None
+    """`token`, which must match -?[0-9]+, as an integer of at least
+    `low`; otherwise a FormatError naming the line.  int() alone would
+    also take "1_0", "+1" and non-ASCII digits."""
+    digits = token.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise FormatError(f"expected an integer, found {token!r}", line)
+    value = int(token)
     if value < low:
         raise FormatError(f"{value} is below {low}", line)
     return value

@@ -167,6 +167,31 @@ def min_fill_rescan(n, masks):
     return width, order
 
 
+def elimination_bags(g, order):
+    """(bags, tree_edges) of the decomposition with one bag per
+    vertex: v with its neighbors in the fill graph of `order` that
+    come after it, joined to the bag of the first of them (a component's
+    last bag to the next bag in `order`)."""
+    adj = [set(a) for a in g.adj]
+    pos = {v: i for i, v in enumerate(order)}
+    bags = []
+    for v in order:
+        nb = set(adj[v])
+        bags.append(frozenset(nb | {v}))
+        for u in nb:
+            adj[u].discard(v)
+            adj[u] |= nb - {u}
+        adj[v] = set()
+    edges = []
+    for i, v in enumerate(order):
+        later = bags[i] - {v}
+        if later:
+            edges.append((i, min(pos[w] for w in later)))
+        elif i + 1 < len(order):
+            edges.append((i, i + 1))
+    return bags or [frozenset()], edges
+
+
 def first_decomposition_violation(bags, tree_edges, g):
     """(condition, witness) of the first failed tree-decomposition
     condition of `bags` joined by `tree_edges` over g, or None.

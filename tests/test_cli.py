@@ -91,6 +91,22 @@ def test_lift_power(tmp_path):
     assert "--power needs --gr" in res.output
 
 
+def test_lifted_grid_decomposition_has_maximal_bags(tmp_path):
+    # one bag per vertex would give the 36 bags of the 6x6 grid
+    runner = CliRunner()
+    g, g2 = tmp_path / "g.gr", tmp_path / "g2.gr"
+    td, td2 = tmp_path / "g.td", tmp_path / "g2.td"
+    run(runner, ["gen", "grid", "--rows", "6", "--cols", "6", "-o", str(g)])
+    run(runner, ["power", str(g), "--k", "2", "-o", str(g2)])
+    assert run(runner, ["tw", str(g), "--upper", "-o", str(td)]).exit_code == 0
+    assert run(runner, ["lift", "--power", "2", "--gr", str(g), str(td),
+                        "-o", str(td2)]).exit_code == 0
+    _, _, bags, _, n = td2.read_text().split("\n", 1)[0].split()
+    assert n == "36" and int(bags) < 36
+    assert run(runner, ["check", "--td", str(td2),
+                        "--gr", str(g2)]).exit_code == 0
+
+
 def test_gen_ptgrid_and_triangulation(tmp_path):
     runner = CliRunner()
     grf, tri = tmp_path / "pt.gr", tmp_path / "tri.emb"
@@ -307,6 +323,9 @@ DUPLICATE_WITNESS_MODEL = json.dumps({
     pytest.param("bad.json", DEEP_JSON,
                  ["transfer", "--emb", "{emb}", "--seq", "{bad}"],
                  id="deep-seq"),
+    # int() would read this as a 10-vertex graph with edge (1, 2)
+    pytest.param("bad.gr", "p tw 1_0 1\n+1 \u0662\n".encode(), ["tw", "{bad}"],
+                 id="non-ascii-integers"),
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
                                                  command):

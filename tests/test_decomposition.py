@@ -15,10 +15,11 @@ from gridlab.embedding import map_graph, radial_graph
 from gridlab.errors import ConstructionError, SizeLimitError
 from gridlab.generators import (grid, partially_triangulated_grid,
                                 random_canonical_map, random_graph)
-from gridlab.graph import SimpleGraph, power_graph
+from gridlab.graph import SimpleGraph, k_neighborhood, power_graph
 
-from oracles import (all_pairs_distances, first_decomposition_violation,
-                     treewidth_brute, vertex_cover_brute)
+from oracles import (all_pairs_distances, elimination_bags,
+                     first_decomposition_violation, treewidth_brute,
+                     vertex_cover_brute)
 
 
 def _sha256(text):
@@ -175,13 +176,29 @@ def test_decomposition_mutations_reach_every_condition():
     assert found == {None, "tree", "T1", "T2", "T3"}
 
 
+def _per_vertex_decomposition(g):
+    """The one-bag-per-vertex decomposition of g's min-fill order."""
+    _, order = _kernels.min_fill_order(g.n, g.adjacency_masks())
+    return TreeDecomposition(*elimination_bags(g, order))
+
+
+def _ball_unions(td, g, k):
+    """The union of the radius-k balls of each bag of td."""
+    balls = [k_neighborhood(g, v, k) for v in range(g.n)]
+    return [set().union(*(balls[v] for v in bag)) for bag in td.bags]
+
+
 def _large_lifts():
     """(graph, decomposition) pairs with large bags: G^2 lifts of
-    partially triangulated grids and radial-to-map lifts of random
+    partially triangulated grids, each also unmerged (the balls of the
+    per-vertex bags, tree unchanged), and radial-to-map lifts of random
     maps."""
     for side in range(6, 13):
         g = partially_triangulated_grid(side, side, side)
-        yield power_graph(g, 2), lift_power(treewidth_upper(g)[1], g, 2)
+        g2 = power_graph(g, 2)
+        yield g2, lift_power(treewidth_upper(g)[1], g, 2)
+        td = _per_vertex_decomposition(g)
+        yield g2, TreeDecomposition(_ball_unions(td, g, 2), td.tree_edges)
     for nations in range(30, 81, 10):
         e, fl = random_canonical_map(nations, nations)
         r, _ = radial_graph(e, fl)
@@ -254,11 +271,11 @@ def test_lifted_decompositions_and_covers_are_pinned():
     # sha256 of the sorted cover)
     maps = {
         (30, 1): (
-            "4e0fe84c822d410cd9f95813a810eb2f5109498719e156181a609a5f1665a9d5",
+            "d9f34e80a5c44fe077fc97d57a4dfcdf394322af78117baccdf15049ad5e05f7",
             24,
             "55b01614afe47a3fa1b3c43f4fbd071befe87bac330254078166848e4a774067"),
         (80, 2): (
-            "ebab0bbbe4e50e8c91cc8eefd7c0b62213e6f20fa190187766e167b054712f3c",
+            "05e7731ec69a35a6814388e1cc499125a963026c9c62fc9d28d7ca6cb3109355",
             42,
             "59e645864def6c121fe96b3369b33179b7ee4983673ea272db64fa3db9d02989"),
     }
@@ -273,11 +290,11 @@ def test_lifted_decompositions_and_covers_are_pinned():
         assert _sha256(" ".join(map(str, sorted(cover)))) == cover_digest
     grids = {
         (8, 3): (
-            "30c628a2baedac5f98b26722a77c489706c8a67d1f287618d4620e3191956227",
+            "ca5cf0798d21d4df265ac6c375682542bbff6fdc5ae0e45d2b8e98b7d8be8e56",
             41,
             "14b7318167ba6eae6f7ee5e2a87206d6bdd75c4ec1a41c0489ce23756191cbe3"),
         (10, 5): (
-            "11e020f499c2fe73b1627b9b90b903800c6870c4959366db4585893e06cd7676",
+            "7d8cf41a83a6bf5f391f0e8c91c37894f39744df0973153993beb35331b0eada",
             61,
             "d18ece15dcf14447782abb9b67d1971840bb7bf58adc8c1f4a1cdb93bed7e4c8"),
     }
@@ -300,6 +317,20 @@ def test_lift_radial_rejects_invalid_input():
         lift_radial_to_map(TreeDecomposition([{0}], []), e, fl)
 
 
+def _assert_maximal_merge_of(td, g, reference):
+    """td is a valid decomposition of g whose bags are maximal (none
+    lies in a tree neighbour's bag) and are reference bags, every
+    reference bag lies in one of them, and its width is theirs."""
+    assert td.validate(g) is None
+    for a, b in td.tree_edges:
+        assert not td.bags[a] <= td.bags[b]
+        assert not td.bags[b] <= td.bags[a]
+    reference = set(map(frozenset, reference))
+    assert set(td.bags) <= reference
+    assert all(any(bag <= big for big in td.bags) for bag in reference)
+    assert td.width == max(map(len, reference)) - 1
+
+
 def test_lift_power():
     graphs = [random_graph(9, seed, 0.3) for seed in range(6)]
     graphs += [random_graph(12, seed, 0.1) for seed in range(4)]
@@ -307,14 +338,55 @@ def test_lift_power():
         _, td = treewidth_exact(g)
         dist = all_pairs_distances(g)
         for k in (1, 2, 3):
-            td_k = lift_power(td, g, k)
-            gk = power_graph(g, k)
-            assert td_k.validate(gk) is None
-            # each occurrence of v in a bag brings its radius-k ball
-            assert td_k.bags == [
+            # the union of the radius-k balls of each input bag
+            unions = [
                 frozenset(u for v in bag for u in range(g.n)
                           if dist[v][u] is not None and dist[v][u] <= k)
                 for bag in td.bags]
+            _assert_maximal_merge_of(lift_power(td, g, k), power_graph(g, k),
+                                     unions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_elimination_keeps_the_maximal_bags(seed):
+    rng = random.Random(seed)
+    g = random_graph(rng.randint(2, 14), seed, rng.uniform(0.05, 0.7))
+    order = list(range(g.n))
+    rng.shuffle(order)
+    _assert_maximal_merge_of(decomposition_from_order(g, order), g,
+                             elimination_bags(g, order)[0])
+    masks = g.adjacency_masks()
+    for kernel, maker in ((_kernels.min_fill_order, treewidth_upper),
+                          (_kernels.treewidth_order, treewidth_exact)):
+        width, td = maker(g)
+        _, order = kernel(g.n, masks)
+        assert td.width == width
+        _assert_maximal_merge_of(td, g, elimination_bags(g, order)[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lifts_keep_the_maximal_bags(seed):
+    # the power lift, of a maximal and of a per-vertex input, is the
+    # merge of the bags lifted one by one; the radial lift is not merged
+    # (see lift_radial_to_map) and keeps the input's tree
+    g = partially_triangulated_grid(4 + seed, 5, seed)
+    for td in (treewidth_upper(g)[1], _per_vertex_decomposition(g)):
+        for k in (1, 2, 3):
+            _assert_maximal_merge_of(lift_power(td, g, k), power_graph(g, k),
+                                     _ball_unions(td, g, k))
+    e, fl = random_canonical_map(5 + 4 * seed, seed)
+    r, _ = radial_graph(e, fl)
+    n = e.num_vertices
+    incident = e.incident_nations(fl)
+    for td in (treewidth_upper(r)[1], _per_vertex_decomposition(r)):
+        td_m = lift_radial_to_map(td, e, fl)
+        assert td_m.validate(map_graph(e, fl)) is None
+        assert td_m.tree_edges == td.tree_edges
+        assert td_m.bags == [
+            frozenset().union(*(incident[x] if x < n else {x - n}
+                                for x in bag))
+            for bag in td.bags]
 
 
 def test_lift_power_refuses_k_below_one():
@@ -371,7 +443,7 @@ def test_vertex_cover_ties_are_pinned():
         size, cover = vertex_cover_dp(g, treewidth_upper(g)[1])
         results.append((size, sorted(cover)))
     assert _sha256(repr(results)) == (
-        "8a969eb7fcee6caf7ad22631b43967038e1d2d2e31d434ccadbdac07b21d9bfc")
+        "44232ec7a51ef3d2d7042a8a65b4fc6da2300e53c137cd792727e9f4896c4f4b")
 
 
 def test_vertex_cover_dp_on_bipartite_bags_matches_brute():

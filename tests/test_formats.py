@@ -96,6 +96,26 @@ def test_td_parse_errors():
         td_loads("s td 2 1 2\nb 1 1\nb 2 2\n1 3\n")
 
 
+# int() reads "1_0" as 10, "+1" as 1 and the Arabic-Indic digit two as 2
+@pytest.mark.parametrize("loads, text, line, token", [
+    (gr_loads, "p tw 1_0 1\n+1 \u0662\n", 1, "1_0"),
+    (gr_loads, "p tw 2 1\n+1 2\n", 2, "+1"),
+    (gr_loads, "p tw 2 1\n1 \u0662\n", 2, "\u0662"),
+    (td_loads, "s td 1 2 1_0\nb 1 1 2\n", 1, "1_0"),
+    (td_loads, "s td 1 2 2\nb 1 +1 2\n", 2, "+1"),
+    (td_loads, "s td 2 1 2\nb 1 1\nb 2 2\n1 \u0662\n", 4, "\u0662"),
+    (emb_loads, "emb \u0662\ntwin 1 0\nnext 0 1\nvertex_of 0 1\n", 1,
+     "\u0662"),
+    (emb_loads, "emb 2\ntwin 1 0\nnext 0 1\nvertex_of 0 0_1\n", 4, "0_1"),
+    (emb_loads, "emb 2\ntwin +1 0\nnext 0 1\nvertex_of 0 1\n", 2, "+1"),
+])
+def test_loaders_read_ascii_integers_only(loads, text, line, token):
+    with pytest.raises(FormatError) as info:
+        loads(text)
+    assert str(info.value) == (f"line {line}: expected an integer, "
+                               f"found {token!r}")
+
+
 def test_td_header_bag_count_is_not_allocated():
     # run under a 1 GiB address-space cap: a parser that builds
     # range(num_bags) from the header fails with MemoryError instead of
@@ -145,6 +165,8 @@ def test_emb_parse_errors():
                          ("emb", 1), ("\n  \nemb 2 2", 3), ("twin 1 0", 1)):
         with pytest.raises(FormatError, match=f"line {line}: "):
             emb_loads(header + "\ntwin 1 0\nnext 0 1\nvertex_of 0 1\n")
+    with pytest.raises(FormatError, match="^line 4: -1 is below 0$"):
+        emb_loads("emb 2\ntwin 1 0\nnext 0 1\nvertex_of 0 -1\n")
     # one edge has one face, so nation 5 is not a face
     with pytest.raises(FormatError, match="nation 5 "):
         emb_loads("emb 2\ntwin 1 0\nnext 0 1\nvertex_of 0 1\nnations 5\n")
@@ -276,7 +298,7 @@ FUZZ_TOKENS = ["0", "-1", "1", "2", "7", "1.5", "x", "b", "s", "p", "td",
                "tw", "emb", "twin", "next", "vertex_of", "nations", "c",
                "10000000000", "\n", " ", "[", "]", "{", "}", ",", ":",
                '"n"', '"ops"', '"a"', "null", "true", "[]", "{}",
-               "[" * 3000]
+               "[" * 3000, "1_0", "+1", "\u0662"]
 
 
 @pytest.mark.parametrize("fmt", sorted(VALID_TEXTS))
