@@ -56,11 +56,18 @@ def min_fill_order(n, masks):
 
     Incremental (Bodlaender & Koster, "Treewidth computations I. Upper
     bounds", Inf. Comput. 2010): a heap holds (fill, id) entries and is
-    invalidated lazily.  Eliminating v with neighborhood N makes N a
-    clique.  The fill of each vertex of N, whose neighborhood changed,
-    is recomputed.  Any other vertex x keeps its neighborhood, so its
-    fill drops by the number of new fill edges inside N(x) & N; only
-    the neighbors of a vertex that gained an edge can see one.
+    invalidated lazily.  Eliminating v with neighborhood N and fill f_v
+    makes N a clique, and every fill is then updated by its exact
+    change; only the initial fills are counted from scratch.  A vertex
+    u of N loses the pairs (v, x) for its neighbors x outside N[v].  If
+    u gained no edge, all f_v fill edges join two of its neighbors, so
+    its fill drops by f_v more.  Otherwise it also drops by the fill
+    edges among its old neighbors and rises by the pairs of a new
+    neighbor and a non-adjacent neighbor outside N[v].  Any other
+    vertex x keeps its neighborhood, so its fill drops by the number of
+    new fill edges inside N(x) & N; only the neighbors of a vertex that
+    gained an edge can see one.  The fills stay exact, so ties and the
+    order match a full rescan.
     """
     # adj holds the live neighbors of each live vertex
     adj = list(masks)
@@ -101,10 +108,35 @@ def min_fill_order(n, masks):
             low = m & -m
             u = low.bit_length() - 1
             m ^= low
-            f = _fill(adj, u)
-            if f != fill[u]:
-                fill[u] = f
-                heapq.heappush(heap, (f, u))
+            a = adj[u]
+            outer = a & ~nb  # u's neighbors outside N[v]
+            # the pairs (v, x), x in outer, were non-adjacent
+            drop = outer.bit_count()
+            if not grown & low:
+                # each of the f fill edges of this step joins two old
+                # neighbors of u
+                drop += f
+            else:
+                new = added[u]
+                old = a & ~new
+                # the fill edges inside old, counted from both ends
+                twice = 0
+                k = old & grown
+                while k:
+                    low = k & -k
+                    twice += (added[low.bit_length() - 1] & old).bit_count()
+                    k ^= low
+                drop += twice // 2
+                # a new neighbor y is adjacent to all of N, and misses
+                # the vertices of outer it is not adjacent to
+                k = new
+                while k:
+                    low = k & -k
+                    drop -= (outer & ~adj[low.bit_length() - 1]).bit_count()
+                    k ^= low
+            if drop:
+                fill[u] -= drop
+                heapq.heappush(heap, (fill[u], u))
         m = reach & alive & ~nb
         while m:
             low = m & -m

@@ -90,24 +90,39 @@ def test_td_parse_errors():
         td_loads("s td 1 x 2\n")
     with pytest.raises(FormatError, match="^line 2: 0 is below 1$"):
         td_loads("s td 1 1 2\nb 1 0\n")
+    with pytest.raises(FormatError, match="^line 2: 0 is below 1$"):
+        td_loads("s td 1 3 3\nb 1 2 0 3\n")
+    with pytest.raises(FormatError, match="^line 4: 0 is below 1$"):
+        td_loads("s td 2 1 2\nb 1 1\nb 2 2\n2 0\n")
     with pytest.raises(FormatError, match="^line 4: tree self-loop"):
         td_loads("s td 2 1 2\nb 1 1\nb 2 2\n1 1\n")
     with pytest.raises(FormatError, match="^line 4: tree edge '1 3' out"):
         td_loads("s td 2 1 2\nb 1 1\nb 2 2\n1 3\n")
 
 
-# int() reads "1_0" as 10, "+1" as 1 and the Arabic-Indic digit two as 2
+# int() reads "1_0" as 10, "+1" as 1 and the Arabic-Indic digit two as 2;
+# "\u00b2" (superscript two) passes str.isdigit() but not int().  The bad
+# token may follow valid ones on a long line.
 @pytest.mark.parametrize("loads, text, line, token", [
     (gr_loads, "p tw 1_0 1\n+1 \u0662\n", 1, "1_0"),
     (gr_loads, "p tw 2 1\n+1 2\n", 2, "+1"),
     (gr_loads, "p tw 2 1\n1 \u0662\n", 2, "\u0662"),
+    (gr_loads, "p tw 2 1\n1 \u00b2\n", 2, "\u00b2"),
+    (gr_loads, "p tw 2 \u00b2\n1 2\n", 1, "\u00b2"),
     (td_loads, "s td 1 2 1_0\nb 1 1 2\n", 1, "1_0"),
     (td_loads, "s td 1 2 2\nb 1 +1 2\n", 2, "+1"),
     (td_loads, "s td 2 1 2\nb 1 1\nb 2 2\n1 \u0662\n", 4, "\u0662"),
+    (td_loads, "s td 1 4 4\nb 1 1 2 3 +4\n", 2, "+4"),
+    (td_loads, "s td 1 4 4\nb 1 1 2 3 \u00b2\n", 2, "\u00b2"),
+    (td_loads, "s td 2 1 2\nb 1 1\nb 2 2\n1 \u00b2\n", 4, "\u00b2"),
     (emb_loads, "emb \u0662\ntwin 1 0\nnext 0 1\nvertex_of 0 1\n", 1,
      "\u0662"),
     (emb_loads, "emb 2\ntwin 1 0\nnext 0 1\nvertex_of 0 0_1\n", 4, "0_1"),
     (emb_loads, "emb 2\ntwin +1 0\nnext 0 1\nvertex_of 0 1\n", 2, "+1"),
+    (emb_loads, "emb 4\ntwin 1 0 3 2\nnext 0 1 2 3\nvertex_of 0 1 2 \u0662\n",
+     4, "\u0662"),
+    (emb_loads, "emb 4\ntwin 1 0 3 2\nnext 0 1 2 \u00b2\nvertex_of 0 1 2 3\n",
+     3, "\u00b2"),
 ])
 def test_loaders_read_ascii_integers_only(loads, text, line, token):
     with pytest.raises(FormatError) as info:
