@@ -4,19 +4,24 @@ Graphs are given as neighbor bitmasks.  `treewidth_order` is a branch
 and bound over elimination orderings with subset memoization:
 
 - upper bound: the greedy min-fill order (`min_fill_order`);
-- lower bound at the root: the largest of the degeneracy and two
-  minor-min-width runs (`minor_min_width`, Bodlaender & Koster,
-  "Contraction and treewidth lower bounds", JGAA 2006).  When it meets
-  the upper bound the min-fill order is returned without a search;
+- lower bound at the root: the largest of two minor-min-width runs
+  (`minor_min_width`, Bodlaender & Koster, "Contraction and treewidth
+  lower bounds", JGAA 2006) and the degeneracy.  When it meets the
+  upper bound the min-fill order is returned without a search;
 - the search carries the fill graph of the eliminated set and reduces
   without branching at simplicial and almost simplicial vertices
   (Gogate & Dechter, "A complete anytime algorithm for treewidth",
-  UAI 2004).
+  UAI 2004).  The test (`_reducible`) is linear in the neighborhood
+  q: one pass finds the vertices of q that miss a neighbor in q, and
+  at most two of them can be the vertex whose removal leaves a clique;
+- a child whose eliminated set is memoized at no greater width is
+  skipped before its fill graph is built.
 
 The search is exponential; `decomposition.treewidth_exact` refuses
 graphs with more than `TREEWIDTH_EXACT_LIMIT` (20) vertices.  Each call
 logs one debug record with its search statistics on the
-`gridlab.kernels` logger.
+`gridlab.kernels` logger; its `lb_bound` names the bound that set the
+lower bound, a minor-min-width run when the degeneracy ties it.
 """
 
 from __future__ import annotations
@@ -174,29 +179,50 @@ def degeneracy(n, masks):
 def minor_min_width(n, masks, rule="min-d"):
     """Minor-min-width, a treewidth lower bound: the max over a sequence
     of minors of their minimum degree.  Each step takes a minimum-degree
-    vertex (ties to smaller id) and contracts it into the neighbor of
-    least degree (`rule` "min-d") or with the fewest common neighbors
-    ("least-c")."""
+    vertex and contracts it into the neighbor of least degree (`rule`
+    "min-d") or with the fewest common neighbors ("least-c").  Both
+    choices scan in increasing id with a strict <, so ties go to the
+    smaller id."""
     adj = list(masks)
     alive = (1 << n) - 1
+    least_c = rule != "min-d"
     best = 0
     while alive:
-        v = min(_bits(alive), key=lambda u: adj[u].bit_count())
-        nb = adj[v]
-        best = max(best, nb.bit_count())
-        alive &= ~(1 << v)
+        vbit = alive & -alive
+        nb = adj[vbit.bit_length() - 1]
+        d = nb.bit_count()
+        m = alive ^ vbit
+        while m and d:
+            low = m & -m
+            m ^= low
+            a = adj[low.bit_length() - 1]
+            if a.bit_count() < d:
+                vbit, nb, d = low, a, a.bit_count()
+        best = max(best, d)
+        alive ^= vbit
         if not nb:
             continue
-        if rule == "min-d":
-            u = min(_bits(nb), key=lambda w: adj[w].bit_count())
-        else:
-            u = min(_bits(nb), key=lambda w: (adj[w] & nb).bit_count())
-        rest = nb & ~(1 << u)
-        for w in _bits(nb):
-            adj[w] &= ~(1 << v)
-        for w in _bits(rest):
-            adj[w] |= 1 << u
-        adj[u] |= rest
+        # drop v from its neighbors; that lowers every degree in nb by
+        # one and no count of common neighbors inside nb
+        ubit = 0
+        least = n
+        m = nb
+        while m:
+            low = m & -m
+            m ^= low
+            w = low.bit_length() - 1
+            a = adj[w] ^ vbit
+            adj[w] = a
+            k = (a & nb if least_c else a).bit_count()
+            if k < least:
+                ubit, least = low, k
+        rest = nb ^ ubit
+        m = rest
+        while m:
+            low = m & -m
+            m ^= low
+            adj[low.bit_length() - 1] |= ubit
+        adj[ubit.bit_length() - 1] |= rest
     return best
 
 
@@ -211,15 +237,40 @@ def _eliminate(adj, v):
     return child
 
 
-def _non_clique(adj, s):
-    """The vertices of s that miss a neighbor in s.  s is a clique iff
-    this set is empty, and s minus u is a clique iff this set minus u
-    is one."""
+def _reducible(adj, q, cost):
+    """Whether a vertex with neighborhood q is eliminated without
+    branching at width `cost` so far: q is a clique (simplicial), or
+    |q| <= cost and q minus one vertex u is a clique (almost
+    simplicial).  One pass collects `bad`, the vertices of q that miss
+    a neighbor in q; q minus u is a clique iff `bad` minus u is one.  A
+    vertex outside `bad` is adjacent to all of q, so u lies in `bad`,
+    and every other vertex of `bad` misses exactly u.  So u is `first`,
+    the least vertex of `bad`, or the single vertex that `first`
+    misses: at most two candidates."""
     bad = 0
-    for u in _bits(s):
-        if s & ~(1 << u) & ~adj[u]:
-            bad |= 1 << u
-    return bad
+    m = q
+    while m:
+        low = m & -m
+        m ^= low
+        if q & ~adj[low.bit_length() - 1] & ~low:
+            bad |= low
+    if not bad:
+        return True
+    if q.bit_count() > cost:
+        return False
+    first = bad & -bad
+    missed = q & ~adj[first.bit_length() - 1] & ~first
+    for u in (first, missed) if not missed & (missed - 1) else (first,):
+        s = bad & ~u
+        m = s
+        while m:
+            low = m & -m
+            m ^= low
+            if s & ~adj[low.bit_length() - 1] & ~low:
+                break
+        else:
+            return True
+    return False
 
 
 def treewidth_order(n, masks):
@@ -228,9 +279,11 @@ def treewidth_order(n, masks):
         return -1, []
     full = (1 << n) - 1
     ub, ub_order = min_fill_order(n, masks)
-    lb, bound = max([(degeneracy(n, masks), "degeneracy")]
-                    + [(minor_min_width(n, masks, rule), "mmw " + rule)
-                       for rule in MMW_RULES], key=lambda b: b[0])
+    # max keeps the first of equal bounds, so a tie names an mmw run
+    lb, bound = max([(minor_min_width(n, masks, rule), "mmw " + rule)
+                     for rule in MMW_RULES]
+                    + [(degeneracy(n, masks), "degeneracy")],
+                    key=lambda b: b[0])
     best = [ub, list(ub_order)]
     memo = {}
     nodes = 0
@@ -262,24 +315,25 @@ def treewidth_order(n, masks):
             # graph after eliminating v is then G contracted along vu,
             # a minor of G of treewidth at most tw(G), so the width
             # max(cost, |q|, tw(G / vu)) is at most max(cost, tw(G)).
-            bad = _non_clique(adj, q)
-            if not bad or (qn <= cost and any(
-                    not _non_clique(adj, bad & ~(1 << u))
-                    for u in _bits(bad))):
-                order.append(v)
-                search(eliminated | (1 << v), _eliminate(adj, v),
-                       max(cost, qn), order)
-                order.pop()
+            if _reducible(adj, q, cost):
+                descend(eliminated, adj, v, max(cost, qn), order)
                 return
             cand.append((qn, v))
         cand.sort()
         for qn, v in cand:
             if max(cost, qn) >= best[0]:
                 break
-            order.append(v)
-            search(eliminated | (1 << v), _eliminate(adj, v),
-                   max(cost, qn), order)
-            order.pop()
+            descend(eliminated, adj, v, max(cost, qn), order)
+
+    def descend(eliminated, adj, v, cost, order):
+        # a child whose memo entry is at most `cost` returns at once, so
+        # it is not built; `nodes` and `memo` count the same
+        child = eliminated | (1 << v)
+        if child != full and memo.get(child, cost + 1) <= cost:
+            return
+        order.append(v)
+        search(child, _eliminate(adj, v), cost, order)
+        order.pop()
 
     if lb < ub:
         search(0, list(masks), lb, [])

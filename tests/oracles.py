@@ -167,6 +167,55 @@ def min_fill_rescan(n, masks):
     return width, order
 
 
+def _mask_bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def minor_min_width_scan(n, masks, rule="min-d"):
+    """Minor-min-width by `min` over generator scans: each step takes a
+    minimum-degree vertex (ties to smaller id) and contracts it into the
+    neighbor of least degree ("min-d") or with the fewest common
+    neighbors ("least-c"), again ties to smaller id."""
+    adj = list(masks)
+    alive = (1 << n) - 1
+    best = 0
+    while alive:
+        v = min(_mask_bits(alive), key=lambda u: adj[u].bit_count())
+        nb = adj[v]
+        best = max(best, nb.bit_count())
+        alive &= ~(1 << v)
+        if not nb:
+            continue
+        if rule == "min-d":
+            u = min(_mask_bits(nb), key=lambda w: adj[w].bit_count())
+        else:
+            u = min(_mask_bits(nb), key=lambda w: (adj[w] & nb).bit_count())
+        rest = nb & ~(1 << u)
+        for w in _mask_bits(nb):
+            adj[w] &= ~(1 << v)
+        for w in _mask_bits(rest):
+            adj[w] |= 1 << u
+        adj[u] |= rest
+    return best
+
+
+def reducible_by_definition(adj, q, cost):
+    """Whether q is a clique, or |q| <= cost and q minus some vertex u
+    of q is a clique; adj holds symmetric neighbor masks."""
+    def is_clique(s):
+        verts = [v for v in range(len(adj)) if s >> v & 1]
+        return all(adj[a] >> b & 1 for a, b in itertools.combinations(
+            verts, 2))
+
+    if is_clique(q):
+        return True
+    return q.bit_count() <= cost and any(
+        is_clique(q & ~(1 << u)) for u in range(len(adj)) if q >> u & 1)
+
+
 def elimination_bags(g, order):
     """(bags, tree_edges) of the decomposition with one bag per
     vertex: v with its neighbors in the fill graph of `order` that

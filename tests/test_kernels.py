@@ -1,7 +1,10 @@
+import hashlib
 import logging
+import random
 
 from hypothesis import given, settings, strategies as st
-from oracles import min_fill_rescan, treewidth_brute
+from oracles import (min_fill_rescan, minor_min_width_scan,
+                     reducible_by_definition, treewidth_brute)
 
 from gridlab import _kernels
 from gridlab.decomposition import decomposition_from_order
@@ -69,15 +72,18 @@ def test_bounds_bracket_exact():
 
 def test_search_statistics_are_logged(caplog):
     caplog.set_level(logging.DEBUG, logger="gridlab.kernels")
-    for g in (_dual(12, 1), grid(4, 4)):
+    for g in (_dual(12, 1), grid(4, 4), SimpleGraph.complete(6)):
         _kernels.treewidth_order(g.n, g.adjacency_masks())
-    searched, closed = [rec.args for rec in caplog.records
-                        if rec.name == "gridlab.kernels"]
+    searched, closed, tied = [rec.args for rec in caplog.records
+                              if rec.name == "gridlab.kernels"]
     assert searched["n"] == 20 and not searched["root_closed"]
     assert 0 < searched["nodes"] < 100
     assert searched["lb"] < searched["ub"] == searched["width"] == 4
     assert closed["root_closed"] and closed["lb_bound"].startswith("mmw")
     assert closed["nodes"] == closed["memo"] == 0
+    # the degeneracy of K6 ties both minor-min-width runs; a tie names
+    # the first mmw run
+    assert tied["lb"] == 5 and tied["lb_bound"] == "mmw min-d"
 
 
 def _disjoint_union(g, h):
@@ -131,3 +137,66 @@ def test_min_fill_matches_full_rescan_on_random_graphs(n, seed, p):
     for h in (g, power_graph(g, 2)):
         masks = h.adjacency_masks()
         assert _kernels.min_fill_order(n, masks) == min_fill_rescan(n, masks)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 10 ** 6), st.floats(0.5, 1.0),
+       st.integers(0, 2 ** 12 - 1), st.integers(0, 12))
+def test_reducible_matches_definition(n, seed, p, q, cost):
+    # dense random graphs, so that q is often a clique or one vertex
+    # away from one
+    rng = random.Random(seed)
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    q &= (1 << n) - 1
+    assert _kernels._reducible(adj, q, cost) == reducible_by_definition(
+        adj, q, cost)
+
+
+def test_minor_min_width_matches_scan():
+    graphs = []
+    for seed in range(300):
+        graphs.append(random_graph(2 + seed % 29, seed,
+                                   0.05 + 0.05 * (seed % 10)))
+    # isolated vertices, several components, and graphs where every
+    # vertex ties
+    for seed in range(60):
+        g = random_graph(6 + seed % 12, seed, 0.3)
+        graphs += [SimpleGraph(g.n + 3, g.edges),
+                   _disjoint_union(g, random_graph(5, seed, 0.5)),
+                   power_graph(g, 2)]
+    for n in range(2, 31):
+        graphs += [SimpleGraph(n), SimpleGraph.complete(n),
+                   SimpleGraph.path(n)]
+    graphs += [SimpleGraph.cycle(n) for n in range(3, 31)]
+    graphs += [_disjoint_union(SimpleGraph.cycle(n), SimpleGraph.cycle(n))
+               for n in range(3, 16)]
+    graphs += [grid(a, b) for a in range(2, 6) for b in range(2, 6)]
+    assert len(graphs) >= 500 and max(g.n for g in graphs) <= 30
+    for g in graphs:
+        masks = g.adjacency_masks()
+        for rule in _kernels.MMW_RULES:
+            assert _kernels.minor_min_width(g.n, masks, rule) == \
+                minor_min_width_scan(g.n, masks, rule)
+
+
+def test_exact_outputs_and_search_effort_are_pinned(caplog):
+    # a speed-up of the branch and bound must return the same orders and
+    # expand no more nodes: the digest of every (width, order) and the
+    # summed search statistics of this corpus are pinned
+    caplog.set_level(logging.DEBUG, logger="gridlab.kernels")
+    graphs = [random_graph(12 + seed % 7, seed, 0.3) for seed in range(100)]
+    graphs += [_dual(10 + seed % 3, seed) for seed in range(50)]
+    results = [_kernels.treewidth_order(g.n, g.adjacency_masks())
+               for g in graphs]
+    stats = [rec.args for rec in caplog.records
+             if rec.name == "gridlab.kernels"]
+    assert len(stats) == len(graphs)
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+        "ea7b7e8c67b2d7e06c5e77e588dad470d8791283d18214fd82c3dc3b127aed77")
+    assert sum(s["nodes"] for s in stats) == 4004
+    assert sum(s["memo"] for s in stats) == 4004
