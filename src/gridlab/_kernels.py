@@ -6,8 +6,9 @@ and bound over elimination orderings with subset memoization:
 - upper bound: the greedy min-fill order (`min_fill_order`);
 - lower bound at the root: the largest of two minor-min-width runs
   (`minor_min_width`, Bodlaender & Koster, "Contraction and treewidth
-  lower bounds", JGAA 2006) and the degeneracy.  When it meets the
-  upper bound the min-fill order is returned without a search;
+  lower bounds", JGAA 2006) and the degeneracy, run in that order and
+  only until one meets the upper bound, when the min-fill order is
+  returned without a search;
 - the search carries the fill graph of the eliminated set and reduces
   without branching at simplicial and almost simplicial vertices
   (Gogate & Dechter, "A complete anytime algorithm for treewidth",
@@ -279,11 +280,21 @@ def treewidth_order(n, masks):
         return -1, []
     full = (1 << n) - 1
     ub, ub_order = min_fill_order(n, masks)
-    # max keeps the first of equal bounds, so a tie names an mmw run
-    lb, bound = max([(minor_min_width(n, masks, rule), "mmw " + rule)
-                     for rule in MMW_RULES]
-                    + [(degeneracy(n, masks), "degeneracy")],
-                    key=lambda b: b[0])
+
+    def root_bounds():
+        for rule in MMW_RULES:
+            yield minor_min_width(n, masks, rule), "mmw " + rule
+        yield degeneracy(n, masks), "degeneracy"
+
+    # the bounds run lazily, in order, while the root is open; no bound
+    # exceeds ub, and only a strictly larger one replaces lb, so a tie
+    # names the first run that reached it
+    lb = -1
+    for b, name in root_bounds():
+        if b > lb:
+            lb, bound = b, name
+        if lb >= ub:
+            break
     best = [ub, list(ub_order)]
     memo = {}
     nodes = 0

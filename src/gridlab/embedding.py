@@ -228,10 +228,11 @@ def dual_graph(e, fl):
     fl.check(e)
     edges = set()
     dart_nation = fl.dart_nation
+    # each edge is taken once, at the dart whose nation is the smaller
     for d, t in enumerate(e.twin):
         a, b = dart_nation[d], dart_nation[t]
-        if a is not None and b is not None and a != b:
-            edges.add((min(a, b), max(a, b)))
+        if a is not None and b is not None and a < b:
+            edges.add((a, b))
     return SimpleGraph(len(fl.nations), edges)
 
 
@@ -263,14 +264,22 @@ def radial_graph(e, fl):
 
 
 def union_radial_dual(e, fl):
-    """Radial edges plus dual edges under the shared nation ids."""
-    r, _ = radial_graph(e, fl)
-    d = dual_graph(e, fl)
+    """Radial edges plus dual edges under the shared nation ids: vertex
+    v < n joins n + i when a dart at v lies on nation i, and n + a joins
+    n + b when a primal edge has nation a on one side and nation b on
+    the other.  Built in one pass over the darts."""
+    fl.check(e)
     n = e.num_vertices
-    edges = set(r.edges)
-    for a, b in d.edges:
-        edges.add((n + a, n + b))
-    return SimpleGraph(r.n, edges)
+    twin = e.twin
+    dart_nation = fl.dart_nation
+    edges = set()
+    for d, (v, a) in enumerate(zip(e.vertex_of, dart_nation)):
+        if a is not None:
+            edges.add((v, n + a))
+            b = dart_nation[twin[d]]
+            if b is not None and a < b:
+                edges.add((n + a, n + b))
+    return SimpleGraph(n + len(fl.nations), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -140,11 +140,12 @@ class ContractionSequence:
 
     def replay(self):
         """Apply the operations.  Returns (vertices, edges, labels) where
-        labels[v] is the set of host vertices contracted into v."""
-        adj = {v: set() for v in range(self.host.n)}
-        for u, v in self.host.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+        edges holds each surviving edge once as (u, w) with u < w and
+        labels[v] is the set of host vertices contracted into v.
+
+        Works on a copy of the host's cached adjacency, so the host is
+        left as it was and a second replay returns an equal triple."""
+        adj = dict(enumerate(map(set, self.host.adj)))
         labels = {v: {v} for v in adj}
 
         for op in self.ops:
@@ -166,7 +167,7 @@ class ContractionSequence:
                     adj[u].add(w)
                     adj[w].add(u)
                 labels[u] |= labels.pop(v)
-        edges = {(min(u, w), max(u, w)) for u in adj for w in adj[u]}
+        edges = {(u, w) for u in adj for w in adj[u] if u < w}
         return set(adj), edges, labels
 
     def result(self):
@@ -324,7 +325,8 @@ def largest_grid_minor(g):
 
 def _assign_grid_coords(verts, edges):
     """(k, coords) when (verts, edges) is exactly a k x k grid, placing
-    one corner at (0,0); raises ConstructionError otherwise."""
+    one corner at (0,0); raises ConstructionError otherwise.  `edges`
+    names each edge once, as `ContractionSequence.replay` returns them."""
     k = math.isqrt(len(verts))
     if k * k != len(verts):
         raise ConstructionError(f"{len(verts)} vertices is not a square")
@@ -363,9 +365,16 @@ def _assign_grid_coords(verts, edges):
     if sorted(coords.values()) != [(x, y) for x in range(k)
                                    for y in range(k)]:
         raise ConstructionError("vertices do not fill the k x k grid")
-    index = {v: x * k + y for v, (x, y) in coords.items()}
-    placed = SimpleGraph(k * k, [(index[u], index[v]) for u, v in edges])
-    if placed != grid(k, k):
+    # the coordinates are a bijection onto the grid, so the edges are
+    # its 2k(k-1) edges iff there are that many and each is a unit step.
+    # An edge changes each corner distance by at most one, so with the
+    # parity above only a loop can fail the step test
+    def unit_step(u, v):
+        (x1, y1), (x2, y2) = coords[u], coords[v]
+        return abs(x1 - x2) + abs(y1 - y2) == 1
+
+    if len(edges) != 2 * k * (k - 1) or not all(
+            unit_step(u, v) for u, v in edges):
         raise ConstructionError("edge set is not the k x k grid")
     return k, coords
 
@@ -437,10 +446,12 @@ def radial_grid_to_dual_grid(seq, e, fl):
     """
     if not is_canonical(e, fl):
         raise ConstructionError("map is not canonical")
-    host = union_radial_dual(e, fl)
-    if seq.host != host:
+    if seq.host != union_radial_dual(e, fl):
         raise ConstructionError(
             "sequence host differs from the union of radial and dual")
+    # one host, whose cached adjacency the replay copies and the
+    # transfer paths search
+    host = seq.host
     verts, edges, labels = seq.replay()
     k, coords = _assign_grid_coords(verts, edges)
     t = k // 6 - 1
@@ -453,9 +464,10 @@ def radial_grid_to_dual_grid(seq, e, fl):
     # edge deletions, on the same vertices and coordinates
     owner_of, adj_p = _uncut_graph(host, labels)
     for u in adj_p:
+        x1, y1 = coords[u]
         for v in adj_p[u]:
-            (x1, y1), (x2, y2) = coords[u], coords[v]
-            if max(abs(x1 - x2), abs(y1 - y2)) > 1:
+            x2, y2 = coords[v]
+            if abs(x1 - x2) > 1 or abs(y1 - y2) > 1:
                 raise ConstructionError(
                     f"edge {(u, v)} spans non-neighboring grid cells; the "
                     f"contracted graph is not a partially triangulated "
@@ -466,9 +478,7 @@ def radial_grid_to_dual_grid(seq, e, fl):
         return any(u >= n for u in labels[v])
 
     host_adj = host.adj
-    # the union's nation-nation edges are exactly the dual's
-    dual = SimpleGraph(len(fl.nations),
-                       [(a - n, b - n) for a, b in host.edges if a >= n])
+    dual = dual_graph(e, fl)
 
     vhat = {}
     anchor = {}

@@ -118,6 +118,24 @@ def face_of_by_walks(e):
     return {d: f for f, walk in enumerate(walks) for d in walk}
 
 
+def radial_and_dual_by_definition(e, fl):
+    """(radial, dual) edge sets of the map (e, fl), each pair tested on
+    its own against the faces found by `face_of_by_walks`: (v, i) is
+    radial iff a dart at vertex v lies on the face of nation i, and
+    (a, b) with a < b is dual iff the two sides of some dart hold the
+    faces of nations a and b."""
+    face_of = face_of_by_walks(e)
+    darts = range(len(e.twin))
+    nations = list(fl.nations)
+    radial = {(v, i) for v in range(e.num_vertices)
+              for i, f in enumerate(nations)
+              if any(e.vertex_of[d] == v and face_of[d] == f for d in darts)}
+    sides = {(face_of[d], face_of[e.twin[d]]) for d in darts}
+    dual = {(a, b) for a, b in itertools.combinations(range(len(nations)), 2)
+            if (nations[a], nations[b]) in sides}
+    return radial, dual
+
+
 def is_canonical_per_vertex(e, fl):
     """The three canonical-map properties checked one vertex at a time,
     with each vertex's darts and the faces found by scanning all darts."""

@@ -7,7 +7,8 @@ exhaustive or certified verification, zero tolerated violations.
 import pytest
 
 from gridlab.decomposition import (lift_power, lift_radial_to_map, td_dumps,
-                                   td_loads, treewidth_exact, vertex_cover_dp)
+                                   td_loads, treewidth_exact, treewidth_upper,
+                                   vertex_cover_dp)
 from gridlab.embedding import (emb_dumps, emb_loads, map_graph, radial_graph,
                                union_radial_dual)
 from gridlab.errors import ConstructionError
@@ -117,7 +118,10 @@ def test_power_clique_or_bound_soundness():
 def test_radial_grid_transfer_on_nation_grids():
     # nation grid maps whose radial-dual union contracts to a k x k
     # grid, k = 2*floor(size/2) + 1; the output side is floor(k/6) - 1.
-    # Sizes 12..31 exercise output sides 1 through 4.
+    # Sizes 12..31 exercise output sides 1 through 4.  The certified
+    # t x t grid minor of the dual D gives tw(D) >= t, and the validated
+    # min-fill decomposition gives tw(D) <= w_D, so t <= w_D; the dual
+    # of a size-s nation grid is the s x s grid, so also t <= s.
     checked = 0
     for size in range(12, 32):
         e, fl, seq = nation_grid_transfer_instance(size)
@@ -126,6 +130,10 @@ def test_radial_grid_transfer_on_nation_grids():
         model = radial_grid_to_dual_grid(seq, e, fl)
         assert verify_model(model) is None
         assert len(model.branch_sets) == t * t
+        assert model.host == grid(size, size)
+        w_d, td = treewidth_upper(model.host)
+        assert td.validate(model.host) is None
+        assert t <= w_d and t <= size
         checked += 1
     assert checked >= 10
     # wheel maps: their unions only reach tiny grids, so the transfer

@@ -12,7 +12,9 @@ from gridlab.errors import GridlabError
 from gridlab.generators import (_build_from_rotations, _triangle, grid_map,
                                 random_canonical_map,
                                 random_planar_triangulation, wheel_map)
-from oracles import face_of_by_walks, is_canonical_per_vertex
+from gridlab.graph import SimpleGraph
+from oracles import (face_of_by_walks, is_canonical_per_vertex,
+                     radial_and_dual_by_definition)
 
 
 def bowtie():
@@ -328,3 +330,34 @@ def test_dart_nation_matches_a_face_walk_lookup():
             nations.index(face_of[d]) if face_of[d] in nations else None
             for d in range(e.num_darts()))
         assert fl.lakes == set(faces) - set(nations)
+
+
+def test_union_and_dual_match_the_definition_oracle():
+    rng = random.Random(19)
+    cases = [random_canonical_map(nations, seed)
+             for nations in (1, 2, 5, 12, 30) for seed in range(3)]
+    cases += [wheel_map(r) for r in (1, 2, 3)]
+    for n, seed in ((4, 0), (7, 1), (15, 2), (30, 3)):
+        t = random_planar_triangulation(n, seed)
+        faces = list(range(len(t.faces)))
+        cases.append((t, all_nations(t)))
+        # lakes on a random face subset, canonical or not
+        cases.append((t, FaceLabeling(t, rng.sample(
+            faces, rng.randint(1, len(faces))))))
+    # a loop at vertex 0 and two parallel edges between 0 and 1, with
+    # every face a nation and with one face a lake
+    loop = _build_from_rotations([[(1, "a"), (0, "c"), (0, "c"), (1, "b")],
+                                  [(0, "b"), (0, "a")]])
+    cases += [(loop, all_nations(loop)), (loop, FaceLabeling(loop, [0, 1]))]
+    for trial in range(60):
+        e = random_rotation_system(rng, 1 + trial % 10)
+        faces = list(range(len(e.faces)))
+        cases.append((e, FaceLabeling(e, rng.sample(
+            faces, rng.randint(1, len(faces))))))
+    for e, fl in cases:
+        radial, dual = radial_and_dual_by_definition(e, fl)
+        n, nations = e.num_vertices, len(fl.nations)
+        assert dual_graph(e, fl) == SimpleGraph(nations, dual)
+        assert union_radial_dual(e, fl) == SimpleGraph(
+            n + nations, {(v, n + i) for v, i in radial}
+            | {(n + a, n + b) for a, b in dual})

@@ -86,6 +86,36 @@ def test_search_statistics_are_logged(caplog):
     assert tied["lb"] == 5 and tied["lb_bound"] == "mmw min-d"
 
 
+def test_root_bounds_stop_once_the_root_is_closed(monkeypatch, caplog):
+    # the root bounds run in order only while lb < ub: when min-d
+    # closes the root, neither least-c nor the degeneracy runs
+    caplog.set_level(logging.DEBUG, logger="gridlab.kernels")
+    calls = []
+    mmw, degeneracy = _kernels.minor_min_width, _kernels.degeneracy
+
+    def counted_mmw(n, masks, rule="min-d"):
+        calls.append("mmw " + rule)
+        return mmw(n, masks, rule)
+
+    def counted_degeneracy(n, masks):
+        calls.append("degeneracy")
+        return degeneracy(n, masks)
+
+    monkeypatch.setattr(_kernels, "minor_min_width", counted_mmw)
+    monkeypatch.setattr(_kernels, "degeneracy", counted_degeneracy)
+    g = SimpleGraph.complete(6)
+    _kernels.treewidth_order(g.n, g.adjacency_masks())
+    closed = caplog.records[-1].args
+    assert closed["root_closed"] and closed["lb_bound"] == "mmw min-d"
+    assert calls == ["mmw min-d"]
+    # this dual stays open at the root, so every bound runs
+    calls.clear()
+    g = _dual(12, 1)
+    _kernels.treewidth_order(g.n, g.adjacency_masks())
+    assert not caplog.records[-1].args["root_closed"]
+    assert calls == ["mmw min-d", "mmw least-c", "degeneracy"]
+
+
 def _disjoint_union(g, h):
     return SimpleGraph(g.n + h.n, list(g.edges)
                        + [(u + g.n, v + g.n) for u, v in h.edges])

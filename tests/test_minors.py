@@ -122,6 +122,23 @@ def test_contraction_sequence_replay():
     assert final.edges == frozenset({(0, 2), (1, 2)})
 
 
+def test_replay_does_not_alias_the_host():
+    # replay starts from the host's cached adjacency; it must change a
+    # copy, so the host and a second replay are as before
+    g = random_graph(12, 3, 0.4)
+    adj = [set(a) for a in g.adj]
+    edges = g.edges
+    u, v = min(g.edges)
+    w = min(g.adj[u] - {v})
+    ops = [("contract", u, v), ("delete_edge", u, w),
+           ("delete_vertex", max(g.adj[u] - {v, w}))]
+    seq = ContractionSequence(g, ops)
+    first = seq.replay()
+    assert g.adj == adj and g.edges == edges
+    assert seq.replay() == first
+    assert first[2][u] == {u, v} and (min(u, w), max(u, w)) not in first[1]
+
+
 def test_contraction_sequence_rejects_bad_ops():
     g = SimpleGraph.path(3)
     # ids are ints, not floats, bools or strings, and each kind takes
@@ -309,6 +326,12 @@ TORUS = {(min(a, b), max(a, b)) for v in range(9)
     (range(4), _moved(2, (0, 1), (0, 3)), "wrong parity"),
     (range(9), _moved(3, (0, 1), (0, 5)), "do not fill"),
     (range(4), grid(2, 2).edges - {(0, 1)}, "edge set is not"),
+    # the right edge count and coordinates that fill the grid, but one
+    # edge is no unit step: an inner edge whose removal keeps every
+    # corner distance, swapped for a loop (an edge changes each corner
+    # distance by at most one, so with the parity check passed only a
+    # loop can be a non-unit step)
+    (range(16), grid(4, 4).edges - {(5, 9)} | {(5, 5)}, "edge set is not"),
 ])
 def test_assign_grid_coords_rejects_non_grids(verts, edges, message):
     with pytest.raises(ConstructionError, match=message):
