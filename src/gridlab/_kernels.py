@@ -59,6 +59,7 @@ def _fill(adj, v):
 
 def min_fill_order(n, masks):
     """Greedy min-fill elimination: (width, order).  Ties to smaller id.
+    The width is -1 on the empty graph.
 
     Incremental (Bodlaender & Koster, "Treewidth computations I. Upper
     bounds", Inf. Comput. 2010): a heap holds (fill, id) entries and is
@@ -84,7 +85,7 @@ def min_fill_order(n, masks):
     added = [0] * n
     alive = (1 << n) - 1
     order = []
-    width = 0
+    width = -1
     while heap:
         f, v = heapq.heappop(heap)
         if not alive >> v & 1 or f != fill[v]:

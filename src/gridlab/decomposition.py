@@ -168,16 +168,12 @@ def treewidth_exact(g):
         raise SizeLimitError(
             f"treewidth_exact limited to {TREEWIDTH_EXACT_LIMIT} vertices, "
             f"got {g.n}")
-    if g.n == 0:
-        return -1, TreeDecomposition([frozenset()], [])
     width, order = _kernels.treewidth_order(g.n, g.adjacency_masks())
     return width, _from_kernel_order(g, width, order, "treewidth_exact")
 
 
 def treewidth_upper(g):
     """Valid decomposition via greedy min-fill; width >= tw(g)."""
-    if g.n == 0:
-        return -1, TreeDecomposition([frozenset()], [])
     width, order = _kernels.min_fill_order(g.n, g.adjacency_masks())
     return width, _from_kernel_order(g, width, order, "treewidth_upper")
 
@@ -251,17 +247,10 @@ def lift_radial_to_map(td_r, e, fl):
     r_graph, _ = radial_graph(e, fl)
     _require_valid(td_r, r_graph, "radial graph")
     m_graph = map_graph(e, fl)
-    n_vertices = e.num_vertices
-    incident = e.incident_nations(fl)  # vertex -> nation indices
-    bags = []
-    for bag in td_r.bags:
-        new_bag = set()
-        for x in bag:
-            if x >= n_vertices:
-                new_bag.add(x - n_vertices)
-            else:
-                new_bag |= incident[x]
-        bags.append(new_bag)
+    # radial vertex -> the nations it stands for: a vertex v < n its
+    # incident nations, and n + i nation i
+    replace = e.incident_nations(fl) + [{i} for i in range(len(fl.nations))]
+    bags = [set().union(*map(replace.__getitem__, bag)) for bag in td_r.bags]
     # bag for bag, not merged: the merged lift of a complete map graph (a
     # wheel's) is one bag with no tree edge, which the tamper check of
     # gridbench/workloads.py cannot corrupt (ROADMAP.md, "Compact
@@ -297,8 +286,8 @@ def vertex_cover_dp(g, td):
 
     bag_lists = [sorted(bag) for bag in td.bags]
     children = [[y for y in nb[x] if y != parent[x]] for x in range(b)]
-    dp = [None] * b       # node -> {mask: best size}
-    choice = [None] * b   # node -> {mask: child masks, as children[node]}
+    dp = [None] * b     # node -> {mask: best size}
+    joins = [None] * b  # node -> per child, (shared mask, best)
 
     for x in reversed(order):
         verts = bag_lists[x]
@@ -310,7 +299,7 @@ def vertex_cover_dp(g, td):
         # per child: the bag-local mask of the shared vertices, and for
         # each selection of them the first child mask of least size that
         # makes it (Cygan et al., Parameterized Algorithms, 2015, 7.3)
-        joins = []
+        joins[x] = []
         for c in children[x]:
             shared = [(i, 1 << idx[v]) for i, v in enumerate(bag_lists[c])
                       if v in idx]
@@ -322,7 +311,7 @@ def vertex_cover_dp(g, td):
                         key |= bit
                 if key not in best or csize < best[key][0]:
                     best[key] = (csize, cmask)
-            joins.append((sum(bit for _, bit in shared), best))
+            joins[x].append((sum(bit for _, bit in shared), best))
         # the bag's independent sets in increasing order (each round adds
         # masks above all earlier ones); their complements, taken in
         # reverse, are the bag's covers in increasing order
@@ -331,24 +320,19 @@ def vertex_cover_dp(g, td):
             free += [s | 1 << i for s in free if not s & nb_mask]
         full = (1 << len(verts)) - 1
         table = {}
-        picks = {}
         for s in reversed(free):
             mask = full ^ s
             total = mask.bit_count()
-            pick = []
-            for shared_mask, best in joins:
+            for shared_mask, best in joins[x]:
                 key = mask & shared_mask
                 found = best.get(key)
                 if found is None:
                     break
                 # the shared vertices it selects are counted in `mask`
                 total += found[0] - key.bit_count()
-                pick.append(found[1])
             else:
                 table[mask] = total
-                picks[mask] = pick
         dp[x] = table
-        choice[x] = picks
 
     best_mask = min(dp[root], key=lambda m: dp[root][m])
     size = dp[root][best_mask]
@@ -358,7 +342,8 @@ def vertex_cover_dp(g, td):
         mask = mask_of[x]
         verts = bag_lists[x]
         cover |= {verts[i] for i in range(len(verts)) if mask >> i & 1}
-        mask_of.update(zip(children[x], choice[x][mask]))
+        for c, (shared_mask, best) in zip(children[x], joins[x]):
+            mask_of[c] = best[mask & shared_mask][1]
     if len(cover) != size:
         raise ConstructionError(f"vertex_cover_dp: the traceback gives "
                                 f"{len(cover)} vertices, the optimum is "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import (ConstructionError, FormatError, GridlabError,
                      _int_token, _raises_format_error)
-from .graph import Bipartition, SimpleGraph, _bfs_parents
+from .graph import Bipartition, SimpleGraph, _components
 
 
 class EmbeddedGraph:
@@ -112,24 +112,11 @@ class EmbeddedGraph:
         return self._face_of
 
     def components(self):
-        """Vertex sets of connected components."""
-        parent = list(range(self.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for d in range(0, len(self.twin)):
-            a, b = find(self.vertex_of[d]), find(self.vertex_of[self.twin[d]])
-            if a != b:
-                parent[a] = b
-        comps = {}
-        for v in range(self.num_vertices):
-            comps.setdefault(find(v), []).append(v)
-        return [sorted(c) for c in
-                sorted(comps.values(), key=lambda c: min(c))]
+        """Vertex sets of connected components, each sorted, in the order
+        of their least vertex."""
+        neighbors = [{self.vertex_of[self.twin[d]] for d in rot}
+                     for rot in self.rotations]
+        return _components(neighbors, range(self.num_vertices))
 
     def genus(self):
         """Euler genus 2 - V + E - F of the stored embedding, summed over
@@ -168,6 +155,18 @@ class EmbeddedGraph:
     def __repr__(self):
         return (f"EmbeddedGraph(V={self.num_vertices}, "
                 f"E={self.num_edges()}, F={len(self.faces)})")
+
+
+def _from_rotations(twin, rotations):
+    """EmbeddedGraph with these twins whose vertex v has the darts of
+    `rotations[v]`, in that rotation order."""
+    nxt = [0] * len(twin)
+    vertex_of = [0] * len(twin)
+    for v, rot in enumerate(rotations):
+        for d, d_next in zip(rot, rot[1:] + rot[:1]):
+            nxt[d] = d_next
+            vertex_of[d] = v
+    return EmbeddedGraph(twin, nxt, vertex_of)
 
 
 class FaceLabeling:
@@ -352,15 +351,9 @@ class _MutableMap:
         and nations."""
         dart_ids = sorted(d for v in vertices for d in self.rot[v])
         dmap = {d: i for i, d in enumerate(dart_ids)}
-        vmap = {v: i for i, v in enumerate(sorted(vertices))}
-        twin = [dmap[self.twin[d]] for d in dart_ids]
-        vertex_of = [vmap[self.vertex_of[d]] for d in dart_ids]
-        nxt = [0] * len(dart_ids)
-        for v in vmap:
-            r = self.rot[v]
-            for i, d in enumerate(r):
-                nxt[dmap[d]] = dmap[r[(i + 1) % len(r)]]
-        e2 = EmbeddedGraph(twin, nxt, vertex_of)
+        e2 = _from_rotations([dmap[self.twin[d]] for d in dart_ids],
+                             [[dmap[d] for d in self.rot[v]]
+                              for v in sorted(vertices)])
         nation_face = {}
         for f, walk in enumerate(e2.faces):
             labels = {self.label[dart_ids[d]] for d in walk}
@@ -408,13 +401,7 @@ def canonicalize_components(e, fl):
     # every edge left has a nation on one side, so every component keeps
     # a nation
     adj = {v: {m.vertex_of[m.twin[d]] for d in r} for v, r in m.rot.items()}
-    out = []
-    seen = set()
-    for v in sorted(m.rot):
-        if v not in seen:
-            comp = _bfs_parents(adj, v)
-            seen.update(comp)
-            out.append(m.to_embedded(comp))
+    out = [m.to_embedded(comp) for comp in _components(adj, sorted(m.rot))]
     kept = sorted(i for _, _, nation_ids in out for i in nation_ids)
     if kept != list(range(len(fl.nations))):
         raise GridlabError("nation set changed by surgery")
@@ -465,25 +452,13 @@ def radial_embedding(e):
     Vertex ids: 0..n-1 original vertices, n+f for face f.  One radial
     edge per corner (per dart of e).
     """
-    n = e.num_vertices
-    faces = e.faces
     # darts of R: 2*d is based at vertex_of(d), 2*d+1 at the face vertex
-    twin = []
-    vertex_of = []
-    for d in range(len(e.twin)):
-        twin.extend([2 * d + 1, 2 * d])
-        vertex_of.extend([e.vertex_of[d], n + e.face_of[d]])
-    nxt = [0] * (2 * len(e.twin))
-    for v in range(n):
-        r = e.vertex_darts(v)
-        for i, d in enumerate(r):
-            nxt[2 * d] = 2 * r[(i + 1) % len(r)]
-    for f, walk in enumerate(faces):
-        # around the face vertex the corners appear in reverse walk order
-        k = len(walk)
-        for i, d in enumerate(walk):
-            nxt[2 * d + 1] = 2 * walk[(i - 1) % k] + 1
-    return EmbeddedGraph(twin, nxt, vertex_of)
+    # of d; around a face vertex the corners appear in reverse walk order
+    rotations = [[2 * d for d in rot] for rot in e.rotations]
+    rotations += [[2 * d + 1 for d in walk[:1] + walk[:0:-1]]
+                  for walk in e.faces]
+    return _from_rotations([d ^ 1 for d in range(2 * len(e.twin))],
+                           rotations)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 
-from .embedding import (EmbeddedGraph, FaceLabeling, canonicalize_components,
-                        is_canonical, map_graph)
+from .embedding import (EmbeddedGraph, FaceLabeling, _from_rotations,
+                        canonicalize_components, is_canonical, map_graph)
 from .errors import ConstructionError, GridlabError
 from .graph import SimpleGraph
 
@@ -60,12 +60,11 @@ def _build_from_rotations(neighbor_lists):
     neighbor_lists[v] lists, in rotation order, (neighbor, edge_key)
     pairs; the two endpoints of an edge must use the same key.
     """
-    dart_at = {}
+    rotations = []
     darts = []
     for v, rot in enumerate(neighbor_lists):
-        for slot, (w, key) in enumerate(rot):
-            dart_at[(v, slot)] = len(darts)
-            darts.append((v, w, key))
+        rotations.append(list(range(len(darts), len(darts) + len(rot))))
+        darts += [(v, w, key) for w, key in rot]
     twin = [None] * len(darts)
     by_key = {}
     for d, (v, w, key) in enumerate(darts):
@@ -78,12 +77,7 @@ def _build_from_rotations(neighbor_lists):
             by_key[k] = d
     if by_key:
         raise ValueError(f"unmatched darts: {sorted(by_key)}")
-    nxt = [None] * len(darts)
-    for v, rot in enumerate(neighbor_lists):
-        for slot in range(len(rot)):
-            nxt[dart_at[(v, slot)]] = dart_at[(v, (slot + 1) % len(rot))]
-    vertex_of = [v for v, _, _ in darts]
-    return EmbeddedGraph(twin, nxt, vertex_of)
+    return _from_rotations(twin, rotations)
 
 
 def wheel_map(r):

@@ -278,6 +278,20 @@ def _bfs_parents(neighbors, source, allowed=None, target=None):
     return parent
 
 
+def _components(neighbors, vertices):
+    """Connected components of the vertices in `vertices`, one
+    `_bfs_parents` search each, every component sorted and the
+    components in the order of `vertices`."""
+    out = []
+    seen = set()
+    for v in vertices:
+        if v not in seen:
+            comp = _bfs_parents(neighbors, v)
+            seen.update(comp)
+            out.append(sorted(comp))
+    return out
+
+
 def _bfs_tree_labels(g, center, depth_cap):
     """Label each vertex reachable from center with its BFS-tree
     ancestor at depth exactly depth_cap (the vertex itself if

@@ -235,6 +235,18 @@ def test_sweep_wheel(tmp_path):
     assert all(r["verdict"] == "ok" for r in rows)
 
 
+def test_sweep_rows_come_in_numeric_value_then_seed_order(tmp_path):
+    out = tmp_path / "sweep.csv"
+    res = run(CliRunner(), ["sweep", "--family", "power", "--values",
+                            "10,9,3", "--seeds", "1,0", "-o", str(out)])
+    assert res.exit_code == 0
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
+    assert [(row["n"], row["seed"]) for row in rows] == [
+        ("3", "0"), ("3", "1"), ("9", "0"), ("9", "1"), ("10", "0"),
+        ("10", "1")]
+
+
 def test_sweep_empty_values_gives_header_only(tmp_path):
     runner = CliRunner()
     out = tmp_path / "empty.csv"

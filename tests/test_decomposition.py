@@ -89,6 +89,15 @@ def test_upper_bound_is_valid_and_above_exact():
         assert upper >= exact
 
 
+def test_empty_graph_has_width_minus_one():
+    g = SimpleGraph(0)
+    assert _kernels.min_fill_order(0, []) == (-1, [])
+    for make in (treewidth_exact, treewidth_upper):
+        width, td = make(g)
+        assert width == td.width == -1
+        assert td.validate(g) is None
+
+
 def test_exact_size_refusal():
     with pytest.raises(SizeLimitError):
         treewidth_exact(SimpleGraph(21))

@@ -58,6 +58,12 @@ def test_genus_counts_components_separately():
     edges = EmbeddedGraph([1, 0, 3, 2], [0, 1, 2, 3], [0, 1, 2, 3])
     assert len(edges.components()) == 2
     assert edges.genus() == 0
+    # the two interleaved loops at vertex 0 plus a disjoint edge {1, 2}:
+    # a torus (2) and a sphere (0)
+    torus_and_edge = EmbeddedGraph([2, 3, 0, 1, 5, 4], [1, 2, 3, 0, 4, 5],
+                                   [0, 0, 0, 0, 2, 1])
+    assert torus_and_edge.components() == [[0], [1, 2]]
+    assert torus_and_edge.genus() == 2
 
 
 def test_grid_map_derived_graphs():
@@ -214,9 +220,21 @@ def test_wheel_is_canonical():
 
 
 def test_radial_embedding_structure():
-    for n, seed in ((3, 0), (6, 1), (10, 4)):
+    # (n, seed) of the triangulation -> sha256 of the radial .emb text
+    pins = {
+        (3, 0):
+            "b96f40e0f85fce4a55784a3aaccb2e36d2aa94644285b6fe38b53115fcf1c750",
+        (6, 1):
+            "558c225f605c61c326c53f66e9cf0b683ed5932719b2a800861a21926a409206",
+        (10, 4):
+            "b6e09a6e5894dd268905fe4899e80dc2eaa7d3ac68b0a1e126c3a919335f917b",
+        (40, 2):
+            "8c7e92c41b412effe419fefbef50ba89fa4f29f78fbd915a2328c1a67abf2b2b",
+    }
+    for (n, seed), digest in pins.items():
         t = random_planar_triangulation(n, seed)
         r = radial_embedding(t)
+        assert hashlib.sha256(emb_dumps(r).encode()).hexdigest() == digest
         assert r.genus() == 0
         assert r.num_vertices == t.num_vertices + len(t.faces)
         assert r.num_edges() == t.num_darts()

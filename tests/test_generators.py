@@ -152,3 +152,9 @@ def test_generated_instances_are_pinned():
     }
     for (rows, cols), digest in grid_maps.items():
         assert _emb_sha256(*grid_map(rows, cols)) == digest
+    every_small_grid = hashlib.sha256()
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            every_small_grid.update(emb_dumps(*grid_map(rows, cols)).encode())
+    assert every_small_grid.hexdigest() == (
+        "99c91e3d1b21605510f179083ad9a47de031856d22f0bd074e1c3df310948b9f")
