@@ -4,11 +4,14 @@ Graphs are given as neighbor bitmasks.  `treewidth_order` is a branch
 and bound over elimination orderings with subset memoization:
 
 - upper bound: the greedy min-fill order (`min_fill_order`);
-- lower bound at the root: the largest of two minor-min-width runs
+- lower bound at the root: the larger of two minor-min-width runs
   (`minor_min_width`, Bodlaender & Koster, "Contraction and treewidth
-  lower bounds", JGAA 2006) and the degeneracy, run in that order and
-  only until one meets the upper bound, when the min-fill order is
-  returned without a search;
+  lower bounds", JGAA 2006), run in order and only until one meets the
+  upper bound, when the min-fill order is returned without a search.
+  No degeneracy run follows: minor-min-width is at least the
+  degeneracy d under either rule, because the d-core stays a subgraph
+  of the current minor until one of its vertices is the minimum-degree
+  vertex, which then has degree at least d;
 - the search carries the fill graph of the eliminated set and reduces
   without branching at simplicial and almost simplicial vertices
   (Gogate & Dechter, "A complete anytime algorithm for treewidth",
@@ -21,8 +24,8 @@ and bound over elimination orderings with subset memoization:
 The search is exponential; `decomposition.treewidth_exact` refuses
 graphs with more than `TREEWIDTH_EXACT_LIMIT` (20) vertices.  Each call
 logs one debug record with its search statistics on the
-`gridlab.kernels` logger; its `lb_bound` names the bound that set the
-lower bound, a minor-min-width run when the degeneracy ties it.
+`gridlab.kernels` logger; its `lb_bound` names the minor-min-width run
+that set the lower bound.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def min_fill_order(n, masks):
 
 def degeneracy(n, masks):
     """Max over the min-degree elimination of the removed degree; a
-    treewidth lower bound."""
+    treewidth lower bound, never above `minor_min_width`."""
     adj = list(masks)
     alive = (1 << n) - 1
     best = 0
@@ -282,18 +285,14 @@ def treewidth_order(n, masks):
     full = (1 << n) - 1
     ub, ub_order = min_fill_order(n, masks)
 
-    def root_bounds():
-        for rule in MMW_RULES:
-            yield minor_min_width(n, masks, rule), "mmw " + rule
-        yield degeneracy(n, masks), "degeneracy"
-
-    # the bounds run lazily, in order, while the root is open; no bound
-    # exceeds ub, and only a strictly larger one replaces lb, so a tie
-    # names the first run that reached it
+    # the bounds run in order while the root is open; no bound exceeds
+    # ub, and only a strictly larger one replaces lb, so a tie names the
+    # first run that reached it
     lb = -1
-    for b, name in root_bounds():
+    for rule in MMW_RULES:
+        b = minor_min_width(n, masks, rule)
         if b > lb:
-            lb, bound = b, name
+            lb, bound = b, "mmw " + rule
         if lb >= ub:
             break
     best = [ub, list(ub_order)]

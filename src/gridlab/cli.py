@@ -73,6 +73,14 @@ def _read(path, loads):
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _require_vertex_count(td_n, carrier_n):
+    """Refuse a decomposition whose .td header names another vertex
+    count than the graph it decomposes."""
+    if td_n != carrier_n:
+        raise GridlabError(f"decomposition is over {td_n} vertices, "
+                           f"graph has {carrier_n}")
+
+
 def _emb_map_loads(text):
     """.emb text that must carry a nation labeling."""
     e, fl = emb.emb_loads(text)
@@ -194,15 +202,18 @@ def tw(input_path, exact, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def lift(emb_path, k, gr_path, td_path, output):
     """Lift a tree decomposition (radial to map, or G to G^k)."""
-    td, _ = _read(td_path, dec.td_loads)
+    td, td_n = _read(td_path, dec.td_loads)
     if emb_path:
         e, fl = _read(emb_path, _emb_map_loads)
+        # the radial graph has a vertex per map vertex and per nation
+        _require_vertex_count(td_n, e.num_vertices + len(fl.nations))
         td2 = dec.lift_radial_to_map(td, e, fl)
         n = len(fl.nations)
     elif k:
         if not gr_path:
             raise click.UsageError("--power needs --gr")
         g = _read(gr_path, gr.gr_loads)
+        _require_vertex_count(td_n, g.n)
         td2 = dec.lift_power(td, g, k)
         n = g.n
     else:
@@ -224,10 +235,8 @@ def check(td_path, gr_path, model_path):
         violation = minors.verify_model(_read(model_path, minors.model_loads))
     elif td_path and gr_path:
         g = _read(gr_path, gr.gr_loads)
-        td, n = _read(td_path, dec.td_loads)
-        if n != g.n:
-            raise GridlabError(f"decomposition is over {n} vertices, "
-                               f"graph has {g.n}")
+        td, td_n = _read(td_path, dec.td_loads)
+        _require_vertex_count(td_n, g.n)
         violation = td.validate(g)
     else:
         raise click.UsageError("pass --model, or both --td and --gr")
@@ -385,8 +394,8 @@ _SWEEP_FAMILIES = {
               help="comma-separated main parameter values (r, nations, n)")
 @click.option("--seeds", default="0", show_default=True,
               help="comma-separated seeds")
-@click.option("--k", type=int, default=2, show_default=True,
-              help="power exponent (family power only)")
+@click.option("--k", type=click.IntRange(min=1), default=2,
+              show_default=True, help="power exponent (family power only)")
 @click.option("-o", "--output", required=True, type=click.Path())
 def sweep(family, values, seeds, k, output):
     """Run a parameter sweep and write one CSV row per instance, in

@@ -253,8 +253,8 @@ def lift_radial_to_map(td_r, e, fl):
     bags = [set().union(*map(replace.__getitem__, bag)) for bag in td_r.bags]
     # bag for bag, not merged: the merged lift of a complete map graph (a
     # wheel's) is one bag with no tree edge, which the tamper check of
-    # gridbench/workloads.py cannot corrupt (ROADMAP.md, "Compact
-    # decompositions")
+    # gridbench/workloads.py cannot corrupt (ROADMAP.md, item 1b, the
+    # `_tamper_td` mend)
     return _checked(TreeDecomposition(bags, td_r.tree_edges), m_graph,
                     "lift_radial_to_map")
 

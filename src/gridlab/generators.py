@@ -8,8 +8,9 @@ All generators are deterministic functions of their parameters and seed
 from __future__ import annotations
 
 import random
+from bisect import insort
 
-from .embedding import (EmbeddedGraph, FaceLabeling, _from_rotations,
+from .embedding import (FaceLabeling, _from_rotations,
                         canonicalize_components, is_canonical, map_graph)
 from .errors import ConstructionError, GridlabError
 from .graph import SimpleGraph
@@ -155,45 +156,42 @@ def _triangle():
     return _build_from_rotations(rots)
 
 
-def _insert_into_face(e, face_idx, new_vertex):
-    """Insert a vertex inside a triangular face, joined to its corners."""
-    walk = e.faces[face_idx]
-    if len(walk) != 3:
-        raise ConstructionError(f"random_planar_triangulation: face "
-                                f"{face_idx} has {len(walk)} sides")
-    base = len(e.twin)
-    twin = list(e.twin)
-    nxt = list(e.nxt)
-    vertex_of = list(e.vertex_of)
-    for i, d in enumerate(walk):
-        corner = base + 2 * i    # dart at the corner vertex
-        spoke = corner + 1       # dart at the new vertex
-        twin += [spoke, corner]
-        vertex_of += [e.vertex_of[d], new_vertex]
-        # the corner dart goes just before d in its vertex's rotation;
-        # around the new vertex the spokes turn against the walk
-        rot = e.rotations[e.vertex_of[d]]
-        nxt[rot[rot.index(d) - 1]] = corner
-        nxt += [d, base + 2 * ((i - 1) % 3) + 1]
-    out = EmbeddedGraph(twin, nxt, vertex_of)
-    if out.genus() != 0 or any(len(wk) != 3 for wk in out.faces):
-        raise ConstructionError(f"random_planar_triangulation: inserting "
-                                f"vertex {new_vertex} into face "
-                                f"{face_idx} broke the triangulation")
-    return out
-
-
 def random_planar_triangulation(n, seed):
     """Stacked planar triangulation on n >= 3 vertices: repeated seeded
     insertion of a degree-3 vertex into a random face.  Simple,
-    3-connected for n >= 4, genus 0."""
+    3-connected for n >= 4, genus 0.
+
+    The vertices are stacked on rotation lists and one embedding is
+    built and checked at the end.  Each new face starts at an old dart
+    of the face it splits, as every new dart is larger, so the faces
+    keyed by their least dart keep the order of `EmbeddedGraph.faces`."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
     rng = random.Random(f"tri:{n}:{seed}")
-    e = _triangle()
+    start = _triangle()
+    twin = list(start.twin)
+    vertex_of = list(start.vertex_of)
+    rotations = [list(rot) for rot in start.rotations]
+    faces = {walk[0]: walk for walk in start.faces}
+    keys = sorted(faces)
     for v in range(3, n):
-        f = rng.randrange(len(e.faces))
-        e = _insert_into_face(e, f, v)
+        walk = faces[keys[rng.randrange(len(keys))]]
+        base = len(twin)
+        for i, d in enumerate(walk):
+            # corner dart base+2i goes just before d; its twin is at v
+            twin += [base + 2 * i + 1, base + 2 * i]
+            vertex_of += [vertex_of[d], v]
+            rot = rotations[vertex_of[d]]
+            rot.insert(rot.index(d), base + 2 * i)
+            faces[d] = (d, base + (2 * i + 2) % 6, base + 2 * i + 1)
+        # around v the spokes turn against the walk
+        rotations.append([base + 1, base + 5, base + 3])
+        insort(keys, walk[1])
+        insort(keys, walk[2])
+    e = _from_rotations(twin, rotations)
+    if e.genus() != 0 or any(len(walk) != 3 for walk in e.faces):
+        raise ConstructionError(f"random_planar_triangulation(n={n}, "
+                                f"seed={seed}) is not a triangulation")
     return e
 
 

@@ -2,12 +2,15 @@
 
 Deliberately naive: these share no code with the package internals,
 except `double_radial_host`, which keeps the construction of R(R(G))
-as a second embedding for reference.
+as a second embedding for reference, and
+`stacked_triangulation_by_insertion`, which builds and checks a whole
+`EmbeddedGraph` after every inserted vertex.
 """
 
 import itertools
+import random
 
-from gridlab.embedding import radial_embedding
+from gridlab.embedding import EmbeddedGraph, radial_embedding
 
 
 def all_pairs_distances(g):
@@ -362,6 +365,16 @@ def is_two_connected_by_deletion(g):
                     for v in range(g.n)))
 
 
+def is_three_connected_by_deletion(g):
+    """More than three vertices, connected, and still connected after
+    deleting any two vertices."""
+    edges = set(g.edges)
+    everything = set(range(g.n))
+    return (g.n > 3 and _connected_within(everything, edges)
+            and all(_connected_within(everything - set(pair), edges)
+                    for pair in itertools.combinations(range(g.n), 2)))
+
+
 def first_model_violation(m):
     """(kind, witness) of the first failed minor-model condition of m,
     or None, checked from the definition in the order of verify_model:
@@ -480,3 +493,37 @@ def double_radial_host(e):
     """R(R(G)) as the simple graph of the radial embedding of the radial
     embedding of e."""
     return radial_embedding(radial_embedding(e)).simple_graph()
+
+
+def stacked_triangulation_by_insertion(n, seed):
+    """The seeded stacked triangulation of
+    `generators.random_planar_triangulation`, rebuilt as a checked
+    embedding after each vertex: the vertex goes into face
+    `rng.randrange(len(e.faces))` of the current embedding, joined to
+    the face's corners."""
+    rng = random.Random(f"tri:{n}:{seed}")
+    # the triangle 0-1-2, darts 2v and 2v+1 at vertex v
+    e = EmbeddedGraph([3, 4, 5, 0, 1, 2], [1, 0, 3, 2, 5, 4],
+                      [0, 0, 1, 1, 2, 2])
+    for v in range(3, n):
+        walk = e.faces[rng.randrange(len(e.faces))]
+        base = len(e.twin)
+        twin = list(e.twin)
+        nxt = list(e.nxt)
+        vertex_of = list(e.vertex_of)
+        for i, d in enumerate(walk):
+            corner = base + 2 * i    # dart at the corner vertex
+            spoke = corner + 1       # dart at the new vertex
+            twin += [spoke, corner]
+            vertex_of += [e.vertex_of[d], v]
+            # the corner dart goes just before d in its vertex's
+            # rotation; around the new vertex the spokes turn against
+            # the walk
+            rot = e.rotations[e.vertex_of[d]]
+            nxt[rot[rot.index(d) - 1]] = corner
+            nxt += [d, base + 2 * ((i - 1) % 3) + 1]
+        e = EmbeddedGraph(twin, nxt, vertex_of)
+        if e.genus() != 0 or any(len(wk) != 3 for wk in e.faces):
+            raise ValueError(f"inserting vertex {v} broke the "
+                             f"triangulation")
+    return e

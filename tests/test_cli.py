@@ -10,8 +10,9 @@ from click.testing import CliRunner
 import gridlab
 from gridlab import cli
 from gridlab.cli import main
+from gridlab.decomposition import td_dumps, treewidth_exact
 from gridlab.embedding import (all_nations, canonicalize, emb_dumps,
-                               emb_loads, is_canonical)
+                               emb_loads, is_canonical, radial_graph)
 from gridlab.generators import (partially_triangulated_grid,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import BoundReport, SimpleGraph, gr_loads
@@ -136,6 +137,25 @@ def test_check_refuses_a_decomposition_over_other_vertices(tmp_path):
     grf.write_text("p tw 3 1\n1 2\n")
     res = run(CliRunner(), ["check", "--td", str(td), "--gr", str(grf)])
     assert_one_error_line(res, 1, names="over 2 vertices, graph has 3")
+    # lift reads the same header: a path decomposition of P3 over 99
+    # vertices, and a radial decomposition of a wheel map whose radial
+    # graph has 5 + 4 vertices, over 7
+    out = tmp_path / "out.td"
+    td.write_text("s td 2 2 99\nb 1 1 2\nb 2 2 3\n1 2\n")
+    grf.write_text("p tw 3 2\n1 2\n2 3\n")
+    res = run(CliRunner(), ["lift", "--power", "2", "--gr", str(grf),
+                            str(td), "-o", str(out)])
+    assert_one_error_line(res, 1, names="over 99 vertices, graph has 3")
+    e, fl = wheel_map(2)
+    radial, _ = radial_graph(e, fl)
+    _, td_r = treewidth_exact(radial)
+    td.write_text(td_dumps(td_r, 7))
+    wheel = tmp_path / "w.emb"
+    wheel.write_text(emb_dumps(e, fl))
+    res = run(CliRunner(), ["lift", "--radial-to-map", str(wheel), str(td),
+                            "-o", str(out)])
+    assert_one_error_line(res, 1, names="over 7 vertices, graph has 9")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family, value", [
@@ -400,12 +420,18 @@ def test_out_of_memory_is_a_size_refusal(tmp_path):
     assert res.stderr == "error: out of memory\n"
 
 
-@pytest.mark.parametrize("option, value", [
-    ("--k", "0"), ("--witness-r", "0"), ("--witness-r", "-1")])
-def test_power_ranges_are_usage_errors(tmp_path, option, value):
+@pytest.mark.parametrize("args", [
+    pytest.param(["power", "{gr}", "--k", "0"], id="--k-0"),
+    pytest.param(["power", "{gr}", "--k", "1", "--witness-r", "0"],
+                 id="--witness-r-0"),
+    pytest.param(["power", "{gr}", "--k", "1", "--witness-r", "-1"],
+                 id="--witness-r--1"),
+    pytest.param(["sweep", "--family", "power", "--values", "4",
+                  "--k", "0", "-o", "{out}"], id="sweep---k-0")])
+def test_power_ranges_are_usage_errors(tmp_path, args):
     grf = tmp_path / "g.gr"
     grf.write_text(OK_GR)
-    args = ["power", str(grf), "--k", "1", option, value]
+    args = [a.format(gr=grf, out=tmp_path / "out.csv") for a in args]
     assert run(CliRunner(), args).exit_code == 2
 
 

@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from oracles import (is_three_connected_by_deletion,
+                     stacked_triangulation_by_insertion)
 
 from gridlab.embedding import (dual_graph, emb_dumps, is_canonical, map_graph,
                                radial_graph)
@@ -72,21 +74,29 @@ def test_random_graph_deterministic_and_nonempty():
 
 
 def test_random_planar_triangulation_properties():
-    for n in (3, 5, 8, 12):
-        for seed in range(4):
-            t = random_planar_triangulation(n, seed)
-            assert t == random_planar_triangulation(n, seed)
-            assert t.num_vertices == n
-            assert t.genus() == 0
-            assert all(len(w) == 3 for w in t.faces)
-            assert t.num_edges() == 3 * n - 6
-            g = t.simple_graph()
-            assert g.is_connected()
-            if n >= 4:
-                # stacked triangulations are 2-connected
-                for v in range(n):
-                    rest, _ = g.subgraph([u for u in range(n) if u != v])
-                    assert rest.is_connected()
+    cases = [(n, seed) for n in (3, 4, 5, 8, 12) for seed in range(4)]
+    for n, seed in cases + [(300, 0)]:
+        t = random_planar_triangulation(n, seed)
+        assert t == random_planar_triangulation(n, seed)
+        assert t.num_vertices == n
+        assert t.genus() == 0
+        assert all(len(w) == 3 for w in t.faces)
+        assert t.num_edges() == 3 * n - 6
+        g = t.simple_graph()
+        # no parallel edges: the simple graph keeps every edge
+        assert len(g.edges) == 3 * n - 6
+        assert g.is_connected()
+        if 4 <= n <= 12:
+            assert is_three_connected_by_deletion(g)
+
+
+def test_triangulations_match_the_per_vertex_insertion():
+    # the generator stacks every vertex on rotation lists and builds one
+    # embedding; the oracle rebuilds and checks one after each vertex
+    cases = [(n, seed) for n in range(3, 61) for seed in range(5)]
+    for n, seed in cases + [(150, 0), (300, 0)]:
+        assert (emb_dumps(random_planar_triangulation(n, seed))
+                == emb_dumps(stacked_triangulation_by_insertion(n, seed)))
 
 
 def test_random_canonical_map_properties():

@@ -81,14 +81,13 @@ def test_search_statistics_are_logged(caplog):
     assert searched["lb"] < searched["ub"] == searched["width"] == 4
     assert closed["root_closed"] and closed["lb_bound"].startswith("mmw")
     assert closed["nodes"] == closed["memo"] == 0
-    # the degeneracy of K6 ties both minor-min-width runs; a tie names
-    # the first mmw run
+    # on K6 the first minor-min-width run reaches ub = 5 and names lb
     assert tied["lb"] == 5 and tied["lb_bound"] == "mmw min-d"
 
 
 def test_root_bounds_stop_once_the_root_is_closed(monkeypatch, caplog):
     # the root bounds run in order only while lb < ub: when min-d
-    # closes the root, neither least-c nor the degeneracy runs
+    # closes the root, least-c does not run; the degeneracy never runs
     caplog.set_level(logging.DEBUG, logger="gridlab.kernels")
     calls = []
     mmw, degeneracy = _kernels.minor_min_width, _kernels.degeneracy
@@ -108,12 +107,12 @@ def test_root_bounds_stop_once_the_root_is_closed(monkeypatch, caplog):
     closed = caplog.records[-1].args
     assert closed["root_closed"] and closed["lb_bound"] == "mmw min-d"
     assert calls == ["mmw min-d"]
-    # this dual stays open at the root, so every bound runs
+    # this dual stays open at the root, so both minor-min-width runs run
     calls.clear()
     g = _dual(12, 1)
     _kernels.treewidth_order(g.n, g.adjacency_masks())
     assert not caplog.records[-1].args["root_closed"]
-    assert calls == ["mmw min-d", "mmw least-c", "degeneracy"]
+    assert calls == ["mmw min-d", "mmw least-c"]
 
 
 def _disjoint_union(g, h):
@@ -212,6 +211,22 @@ def test_minor_min_width_matches_scan():
         for rule in _kernels.MMW_RULES:
             assert _kernels.minor_min_width(g.n, masks, rule) == \
                 minor_min_width_scan(g.n, masks, rule)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10 ** 6), st.floats(0.05, 0.9))
+def test_minor_min_width_is_at_least_the_degeneracy(n, seed, p):
+    # so a degeneracy run at the kernel's root could never raise lb
+    rng = random.Random(seed)
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    for rule in _kernels.MMW_RULES:
+        assert (_kernels.minor_min_width(n, masks, rule)
+                >= _kernels.degeneracy(n, masks))
 
 
 def test_exact_outputs_and_search_effort_are_pinned(caplog):
