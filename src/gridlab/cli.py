@@ -53,6 +53,9 @@ class _Gridlab(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            sys.exit(EXIT_USAGE)
         except tuple(EXIT_CODES) as exc:
             # a MemoryError usually has an empty message
             message = "out of memory" if isinstance(exc, MemoryError) else exc
@@ -119,6 +122,12 @@ def gen(family, r, rows, cols, nations, n, size, seed, output, seq_output):
     missing = [f"--{p}" for p in GEN_FAMILIES[family] if given[p] is None]
     if missing:
         raise click.UsageError(f"{family} needs {' and '.join(missing)}")
+    extra = [f"--{p}" for p, value in given.items()
+             if value is not None and p not in GEN_FAMILIES[family]]
+    if seq_output and family != "nation-grid":
+        extra.append("--seq-output")
+    if extra:
+        raise click.UsageError(f"{family} takes no {' or '.join(extra)}")
     if family == "wheel-map":
         emb.emb_dump(*wheel_map(r), output)
     elif family == "grid":
@@ -144,18 +153,20 @@ def gen(family, r, rows, cols, nations, n, size, seed, output, seq_output):
 
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True))
-@click.option("--map", "kind", flag_value="map")
-@click.option("--dual", "kind", flag_value="dual")
-@click.option("--radial", "kind", flag_value="radial")
-@click.option("--union", "kind", flag_value="union")
-@click.option("--canonicalize", "kind", flag_value="canonicalize")
+@click.option("--map", is_flag=True)
+@click.option("--dual", is_flag=True)
+@click.option("--radial", is_flag=True)
+@click.option("--union", is_flag=True)
+@click.option("--canonicalize", is_flag=True)
 @click.option("-o", "--output", required=True, type=click.Path())
-def derive(input_path, kind, output):
+def derive(input_path, output, **flags):
     """Derived graph of an .emb map: map/dual/radial/union as .gr,
     or the canonical form as .emb."""
-    if kind is None:
-        raise click.UsageError("pick one of --map/--dual/--radial/--union/"
-                               "--canonicalize")
+    kinds = [kind for kind, on in flags.items() if on]
+    if len(kinds) != 1:
+        raise click.UsageError("pick exactly one of --map/--dual/--radial/"
+                               "--union/--canonicalize")
+    kind, = kinds
     e, fl = _read(input_path, _emb_map_loads)
     if kind == "canonicalize":
         emb.emb_dump(*emb.canonicalize(e, fl), output)
@@ -202,6 +213,8 @@ def tw(input_path, exact, output):
 @click.option("-o", "--output", required=True, type=click.Path())
 def lift(emb_path, k, gr_path, td_path, output):
     """Lift a tree decomposition (radial to map, or G to G^k)."""
+    if emb_path and (k or gr_path):
+        raise click.UsageError("--radial-to-map takes no --power or --gr")
     td, td_n = _read(td_path, dec.td_loads)
     if emb_path:
         e, fl = _read(emb_path, _emb_map_loads)
@@ -231,6 +244,8 @@ def lift(emb_path, k, gr_path, td_path, output):
 @click.option("--model", "model_path", type=click.Path(exists=True))
 def check(td_path, gr_path, model_path):
     """Verify a decomposition against a graph, or a minor model."""
+    if model_path and (td_path or gr_path):
+        raise click.UsageError("--model takes no --td or --gr")
     if model_path:
         violation = minors.verify_model(_read(model_path, minors.model_loads))
     elif td_path and gr_path:

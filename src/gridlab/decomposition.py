@@ -278,53 +278,34 @@ def vertex_cover_dp(g, td):
     _require_valid(td, g, "carrier graph")
     if g.n == 0:
         return 0, set()
-    b = len(td.bags)
     nb = td.node_neighbors()
     root = 0
     parent = _bfs_parents(nb, root)
     order = list(parent)
 
-    bag_lists = [sorted(bag) for bag in td.bags]
-    children = [[y for y in nb[x] if y != parent[x]] for x in range(b)]
-    dp = [None] * b     # node -> {mask: best size}
-    joins = [None] * b  # node -> per child, (shared mask, best)
+    # every selection is a mask over the vertex ids of g
+    adj = g.adjacency_masks()
+    bag_mask = [sum(1 << v for v in bag) for bag in td.bags]
+    # non-root node -> the mask of the vertices it shares with its
+    # parent, and for each selection of them the first entry of least
+    # size in its table that makes it (Cygan et al., Parameterized
+    # Algorithms, 2015, 7.3)
+    join = [None] * len(td.bags)
 
     for x in reversed(order):
-        verts = bag_lists[x]
-        idx = {v: i for i, v in enumerate(verts)}
-        # local neighbor masks: a mask is a cover of the bag iff the
-        # vertices it leaves out are independent
-        local_nb = [sum(1 << idx[w] for w in g.adj[v] if w in idx)
-                    for v in verts]
-        # per child: the bag-local mask of the shared vertices, and for
-        # each selection of them the first child mask of least size that
-        # makes it (Cygan et al., Parameterized Algorithms, 2015, 7.3)
-        joins[x] = []
-        for c in children[x]:
-            shared = [(i, 1 << idx[v]) for i, v in enumerate(bag_lists[c])
-                      if v in idx]
-            best = {}
-            for cmask, csize in dp[c].items():
-                key = 0
-                for i, bit in shared:
-                    if cmask >> i & 1:
-                        key |= bit
-                if key not in best or csize < best[key][0]:
-                    best[key] = (csize, cmask)
-            joins[x].append((sum(bit for _, bit in shared), best))
         # the bag's independent sets in increasing order (each round adds
         # masks above all earlier ones); their complements, taken in
         # reverse, are the bag's covers in increasing order
         free = [0]
-        for i, nb_mask in enumerate(local_nb):
-            free += [s | 1 << i for s in free if not s & nb_mask]
-        full = (1 << len(verts)) - 1
-        table = {}
+        for v in sorted(td.bags[x]):
+            free += [s | 1 << v for s in free if not s & adj[v]]
+        joins = [join[c] for c in nb[x] if c != parent[x]]
+        table = {}  # cover mask -> best size
         for s in reversed(free):
-            mask = full ^ s
+            mask = bag_mask[x] ^ s
             total = mask.bit_count()
-            for shared_mask, best in joins[x]:
-                key = mask & shared_mask
+            for shared, best in joins:
+                key = mask & shared
                 found = best.get(key)
                 if found is None:
                     break
@@ -332,18 +313,24 @@ def vertex_cover_dp(g, td):
                 total += found[0] - key.bit_count()
             else:
                 table[mask] = total
-        dp[x] = table
+        if x != root:
+            shared = bag_mask[x] & bag_mask[parent[x]]
+            best = {}
+            for mask, total in table.items():
+                key = mask & shared
+                if key not in best or total < best[key][0]:
+                    best[key] = (total, mask)
+            join[x] = shared, best
 
-    best_mask = min(dp[root], key=lambda m: dp[root][m])
-    size = dp[root][best_mask]
-    cover = set()
-    mask_of = {root: best_mask}
-    for x in order:
-        mask = mask_of[x]
-        verts = bag_lists[x]
-        cover |= {verts[i] for i in range(len(verts)) if mask >> i & 1}
-        for c, (shared_mask, best) in zip(children[x], joins[x]):
-            mask_of[c] = best[mask & shared_mask][1]
+    # the root comes last, so `table` is its table
+    chosen = {root: min(table, key=table.get)}
+    size = table[chosen[root]]
+    cover_mask = chosen[root]
+    for x in order[1:]:
+        shared, best = join[x]
+        chosen[x] = best[chosen[parent[x]] & shared][1]
+        cover_mask |= chosen[x]
+    cover = {v for v in range(g.n) if cover_mask >> v & 1}
     if len(cover) != size:
         raise ConstructionError(f"vertex_cover_dp: the traceback gives "
                                 f"{len(cover)} vertices, the optimum is "

@@ -67,6 +67,76 @@ def vertex_cover_brute(g):
     raise AssertionError("unreachable")
 
 
+def vertex_cover_by_bag_masks(g, td):
+    """(size, cover) of the vertex cover DP over a valid decomposition,
+    with every bag numbered locally: bit i of a bag's mask is its i-th
+    smallest vertex, and a child's entry is translated into its
+    parent's numbering bit by bit.  Nodes are taken from node 0 in
+    breadth-first order, neighbors by increasing id, and ties go to the
+    first entry of least size."""
+    if g.n == 0:
+        return 0, set()
+    nb = td.node_neighbors()
+    parent = {0: None}
+    order = [0]
+    for x in order:
+        for y in sorted(nb[x]):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    bag_lists = [sorted(bag) for bag in td.bags]
+    children = [[y for y in nb[x] if y != parent[x]]
+                for x in range(len(td.bags))]
+    dp = [None] * len(td.bags)
+    joins = [None] * len(td.bags)
+    for x in reversed(order):
+        verts = bag_lists[x]
+        idx = {v: i for i, v in enumerate(verts)}
+        local_nb = [sum(1 << idx[w] for w in g.adj[v] if w in idx)
+                    for v in verts]
+        joins[x] = []
+        for c in children[x]:
+            shared = [(i, 1 << idx[v]) for i, v in enumerate(bag_lists[c])
+                      if v in idx]
+            best = {}
+            for cmask, csize in dp[c].items():
+                key = 0
+                for i, bit in shared:
+                    if cmask >> i & 1:
+                        key |= bit
+                if key not in best or csize < best[key][0]:
+                    best[key] = (csize, cmask)
+            joins[x].append((sum(bit for _, bit in shared), best))
+        # independent sets in increasing order; their complements,
+        # taken in reverse, are the bag's covers in increasing order
+        free = [0]
+        for i, nb_mask in enumerate(local_nb):
+            free += [s | 1 << i for s in free if not s & nb_mask]
+        full = (1 << len(verts)) - 1
+        table = {}
+        for s in reversed(free):
+            mask = full ^ s
+            total = mask.bit_count()
+            for shared_mask, best in joins[x]:
+                key = mask & shared_mask
+                if key not in best:
+                    break
+                total += best[key][0] - key.bit_count()
+            else:
+                table[mask] = total
+        dp[x] = table
+    best_mask = min(dp[0], key=lambda m: dp[0][m])
+    cover = set()
+    mask_of = {0: best_mask}
+    for x in order:
+        mask = mask_of[x]
+        verts = bag_lists[x]
+        cover |= {verts[i] for i in range(len(verts)) if mask >> i & 1}
+        for c, (shared_mask, best) in zip(children[x], joins[x]):
+            mask_of[c] = best[mask & shared_mask][1]
+    return dp[0][best_mask], cover
+
+
 def _power_degrees(g, k):
     """Degree of each vertex of G^k straight from the distance matrix."""
     dist = all_pairs_distances(g)

@@ -435,6 +435,40 @@ def test_power_ranges_are_usage_errors(tmp_path, args):
     assert run(CliRunner(), args).exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    pytest.param(["lift", "--radial-to-map", "{emb}", "--power", "2",
+                  "--gr", "{gr}", "{td}", "-o", "{out}"],
+                 id="lift-radial-and-power"),
+    pytest.param(["lift", "--radial-to-map", "{emb}", "--gr", "{gr}",
+                  "{td}", "-o", "{out}"], id="lift-radial-and-gr"),
+    pytest.param(["check", "--model", "{model}", "--td", "{td}",
+                  "--gr", "{gr}"], id="check-model-and-td"),
+    pytest.param(["derive", "{emb}", "--map", "--dual", "-o", "{out}"],
+                 id="derive-two-kinds"),
+    pytest.param(["gen", "grid", "--rows", "2", "--cols", "2", "--n", "9",
+                  "-o", "{out}"], id="gen-grid---n"),
+    pytest.param(["gen", "grid", "--rows", "2", "--cols", "2",
+                  "--seq-output", "{seq}", "-o", "{out}"],
+                 id="gen-grid---seq-output")])
+def test_ignored_options_are_usage_errors(tmp_path, args):
+    # each command once ran with one of these options silently ignored
+    runner = CliRunner()
+    emb, rad = tmp_path / "w.emb", tmp_path / "r.gr"
+    td, grf = tmp_path / "r.td", tmp_path / "p3.gr"
+    model = tmp_path / "m.json"
+    run(runner, ["gen", "wheel-map", "--r", "2", "-o", str(emb)])
+    run(runner, ["derive", str(emb), "--radial", "-o", str(rad)])
+    run(runner, ["tw", str(rad), "-o", str(td)])
+    grf.write_text("p tw 3 2\n1 2\n2 3\n")
+    model.write_text(model_dumps(
+        MinorModel(SimpleGraph(1), SimpleGraph(1), {0: {0}}, {})))
+    out, seq = tmp_path / "out", tmp_path / "seq.json"
+    args = [a.format(emb=emb, gr=grf, td=td, model=model, out=out, seq=seq)
+            for a in args]
+    assert_one_error_line(run(runner, args), 2)
+    assert not out.exists() and not seq.exists()
+
+
 # a pattern key with no pattern vertex, naming host vertex 7 of a
 # 1-vertex host; a witness on a pattern non-edge; an extra key whose
 # branch set overlaps another

@@ -19,7 +19,7 @@ from gridlab.graph import SimpleGraph, k_neighborhood, power_graph
 
 from oracles import (all_pairs_distances, elimination_bags,
                      first_decomposition_violation, treewidth_brute,
-                     vertex_cover_brute)
+                     vertex_cover_brute, vertex_cover_by_bag_masks)
 
 
 def _sha256(text):
@@ -473,6 +473,33 @@ def test_vertex_cover_dp_on_bipartite_bags_matches_brute():
         assert size == vertex_cover_brute(g)[0]
         checked += 1
     assert checked >= 20
+
+
+def test_vertex_cover_dp_matches_bag_local_oracle():
+    # graph-wide masks keep the numeric order of a bag's subsets, so
+    # each table, tie and traceback matches the bag-local DP
+    cases = []
+    for nations in (50, 120, 200, 300):
+        for seed in (0, 1):
+            r, _ = radial_graph(*random_canonical_map(nations, seed))
+            cases.append((r, treewidth_upper(r)[1]))
+    # small random graphs on shuffled ids in a range padded with
+    # isolated vertices, so that masks are wide and gappy
+    for seed in range(6):
+        rng = random.Random(seed)
+        small = random_graph(12 + seed, seed, 0.3)
+        n = rng.randint(400, 500)
+        ids = rng.sample(range(n), small.n)
+        g = SimpleGraph(n, [(ids[u], ids[v]) for u, v in small.edges])
+        order = list(range(n))
+        rng.shuffle(order)
+        cases += [(g, treewidth_upper(g)[1]),
+                  (g, decomposition_from_order(g, order))]
+    empty = SimpleGraph(5)
+    cases.append((empty, TreeDecomposition([range(5)], [])))
+    for g, td in cases:
+        assert vertex_cover_dp(g, td) == vertex_cover_by_bag_masks(g, td)
+    assert vertex_cover_dp(empty, cases[-1][1]) == (0, set())
 
 
 def test_td_dumps_names_bag_vertices_outside_the_carrier():
