@@ -369,7 +369,7 @@ def _map_row(nations, seed):
     return row
 
 
-def _power_row(n, k, seed):
+def _power_row(n, seed, k):
     row = _blank_row() | {"family": "power", "n": n, "k": k, "seed": seed}
     g = random_graph(n, seed)
     gk = gr.power_graph(g, k)
@@ -412,28 +412,30 @@ _SWEEP_FAMILIES = {
 @click.option("--k", type=click.IntRange(min=1), default=2,
               show_default=True, help="power exponent (family power only)")
 @click.option("-o", "--output", required=True, type=click.Path())
-def sweep(family, values, seeds, k, output):
+@click.pass_context
+def sweep(ctx, family, values, seeds, k, output):
     """Run a parameter sweep and write one CSV row per instance, in
     increasing value and, within a value, increasing seed."""
+    # --k has a default, so only its source tells whether it was given
+    if (family != "power" and ctx.get_parameter_source("k")
+            is not click.core.ParameterSource.DEFAULT):
+        raise click.UsageError(f"{family} takes no --k")
     try:
         value_list = sorted(int(x) for x in values.split(",") if x.strip())
         seed_list = sorted(int(x) for x in seeds.split(",") if x.strip())
     except ValueError:
         raise click.UsageError("--values/--seeds must be integers")
-    row_fn, _ = _SWEEP_FAMILIES[family]
+    row_fn, key = _SWEEP_FAMILIES[family]
+    params = {"k": k} if family == "power" else {}
 
     def run(v, s):
         started = time.monotonic()
         try:
-            if family == "power":
-                row = row_fn(v, k, s)
-            else:
-                row = row_fn(v, s)
+            row = row_fn(v, s, **params)
         except tuple(EXIT_CODES) as exc:  # expected failures end one row
-            row = _blank_row() | {"family": family, "seed": s,
-                                  "error": f"{type(exc).__name__}: {exc}"}
-            key = _SWEEP_FAMILIES[family][1]
-            row[key] = v
+            row = _blank_row() | params | {
+                "family": family, key: v, "seed": s,
+                "error": f"{type(exc).__name__}: {exc}"}
         row["runtime_s"] = f"{time.monotonic() - started:.3f}"
         return row
 

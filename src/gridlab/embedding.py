@@ -284,91 +284,6 @@ def union_radial_dual(e, fl):
 # ---------------------------------------------------------------------------
 # canonicalization
 
-class _MutableMap:
-    """Scratch rotation system for canonicalization surgery.
-
-    Keeps original dart ids; new darts get fresh ids.  `label[d]` is the
-    index of the nation on dart d's face, or None on a lake.
-    """
-
-    def __init__(self, e, fl):
-        self.rot = {v: e.vertex_darts(v) for v in range(e.num_vertices)}
-        self.twin = dict(enumerate(e.twin))
-        self.vertex_of = dict(enumerate(e.vertex_of))
-        self.label = dict(enumerate(fl.dart_nation))
-        self.next_dart = len(e.twin)
-        self.next_vertex = e.num_vertices
-
-    def delete_edge(self, d):
-        t = self.twin[d]
-        for x in (d, t):
-            self.rot[self.vertex_of[x]].remove(x)
-            del self.twin[x], self.vertex_of[x], self.label[x]
-
-    def delete_dartless_vertices(self):
-        for v in [v for v, r in self.rot.items() if not r]:
-            del self.rot[v]
-
-    def lake_corner_darts(self, v):
-        return [d for d in self.rot[v] if self.label[d] is None]
-
-    def split_lake_corner(self, v, e_dart):
-        """Move the lake wedge at corner dart `e_dart` to a fresh vertex
-        joined to v by a star edge drawn inside the neighboring nation."""
-        rot_v = self.rot[v]
-        i = rot_v.index(e_dart)
-        p_dart = rot_v[(i - 1) % len(rot_v)]
-        a_dart = rot_v[(i + 1) % len(rot_v)]
-        if p_dart == e_dart:
-            raise ConstructionError(f"canonicalize step 3: lake corner "
-                                    f"dart {e_dart} of vertex {v} has "
-                                    f"degree 1 after step 2")
-        v1 = self.next_vertex
-        self.next_vertex += 1
-        s = self.next_dart
-        s1 = self.next_dart + 1
-        self.next_dart += 2
-        self.twin[s] = s1
-        self.twin[s1] = s
-        self.vertex_of[s] = v
-        self.vertex_of[s1] = v1
-        # v keeps its rotation with the wedge [p, e] replaced by s
-        j = rot_v.index(p_dart)
-        new_rot = [d for d in rot_v if d not in (p_dart, e_dart)]
-        new_rot.insert(j if j < i else j - 1, s)
-        self.rot[v] = new_rot
-        self.rot[v1] = [s1, p_dart, e_dart]
-        self.vertex_of[p_dart] = v1
-        self.vertex_of[e_dart] = v1
-        # the face walks now run twin(pp) -> s -> p and twin(e) -> s1 ->
-        # a, and every other dart keeps its face
-        self.label[s] = self.label[p_dart]
-        self.label[s1] = self.label[a_dart]
-
-    def to_embedded(self, vertices):
-        """Compact the component on `vertices` to (EmbeddedGraph,
-        FaceLabeling, nation_ids), keeping the order of darts, vertices
-        and nations."""
-        dart_ids = sorted(d for v in vertices for d in self.rot[v])
-        dmap = {d: i for i, d in enumerate(dart_ids)}
-        e2 = _from_rotations([dmap[self.twin[d]] for d in dart_ids],
-                             [[dmap[d] for d in self.rot[v]]
-                              for v in sorted(vertices)])
-        nation_face = {}
-        for f, walk in enumerate(e2.faces):
-            labels = {self.label[dart_ids[d]] for d in walk}
-            if len(labels) != 1:
-                raise GridlabError("inconsistent face labels after surgery")
-            nation = labels.pop()
-            if nation in nation_face:
-                raise GridlabError(f"nation {nation} split by surgery")
-            if nation is not None:
-                nation_face[nation] = f
-        nation_ids = tuple(sorted(nation_face))
-        fl2 = FaceLabeling(e2, [nation_face[i] for i in nation_ids])
-        return e2, fl2, nation_ids
-
-
 def canonicalize_components(e, fl):
     """Canonical form, one (EmbeddedGraph, FaceLabeling, nation_indices)
     triple per surviving connected component.
@@ -377,31 +292,78 @@ def canonicalize_components(e, fl):
     input fl.nations.
     """
     fl.check(e)
-    m = _MutableMap(e, fl)
+    # the surgery edits plain copies that keep the original dart and
+    # vertex ids and append new ones; `label[d]` is the index of the
+    # nation on dart d's face, or None on a lake
+    rot = [list(r) for r in e.rotations]
+    twin = list(e.twin)
+    vertex_of = list(e.vertex_of)
+    label = list(fl.dart_nation)
 
-    # step 2 (and implicitly step 1): drop lake-lake edges, then the
-    # vertices that lost all their darts; one pass suffices, because a
-    # deletion changes no other dart's label
-    for d in [d for d, t in m.twin.items()
-              if d < t and m.label[d] is None and m.label[t] is None]:
-        m.delete_edge(d)
-    m.delete_dartless_vertices()
+    # step 2 (and implicitly step 1): drop lake-lake edges from their
+    # rotations, where alone a removed dart could be read again; one
+    # pass suffices, because a deletion changes no other dart's label
+    for d, t in enumerate(e.twin):
+        if d < t and label[d] is None and label[t] is None:
+            rot[vertex_of[d]].remove(d)
+            rot[vertex_of[t]].remove(t)
 
     # step 3: vertices touching lakes more than once get split
-    for v in sorted(m.rot):
-        corners = m.lake_corner_darts(v)
-        if len(corners) >= 2:
-            for e_dart in corners:
-                m.split_lake_corner(v, e_dart)
-            if m.lake_corner_darts(v):
-                raise ConstructionError(f"canonicalize step 3: vertex {v} "
-                                        f"still touches a lake after "
-                                        f"splitting")
+    for v in range(e.num_vertices):
+        rot_v = rot[v]
+        corners = [d for d in rot_v if label[d] is None]
+        if len(corners) < 2:
+            continue
+        for c in corners:
+            # move the lake wedge [p, c] to a fresh vertex v1 joined to v
+            # by a star edge s-s1 drawn inside the neighboring nation
+            i = rot_v.index(c)
+            p = rot_v[i - 1]
+            a = rot_v[(i + 1) % len(rot_v)]
+            if p == c:
+                raise ConstructionError(f"canonicalize step 3: lake corner "
+                                        f"dart {c} of vertex {v} has "
+                                        f"degree 1 after step 2")
+            v1, s = len(rot), len(twin)
+            twin += [s + 1, s]
+            vertex_of += [v, v1]
+            vertex_of[p] = vertex_of[c] = v1
+            # the face walks now run twin(pp) -> s -> p and twin(c) -> s1
+            # -> a, and every other dart keeps its face
+            label += [label[p], label[a]]
+            rot.append([s + 1, p, c])
+            # v keeps its rotation with the wedge [p, c] replaced by s
+            rot_v[i - 1] = s
+            del rot_v[i]
+        if any(label[d] is None for d in rot_v):
+            raise ConstructionError(f"canonicalize step 3: vertex {v} "
+                                    f"still touches a lake after "
+                                    f"splitting")
 
-    # every edge left has a nation on one side, so every component keeps
-    # a nation
-    adj = {v: {m.vertex_of[m.twin[d]] for d in r} for v, r in m.rot.items()}
-    out = [m.to_embedded(comp) for comp in _components(adj, sorted(m.rot))]
+    # compact each component, keeping the order of darts, vertices and
+    # nations; every edge left has a nation on one side, so every
+    # component keeps a nation, and a vertex without darts is dropped
+    adj = [{vertex_of[twin[d]] for d in r} for r in rot]
+    out = []
+    for comp in _components(adj, [v for v, r in enumerate(rot) if r]):
+        dart_ids = sorted(d for v in comp for d in rot[v])
+        dmap = {d: i for i, d in enumerate(dart_ids)}
+        e2 = _from_rotations([dmap[twin[d]] for d in dart_ids],
+                             [[dmap[d] for d in rot[v]] for v in comp])
+        nation_face = {}
+        for f, walk in enumerate(e2.faces):
+            labels = {label[dart_ids[d]] for d in walk}
+            if len(labels) != 1:
+                raise GridlabError("inconsistent face labels after surgery")
+            nation = labels.pop()
+            if nation in nation_face:
+                raise GridlabError(f"nation {nation} split by surgery")
+            if nation is not None:
+                nation_face[nation] = f
+        nation_ids = tuple(sorted(nation_face))
+        out.append((e2, FaceLabeling(e2, [nation_face[i]
+                                          for i in nation_ids]),
+                    nation_ids))
     kept = sorted(i for _, _, nation_ids in out for i in nation_ids)
     if kept != list(range(len(fl.nations))):
         raise GridlabError("nation set changed by surgery")

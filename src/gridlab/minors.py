@@ -187,28 +187,31 @@ class ContractionSequence:
 # ---------------------------------------------------------------------------
 # exact minor search (desk-scale oracle)
 
+def _nb_mask(masks, mask):
+    """Union of the adjacency masks of the vertices in `mask`."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= masks[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
 def _connected_masks(g):
     """All nonempty connected vertex subsets of g as bitmasks, sorted by
     (popcount, value)."""
     masks = g.adjacency_masks()
     out = []
     for s in range(1, 1 << g.n):
-        low = s & -s
-        reach = low
+        reach = s & -s
         while True:
-            nb = reach
-            m = reach
-            while m:
-                b = m & -m
-                nb |= masks[b.bit_length() - 1]
-                m ^= b
-            nb &= s
+            nb = (reach | _nb_mask(masks, reach)) & s
             if nb == reach:
                 break
             reach = nb
         if reach == s:
             out.append(s)
-    out.sort(key=lambda s: (bin(s).count("1"), s))
+    out.sort(key=lambda s: (s.bit_count(), s))
     return out
 
 
@@ -247,31 +250,21 @@ def minor_containment_exact(h, g):
 
     assignment = [0] * h.n  # pattern vertex -> branch mask
 
-    def nb_mask(mask):
-        out = 0
-        while mask:
-            b = mask & -mask
-            out |= g_masks[b.bit_length() - 1]
-            mask ^= b
-        return out
-
     def search(step, free):
         if step == h.n:
             return True
         v = order[step]
-        earlier = [u for u in h.adj[v] if pos[u] < step]
-        need = 0
-        for u in earlier:
-            need |= nb_mask(assignment[u])
-        if earlier and not (need & free):
+        # the neighbours of each placed neighbour's branch set, which the
+        # branch set of v must meet inside `free`
+        touch = [_nb_mask(g_masks, assignment[u]) for u in h.adj[v]
+                 if pos[u] < step]
+        if not all(m & free for m in touch):
             return False
-        budget = bin(free).count("1") - (h.n - step)
+        budget = free.bit_count() - (h.n - step)
         for s in subsets:
-            if bin(s).count("1") - 1 > budget:
+            if s.bit_count() - 1 > budget:
                 break
-            if s & ~free:
-                continue
-            if any(not (s & nb_mask(assignment[u])) for u in earlier):
+            if s & ~free or not all(s & m for m in touch):
                 continue
             assignment[v] = s
             if search(step + 1, free & ~s):

@@ -267,6 +267,18 @@ def test_sweep_rows_come_in_numeric_value_then_seed_order(tmp_path):
         ("10", "1")]
 
 
+def test_sweep_power_error_row_keeps_its_k(tmp_path):
+    out = tmp_path / "sweep.csv"
+    res = run(CliRunner(), ["sweep", "--family", "power", "--values", "25",
+                            "--k", "3", "-o", str(out)])
+    assert res.exit_code == 1
+    with out.open() as f:
+        [row] = csv.DictReader(f)
+    assert row["error"].startswith("SizeLimitError")
+    assert (row["family"], row["n"], row["k"], row["seed"]) == (
+        "power", "25", "3", "0")
+
+
 def test_sweep_empty_values_gives_header_only(tmp_path):
     runner = CliRunner()
     out = tmp_path / "empty.csv"
@@ -449,7 +461,9 @@ def test_power_ranges_are_usage_errors(tmp_path, args):
                   "-o", "{out}"], id="gen-grid---n"),
     pytest.param(["gen", "grid", "--rows", "2", "--cols", "2",
                   "--seq-output", "{seq}", "-o", "{out}"],
-                 id="gen-grid---seq-output")])
+                 id="gen-grid---seq-output"),
+    pytest.param(["sweep", "--family", "wheel", "--values", "1", "--k", "3",
+                  "-o", "{out}"], id="sweep-wheel---k")])
 def test_ignored_options_are_usage_errors(tmp_path, args):
     # each command once ran with one of these options silently ignored
     runner = CliRunner()

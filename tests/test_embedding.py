@@ -193,23 +193,36 @@ def test_canonicalize_components_outputs_are_pinned():
             "857845dd1ec4e73c015cbc86b5cb3ccc88c0561d782fc530958838a8ba105b13",
     }
     multi_component = lake_split = 0
+
+    def feed(h, e, rng):
+        nonlocal multi_component, lake_split
+        faces = range(len(e.faces))
+        nations = rng.sample(faces, rng.randint(1, len(faces)))
+        parts = canonicalize_components(e, FaceLabeling(e, nations))
+        for e2, fl2, nation_ids in parts:
+            h.update(emb_dumps(e2, fl2).encode())
+            h.update(repr((sorted(fl2.lakes), nation_ids)).encode())
+        h.update(b"|")
+        multi_component += len(parts) > 1
+        lake_split += (sum(e2.num_vertices for e2, _, _ in parts)
+                       > e.num_vertices)
+
     for (lo, hi), digest in pins.items():
         h = hashlib.sha256()
         for n in range(lo, hi):
             for seed in range(14):
-                tri = random_planar_triangulation(n, seed)
-                rng = random.Random(f"canon:{n}:{seed}")
-                faces = range(len(tri.faces))
-                nations = rng.sample(faces, rng.randint(1, len(faces)))
-                fl = FaceLabeling(tri, nations)
-                parts = canonicalize_components(tri, fl)
-                for e2, fl2, nation_ids in parts:
-                    h.update(emb_dumps(e2, fl2).encode())
-                    h.update(repr((sorted(fl2.lakes), nation_ids)).encode())
-                h.update(b"|")
-                multi_component += len(parts) > 1
-                lake_split += sum(e2.num_vertices for e2, _, _ in parts) > n
+                feed(h, random_planar_triangulation(n, seed),
+                     random.Random(f"canon:{n}:{seed}"))
         assert h.hexdigest() == digest, (lo, hi)
+    assert multi_component >= 1 and lake_split >= 1
+    # random rotation systems: loops, parallel edges, any genus
+    multi_component = lake_split = 0
+    h = hashlib.sha256()
+    for trial in range(2000):
+        rng = random.Random(f"canon-rot:{trial}")
+        feed(h, random_rotation_system(rng, 1 + trial % 12), rng)
+    assert h.hexdigest() == (
+        "8b477d6f63c34fe7e365ef7a362940901c9b2a948bbcca7149b9f05260dec052")
     assert multi_component >= 1 and lake_split >= 1
 
 
