@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
+from .embedding import map_graph, radial_graph
 from .errors import (ConstructionError, FormatError, SizeLimitError,
                      _int_token, _raises_format_error)
 from .graph import _bfs_parents, _power_with_balls
@@ -242,8 +243,6 @@ def _require_valid(td, g, what):
 def lift_radial_to_map(td_r, e, fl):
     """Turn a decomposition of the radial graph into one of the map graph
     by replacing each embedded-graph vertex with its incident nations."""
-    from .embedding import map_graph, radial_graph
-
     r_graph, _ = radial_graph(e, fl)
     _require_valid(td_r, r_graph, "radial graph")
     m_graph = map_graph(e, fl)

@@ -210,15 +210,16 @@ def random_canonical_map(nations, seed):
         tri = random_planar_triangulation(n_tri, rng.randrange(2 ** 30))
         fl = FaceLabeling(tri, sorted(rng.sample(range(num_faces),
                                                  nations)))
-        try:
-            parts = canonicalize_components(tri, fl)
-        except GridlabError:
-            continue
+        # a split map or a disconnected map graph is a miss and retried;
+        # a surgery error or a non-canonical result is a fault, raised
+        parts = canonicalize_components(tri, fl)
         if len(parts) != 1:
             continue
         e2, fl2, _ = parts[0]
         if not is_canonical(e2, fl2):
-            continue
+            raise ConstructionError(
+                f"random_canonical_map(nations={nations}, seed={seed}): "
+                f"canonicalization returned a non-canonical map")
         if not map_graph(e2, fl2).is_connected():
             continue
         return e2, fl2

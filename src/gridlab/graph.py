@@ -159,7 +159,8 @@ class CliqueWitness:
         bound = _strict_int(pairwise_distance_bound)
         if bound < 0:
             raise ValueError("pairwise distance bound must be nonnegative")
-        object.__setattr__(self, "vertices", frozenset(vertices))
+        object.__setattr__(self, "vertices",
+                           frozenset(map(_strict_int, vertices)))
         object.__setattr__(self, "pairwise_distance_bound", bound)
 
     def verify(self, g):

@@ -425,16 +425,6 @@ def _connected_within(vertices, edges):
     return seen == vertices
 
 
-def is_two_connected_by_deletion(g):
-    """At least three vertices, connected, and still connected after
-    deleting any one vertex."""
-    edges = set(g.edges)
-    everything = set(range(g.n))
-    return (g.n >= 3 and _connected_within(everything, edges)
-            and all(_connected_within(everything - {v}, edges)
-                    for v in range(g.n)))
-
-
 def is_three_connected_by_deletion(g):
     """More than three vertices, connected, and still connected after
     deleting any two vertices."""

@@ -4,8 +4,10 @@ import pytest
 from oracles import (is_three_connected_by_deletion,
                      stacked_triangulation_by_insertion)
 
+from gridlab import generators
 from gridlab.embedding import (dual_graph, emb_dumps, is_canonical, map_graph,
                                radial_graph)
+from gridlab.errors import ConstructionError
 from gridlab.generators import (grid, grid_map, partially_triangulated_grid,
                                 random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
@@ -110,6 +112,22 @@ def test_random_canonical_map_properties():
             assert e.genus() == 0
             assert len(e.components()) == 1
 
+
+def test_random_canonical_map_raises_a_failed_surgery(monkeypatch):
+    # a retry would hide the surgery's own error behind "no ... found"
+    def broken(e, fl):
+        raise ConstructionError("surgery broke")
+
+    monkeypatch.setattr(generators, "canonicalize_components", broken)
+    with pytest.raises(ConstructionError, match="surgery broke"):
+        random_canonical_map(5, 1)
+
+
+def test_random_canonical_map_raises_a_non_canonical_result(monkeypatch):
+    monkeypatch.setattr(generators, "is_canonical", lambda e, fl: False)
+    with pytest.raises(ConstructionError,
+                       match=r"random_canonical_map\(nations=5, seed=1\)"):
+        random_canonical_map(5, 1)
 
 
 def _emb_sha256(e, fl=None):

@@ -10,11 +10,11 @@ from gridlab.errors import ConstructionError, SizeLimitError
 from gridlab.generators import (_build_from_rotations, _triangle, grid,
                                 grid_map, random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
-from gridlab.graph import SimpleGraph
+from gridlab.graph import CliqueWitness, SimpleGraph
 from gridlab.minors import (ContractionSequence, MinorModel,
-                            _assign_grid_coords, _is_two_connected,
-                            _nation_fan, _uncut_graph, double_radial_minor,
-                            largest_grid_minor, minor_containment_exact,
+                            _assign_grid_coords, _nation_fan, _uncut_graph,
+                            double_radial_minor, largest_grid_minor,
+                            minor_containment_exact,
                             model_dumps, model_loads,
                             nation_grid_transfer_instance,
                             primal_dual_width_report,
@@ -23,7 +23,8 @@ from gridlab.minors import (ContractionSequence, MinorModel,
 
 from oracles import (all_pairs_distances, contraction_ops,
                      double_radial_host, first_model_violation,
-                     is_two_connected_by_deletion, replay_by_definition)
+                     replay_by_definition)
+from test_embedding import random_rotation_system
 
 
 def cube_embedding():
@@ -71,6 +72,21 @@ def test_verify_model_catches_violations():
     v = verify_model(MinorModel(h, g, {0: {0, 1}, 1: {2, 3}},
                                 {(0, 1): (0, 3)}))
     assert v.condition == "witness"
+
+
+@pytest.mark.parametrize("certify", [
+    lambda h, g: verify_model(
+        MinorModel(h, g, {0: {0.0}, 1: {1}}, {(0, 1): (0, 1)})),
+    lambda h, g: verify_model(
+        MinorModel(h, g, {0: {0}, 1: {1}}, {(0, 1): (0.0, 1.0)})),
+    lambda h, g: CliqueWitness({0, "1"}, 1).verify(g),
+    lambda h, g: CliqueWitness({0, True}, 1).verify(g),
+], ids=["float-member", "float-witness", "str-vertex", "bool-vertex"])
+def test_certificates_take_only_int_vertices(certify):
+    # a float or str vertex must not crash a verifier, nor 0.0 or True
+    # pass as the vertex 0 or 1
+    with pytest.raises(ValueError, match="expected an integer"):
+        certify(SimpleGraph(2, [(0, 1)]), SimpleGraph.path(4))
 
 
 def test_minor_containment_small_cases():
@@ -413,12 +429,40 @@ def test_double_radial_host_is_the_radial_embedding_taken_twice():
         assert double_radial_minor(e).host == double_radial_host(e)
 
 
-def test_double_radial_minor_rejects_low_connectivity():
-    # a path embedding is not 2-connected
-    rots = [[(1, "a")], [(0, "a"), (2, "b")], [(1, "b")]]
-    path_emb = _build_from_rotations(rots)
-    with pytest.raises(ConstructionError):
-        double_radial_minor(path_emb)
+def test_double_radial_minor_on_any_embedding():
+    # neither simplicity nor 2-connectivity nor genus 0 is needed: a path,
+    # rotation systems with loops, parallel edges and higher genus, and
+    # simple graphs, connected or not, with shuffled rotations
+    rng = random.Random(25)
+    path = _build_from_rotations([[(1, "a")], [(0, "a"), (2, "b")],
+                                  [(1, "b")]])
+    cases = [path] + [random_rotation_system(rng, 1 + trial % 12)
+                      for trial in range(600)]
+    for trial in range(300):
+        n = 3 + trial % 9
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.35]
+        # every vertex needs a dart: an isolated one gets a random edge
+        for u in range(n):
+            if not any(u in uv for uv in edges):
+                v = rng.choice([v for v in range(n) if v != u])
+                edges.append((min(u, v), max(u, v)))
+        rots = [[] for _ in range(n)]
+        for u, v in edges:
+            rots[u].append((v, 0))
+            rots[v].append((u, 0))
+        for r in rots:
+            rng.shuffle(r)
+        cases.append(_build_from_rotations(rots))
+    shapes = set()
+    for e in cases:
+        m = double_radial_minor(e)
+        assert verify_model(m) is None
+        assert m.pattern == e.simple_graph()
+        assert m.host == double_radial_host(e)
+        shapes.add((e.simple_graph().is_connected(), e.genus() > 0,
+                    e.num_edges() > len(m.pattern.edges)))
+    assert len(shapes) == 8, shapes
 
 
 def test_primal_dual_width_report():
@@ -546,60 +590,9 @@ def test_connectivity_matches_distance_oracle():
     seen = set()
     for g in graphs:
         connected = _connected_by_distances(g.n, g.edges)
-        two = is_two_connected_by_deletion(g)
         assert g.is_connected() == connected
-        assert _is_two_connected(g) == two
-        seen.add((connected, two))
-    assert seen == {(False, False), (True, False), (True, True)}
-
-
-def _connectivity_case(rng):
-    """A random graph on at most 40 vertices, relabelled at random: G(n,
-    p), a cycle with chords (2-connected), two such blocks glued at one
-    vertex (a cut vertex), or two disjoint ones (disconnected)."""
-    n = rng.randint(1, 40)
-    kind = rng.randrange(4) if n >= 6 else 0
-    edges = set()
-
-    def block(verts):
-        for i, v in enumerate(verts):
-            edges.add((v, verts[i - 1]))
-        for _ in range(rng.randrange(len(verts))):
-            edges.add(tuple(rng.sample(verts, 2)))
-
-    if kind == 0:
-        p = rng.choice((0.05, 0.1, 0.2, 0.4))
-        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < p}
-    elif kind == 1:
-        block(list(range(n)))
-    else:
-        cut = rng.randint(3, n - 3)
-        block(list(range(cut)))
-        block(list(range(cut - (kind == 2), n)))
-    label = list(range(n))
-    rng.shuffle(label)
-    return SimpleGraph(n, [(label[u], label[v]) for u, v in edges
-                           if u != v])
-
-
-def test_two_connectivity_matches_deletion_oracle():
-    rng = random.Random(2024)
-    counts = {}
-    for _ in range(2000):
-        g = _connectivity_case(rng)
-        two = is_two_connected_by_deletion(g)
-        assert _is_two_connected(g) == two, sorted(g.edges)
-        key = "two" if two else "connected" if g.is_connected() else "split"
-        counts[key] = counts.get(key, 0) + 1
-    assert min(counts.values()) >= 300, counts
-
-
-def test_two_connectivity_is_iterative_and_linear():
-    # a recursive or per-vertex-deletion check would hit the recursion
-    # limit or take n BFS passes here
-    assert _is_two_connected(SimpleGraph.cycle(20000))
-    assert not _is_two_connected(SimpleGraph.path(20000))
+        seen.add(connected)
+    assert seen == {False, True}
 
 
 @functools.lru_cache(maxsize=None)
