@@ -9,8 +9,8 @@ outputs always collapse duplicates and drop loops.
 
 from __future__ import annotations
 
-from .errors import (ConstructionError, FormatError, GridlabError,
-                     _int_token, _raises_format_error)
+from .errors import (FormatError, GridlabError, _int_token,
+                     _raises_format_error)
 from .graph import Bipartition, SimpleGraph, _components
 
 
@@ -317,13 +317,12 @@ def canonicalize_components(e, fl):
         for c in corners:
             # move the lake wedge [p, c] to a fresh vertex v1 joined to v
             # by a star edge s-s1 drawn inside the neighboring nation
+            # twin(p) precedes c on c's lake and twin(c) precedes a on a's
+            # face; step 2 left no lake-lake edge, so p and a lie on
+            # nations, p != c, and no lake is left at v after the splits
             i = rot_v.index(c)
             p = rot_v[i - 1]
             a = rot_v[(i + 1) % len(rot_v)]
-            if p == c:
-                raise ConstructionError(f"canonicalize step 3: lake corner "
-                                        f"dart {c} of vertex {v} has "
-                                        f"degree 1 after step 2")
             v1, s = len(rot), len(twin)
             twin += [s + 1, s]
             vertex_of += [v, v1]
@@ -335,10 +334,6 @@ def canonicalize_components(e, fl):
             # v keeps its rotation with the wedge [p, c] replaced by s
             rot_v[i - 1] = s
             del rot_v[i]
-        if any(label[d] is None for d in rot_v):
-            raise ConstructionError(f"canonicalize step 3: vertex {v} "
-                                    f"still touches a lake after "
-                                    f"splitting")
 
     # compact each component, keeping the order of darts, vertices and
     # nations; every edge left has a nation on one side, so every

@@ -114,18 +114,17 @@ def _checked(model, what):
 
 
 class ContractionSequence:
-    """Ordered edge contractions / edge deletions / vertex deletions on a
-    host graph.  Vertices keep their host ids; contract(u, v) merges v
-    into u."""
+    """Ordered edge contractions / edge deletions / vertex deletions,
+    replayed on a host graph the caller passes in.  Vertices keep their
+    host ids; contract(u, v) merges v into u."""
 
-    __slots__ = ("host", "ops")
+    __slots__ = ("ops",)
 
     CONTRACT = "contract"
     DELETE_EDGE = "delete_edge"
     DELETE_VERTEX = "delete_vertex"
 
-    def __init__(self, host, ops=()):
-        self.host = host
+    def __init__(self, ops=()):
         self.ops = [self._check_op(op) for op in ops]
 
     @staticmethod
@@ -140,14 +139,14 @@ class ContractionSequence:
             return (kind, _strict_int(v))
         raise ValueError(f"unknown operation {kind!r}")
 
-    def replay(self):
-        """Apply the operations.  Returns (vertices, edges, labels) where
-        edges holds each surviving edge once as (u, w) with u < w and
-        labels[v] is the set of host vertices contracted into v.
+    def replay(self, host):
+        """Apply the operations to `host`.  Returns (vertices, edges,
+        labels) where edges holds each surviving edge once as (u, w) with
+        u < w and labels[v] is the set of host vertices contracted into v.
 
         Works on a copy of the host's cached adjacency, so the host is
         left as it was and a second replay returns an equal triple."""
-        adj = dict(enumerate(map(set, self.host.adj)))
+        adj = dict(enumerate(map(set, host.adj)))
         labels = {v: {v} for v in adj}
 
         for op in self.ops:
@@ -172,18 +171,8 @@ class ContractionSequence:
         edges = {(u, w) for u in adj for w in adj[u] if u < w}
         return set(adj), edges, labels
 
-    def result(self):
-        """Final graph as a re-indexed SimpleGraph plus old-id list."""
-        verts, edges, _ = self.replay()
-        old_ids = sorted(verts)
-        index = {v: i for i, v in enumerate(old_ids)}
-        return (SimpleGraph(len(old_ids),
-                            [(index[u], index[v]) for u, v in edges]),
-                old_ids)
-
     def __repr__(self):
-        return (f"ContractionSequence(host={self.host!r}, "
-                f"ops={len(self.ops)})")
+        return f"ContractionSequence(ops={len(self.ops)})"
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +422,16 @@ def radial_grid_to_dual_grid(seq, e, fl):
     """Convert a k x k grid minor of the radial-dual union into a
     (floor(k/6)-1) x (floor(k/6)-1) grid minor of the dual graph.
 
-    `seq` must contract/delete the union graph of (e, fl) down to a
-    k x k grid with k >= 12; the map must be canonical.
+    Builds the union graph of (e, fl) and replays `seq` on it; `seq`
+    must contract/delete the union down to a k x k grid with k >= 12.
+    The map must be canonical.
     """
     if not is_canonical(e, fl):
         raise ConstructionError("map is not canonical")
-    if seq.host != union_radial_dual(e, fl):
-        raise ConstructionError(
-            "sequence host differs from the union of radial and dual")
     # one host, whose cached adjacency the replay copies and the
     # transfer paths search
-    host = seq.host
-    verts, edges, labels = seq.replay()
+    host = union_radial_dual(e, fl)
+    verts, edges, labels = seq.replay(host)
     k, coords = _assign_grid_coords(verts, edges)
     t = k // 6 - 1
     if t < 1:
@@ -632,7 +619,7 @@ def nation_grid_transfer_instance(size):
     for a, b in sorted(host.edges):
         if a in window and b in window and a >= n and b >= n:
             ops.append(("delete_edge", a, b))
-    return e, fl, ContractionSequence(host, ops)
+    return e, fl, ContractionSequence(ops)
 
 
 # ---------------------------------------------------------------------------
@@ -746,12 +733,14 @@ def model_loads(text):
 
 
 def sequence_dumps(seq):
-    obj = {"host": _graph_to_json(seq.host),
-           "ops": [list(op) for op in seq.ops]}
-    return _json_writer.dumps(obj) + "\n"
+    return _json_writer.dumps({"ops": [list(op) for op in seq.ops]}) + "\n"
 
 
 @_raises_format_error
 def sequence_loads(text):
     obj = json.loads(text, object_pairs_hook=_unique_keys)
-    return ContractionSequence(_graph_from_json(obj["host"]), obj["ops"])
+    if not isinstance(obj, dict) or list(obj) != ["ops"]:
+        found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise ValueError(f"expected a JSON object whose only key is "
+                         f"'ops', found {found}")
+    return ContractionSequence(obj["ops"])

@@ -329,8 +329,10 @@ def assert_one_error_line(res, code, names=None):
 
 
 OK_GR = "p tw 2 1\n1 2\n"
-EMPTY_OP_SEQ = json.dumps({"host": {"n": 2, "edges": [[0, 1]]},
-                           "ops": [[]]})
+EMPTY_OP_SEQ = json.dumps({"ops": [[]]})
+# a sequence in the old format, which carried a copy of its host
+OLD_FORMAT_SEQ = json.dumps({"host": {"n": 2, "edges": [[0, 1]]},
+                             "ops": []})
 # branch set keys "0" and "00" that int() would both read as vertex 0
 NONCANONICAL_KEY_MODEL = json.dumps({
     "pattern": {"n": 2, "edges": []}, "host": {"n": 2, "edges": []},
@@ -370,6 +372,9 @@ DUPLICATE_WITNESS_MODEL = json.dumps({
     # int() would read this as a 10-vertex graph with edge (1, 2)
     pytest.param("bad.gr", "p tw 1_0 1\n+1 \u0662\n".encode(), ["tw", "{bad}"],
                  id="non-ascii-integers"),
+    pytest.param("bad.json", OLD_FORMAT_SEQ.encode(),
+                 ["transfer", "--emb", "{emb}", "--seq", "{bad}"],
+                 id="old-format-seq"),
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
                                                  command):
@@ -412,6 +417,23 @@ def test_each_error_kind_maps_to_its_exit_code(tmp_path):
     assert_one_error_line(run(runner, [
         "gen", "grid", "--rows", "2", "--cols", "2",
         "-o", str(tmp_path / "missing" / "g.gr")]), 2)
+
+
+def test_sequence_of_another_map_exits_1(tmp_path):
+    # the sequence replays on the union built from --emb, so a sequence
+    # written for another nation grid fails in replay or grid recognition
+    runner = CliRunner()
+    paths = {}
+    for size in (12, 18):
+        paths[size] = (tmp_path / f"ng{size}.emb",
+                       tmp_path / f"ng{size}.json")
+        run(runner, ["gen", "nation-grid", "--size", str(size),
+                     "-o", str(paths[size][0]),
+                     "--seq-output", str(paths[size][1])])
+    for a, b in ((12, 18), (18, 12)):
+        assert_one_error_line(run(runner, [
+            "transfer", "--emb", str(paths[a][0]),
+            "--seq", str(paths[b][1])]), 1)
 
 
 def test_out_of_memory_is_a_size_refusal(tmp_path):

@@ -200,6 +200,7 @@ def test_canonicalize_components_outputs_are_pinned():
         nations = rng.sample(faces, rng.randint(1, len(faces)))
         parts = canonicalize_components(e, FaceLabeling(e, nations))
         for e2, fl2, nation_ids in parts:
+            assert is_canonical(e2, fl2)
             h.update(emb_dumps(e2, fl2).encode())
             h.update(repr((sorted(fl2.lakes), nation_ids)).encode())
         h.update(b"|")

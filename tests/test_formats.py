@@ -208,11 +208,10 @@ def test_json_loaders_take_only_json_integers():
                 {**good, "edge_witness": [[[0, 1], [0, 1.0]]]}):
         with pytest.raises(FormatError):
             model_loads(json.dumps(obj))
-    host = good["host"]
     for ops in ([["delete_vertex"]], [["contract", 0, 1.5]],
                 [["delete_vertex", "3"]]):
         with pytest.raises(FormatError):
-            sequence_loads(json.dumps({"host": host, "ops": ops}))
+            sequence_loads(json.dumps({"ops": ops}))
 
 
 def test_model_branch_set_keys_are_canonical_and_distinct():
@@ -226,6 +225,9 @@ def test_model_branch_set_keys_are_canonical_and_distinct():
             model_loads(good.replace('"1": [', f'"{key}": ['))
     with pytest.raises(FormatError, match="duplicate key '0'"):
         model_loads(good.replace('"1": [', '"0": ['))
+    # a duplicate key inside the host graph
+    with pytest.raises(FormatError, match="duplicate key 'n'"):
+        model_loads(good.replace('"n": 4', '"n": 4, "n": 5', 1))
 
 
 def test_minor_model_keys_are_ints_and_edges_are_witnessed_once():
@@ -256,18 +258,21 @@ def test_minor_model_keys_are_ints_and_edges_are_witnessed_once():
 
 def test_sequence_loads_refuses_duplicate_keys():
     # json.loads alone keeps the last "ops", dropping the deletion
-    host = '{"n": 2, "edges": [[0, 1]]}'
-    for text in (f'{{"host": {host}, "ops": [["delete_vertex", 0]], '
-                 f'"ops": []}}',
-                 '{"host": {"n": 2, "n": 3, "edges": []}, "ops": []}'):
-        with pytest.raises(FormatError, match="duplicate key"):
-            sequence_loads(text)
-    assert sequence_loads(f'{{"host": {host}, "ops": []}}').host.n == 2
+    with pytest.raises(FormatError, match="duplicate key"):
+        sequence_loads('{"ops": [["delete_vertex", 0]], "ops": []}')
+    assert sequence_loads('{"ops": [["delete_vertex", 0]]}').ops == [
+        ("delete_vertex", 0)]
+
+
+def _model_text(host):
+    """A model of the one-vertex pattern in `host`, a JSON graph."""
+    return json.dumps({"pattern": {"n": 1, "edges": []}, "host": host,
+                       "branch_sets": {"0": [0]}, "edge_witness": []})
 
 
 def test_json_edges_are_pairs_of_json_integers():
     host = {"n": 3, "edges": [[0, 1], [1, 2]]}
-    g = sequence_loads(json.dumps({"host": host, "ops": []})).host
+    g = model_loads(_model_text(host)).host
     assert g == SimpleGraph(3, [(0, 1), (1, 2)])
     for edge, message in (([0], "not enough values"),
                           ([0, 1, 2], "too many values"),
@@ -275,13 +280,12 @@ def test_json_edges_are_pairs_of_json_integers():
                           ([0, 1.0], "expected an integer, got 1.0")):
         bad = {"n": 3, "edges": [[1, 2], edge]}
         with pytest.raises(FormatError, match=re.escape(message)):
-            sequence_loads(json.dumps({"host": bad, "ops": []}))
+            model_loads(_model_text(bad))
 
 
 def test_sequence_json_byte_identical():
-    g = grid(3, 3)
-    seq = ContractionSequence(g, [("contract", 0, 1), ("delete_vertex", 8),
-                                  ("delete_edge", 3, 4)])
+    seq = ContractionSequence([("contract", 0, 1), ("delete_vertex", 8),
+                               ("delete_edge", 3, 4)])
     text = sequence_dumps(seq)
     assert sequence_dumps(sequence_loads(text)) == text
 
@@ -298,8 +302,8 @@ def valid_texts():
     _, td = treewidth_exact(g)
     e, fl = wheel_map(2)
     m = minor_containment_exact(SimpleGraph.cycle(4), g)
-    seq = ContractionSequence(g, [("contract", 0, 1), ("delete_vertex", 5),
-                                  ("delete_edge", 3, 4)])
+    seq = ContractionSequence([("contract", 0, 1), ("delete_vertex", 5),
+                               ("delete_edge", 3, 4)])
     return {"gr": (gr_loads, gr_dumps(g)),
             "td": (td_loads, td_dumps(td, g.n)),
             "emb": (emb_loads, emb_dumps(e, fl)),

@@ -34,6 +34,26 @@ def test_no_indented_json_dumps_in_package():
     assert found == []
 
 
+def test_public_loaders_raise_only_format_error():
+    # _raises_format_error turns whatever a parser raises on malformed
+    # text into FormatError, which the CLI maps to exit 2.  The private
+    # cli._emb_map_loads raises FormatError itself
+    loaders, bare = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.endswith("_loads")
+                    and not node.name.startswith("_")):
+                loaders.add(node.name)
+                if not any(getattr(d, "id", None) == "_raises_format_error"
+                           for d in node.decorator_list):
+                    bare.append(f"{path.name}:{node.name}")
+    assert loaders >= {"emb_loads", "gr_loads", "model_loads",
+                       "sequence_loads", "td_loads"}
+    assert bare == []
+
+
 def _literal(path, name):
     """Value of the module-level literal assignment `name` in `path`."""
     tree = ast.parse(path.read_text(), filename=str(path))
