@@ -18,7 +18,8 @@ from . import decomposition as dec
 from . import embedding as emb
 from . import graph as gr
 from . import minors
-from .errors import FormatError, GridlabError, SizeLimitError
+from .errors import (ConstructionError, FormatError, GridlabError,
+                     SizeLimitError)
 from .generators import (grid, partially_triangulated_grid, random_graph,
                          random_canonical_map, random_planar_triangulation,
                          wheel_map)
@@ -325,7 +326,10 @@ def transfer(emb_path, seq_path, output):
     of the dual."""
     e, fl = _read(emb_path, _emb_map_loads)
     seq = _read(seq_path, minors.sequence_loads)
-    model = minors.radial_grid_to_dual_grid(seq, e, fl)
+    try:
+        model = minors.radial_grid_to_dual_grid(seq, e, fl)
+    except ConstructionError as exc:
+        raise ConstructionError(f"{seq_path} on {emb_path}: {exc}") from exc
     if output:
         with open(output, "w") as f:
             f.write(minors.model_dumps(model))

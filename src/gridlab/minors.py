@@ -402,22 +402,6 @@ def _nation_fan(e, fl, u, a, b, acceptable):
     return min(candidates, key=lambda seg: (len(seg), seg))
 
 
-def _uncut_graph(host, labels):
-    """(owner, adj) of a successful replay's graph with its edge
-    deletions undone: owner maps each host vertex to the survivor whose
-    label set holds it; adj joins two survivors when a host edge runs
-    between their label sets.  Exact, as contractions only merge label
-    sets and vertex deletions drop whole ones."""
-    owner = {u: v for v, lab in labels.items() for u in lab}
-    adj = {v: set() for v in labels}
-    for a, b in host.edges:
-        u, v = owner.get(a), owner.get(b)
-        if u is not None and v is not None and u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return owner, adj
-
-
 def radial_grid_to_dual_grid(seq, e, fl):
     """Convert a k x k grid minor of the radial-dual union into a
     (floor(k/6)-1) x (floor(k/6)-1) grid minor of the dual graph.
@@ -431,47 +415,50 @@ def radial_grid_to_dual_grid(seq, e, fl):
     # one host, whose cached adjacency the replay copies and the
     # transfer paths search
     host = union_radial_dual(e, fl)
-    verts, edges, labels = seq.replay(host)
+    try:
+        verts, edges, labels = seq.replay(host)
+    except ConstructionError as exc:
+        raise ConstructionError(
+            f"the sequence does not fit the radial-dual union of this map "
+            f"({host.n} vertices): {exc}") from exc
     k, coords = _assign_grid_coords(verts, edges)
     t = k // 6 - 1
     if t < 1:
         raise ConstructionError(
             f"grid side {k} too small: need k >= 12 for a nonempty output")
     at = {coords[v]: v for v in verts}
+    # owner[x] is the survivor whose label set holds host vertex x
+    owner = {x: v for v, lab in labels.items() for x in lab}
 
-    # the partially triangulated grid: the contractions without the
-    # edge deletions, on the same vertices and coordinates
-    owner_of, adj_p = _uncut_graph(host, labels)
-    for u in adj_p:
-        x1, y1 = coords[u]
-        for v in adj_p[u]:
-            x2, y2 = coords[v]
+    # without its edge deletions the sequence must leave a partially
+    # triangulated grid: no host edge joins the label sets of two cells
+    # more than one step apart
+    long_edges = []
+    for a, b in host.edges:
+        if a in owner and b in owner:
+            u, v = sorted((owner[a], owner[b]))
+            (x1, y1), (x2, y2) = coords[u], coords[v]
             if abs(x1 - x2) > 1 or abs(y1 - y2) > 1:
-                raise ConstructionError(
-                    f"edge {(u, v)} spans non-neighboring grid cells; the "
-                    f"contracted graph is not a partially triangulated "
-                    f"grid")
+                long_edges.append((u, v))
+    if long_edges:
+        raise ConstructionError(
+            f"edge {min(long_edges)} spans non-neighboring grid cells; "
+            f"the contracted graph is not a partially triangulated grid")
     n = e.num_vertices
-
-    def facial(v):
-        return any(u >= n for u in labels[v])
-
-    host_adj = host.adj
     dual = dual_graph(e, fl)
 
+    # vhat[i, j] is the least nation in the label set of the cell
+    # (6i+1, 6j+1), or else of its neighbour (6i+2, 6j+1).  One of them
+    # holds a nation: the union has no primal-primal edge, so a label set
+    # without a nation is one primal vertex, and two of those are never
+    # grid neighbours
     vhat = {}
-    anchor = {}
     for i in range(1, t + 1):
         for j in range(1, t + 1):
             a = at[(6 * i + 1, 6 * j + 1)]
             b = at[(6 * i + 2, 6 * j + 1)]
-            v_ij = a if facial(a) else b
-            if not facial(v_ij):
-                raise ConstructionError(
-                    f"both candidate vertices at block ({i}, {j}) are "
-                    f"nonfacial, contradicting their adjacency")
-            anchor[(i, j)] = v_ij
-            vhat[(i, j)] = min(u for u in labels[v_ij] if u >= n)
+            vhat[(i, j)] = min([u for u in labels[a] if u >= n]
+                               or [u for u in labels[b] if u >= n])
 
     def in_rect(v, rect):
         x, y = coords[v]
@@ -481,43 +468,29 @@ def radial_grid_to_dual_grid(seq, e, fl):
     def transfer_path(src_key, dst_key, cut_axis, cut_line):
         """Simple path in the dual between vhat[src_key] and
         vhat[dst_key], plus its cut position (index of the last vertex
-        contracted toward src).  The grid path stays in the narrow
-        rectangle spanning both blocks; its nations stay in `wide`, that
-        rectangle thickened by one."""
+        contracted toward src).  Its union-graph walk stays inside the
+        label sets of the narrow rectangle spanning both blocks, so the
+        walk's nations and the fans around its primal vertices lie in
+        `wide`, that rectangle thickened by one."""
         (i, j), (i2, j2) = src_key, dst_key
         wide = (6 * i, 6 * i2 + 3, 6 * j, 6 * j2 + 3)
-        allowed_p = {at[x, y] for x in range(6 * i + 1, 6 * i2 + 3)
-                     for y in range(6 * j + 1, 6 * j2 + 3)}
-        p_grid = _shortest_path(adj_p, anchor[src_key], anchor[dst_key],
-                                allowed_p)
-        if p_grid is None:
-            raise ConstructionError(
-                f"no path between blocks {src_key} and {dst_key} inside "
-                f"the narrow rectangle")
-        # lift into the union graph: witness edges between consecutive
-        # label sets, stitched by paths inside each (connected) label set
-        hops = [min((x, y) for x in labels[a] for y in labels[b]
-                    if host.has_edge(x, y))
-                for a, b in zip(p_grid, p_grid[1:])]
-        entries = [vhat[src_key]] + [y for _, y in hops]
-        exits = [x for x, _ in hops] + [vhat[dst_key]]
-        walk = []
-        for a, enter, leave in zip(p_grid, entries, exits):
-            inner = _shortest_path(host_adj, enter, leave, labels[a])
-            if inner is None:
-                raise ConstructionError(
-                    f"radial_grid_to_dual_grid: label set of {a} is not "
-                    f"connected")
-            walk.extend(inner)
-        # make it simple within its own vertex set
-        walk = _shortest_path(host_adj, walk[0], walk[-1], set(walk))
+        narrow = set().union(*(labels[at[x, y]]
+                               for x in range(6 * i + 1, 6 * i2 + 3)
+                               for y in range(6 * j + 1, 6 * j2 + 3)))
+        # the walk exists: replay contracts only along present edges, so
+        # each label set is connected and each grid edge is a host edge
+        # between two label sets, and the narrow rectangle is connected
+        walk = _shortest_path(host.adj, vhat[src_key], vhat[dst_key],
+                              narrow)
 
         def acceptable(nation):
-            v = owner_of.get(n + nation)
+            v = owner.get(n + nation)
             return v is not None and in_rect(v, wide)
 
         # project onto the dual: replace each shared primal vertex by a
-        # nation fan around it
+        # nation fan around it.  Every nation on the walk has its owner
+        # in the narrow rectangle, and `_nation_fan` keeps only
+        # acceptable nations, so the path stays in `wide`
         path = [walk[0] - n]
         for idx in range(1, len(walk)):
             u = walk[idx]
@@ -528,14 +501,9 @@ def radial_grid_to_dual_grid(seq, e, fl):
             w = walk[idx + 1]  # a primal vertex is never last on the walk
             fan = _nation_fan(e, fl, u, path[-1], w - n, acceptable)
             path.extend(fan[1:])
-        for nation in path:
-            if not acceptable(nation):
-                raise ConstructionError(
-                    f"nation {nation} on the transfer path leaves the "
-                    f"thickened rectangle")
         path = _shortest_path(dual.adj, path[0], path[-1], set(path))
         # cut at the first edge crossing the mid line of the block gap
-        axis_coord = [coords[owner_of[n + d]][cut_axis] for d in path]
+        axis_coord = [coords[owner[n + d]][cut_axis] for d in path]
         cut = None
         for idx in range(len(path) - 1):
             if axis_coord[idx] <= cut_line and axis_coord[idx + 1] > \

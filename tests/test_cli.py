@@ -421,7 +421,8 @@ def test_each_error_kind_maps_to_its_exit_code(tmp_path):
 
 def test_sequence_of_another_map_exits_1(tmp_path):
     # the sequence replays on the union built from --emb, so a sequence
-    # written for another nation grid fails in replay or grid recognition
+    # written for another nation grid fails in replay, and the one error
+    # line names both files
     runner = CliRunner()
     paths = {}
     for size in (12, 18):
@@ -431,9 +432,11 @@ def test_sequence_of_another_map_exits_1(tmp_path):
                      "-o", str(paths[size][0]),
                      "--seq-output", str(paths[size][1])])
     for a, b in ((12, 18), (18, 12)):
-        assert_one_error_line(run(runner, [
-            "transfer", "--emb", str(paths[a][0]),
-            "--seq", str(paths[b][1])]), 1)
+        res = run(runner, ["transfer", "--emb", str(paths[a][0]),
+                           "--seq", str(paths[b][1])])
+        assert_one_error_line(res, 1, "does not fit")
+        assert str(paths[a][0]) in res.stderr
+        assert str(paths[b][1]) in res.stderr
 
 
 def test_out_of_memory_is_a_size_refusal(tmp_path):

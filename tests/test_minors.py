@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from gridlab.generators import (_build_from_rotations, _triangle, grid,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import CliqueWitness, SimpleGraph
 from gridlab.minors import (ContractionSequence, MinorModel,
-                            _assign_grid_coords, _nation_fan, _uncut_graph,
+                            _assign_grid_coords, _nation_fan,
                             double_radial_minor, largest_grid_minor,
                             minor_containment_exact,
                             model_dumps, model_loads,
@@ -251,20 +252,6 @@ def test_sequence_mutations_reach_both_outcomes():
     assert outcomes == {False, True}
 
 
-def test_uncut_graph_is_the_replay_without_edge_deletions():
-    rng = random.Random(12)
-    for _ in range(1000):
-        host, ops = _random_sequence(rng)
-        _, _, labels = ContractionSequence(ops).replay(host)
-        owner, adj = _uncut_graph(host, labels)
-        verts, edges, uncut_labels = replay_by_definition(
-            host, [op for op in ops if op[0] != "delete_edge"])
-        assert uncut_labels == labels and set(adj) == verts
-        assert {(min(u, v), max(u, v)) for u in adj for v in adj[u]} == edges
-        assert all(u in adj[v] for u in adj for v in adj[u])
-        assert owner == {x: v for v, s in labels.items() for x in s}
-
-
 def test_model_to_contraction_sequence_consistent():
     for seed in range(6):
         g = random_graph(9, seed, 0.45)
@@ -299,28 +286,28 @@ def test_transfer_deletion_only_instances():
 
 
 @functools.lru_cache(maxsize=None)
-def _coarsened_transfer_instance(size):
+def _coarsened_transfer_instance(size, block, offset):
     """(e, fl, seq, side): nation_grid_transfer_instance(size) with its
-    window grid cut to an even side and coarsened by 2x2 blocks, so the
-    transfer walks through real contraction labels."""
+    window grid cut to the rows and columns offset .. offset + side *
+    block - 1 and coarsened by block x block blocks, so the transfer
+    walks through real contraction labels."""
     e, fl, seq = nation_grid_transfer_instance(size)
     verts, edges, _ = seq.replay(union_radial_dual(e, fl))
     k, coords = _assign_grid_coords(verts, edges)
     at = {c: v for v, c in coords.items()}
+    side = (k - offset) // block
+    keep = range(offset, offset + side * block)
     ops = list(seq.ops)
-    if k % 2:  # drop the last row and column so the side is even
-        for y in range(k):
-            ops.append(("delete_vertex", at[(k - 1, y)]))
-        for x in range(k - 1):
-            ops.append(("delete_vertex", at[(x, k - 1)]))
-    q = k - (k % 2)
-    for bx in range(q // 2):
-        for by in range(q // 2):
-            root = at[(2 * bx, 2 * by)]
-            ops.append(("contract", root, at[(2 * bx + 1, 2 * by)]))
-            ops.append(("contract", root, at[(2 * bx, 2 * by + 1)]))
-            ops.append(("contract", root, at[(2 * bx + 1, 2 * by + 1)]))
-    return e, fl, ContractionSequence(ops), q // 2
+    ops += [("delete_vertex", v) for (x, y), v in sorted(at.items())
+            if x not in keep or y not in keep]
+    # row by row, each cell of a block touches one contracted before it
+    for bx in range(side):
+        for by in range(side):
+            x0, y0 = offset + block * bx, offset + block * by
+            ops += [("contract", at[x0, y0], at[x0 + dx, y0 + dy])
+                    for dx in range(block) for dy in range(block)
+                    if dx or dy]
+    return e, fl, ContractionSequence(ops), side
 
 
 def _moved(k, old, new):
@@ -355,14 +342,17 @@ def test_assign_grid_coords_rejects_non_grids(verts, edges, message):
         _assign_grid_coords(set(verts), set(edges))
 
 
-def test_transfer_contraction_heavy_instance():
-    e, fl, seq2, side = _coarsened_transfer_instance(36)
-    v2, e2, _ = seq2.replay(union_radial_dual(e, fl))
-    k2, _ = _assign_grid_coords(v2, e2)
-    assert k2 == side
-    m = radial_grid_to_dual_grid(seq2, e, fl)
+@pytest.mark.parametrize("offset", (0, 1))
+@pytest.mark.parametrize("block", (2, 3))
+@pytest.mark.parametrize("size", (36, 42, 48, 54, 60))
+def test_transfer_contraction_heavy_instance(size, block, offset):
+    e, fl, seq, side = _coarsened_transfer_instance(size, block, offset)
+    verts, edges, labels = seq.replay(union_radial_dual(e, fl))
+    assert _assign_grid_coords(verts, edges)[0] == side
+    assert {len(s) for s in labels.values()} == {block * block}
+    m = radial_grid_to_dual_grid(seq, e, fl)
     assert verify_model(m) is None
-    assert len(m.branch_sets) == (k2 // 6 - 1) ** 2
+    assert len(m.branch_sets) == (side // 6 - 1) ** 2
 
 
 def test_transfer_rejects_small_grids():
@@ -403,6 +393,52 @@ def test_transfer_rejects_a_long_uncut_edge():
     assert long_edge.replay(host)[:2] == (verts, edges)
     with pytest.raises(ConstructionError, match="non-neighboring grid cells"):
         radial_grid_to_dual_grid(long_edge, e, fl)
+
+
+def _absorbing_transfer_instance(size, rng):
+    """(e, fl, seq, coords): nation_grid_transfer_instance(size) where
+    1 to 4 deleted vertices next to the window are contracted into a
+    window neighbour instead, and the edges this adds to the window grid
+    are deleted; coords places the grid that seq still leaves."""
+    e, fl, seq = nation_grid_transfer_instance(size)
+    host = union_radial_dual(e, fl)
+    verts, edges, _ = seq.replay(host)
+    _, coords = _assign_grid_coords(verts, edges)
+    outside = sorted(w for w in range(host.n)
+                     if w not in verts and host.adj[w] & verts)
+    absorbed = rng.sample(outside, rng.randint(1, 4))
+    ops = [("contract", rng.choice(sorted(host.adj[w] & verts)), w)
+           for w in absorbed]
+    ops += [op for op in seq.ops
+            if op[0] != "delete_vertex" or op[1] not in absorbed]
+    _, final, _ = ContractionSequence(ops).replay(host)
+    ops += [("delete_edge", a, b) for a, b in sorted(final - edges)]
+    return e, fl, ContractionSequence(ops), coords
+
+
+def test_transfer_rejects_exactly_the_long_uncut_edges():
+    # the uncut graph is the replay without the edge deletions; the
+    # transfer must refuse it exactly when it joins two cells more than
+    # one step apart, and name the least such pair
+    rng = random.Random(27)
+    outcomes = set()
+    for size in (12, 13, 14, 15) * 4:
+        e, fl, seq, coords = _absorbing_transfer_instance(size, rng)
+        _, uncut, _ = replay_by_definition(
+            union_radial_dual(e, fl),
+            [op for op in seq.ops if op[0] != "delete_edge"])
+        long_edges = sorted(
+            (u, v) for u, v in uncut
+            if max(abs(p - q) for p, q in zip(coords[u], coords[v])) > 1)
+        if long_edges:
+            with pytest.raises(ConstructionError, match=re.escape(
+                    f"edge {long_edges[0]} spans non-neighboring grid "
+                    f"cells")):
+                radial_grid_to_dual_grid(seq, e, fl)
+        else:
+            assert verify_model(radial_grid_to_dual_grid(seq, e, fl)) is None
+        outcomes.add(bool(long_edges))
+    assert outcomes == {False, True}
 
 
 def test_double_radial_minor_triangle_and_cube():
@@ -511,12 +547,12 @@ def test_transfer_and_double_radial_models_are_pinned():
         # the 2x2-coarsened 36: the one pinned transfer whose label sets
         # are not singletons
         "36 coarsened":
-            "e7b64868adf3bab66af8c49bc4ce244802b9546b4bfee6b1c022ade7da474b87",
+            "9b4de959e54415ce083c2057222226b95baec3f2fbdba552206dea2a98c3f476",
     }
     models = {}
     for key, digest in transfer.items():
         if key == "36 coarsened":
-            e, fl, seq, _ = _coarsened_transfer_instance(36)
+            e, fl, seq, _ = _coarsened_transfer_instance(36, 2, 0)
         else:
             e, fl, seq = nation_grid_transfer_instance(key)
         models[key] = radial_grid_to_dual_grid(seq, e, fl)
