@@ -18,8 +18,9 @@ and bound over elimination orderings with subset memoization:
   UAI 2004).  The test (`_reducible`) is linear in the neighborhood
   q: one pass finds the vertices of q that miss a neighbor in q, and
   at most two of them can be the vertex whose removal leaves a clique;
-- a child whose eliminated set is memoized at no greater width is
-  skipped before its fill graph is built.
+- the parent's candidate loop prunes each child in one place, before
+  its fill graph is built: at the best width found, or when its
+  eliminated set is memoized at no greater width.
 
 The search is exponential; `decomposition.treewidth_exact` refuses
 graphs with more than `TREEWIDTH_EXACT_LIMIT` (20) vertices.  Each call
@@ -300,16 +301,13 @@ def treewidth_order(n, masks):
     nodes = 0
 
     def search(eliminated, adj, cost, order):
-        # adj is the fill graph of `eliminated` on the other vertices
+        # adj is the fill graph of `eliminated` on the other vertices.
+        # Nothing prunes on entry: the root opens only when lb < ub, on
+        # an empty memo, and the loop below prunes every other call.
         nonlocal nodes
-        if cost >= best[0]:
-            return
         if eliminated == full:
             best[0] = cost
             best[1] = list(order)
-            return
-        seen = memo.get(eliminated)
-        if seen is not None and seen <= cost:
             return
         memo[eliminated] = cost
         nodes += 1
@@ -327,24 +325,22 @@ def treewidth_order(n, masks):
             # a minor of G of treewidth at most tw(G), so the width
             # max(cost, |q|, tw(G / vu)) is at most max(cost, tw(G)).
             if _reducible(adj, q, cost):
-                descend(eliminated, adj, v, max(cost, qn), order)
-                return
+                cand = [(qn, v)]
+                break
             cand.append((qn, v))
         cand.sort()
         for qn, v in cand:
-            if max(cost, qn) >= best[0]:
+            child_cost = max(cost, qn)
+            if child_cost >= best[0]:
                 break
-            descend(eliminated, adj, v, max(cost, qn), order)
-
-    def descend(eliminated, adj, v, cost, order):
-        # a child whose memo entry is at most `cost` returns at once, so
-        # it is not built; `nodes` and `memo` count the same
-        child = eliminated | (1 << v)
-        if child != full and memo.get(child, cost + 1) <= cost:
-            return
-        order.append(v)
-        search(child, _eliminate(adj, v), cost, order)
-        order.pop()
+            # a child memoized at no greater width is skipped before its
+            # fill graph is built; the full set is never memoized
+            child = eliminated | (1 << v)
+            if memo.get(child, child_cost + 1) <= child_cost:
+                continue
+            order.append(v)
+            search(child, _eliminate(adj, v), child_cost, order)
+            order.pop()
 
     if lb < ub:
         search(0, list(masks), lb, [])

@@ -303,15 +303,15 @@ def vertex_cover_dp(g, td):
         for s in reversed(free):
             mask = bag_mask[x] ^ s
             total = mask.bit_count()
+            # best[key] exists, so every cover of the bag gets an entry:
+            # mask is B_x - S with S independent, and B_c - (S & shared)
+            # is a cover of the child's bag that selects key from the
+            # shared vertices, in the child's table by induction
             for shared, best in joins:
                 key = mask & shared
-                found = best.get(key)
-                if found is None:
-                    break
                 # the shared vertices it selects are counted in `mask`
-                total += found[0] - key.bit_count()
-            else:
-                table[mask] = total
+                total += best[key][0] - key.bit_count()
+            table[mask] = total
         if x != root:
             shared = bag_mask[x] & bag_mask[parent[x]]
             best = {}

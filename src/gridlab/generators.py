@@ -204,9 +204,8 @@ def random_canonical_map(nations, seed):
     rng = random.Random(f"map:{nations}:{seed}")
     for _ in range(500):
         n_tri = max(4, (nations + 5) // 2 + rng.randint(0, 3))
+        # 2 * n_tri - 4 >= nations, since n_tri >= (nations + 5) // 2
         num_faces = 2 * n_tri - 4
-        if num_faces < nations:
-            continue
         tri = random_planar_triangulation(n_tri, rng.randrange(2 ** 30))
         fl = FaceLabeling(tri, sorted(rng.sample(range(num_faces),
                                                  nations)))

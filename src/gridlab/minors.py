@@ -152,14 +152,14 @@ class ContractionSequence:
         for op in self.ops:
             kind, u, v = op[0], op[1], op[-1]  # u == v for delete_vertex
             if u not in adj or v not in adj:
-                raise ConstructionError(f"{kind} {op}: missing vertex")
+                raise ConstructionError(f"{op}: missing vertex")
             if kind == self.DELETE_VERTEX:
                 for w in adj.pop(v):
                     adj[w].discard(v)
                 del labels[v]
                 continue
             if v not in adj[u]:
-                raise ConstructionError(f"{kind} {op}: edge not present")
+                raise ConstructionError(f"{op}: edge not present")
             adj[u].discard(v)
             adj[v].discard(u)
             if kind == self.CONTRACT:

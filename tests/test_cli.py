@@ -11,8 +11,9 @@ import gridlab
 from gridlab import cli
 from gridlab.cli import main
 from gridlab.decomposition import td_dumps, treewidth_exact
-from gridlab.embedding import (all_nations, canonicalize, emb_dumps,
-                               emb_loads, is_canonical, radial_graph)
+from gridlab.embedding import (FaceLabeling, all_nations, canonicalize,
+                               emb_dumps, emb_loads, is_canonical,
+                               radial_graph)
 from gridlab.generators import (partially_triangulated_grid,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import BoundReport, SimpleGraph, gr_loads
@@ -178,6 +179,14 @@ def test_power_witness(tmp_path):
     res = run(runner, ["power", str(grf), "--k", "2", "--witness-r", "3"])
     assert res.exit_code == 0
     assert "clique witness" in res.output
+    # no 9 vertices of P_4 squared form a clique, so the case analysis
+    # ends in a bound
+    p4 = tmp_path / "p4.gr"
+    p4.write_text("p tw 4 3\n1 2\n2 3\n3 4\n")
+    res = run(runner, ["power", str(p4), "--k", "2", "--witness-r", "3"])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == (
+        "degree bound: max_degree(G^k) = 3 < 81 (even case)")
 
 
 def test_power_refuses_a_false_degree_bound(tmp_path, monkeypatch):
@@ -375,12 +384,15 @@ DUPLICATE_WITNESS_MODEL = json.dumps({
     pytest.param("bad.json", OLD_FORMAT_SEQ.encode(),
                  ["transfer", "--emb", "{emb}", "--seq", "{bad}"],
                  id="old-format-seq"),
+    pytest.param("bad.emb", b"emb 2\ntwin 1 0\nnext 0 1\nvertex_of 0 1\n",
+                 ["derive", "{bad}", "--map", "-o", "{out}"],
+                 id="emb-without-nations"),
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
                                                  command):
     runner = CliRunner()
     paths = {"bad": tmp_path / name, "ok": tmp_path / "ok.gr",
-             "emb": tmp_path / "w.emb"}
+             "emb": tmp_path / "w.emb", "out": tmp_path / "out"}
     paths["bad"].write_bytes(content)
     paths["ok"].write_text(OK_GR)
     run(runner, ["gen", "wheel-map", "--r", "1", "-o", str(paths["emb"])])
@@ -437,6 +449,24 @@ def test_sequence_of_another_map_exits_1(tmp_path):
         assert_one_error_line(res, 1, "does not fit")
         assert str(paths[a][0]) in res.stderr
         assert str(paths[b][1]) in res.stderr
+        # the failing op is named once, as its tuple
+        assert res.stderr.count("delete_") == 1
+        assert res.stderr.endswith(("): missing vertex\n",
+                                    "): edge not present\n"))
+
+
+def test_transfer_of_a_non_canonical_map_exits_1(tmp_path):
+    runner = CliRunner()
+    emb, seq = tmp_path / "ng.emb", tmp_path / "ng.json"
+    run(runner, ["gen", "nation-grid", "--size", "12", "-o", str(emb),
+                 "--seq-output", str(seq)])
+    # with its least nation turned into a lake, the map is not canonical
+    e, fl = emb_loads(emb.read_text())
+    fl = FaceLabeling(e, sorted(fl.nations)[1:])
+    assert not is_canonical(e, fl)
+    emb.write_text(emb_dumps(e, fl))
+    res = run(runner, ["transfer", "--emb", str(emb), "--seq", str(seq)])
+    assert_one_error_line(res, 1, "map is not canonical")
 
 
 def test_out_of_memory_is_a_size_refusal(tmp_path):
@@ -488,7 +518,12 @@ def test_power_ranges_are_usage_errors(tmp_path, args):
                   "--seq-output", "{seq}", "-o", "{out}"],
                  id="gen-grid---seq-output"),
     pytest.param(["sweep", "--family", "wheel", "--values", "1", "--k", "3",
-                  "-o", "{out}"], id="sweep-wheel---k")])
+                  "-o", "{out}"], id="sweep-wheel---k"),
+    # and these lack an option or a value the command needs
+    pytest.param(["lift", "{td}", "-o", "{out}"], id="lift-no-kind"),
+    pytest.param(["check", "--td", "{td}"], id="check---td-no---gr"),
+    pytest.param(["sweep", "--family", "wheel", "--values", "a",
+                  "-o", "{out}"], id="sweep---values-a")])
 def test_ignored_options_are_usage_errors(tmp_path, args):
     # each command once ran with one of these options silently ignored
     runner = CliRunner()

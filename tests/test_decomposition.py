@@ -438,6 +438,8 @@ def test_vertex_cover_known():
     assert vertex_cover_dp(grid(3, 4), td)[0] == 6
     _, td = treewidth_exact(SimpleGraph.star(5))
     assert vertex_cover_dp(SimpleGraph.star(5), td) == (1, {0})
+    _, td = treewidth_exact(SimpleGraph(0))
+    assert vertex_cover_dp(SimpleGraph(0), td) == (0, set())
 
 
 def test_vertex_cover_ties_are_pinned():

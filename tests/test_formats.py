@@ -50,6 +50,8 @@ def test_gr_parse_errors():
         gr_loads("1 2\np tw 3 1\n")
     with pytest.raises(FormatError):
         gr_loads("p tw 3 2\n1 2\n")  # header edge count off
+    with pytest.raises(FormatError, match="^line 2: duplicate problem line$"):
+        gr_loads("p tw 2 1\np tw 2 1\n1 2\n")
     with pytest.raises(FormatError, match="^line 2: expected an integer, "
                                           "found 'x'$"):
         gr_loads("c bad count\np tw x 1\n")
@@ -98,6 +100,16 @@ def test_td_parse_errors():
         td_loads("s td 2 1 2\nb 1 1\nb 2 2\n1 1\n")
     with pytest.raises(FormatError, match="^line 4: tree edge '1 3' out"):
         td_loads("s td 2 1 2\nb 1 1\nb 2 2\n1 3\n")
+    with pytest.raises(FormatError, match="^line 2: duplicate solution line$"):
+        td_loads("s td 1 1 1\ns td 1 1 1\nb 1 1\n")
+    with pytest.raises(FormatError,
+                       match="^line 1: tree edge before solution line$"):
+        td_loads("1 2\ns td 2 1 2\nb 1 1\nb 2 2\n")
+    with pytest.raises(FormatError, match="^missing solution line$"):
+        td_loads("c no solution line\n")
+    # a comment line is skipped wherever it stands
+    td, n = td_loads("c hello\ns td 1 1 1\nc between\nb 1 1\n")
+    assert (td.bags, td.tree_edges, n) == ([frozenset({0})], [], 1)
 
 
 # int() reads "1_0" as 10, "+1" as 1 and the Arabic-Indic digit two as 2;
@@ -182,6 +194,8 @@ def test_emb_parse_errors():
             emb_loads(header + "\ntwin 1 0\nnext 0 1\nvertex_of 0 1\n")
     with pytest.raises(FormatError, match="^line 4: -1 is below 0$"):
         emb_loads("emb 2\ntwin 1 0\nnext 0 1\nvertex_of 0 -1\n")
+    with pytest.raises(FormatError, match="^line 3: duplicate field 'twin'$"):
+        emb_loads("emb 2\ntwin 1 0\ntwin 1 0\nnext 0 1\nvertex_of 0 1\n")
     # one edge has one face, so nation 5 is not a face
     with pytest.raises(FormatError, match="nation 5 "):
         emb_loads("emb 2\ntwin 1 0\nnext 0 1\nvertex_of 0 1\nnations 5\n")

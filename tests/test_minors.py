@@ -73,6 +73,12 @@ def test_verify_model_catches_violations():
     v = verify_model(MinorModel(h, g, {0: {0, 1}, 1: {2, 3}},
                                 {(0, 1): (0, 3)}))
     assert v.condition == "witness"
+    # a branch member outside the host's vertex range
+    for x in (9, -1):
+        v = verify_model(MinorModel(h, g, {0: {0, 1}, 1: {2, x}},
+                                    {(0, 1): (1, 2)}))
+        assert v.condition == "coverage" and v.witness == 1
+        assert v.message == f"branch vertex {x} not in host"
 
 
 @pytest.mark.parametrize("certify", [
@@ -101,6 +107,9 @@ def test_minor_containment_small_cases():
     g = random_graph(7, 5)
     m = minor_containment_exact(g, g)
     assert m is not None and verify_model(m) is None
+    # the empty pattern is a minor of every graph
+    m = minor_containment_exact(SimpleGraph(0), host)
+    assert m.branch_sets == {} and verify_model(m) is None
 
 
 def test_minor_containment_size_refusals():
@@ -108,6 +117,9 @@ def test_minor_containment_size_refusals():
         minor_containment_exact(SimpleGraph(11), SimpleGraph(16))
     with pytest.raises(SizeLimitError):
         minor_containment_exact(SimpleGraph(3), SimpleGraph(17))
+    # only a complete host skips the exhaustive search
+    with pytest.raises(SizeLimitError, match="at most 16 vertices, got 17"):
+        largest_grid_minor(SimpleGraph.path(17))
 
 
 def test_largest_grid_minor_known():
