@@ -31,7 +31,6 @@ that set the lower bound.
 
 from __future__ import annotations
 
-import heapq
 import logging
 
 IMPLEMENTATION = "pure"
@@ -66,106 +65,133 @@ def min_fill_order(n, masks):
     The width is -1 on the empty graph.
 
     Incremental (Bodlaender & Koster, "Treewidth computations I. Upper
-    bounds", Inf. Comput. 2010): a heap holds (fill, id) entries and is
-    invalidated lazily.  Eliminating v with neighborhood N and fill f_v
-    makes N a clique, and every fill is then updated by its exact
-    change; only the initial fills are counted from scratch.  A vertex
-    u of N loses the pairs (v, x) for its neighbors x outside N[v].  If
-    u gained no edge, all f_v fill edges join two of its neighbors, so
-    its fill drops by f_v more.  Otherwise it also drops by the fill
-    edges among its old neighbors and rises by the pairs of a new
-    neighbor and a non-adjacent neighbor outside N[v].  Any other
-    vertex x keeps its neighborhood, so its fill drops by the number of
-    new fill edges inside N(x) & N; only the neighbors of a vertex that
-    gained an edge can see one.  The fills stay exact, so ties and the
-    order match a full rescan.
+    bounds", Inf. Comput. 2010): only the initial fills are counted from
+    scratch.  `bucket[f]` is the mask of the live vertices whose fill is
+    f; the next vertex is the least bit of the least non-empty bucket,
+    and the list grows when a fill rises above every earlier one.
+    Eliminating v, with neighborhood N and f_v fill edges, makes N a
+    clique and changes each fill by its exact delta:
+
+    - a vertex u of N loses the pairs (v, x) for its neighbors x outside
+      N[v].  If u gains no edge, each fill edge joins two of its
+      neighbors, so its fill drops by f_v more;
+    - each fill edge (y, z) lowers by one the fill of every vertex
+      adjacent to both ends, found with one AND, apart from v and the
+      vertices of the first case;
+    - each end y of a fill edge (y, z) rises by its neighbors outside
+      N[v] that miss z.
+
+    When f_v = 0 (v is simplicial) only the first rule applies.  A step
+    costs O(d + the sum over fill edges of their common neighbors) bit
+    operations.  The fills stay exact, so ties and the order match a
+    full rescan.
     """
     # adj holds the live neighbors of each live vertex
     adj = list(masks)
     fill = [_fill(adj, v) for v in range(n)]
-    heap = [(f, v) for v, f in enumerate(fill)]
-    heapq.heapify(heap)
-    # added[u]: the fill edges u gained in the current step
-    added = [0] * n
-    alive = (1 << n) - 1
+    bucket = [0] * (max(fill, default=0) + 1)
+    for v, f in enumerate(fill):
+        bucket[f] |= 1 << v
+    lo = 0  # no bucket below lo is non-empty
+    # delta[x]: the change of x's fill from the fill edges of this step
+    delta = [0] * n
     order = []
     width = -1
-    while heap:
-        f, v = heapq.heappop(heap)
-        if not alive >> v & 1 or f != fill[v]:
-            continue  # eliminated, or a stale entry
+    for _ in range(n):
+        while not bucket[lo]:
+            lo += 1
+        f = lo
+        vbit = bucket[f] & -bucket[f]
+        bucket[f] ^= vbit
+        v = vbit.bit_length() - 1
+        order.append(v)
         nb = adj[v]
         width = max(width, nb.bit_count())
-        vbit = 1 << v
-        adj[v] = 0
-        alive ^= vbit
-        order.append(v)
-        grown = 0  # the vertices of N that gained an edge
-        reach = 0  # their neighbors before this step
+        if not f:
+            # N is a clique: each neighbor only loses v
+            m = nb
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                m ^= low
+                a = adj[u] ^ vbit
+                adj[u] = a
+                d = (a & ~nb).bit_count()
+                if d:
+                    g = fill[u]
+                    bucket[g] ^= low
+                    fill[u] = g = g - d
+                    bucket[g] |= low
+            continue
+        grown = 0  # the vertices of N that gain an edge
         m = nb
         while m:
             low = m & -m
-            u = low.bit_length() - 1
             m ^= low
-            old = adj[u]
-            new = nb & ~old & ~low
-            adj[u] = (old | new) ^ vbit
-            if new:
-                added[u] = new
+            if nb & ~adj[low.bit_length() - 1] & ~low:
                 grown |= low
-                reach |= old
+        # v and the vertices of N that gain no edge are adjacent to both
+        # ends of every fill edge; the first rule counts them
+        keep = ~(vbit | nb ^ grown)
+        outside = 0  # the vertices outside N[v] that lose fill
+        m = grown
+        while m:
+            ybit = m & -m
+            y = ybit.bit_length() - 1
+            m ^= ybit
+            a = adj[y]
+            k = nb & ~a & -(ybit << 1)  # the fill edges (y, z), z > y
+            while k:
+                zbit = k & -k
+                z = zbit.bit_length() - 1
+                k ^= zbit
+                b = adj[z]
+                # y gains the pairs of z with y's neighbors outside N[v]
+                # that miss z, and z likewise
+                x = (a ^ b) & ~nb
+                delta[y] += (x & a).bit_count()
+                delta[z] += (x & b).bit_count()
+                c = a & b & keep
+                outside |= c
+                while c:
+                    low = c & -c
+                    delta[low.bit_length() - 1] -= 1
+                    c ^= low
         m = nb
         while m:
             low = m & -m
             u = low.bit_length() - 1
             m ^= low
-            a = adj[u]
-            outer = a & ~nb  # u's neighbors outside N[v]
-            # the pairs (v, x), x in outer, were non-adjacent
-            drop = outer.bit_count()
-            if not grown & low:
-                # each of the f fill edges of this step joins two old
-                # neighbors of u
-                drop += f
+            a = (adj[u] | nb) & ~(low | vbit)
+            adj[u] = a
+            # the pairs (v, x), x a neighbor of u outside N[v]
+            d = (a & ~nb).bit_count()
+            if grown & low:
+                d = delta[u] - d
+                delta[u] = 0
             else:
-                new = added[u]
-                old = a & ~new
-                # the fill edges inside old, counted from both ends
-                twice = 0
-                k = old & grown
-                while k:
-                    low = k & -k
-                    twice += (added[low.bit_length() - 1] & old).bit_count()
-                    k ^= low
-                drop += twice // 2
-                # a new neighbor y is adjacent to all of N, and misses
-                # the vertices of outer it is not adjacent to
-                k = new
-                while k:
-                    low = k & -k
-                    drop -= (outer & ~adj[low.bit_length() - 1]).bit_count()
-                    k ^= low
-            if drop:
-                fill[u] -= drop
-                heapq.heappush(heap, (fill[u], u))
-        m = reach & alive & ~nb
+                d = -d - f
+            if d:
+                g = fill[u]
+                bucket[g] ^= low
+                fill[u] = g = g + d
+                if g >= len(bucket):
+                    bucket += [0] * (g + 1 - len(bucket))
+                bucket[g] |= low
+                if g < lo:
+                    lo = g
+        m = outside & ~nb
         while m:
             low = m & -m
             x = low.bit_length() - 1
             m ^= low
-            s = adj[x] & nb
-            if not s & (s - 1):
-                continue  # fewer than two neighbors in N
-            # each new edge inside s is counted from both ends
-            twice = 0
-            k = s & grown
-            while k:
-                low = k & -k
-                twice += (added[low.bit_length() - 1] & s).bit_count()
-                k ^= low
-            if twice:
-                fill[x] -= twice // 2
-                heapq.heappush(heap, (fill[x], x))
+            g = fill[x]
+            bucket[g] ^= low
+            fill[x] = g = g + delta[x]
+            delta[x] = 0
+            bucket[g] |= low
+            if g < lo:
+                lo = g
     return width, order
 
 

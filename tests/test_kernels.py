@@ -168,6 +168,88 @@ def test_min_fill_matches_full_rescan_on_random_graphs(n, seed, p):
         assert _kernels.min_fill_order(n, masks) == min_fill_rescan(n, masks)
 
 
+def _fills_along(n, masks, order):
+    """The fills of the live vertices before each step of `order`, each
+    counted from scratch."""
+    adj = list(masks)
+    alive = (1 << n) - 1
+    steps = []
+    for v in order:
+        fills = {}
+        for x in range(n):
+            if alive >> x & 1:
+                nb = adj[x] & alive
+                fills[x] = sum((nb & ~adj[u] & ~(1 << u)).bit_count()
+                               for u in range(n) if nb >> u & 1) // 2
+        steps.append(fills)
+        nb = adj[v] & alive
+        for u in range(n):
+            if nb >> u & 1:
+                adj[u] |= nb & ~(1 << u)
+        alive &= ~(1 << v)
+    return steps
+
+
+def test_min_fill_bucket_moves_match_full_rescan():
+    def checked(g):
+        masks = g.adjacency_masks()
+        width, order = _kernels.min_fill_order(g.n, masks)
+        assert (width, order) == min_fill_rescan(g.n, masks)
+        return order, _fills_along(g.n, masks, order)
+
+    radial = radial_graph(*random_canonical_map(20, 20))[0]
+    # a fill rises above every initial fill, so the bucket list grows
+    for g in (random_graph(12, 0, 0.4), radial,
+              partially_triangulated_grid(8, 8, 8)):
+        _, steps = checked(g)
+        assert max(max(s.values()) for s in steps) > max(steps[0].values())
+    # a fill drops below the least bucket, the one v was taken from:
+    # eliminating 0 from C4 joins 1 and 3, and every fill goes 1 -> 0
+    for g in (SimpleGraph.cycle(4), random_graph(6, 0, 0.3), radial):
+        order, steps = checked(g)
+        assert any(min(after.values()) < before[v] for v, before, after
+                   in zip(order, steps, steps[1:]))
+    # ties among all vertices, and an isolated vertex in the middle: the
+    # cube Q3 (every fill 3) with vertex 4 isolated, and the edgeless
+    # graph (every fill 0)
+    cube = [(u, u ^ 1 << i) for u in range(8) for i in range(3)
+            if u < u ^ 1 << i]
+    g = SimpleGraph(9, [(u + (u >= 4), v + (v >= 4)) for u, v in cube])
+    order, steps = checked(g)
+    assert sorted(steps[0].values()) == [0] + [3] * 8
+    assert order[:2] == [4, 0]
+    order, _ = checked(SimpleGraph(7))
+    assert order == list(range(7))
+
+
+def test_min_fill_orders_are_pinned():
+    # the digests of the (width, order) lists at benchmark scale: radial
+    # graphs of maps with 50-300 nations, partially triangulated grids
+    # with sides 8-20 and the squares of those with sides 6-10
+    families = {
+        "radial": [radial_graph(*random_canonical_map(nations, nations))[0]
+                   for nations in range(50, 301, 50)],
+        "grid": [partially_triangulated_grid(side, side, side)
+                 for side in range(8, 21, 2)],
+        "square": [power_graph(partially_triangulated_grid(side, side,
+                                                           side), 2)
+                   for side in range(6, 11)],
+    }
+    digests = {
+        "radial": "0e5bc6bbb53bfcd1ab602d12e440d6d1"
+                  "ac34ebc462ca3610ecc6cfd0eefd21ee",
+        "grid": "e3f6007eb11995294d240d7eae2651d1"
+                "3ab8152fa154d5a9725474426e937008",
+        "square": "3fb98eea8ab4599757e8b4b014deb155"
+                  "7165adace6a39a4d1142ac260e1b8ad8",
+    }
+    for name, graphs in families.items():
+        results = [_kernels.min_fill_order(g.n, g.adjacency_masks())
+                   for g in graphs]
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+            digests[name]), name
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 10 ** 6), st.floats(0.5, 1.0),
        st.integers(0, 2 ** 12 - 1), st.integers(0, 12))
