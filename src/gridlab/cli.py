@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 import time
@@ -144,8 +145,7 @@ def gen(family, r, rows, cols, nations, n, size, seed, output, seq_output):
         e, fl, seq = minors.nation_grid_transfer_instance(size)
         emb.emb_dump(e, fl, output)
         if seq_output:
-            with open(seq_output, "w") as f:
-                f.write(minors.sequence_dumps(seq))
+            gr._write_text(seq_output, minors.sequence_dumps(seq))
     click.echo(f"wrote {output}")
 
 
@@ -244,11 +244,16 @@ def lift(emb_path, k, gr_path, td_path, output):
 @click.option("--gr", "gr_path", type=click.Path(exists=True))
 @click.option("--model", "model_path", type=click.Path(exists=True))
 def check(td_path, gr_path, model_path):
-    """Verify a decomposition against a graph, or a minor model."""
-    if model_path and (td_path or gr_path):
-        raise click.UsageError("--model takes no --td or --gr")
+    """Verify a decomposition against a graph, or a minor model (with
+    --gr: a minor model of that graph)."""
+    if model_path and td_path:
+        raise click.UsageError("--model takes no --td")
     if model_path:
-        violation = minors.verify_model(_read(model_path, minors.model_loads))
+        model = _read(model_path, minors.model_loads)
+        if gr_path and model.host != _read(gr_path, gr.gr_loads):
+            raise GridlabError(f"{model_path}: the model's host is not "
+                               f"the graph in {gr_path}")
+        violation = minors.verify_model(model)
     elif td_path and gr_path:
         g = _read(gr_path, gr.gr_loads)
         td, td_n = _read(td_path, dec.td_loads)
@@ -307,8 +312,7 @@ def grid_minor(input_path, output):
     """Largest r x r grid minor of a .gr graph (desk scale)."""
     r, model = minors.largest_grid_minor(_read(input_path, gr.gr_loads))
     if output:
-        with open(output, "w") as f:
-            f.write(minors.model_dumps(model))
+        gr._write_text(output, minors.model_dumps(model))
     click.echo(f"grid minor {r}x{r}")
 
 
@@ -331,8 +335,7 @@ def transfer(emb_path, seq_path, output):
     except ConstructionError as exc:
         raise ConstructionError(f"{seq_path} on {emb_path}: {exc}") from exc
     if output:
-        with open(output, "w") as f:
-            f.write(minors.model_dumps(model))
+        gr._write_text(output, minors.model_dumps(model))
     side = math.isqrt(len(model.branch_sets))
     click.echo(f"dual grid minor {side}x{side}")
 
@@ -444,10 +447,11 @@ def sweep(ctx, family, values, seeds, k, output):
         return row
 
     rows = [run(v, s) for v in value_list for s in seed_list]
-    with open(output, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    gr._write_text(output, buf.getvalue())
     bad = [row for row in rows if row["verdict"] == "fail" or row["error"]]
     click.echo(f"{len(rows)} rows, {len(bad)} problem(s)")
     if bad:

@@ -9,7 +9,7 @@ from . import _kernels
 from .embedding import map_graph, radial_graph
 from .errors import (ConstructionError, FormatError, SizeLimitError,
                      _int_token, _raises_format_error)
-from .graph import _bfs_parents, _power_with_balls
+from .graph import _bfs_parents, _power_with_balls, _write_text
 
 TREEWIDTH_EXACT_LIMIT = 20  # documented desk-scale limit
 
@@ -409,6 +409,5 @@ def td_loads(text):
 
 
 def td_dump(td, n, path):
-    with open(path, "w") as f:
-        f.write(td_dumps(td, n))
+    _write_text(path, td_dumps(td, n))
 

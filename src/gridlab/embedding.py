@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import (FormatError, GridlabError, _int_token,
                      _raises_format_error)
-from .graph import Bipartition, SimpleGraph, _components
+from .graph import Bipartition, SimpleGraph, _components, _write_text
 
 
 class EmbeddedGraph:
@@ -464,6 +464,5 @@ def emb_loads(text):
 
 
 def emb_dump(e, fl, path):
-    with open(path, "w") as f:
-        f.write(emb_dumps(e, fl))
+    _write_text(path, emb_dumps(e, fl))
 

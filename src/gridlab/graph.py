@@ -7,6 +7,8 @@ Vertices are integers 0..n-1.  Edges are unordered pairs stored as
 from __future__ import annotations
 
 import collections
+import os
+import stat
 from dataclasses import dataclass, field
 
 from .errors import FormatError, _int_token, _raises_format_error
@@ -423,6 +425,34 @@ def gr_loads(text):
 
 
 def gr_dump(g, path):
-    with open(path, "w") as f:
-        f.write(gr_dumps(g))
+    _write_text(path, gr_dumps(g))
 
+
+def _write_text(path, text):
+    """Write `text` to `path` as UTF-8; every file gridlab writes goes
+    through here.
+
+    An existing file is rewritten in place from offset 0, keeping its
+    mode, and cut only where it was longer, so a pipe, a tty or
+    /dev/null is never cut.  Opening with O_TRUNC would cut it to zero
+    first, and on ext4 (auto_da_alloc) closing a file truncated to zero
+    starts its writeback, which cost most of each write.  If writing
+    fails, a regular file is cut to zero: no old bytes follow new ones.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        old = os.fstat(fd)
+        regular = stat.S_ISREG(old.st_mode)
+        try:
+            written = 0
+            while written < len(data):  # os.write may write less
+                written += os.write(fd, data[written:])
+            if regular and old.st_size > written:
+                os.ftruncate(fd, written)
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)

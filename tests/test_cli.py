@@ -1,8 +1,10 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
+import types
 
 import pytest
 from click.testing import CliRunner
@@ -10,14 +12,19 @@ from click.testing import CliRunner
 import gridlab
 from gridlab import cli
 from gridlab.cli import main
-from gridlab.decomposition import td_dumps, treewidth_exact
+from gridlab.decomposition import (lift_power, lift_radial_to_map, td_dumps,
+                                   treewidth_exact)
 from gridlab.embedding import (FaceLabeling, all_nations, canonicalize,
-                               emb_dumps, emb_loads, is_canonical,
+                               emb_dumps, emb_loads, is_canonical, map_graph,
                                radial_graph)
-from gridlab.generators import (partially_triangulated_grid,
+from gridlab.generators import (grid, partially_triangulated_grid,
                                 random_planar_triangulation, wheel_map)
-from gridlab.graph import BoundReport, SimpleGraph, gr_loads
-from gridlab.minors import MinorModel, model_dumps, verify_model
+from gridlab.graph import (BoundReport, SimpleGraph, gr_dumps, gr_loads,
+                           power_graph)
+from gridlab.minors import (MinorModel, largest_grid_minor, model_dumps,
+                            nation_grid_transfer_instance,
+                            radial_grid_to_dual_grid, sequence_dumps,
+                            verify_model)
 
 
 def run(runner, args):
@@ -561,3 +568,176 @@ def test_check_rejects_keys_outside_the_pattern(tmp_path, model):
     path.write_text(model_dumps(model))
     assert_one_error_line(run(CliRunner(), ["check", "--model", str(path)]),
                           1)
+
+
+# the bytes `sweep --family wheel --values 1,2` writes with every row
+# timed at 0 s
+WHEEL_SWEEP_CSV = (
+    b"schema,family,r,rows,cols,nations,n,k,seed,tw_M,tw_R,tw_D,tw_union,"
+    b"tw_G,tw_Gk,tw_dual,delta_G,delta_Gk,grid_r,verdict,error,runtime_s\r\n"
+    b"gridlab-sweep-1,wheel,1,,,,,,0,0,,0,,,,,,,1,ok,,0.000\r\n"
+    b"gridlab-sweep-1,wheel,2,,,,,,0,3,,2,,,,,,,2,ok,,0.000\r\n")
+
+
+def _writer_inputs(tmp_path):
+    """The input files of the commands in OUTPUT_OPTIONS, by name with
+    its dot as an underscore."""
+    runner = CliRunner()
+    paths = {name.replace(".", "_"): tmp_path / name for name in (
+        "w.emb", "m.gr", "m.td", "r.gr", "r.td", "ng.emb", "ng.seq")}
+    run(runner, ["gen", "wheel-map", "--r", "2", "-o", str(paths["w_emb"])])
+    run(runner, ["derive", str(paths["w_emb"]), "--map",
+                 "-o", str(paths["m_gr"])])
+    run(runner, ["derive", str(paths["w_emb"]), "--radial",
+                 "-o", str(paths["r_gr"])])
+    run(runner, ["tw", str(paths["m_gr"]), "-o", str(paths["m_td"])])
+    run(runner, ["tw", str(paths["r_gr"]), "-o", str(paths["r_td"])])
+    run(runner, ["gen", "nation-grid", "--size", "12",
+                 "-o", str(paths["ng_emb"]),
+                 "--seq-output", str(paths["ng_seq"])])
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _wheel_graph():
+    """The map graph of wheel_map(2), and an exact decomposition of it."""
+    g = map_graph(*wheel_map(2))
+    return g, treewidth_exact(g)[1]
+
+
+def _expected_tw():
+    g, td = _wheel_graph()
+    return td_dumps(td, g.n)
+
+
+def _expected_lift_power():
+    g, td = _wheel_graph()
+    return td_dumps(lift_power(td, g, 2), g.n)
+
+
+def _expected_lift_radial():
+    e, fl = wheel_map(2)
+    _, td = treewidth_exact(radial_graph(e, fl)[0])
+    return td_dumps(lift_radial_to_map(td, e, fl), len(fl.nations))
+
+
+def _expected_transfer():
+    e, fl, seq = nation_grid_transfer_instance(12)
+    return model_dumps(radial_grid_to_dual_grid(seq, e, fl))
+
+
+# every option that names an output file, with the text it writes
+OUTPUT_OPTIONS = [
+    pytest.param(["gen", "grid", "--rows", "3", "--cols", "4",
+                  "-o", "{out}"], lambda: gr_dumps(grid(3, 4)), id="gen"),
+    pytest.param(["gen", "wheel-map", "--r", "2", "-o", "{out}"],
+                 lambda: emb_dumps(*wheel_map(2)), id="gen-emb"),
+    pytest.param(["gen", "nation-grid", "--size", "12",
+                  "-o", "{tmp}/x.emb", "--seq-output", "{out}"],
+                 lambda: sequence_dumps(nation_grid_transfer_instance(12)[2]),
+                 id="gen---seq-output"),
+    pytest.param(["derive", "{w_emb}", "--map", "-o", "{out}"],
+                 lambda: gr_dumps(_wheel_graph()[0]), id="derive"),
+    pytest.param(["tw", "{m_gr}", "-o", "{out}"], _expected_tw, id="tw"),
+    pytest.param(["lift", "--power", "2", "--gr", "{m_gr}", "{m_td}",
+                  "-o", "{out}"], _expected_lift_power, id="lift-power"),
+    pytest.param(["lift", "--radial-to-map", "{w_emb}", "{r_td}",
+                  "-o", "{out}"], _expected_lift_radial, id="lift-radial"),
+    pytest.param(["power", "{m_gr}", "--k", "2", "-o", "{out}"],
+                 lambda: gr_dumps(power_graph(_wheel_graph()[0], 2)),
+                 id="power"),
+    pytest.param(["grid-minor", "{m_gr}", "-o", "{out}"],
+                 lambda: model_dumps(largest_grid_minor(_wheel_graph()[0])[1]),
+                 id="grid-minor"),
+    pytest.param(["transfer", "--emb", "{ng_emb}", "--seq", "{ng_seq}",
+                  "-o", "{out}"], _expected_transfer, id="transfer"),
+    pytest.param(["sweep", "--family", "wheel", "--values", "1,2",
+                  "-o", "{out}"], lambda: WHEEL_SWEEP_CSV.decode(),
+                 id="sweep"),
+]
+
+
+def _output_args(tmp_path, args, out):
+    names = _writer_inputs(tmp_path) | {"tmp": str(tmp_path),
+                                        "out": str(out)}
+    return [a.format_map(names) for a in args]
+
+
+@pytest.mark.parametrize("args, expected", OUTPUT_OPTIONS)
+def test_outputs_are_rewritten_in_place(tmp_path, monkeypatch, args,
+                                        expected):
+    # the sweep times each row; at 0 s its bytes are fixed
+    monkeypatch.setattr(cli, "time",
+                        types.SimpleNamespace(monotonic=lambda: 0.0))
+    out = tmp_path / "out"
+    args = _output_args(tmp_path, args, out)
+    want = expected().encode()
+    runner = CliRunner()
+
+    def write():
+        assert run(runner, args).exit_code == 0
+        return out.read_bytes()
+
+    assert write() == want  # a new file
+    inode = out.stat().st_ino
+    out.write_bytes(b"x" * (len(want) + 100))
+    assert write() == want  # shorter text over a longer file
+    out.write_bytes(b"x")
+    assert write() == want  # longer text over a shorter file
+    out.write_bytes(b"x" * (len(want) + 7))
+    out.chmod(0o604)
+    assert write() == want
+    assert stat.S_IMODE(out.stat().st_mode) == 0o604
+    assert out.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("args, expected", OUTPUT_OPTIONS)
+def test_outputs_to_dev_null_and_to_a_directory(tmp_path, args, expected):
+    runner = CliRunner()
+    res = run(runner, _output_args(tmp_path, args, os.devnull))
+    assert res.exit_code == 0, res.output
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    (folder / "kept").write_text("kept\n")
+    res = run(runner, _output_args(tmp_path, args, folder))
+    assert_one_error_line(res, 2, str(folder))
+    assert [p.name for p in folder.iterdir()] == ["kept"]
+    assert (folder / "kept").read_text() == "kept\n"
+
+
+def test_check_binds_a_model_to_its_graph(tmp_path):
+    runner = CliRunner()
+    # a model of grid(5, 5) in itself with identity branch sets: valid,
+    # but a certificate about grid(5, 5) only
+    g = grid(5, 5)
+    forged = tmp_path / "forged.json"
+    forged.write_text(model_dumps(MinorModel(
+        g, g, {v: {v} for v in range(g.n)}, {e: e for e in g.edges})))
+    assert run(runner, ["check", "--model", str(forged)]).exit_code == 0
+    own, other = tmp_path / "own.gr", tmp_path / "other.gr"
+    own.write_text(gr_dumps(g))
+    assert run(runner, ["check", "--model", str(forged),
+                        "--gr", str(own)]).exit_code == 0
+    for h in (grid(5, 6), partially_triangulated_grid(5, 5, 0),
+              SimpleGraph(25), grid(4, 4)):
+        other.write_text(gr_dumps(h))
+        assert_one_error_line(run(runner, ["check", "--model", str(forged),
+                                           "--gr", str(other)]),
+                              1, str(other))
+
+
+def test_transfer_model_checks_against_the_derived_dual(tmp_path):
+    runner = CliRunner()
+    emb, seq = tmp_path / "ng.emb", tmp_path / "ng.seq"
+    model, dual = tmp_path / "model.json", tmp_path / "dual.gr"
+    run(runner, ["gen", "nation-grid", "--size", "12", "-o", str(emb),
+                 "--seq-output", str(seq)])
+    run(runner, ["transfer", "--emb", str(emb), "--seq", str(seq),
+                 "-o", str(model)])
+    run(runner, ["derive", str(emb), "--dual", "-o", str(dual)])
+    res = run(runner, ["check", "--model", str(model), "--gr", str(dual)])
+    assert res.exit_code == 0 and res.output == "ok\n"
+    # the same model is no certificate about the map graph
+    mapg = tmp_path / "map.gr"
+    run(runner, ["derive", str(emb), "--map", "-o", str(mapg)])
+    assert_one_error_line(run(runner, ["check", "--model", str(model),
+                                       "--gr", str(mapg)]), 1)

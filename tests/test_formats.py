@@ -1,7 +1,9 @@
+import errno
 import json
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 
@@ -420,3 +422,74 @@ def test_json_writer_rejects_what_it_does_not_write():
     for value in (True, 1.5, None, (1, 2), {1: 2}, [[True]]):
         with pytest.raises(TypeError):
             indented_dumps(value)
+
+
+_GRID_TD = treewidth_exact(grid(3, 4))[1]
+# each file writer, the text it writes, and the arguments that write it
+FILE_WRITERS = [
+    pytest.param(gridlab.gr_dump, gr_dumps(grid(3, 4)), (grid(3, 4),),
+                 id="gr_dump"),
+    pytest.param(gridlab.td_dump, td_dumps(_GRID_TD, 12), (_GRID_TD, 12),
+                 id="td_dump"),
+    pytest.param(gridlab.emb_dump, emb_dumps(*wheel_map(2)), wheel_map(2),
+                 id="emb_dump"),
+]
+
+
+@pytest.mark.parametrize("dump, text, args", FILE_WRITERS)
+def test_file_writers_rewrite_in_place(tmp_path, dump, text, args):
+    want = text.encode()
+    path = tmp_path / "out"
+    dump(*args, str(path))
+    assert path.read_bytes() == want  # a new file
+    for old in (b"x" * (len(want) + 100), b"x"):
+        path.write_bytes(old)
+        dump(*args, str(path))
+        assert path.read_bytes() == want  # over a longer, a shorter file
+    path.write_bytes(b"x" * (len(want) + 7))
+    path.chmod(0o640)
+    dump(*args, str(path))
+    assert path.read_bytes() == want
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+class _ShortWriteOs:
+    """The os module, except that each write stores at most 5 bytes, as
+    a write to a pipe or a signal may cut it short."""
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    @staticmethod
+    def write(fd, data):
+        return os.write(fd, data[:5])
+
+
+class _FailingOs(_ShortWriteOs):
+    """Each write stores 3 bytes and then fails as a full disk would."""
+
+    @staticmethod
+    def write(fd, data):
+        os.write(fd, data[:3])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("dump, text, args", FILE_WRITERS)
+def test_file_writers_finish_short_writes(tmp_path, monkeypatch, dump, text,
+                                          args):
+    path = tmp_path / "out"
+    path.write_bytes(b"x" * (len(text) + 9))
+    monkeypatch.setattr(gridlab.graph, "os", _ShortWriteOs())
+    dump(*args, str(path))
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("dump, text, args", FILE_WRITERS)
+def test_a_failed_write_keeps_no_old_bytes(tmp_path, monkeypatch, dump, text,
+                                           args):
+    path = tmp_path / "out"
+    path.write_bytes(b"x" * (len(text) + 9))
+    monkeypatch.setattr(gridlab.graph, "os", _FailingOs())
+    with pytest.raises(OSError, match="No space left"):
+        dump(*args, str(path))
+    assert path.read_bytes() == b""

@@ -34,6 +34,56 @@ def test_no_indented_json_dumps_in_package():
     assert found == []
 
 
+def _write_opens(tree, writer=None):
+    """Lines of `tree` that open a file for writing outside the function
+    named `writer`: open() in a write, append or update mode (or in a
+    mode that is not a literal), any os.open(), and Path.write_text or
+    Path.write_bytes."""
+    skip = {id(node) for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == writer
+            for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in skip:
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"),
+                ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant)
+                    and not set("wax+") & set(mode.value)):
+                found.append(node.lineno)
+        elif isinstance(func, ast.Attribute) and (
+                func.attr in ("write_text", "write_bytes")
+                or func.attr == "open" and isinstance(func.value, ast.Name)
+                and func.value.id == "os"):
+            found.append(node.lineno)
+    return found
+
+
+def test_files_are_written_only_through_the_writer():
+    # open(path, "w") cuts a file to zero before rewriting it, which on
+    # ext4 starts its writeback on close; graph._write_text rewrites in
+    # place, and no other code in the package may open a file to write
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writer = "_write_text" if path.name == "graph.py" else None
+        found += [f"{path.name}:{line}"
+                  for line in _write_opens(tree, writer)]
+    assert found == []
+    graph_tree = ast.parse((SRC / "graph.py").read_text())
+    assert _write_opens(graph_tree) != []  # the writer itself
+    for source in ('open(p, "w")', 'open(p, "ab")', 'open(p, "r+")',
+                   'open(p, mode="x")', "open(p, m)", "os.open(p, 1)",
+                   "q.write_text(t)", "q.write_bytes(b)"):
+        assert _write_opens(ast.parse(source)) == [1], source
+    for source in ("open(p)", 'open(p, "rb")',
+                   'open(p, encoding="utf-8")', "q.read_text()"):
+        assert _write_opens(ast.parse(source)) == [], source
+
+
 def test_public_loaders_raise_only_format_error():
     # _raises_format_error turns whatever a parser raises on malformed
     # text into FormatError, which the CLI maps to exit 2.  The private
