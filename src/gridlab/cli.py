@@ -7,13 +7,12 @@ Exit codes: 0 ok, 1 verification failure, 2 usage or parse error,
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import math
 import sys
 import time
-
-import click
 
 from . import decomposition as dec
 from . import embedding as emb
@@ -36,36 +35,81 @@ CSV_COLUMNS = ["schema", "family", "r", "rows", "cols", "nations", "n", "k",
                "error", "runtime_s"]
 
 
+class _UsageError(Exception):
+    """An unknown, missing, malformed or unused option."""
+
+
 # the first matching entry gives the exit code; any other exception is a
 # bug and keeps its traceback.  An input too large for the machine's
 # memory (say a .gr header claiming 10^10 vertices) is a size refusal.
-EXIT_CODES = {FormatError: EXIT_USAGE, OSError: EXIT_USAGE,
-              SizeLimitError: EXIT_SIZE, MemoryError: EXIT_SIZE,
-              GridlabError: EXIT_VERIFY, ValueError: EXIT_VERIFY}
+EXIT_CODES = {_UsageError: EXIT_USAGE, FormatError: EXIT_USAGE,
+              OSError: EXIT_USAGE, SizeLimitError: EXIT_SIZE,
+              MemoryError: EXIT_SIZE, GridlabError: EXIT_VERIFY,
+              ValueError: EXIT_VERIFY}
 
-# gen family -> the options it needs
+# gen family -> the options it takes; each but --seed and --seq-output
+# is required
 GEN_FAMILIES = {"wheel-map": ["r"], "grid": ["rows", "cols"],
-                "ptgrid": ["rows", "cols"], "random-map": ["nations"],
-                "triangulation": ["n"], "nation-grid": ["size"]}
+                "ptgrid": ["rows", "cols", "seed"],
+                "random-map": ["nations", "seed"],
+                "triangulation": ["n", "seed"],
+                "nation-grid": ["size", "seq-output"]}
+_GEN_OPTIONAL = ("seed", "seq-output")
 
 
-class _Gridlab(click.Group):
-    """Command group that maps every expected error to its exit code."""
+class _Parser(argparse.ArgumentParser):
+    """A parse error is a usage error, printed by `main` like any other."""
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            click.echo(f"error: {exc.format_message()}", err=True)
-            sys.exit(EXIT_USAGE)
-        except tuple(EXIT_CODES) as exc:
-            # a MemoryError usually has an empty message
-            message = "out of memory" if isinstance(exc, MemoryError) else exc
-            click.echo(f"error: {message}", err=True)
-            # sys.exit, not ctx.exit: under standalone_mode=False click
-            # returns the code of ctx.exit instead of raising it
-            sys.exit(next(code for kind, code in EXIT_CODES.items()
-                          if isinstance(exc, kind)))
+    def error(self, message):
+        raise _UsageError(message)
+
+
+_PARSER = _Parser(prog="gridlab", allow_abbrev=False, description=(
+    "Treewidth and grid-minor constructions for maps, powers and duals."))
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run the command in `args` (default: sys.argv[1:]); an expected
+    error exits with its code and one `error:` line on stderr.  The other
+    two parameters do nothing; gridbench/workloads.py passes them."""
+    try:
+        options = vars(_PARSER.parse_args(args))
+        # looked up when called, so that a wrapper patched in (as the
+        # benchmark's tracer does) runs
+        globals()[options.pop("command").replace("-", "_")](**options)
+    except tuple(EXIT_CODES) as exc:
+        # a MemoryError usually has an empty message
+        message = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(next(code for kind, code in EXIT_CODES.items()
+                      if isinstance(exc, kind)))
+
+
+def _arg(*flags, **options):
+    """The arguments of one `add_argument` call, for `_command`."""
+    return flags, options
+
+
+def _command(*arguments):
+    """Add a subcommand, with these `_arg`s, for the function decorated."""
+    def add(fn):
+        parser = _COMMANDS.add_parser(
+            fn.__name__.replace("_", "-"), help=fn.__doc__,
+            description=fn.__doc__, allow_abbrev=False)
+        for flags, options in arguments:
+            parser.add_argument(*flags, **options)
+        return fn
+    return add
+
+
+def _at_least(low):
+    """Option type: an integer of at least `low`."""
+    def integer(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is less than {low}")
+        return int(text)
+    return integer
 
 
 def _read(path, loads):
@@ -94,42 +138,31 @@ def _emb_map_loads(text):
     return e, fl
 
 
-@click.group(cls=_Gridlab)
-def main():
-    """Treewidth and grid-minor constructions for maps, powers and duals."""
-
-
-# ---------------------------------------------------------------------------
-# gen
-
-@main.command()
-@click.argument("family", type=click.Choice(list(GEN_FAMILIES)))
-@click.option("--r", type=click.IntRange(min=1),
-              help="wheel parameter (r^2 spokes)")
-@click.option("--rows", type=click.IntRange(min=1))
-@click.option("--cols", type=click.IntRange(min=1))
-@click.option("--nations", type=click.IntRange(min=1))
-@click.option("--n", type=click.IntRange(min=3),
-              help="triangulation vertex count")
-@click.option("--size", type=click.IntRange(min=1), help="nation grid side")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("-o", "--output", required=True, type=click.Path())
-@click.option("--seq-output", type=click.Path(),
-              help="with nation-grid: also write the grid-producing "
-                   "contraction sequence as JSON")
+@_command(
+    _arg("family", choices=list(GEN_FAMILIES)),
+    _arg("--r", type=_at_least(1), help="wheel parameter (r^2 spokes)"),
+    _arg("--rows", type=_at_least(1)), _arg("--cols", type=_at_least(1)),
+    _arg("--nations", type=_at_least(1)),
+    _arg("--n", type=_at_least(3), help="triangulation vertex count"),
+    _arg("--size", type=_at_least(1), help="nation grid side"),
+    _arg("--seed", type=int, help="with ptgrid, random-map and "
+         "triangulation (default 0)"),
+    _arg("-o", "--output", required=True),
+    _arg("--seq-output", help="with nation-grid: also write the "
+         "grid-producing contraction sequence as JSON"))
 def gen(family, r, rows, cols, nations, n, size, seed, output, seq_output):
     """Generate an instance and write it as .emb or .gr."""
     given = {"r": r, "rows": rows, "cols": cols, "nations": nations, "n": n,
-             "size": size}
-    missing = [f"--{p}" for p in GEN_FAMILIES[family] if given[p] is None]
+             "size": size, "seed": seed, "seq-output": seq_output}
+    missing = [f"--{p}" for p in GEN_FAMILIES[family]
+               if p not in _GEN_OPTIONAL and given[p] is None]
     if missing:
-        raise click.UsageError(f"{family} needs {' and '.join(missing)}")
+        raise _UsageError(f"{family} needs {' and '.join(missing)}")
     extra = [f"--{p}" for p, value in given.items()
              if value is not None and p not in GEN_FAMILIES[family]]
-    if seq_output and family != "nation-grid":
-        extra.append("--seq-output")
     if extra:
-        raise click.UsageError(f"{family} takes no {' or '.join(extra)}")
+        raise _UsageError(f"{family} takes no {' or '.join(extra)}")
+    seed = 0 if seed is None else seed
     if family == "wheel-map":
         emb.emb_dump(*wheel_map(r), output)
     elif family == "grid":
@@ -146,27 +179,21 @@ def gen(family, r, rows, cols, nations, n, size, seed, output, seq_output):
         emb.emb_dump(e, fl, output)
         if seq_output:
             gr._write_text(seq_output, minors.sequence_dumps(seq))
-    click.echo(f"wrote {output}")
+    print(f"wrote {output}")
 
 
-# ---------------------------------------------------------------------------
-# derive
-
-@main.command()
-@click.argument("input_path", type=click.Path(exists=True))
-@click.option("--map", is_flag=True)
-@click.option("--dual", is_flag=True)
-@click.option("--radial", is_flag=True)
-@click.option("--union", is_flag=True)
-@click.option("--canonicalize", is_flag=True)
-@click.option("-o", "--output", required=True, type=click.Path())
+@_command(
+    _arg("input_path"),
+    *(_arg(f"--{kind}", action="store_true")
+      for kind in ("map", "dual", "radial", "union", "canonicalize")),
+    _arg("-o", "--output", required=True))
 def derive(input_path, output, **flags):
     """Derived graph of an .emb map: map/dual/radial/union as .gr,
     or the canonical form as .emb."""
     kinds = [kind for kind, on in flags.items() if on]
     if len(kinds) != 1:
-        raise click.UsageError("pick exactly one of --map/--dual/--radial/"
-                               "--union/--canonicalize")
+        raise _UsageError("pick exactly one of --map/--dual/--radial/"
+                          "--union/--canonicalize")
     kind, = kinds
     e, fl = _read(input_path, _emb_map_loads)
     if kind == "canonicalize":
@@ -181,41 +208,36 @@ def derive(input_path, output, **flags):
         else:
             g = emb.union_radial_dual(e, fl)
         gr.gr_dump(g, output)
-    click.echo(f"wrote {output}")
+    print(f"wrote {output}")
 
 
-# ---------------------------------------------------------------------------
-# tw
-
-@main.command()
-@click.argument("input_path", type=click.Path(exists=True))
-@click.option("--exact/--upper", default=True)
-@click.option("-o", "--output", type=click.Path())
+@_command(
+    _arg("input_path"),
+    # one destination, so the last of the two flags wins
+    _arg("--exact", action="store_true", default=True),
+    _arg("--upper", action="store_false", dest="exact"),
+    _arg("-o", "--output"))
 def tw(input_path, exact, output):
     """Treewidth of a .gr graph; optionally write the decomposition."""
     g = _read(input_path, gr.gr_loads)
     width, td = dec.treewidth_exact(g) if exact else dec.treewidth_upper(g)
     if output:
         dec.td_dump(td, g.n, output)
-    click.echo(f"width {width}")
+    print(f"width {width}")
 
 
-# ---------------------------------------------------------------------------
-# lift
-
-@main.command()
-@click.option("--radial-to-map", "emb_path", type=click.Path(exists=True),
-              help=".emb map whose radial decomposition is lifted")
-@click.option("--power", "k", type=click.IntRange(min=1),
-              help="lift a decomposition of G to one of G^k")
-@click.option("--gr", "gr_path", type=click.Path(exists=True),
-              help="base graph for --power")
-@click.argument("td_path", type=click.Path(exists=True))
-@click.option("-o", "--output", required=True, type=click.Path())
+@_command(
+    _arg("--radial-to-map", dest="emb_path",
+         help=".emb map whose radial decomposition is lifted"),
+    _arg("--power", dest="k", type=_at_least(1),
+         help="lift a decomposition of G to one of G^k"),
+    _arg("--gr", dest="gr_path", help="base graph for --power"),
+    _arg("td_path"),
+    _arg("-o", "--output", required=True))
 def lift(emb_path, k, gr_path, td_path, output):
     """Lift a tree decomposition (radial to map, or G to G^k)."""
     if emb_path and (k or gr_path):
-        raise click.UsageError("--radial-to-map takes no --power or --gr")
+        raise _UsageError("--radial-to-map takes no --power or --gr")
     td, td_n = _read(td_path, dec.td_loads)
     if emb_path:
         e, fl = _read(emb_path, _emb_map_loads)
@@ -225,29 +247,25 @@ def lift(emb_path, k, gr_path, td_path, output):
         n = len(fl.nations)
     elif k:
         if not gr_path:
-            raise click.UsageError("--power needs --gr")
+            raise _UsageError("--power needs --gr")
         g = _read(gr_path, gr.gr_loads)
         _require_vertex_count(td_n, g.n)
         td2 = dec.lift_power(td, g, k)
         n = g.n
     else:
-        raise click.UsageError("pick --radial-to-map or --power")
+        raise _UsageError("pick --radial-to-map or --power")
     dec.td_dump(td2, n, output)
-    click.echo(f"width {td2.width}")
+    print(f"width {td2.width}")
 
 
-# ---------------------------------------------------------------------------
-# check
-
-@main.command()
-@click.option("--td", "td_path", type=click.Path(exists=True))
-@click.option("--gr", "gr_path", type=click.Path(exists=True))
-@click.option("--model", "model_path", type=click.Path(exists=True))
+@_command(
+    _arg("--td", dest="td_path"), _arg("--gr", dest="gr_path"),
+    _arg("--model", dest="model_path"))
 def check(td_path, gr_path, model_path):
     """Verify a decomposition against a graph, or a minor model (with
     --gr: a minor model of that graph)."""
     if model_path and td_path:
-        raise click.UsageError("--model takes no --td")
+        raise _UsageError("--model takes no --td")
     if model_path:
         model = _read(model_path, minors.model_loads)
         if gr_path and model.host != _read(gr_path, gr.gr_loads):
@@ -260,36 +278,33 @@ def check(td_path, gr_path, model_path):
         _require_vertex_count(td_n, g.n)
         violation = td.validate(g)
     else:
-        raise click.UsageError("pass --model, or both --td and --gr")
+        raise _UsageError("pass --model, or both --td and --gr")
     if violation is not None:
         raise GridlabError(str(violation))
-    click.echo("ok")
+    print("ok")
 
 
-# ---------------------------------------------------------------------------
-# power
-
-@main.command()
-@click.argument("input_path", type=click.Path(exists=True))
-@click.option("--k", type=click.IntRange(min=1), required=True)
-@click.option("-o", "--output", type=click.Path())
-@click.option("--witness-r", type=click.IntRange(min=1),
-              help="run the clique-or-degree-bound case analysis for r")
+@_command(
+    _arg("input_path"),
+    _arg("--k", type=_at_least(1), required=True),
+    _arg("-o", "--output"),
+    _arg("--witness-r", type=_at_least(1),
+         help="run the clique-or-degree-bound case analysis for r"))
 def power(input_path, k, output, witness_r):
     """k-th power of a .gr graph; optional clique/bound case analysis."""
     g = _read(input_path, gr.gr_loads)
     gk = gr.power_graph(g, k)
     if output:
         gr.gr_dump(gk, output)
-    click.echo(f"power graph: n={gk.n} m={len(gk.edges)} "
-               f"max_degree={gk.max_degree()}")
+    print(f"power graph: n={gk.n} m={len(gk.edges)} "
+          f"max_degree={gk.max_degree()}")
     if witness_r is not None:
         result = gr.power_clique_or_bound(g, k, witness_r)
         if isinstance(result, gr.CliqueWitness):
             bad = result.verify(g)
             if bad is not None:
                 raise GridlabError(f"witness pair {bad} too far apart")
-            click.echo(f"clique witness of size {len(result.vertices)}")
+            print(f"clique witness of size {len(result.vertices)}")
         else:
             bad = result.verify(g)
             if bad is not None:
@@ -297,34 +312,23 @@ def power(input_path, k, output, witness_r):
                     f"degree bound fails: vertex {bad} has "
                     f"{gk.degree(bad)} >= {result.degree_bound} "
                     f"neighbors in G^k")
-            click.echo(f"degree bound: max_degree(G^k) = "
-                       f"{gk.max_degree()} < {result.degree_bound} "
-                       f"({result.parity} case)")
+            print(f"degree bound: max_degree(G^k) = "
+                  f"{gk.max_degree()} < {result.degree_bound} "
+                  f"({result.parity} case)")
 
 
-# ---------------------------------------------------------------------------
-# grid-minor
-
-@main.command("grid-minor")
-@click.argument("input_path", type=click.Path(exists=True))
-@click.option("-o", "--output", type=click.Path())
+@_command(_arg("input_path"), _arg("-o", "--output"))
 def grid_minor(input_path, output):
     """Largest r x r grid minor of a .gr graph (desk scale)."""
     r, model = minors.largest_grid_minor(_read(input_path, gr.gr_loads))
     if output:
         gr._write_text(output, minors.model_dumps(model))
-    click.echo(f"grid minor {r}x{r}")
+    print(f"grid minor {r}x{r}")
 
 
-# ---------------------------------------------------------------------------
-# transfer
-
-@main.command()
-@click.option("--emb", "emb_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--seq", "seq_path", required=True,
-              type=click.Path(exists=True))
-@click.option("-o", "--output", type=click.Path())
+@_command(
+    _arg("--emb", dest="emb_path", required=True),
+    _arg("--seq", dest="seq_path", required=True), _arg("-o", "--output"))
 def transfer(emb_path, seq_path, output):
     """Convert a grid minor of the radial-dual union into a grid minor
     of the dual."""
@@ -337,10 +341,9 @@ def transfer(emb_path, seq_path, output):
     if output:
         gr._write_text(output, minors.model_dumps(model))
     side = math.isqrt(len(model.branch_sets))
-    click.echo(f"dual grid minor {side}x{side}")
+    print(f"dual grid minor {side}x{side}")
 
 
-# ---------------------------------------------------------------------------
 # sweep
 
 def _blank_row():
@@ -409,31 +412,26 @@ _SWEEP_FAMILIES = {
 }
 
 
-@main.command()
-@click.option("--family", required=True,
-              type=click.Choice(sorted(_SWEEP_FAMILIES)))
-@click.option("--values", default="",
-              help="comma-separated main parameter values (r, nations, n)")
-@click.option("--seeds", default="0", show_default=True,
-              help="comma-separated seeds")
-@click.option("--k", type=click.IntRange(min=1), default=2,
-              show_default=True, help="power exponent (family power only)")
-@click.option("-o", "--output", required=True, type=click.Path())
-@click.pass_context
-def sweep(ctx, family, values, seeds, k, output):
+@_command(
+    _arg("--family", required=True, choices=sorted(_SWEEP_FAMILIES)),
+    _arg("--values", default="",
+         help="comma-separated main parameter values (r, nations, n)"),
+    _arg("--seeds", default="0", help="comma-separated seeds (default 0)"),
+    _arg("--k", type=_at_least(1),
+         help="power exponent (family power only; default 2)"),
+    _arg("-o", "--output", required=True))
+def sweep(family, values, seeds, k, output):
     """Run a parameter sweep and write one CSV row per instance, in
     increasing value and, within a value, increasing seed."""
-    # --k has a default, so only its source tells whether it was given
-    if (family != "power" and ctx.get_parameter_source("k")
-            is not click.core.ParameterSource.DEFAULT):
-        raise click.UsageError(f"{family} takes no --k")
+    if family != "power" and k is not None:
+        raise _UsageError(f"{family} takes no --k")
     try:
         value_list = sorted(int(x) for x in values.split(",") if x.strip())
         seed_list = sorted(int(x) for x in seeds.split(",") if x.strip())
     except ValueError:
-        raise click.UsageError("--values/--seeds must be integers")
+        raise _UsageError("--values/--seeds must be integers")
     row_fn, key = _SWEEP_FAMILIES[family]
-    params = {"k": k} if family == "power" else {}
+    params = {"k": 2 if k is None else k} if family == "power" else {}
 
     def run(v, s):
         started = time.monotonic()
@@ -453,7 +451,7 @@ def sweep(ctx, family, values, seeds, k, output):
     writer.writerows(rows)
     gr._write_text(output, buf.getvalue())
     bad = [row for row in rows if row["verdict"] == "fail" or row["error"]]
-    click.echo(f"{len(rows)} rows, {len(bad)} problem(s)")
+    print(f"{len(rows)} rows, {len(bad)} problem(s)")
     if bad:
         sys.exit(EXIT_VERIFY)
 

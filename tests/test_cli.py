@@ -1,13 +1,14 @@
 import csv
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
 import types
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from click.testing import CliRunner
 
 import gridlab
 from gridlab import cli
@@ -25,6 +26,24 @@ from gridlab.minors import (MinorModel, largest_grid_minor, model_dumps,
                             nation_grid_transfer_instance,
                             radial_grid_to_dual_grid, sequence_dumps,
                             verify_model)
+
+
+class CliRunner:
+    """Runs a CLI entry point in process and captures what it prints."""
+
+    def invoke(self, main, args, catch_exceptions=False):
+        """The exit code (of a SystemExit, else 0), stdout, stderr and
+        their concatenation `output`; any other exception propagates, so
+        `catch_exceptions` must be False."""
+        out, err, code = io.StringIO(), io.StringIO(), 0
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                main(args)
+            except SystemExit as exc:
+                code = exc.code
+        return types.SimpleNamespace(
+            exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+            output=out.getvalue() + err.getvalue())
 
 
 def run(runner, args):
@@ -327,6 +346,28 @@ def test_sweep_keeps_the_traceback_of_a_bug(tmp_path, monkeypatch):
         run(CliRunner(), args)
 
 
+@pytest.mark.parametrize("family, size", [
+    ("ptgrid", ["--rows", "3", "--cols", "4"]),
+    ("random-map", ["--nations", "5"]), ("triangulation", ["--n", "8"])])
+def test_gen_seed_defaults_to_0(tmp_path, family, size):
+    runner = CliRunner()
+    default, zero = tmp_path / "default", tmp_path / "zero"
+    assert run(runner, ["gen", family, *size, "-o", str(default)]
+               ).exit_code == 0
+    assert run(runner, ["gen", family, *size, "--seed", "0",
+                        "-o", str(zero)]).exit_code == 0
+    assert default.read_bytes() == zero.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    [], ["gen"], ["derive"], ["tw"], ["lift"], ["check"], ["power"],
+    ["grid-minor"], ["transfer"], ["sweep"]],
+    ids=lambda command: command[0] if command else "gridlab")
+def test_help_goes_to_stdout(command):
+    res = run(CliRunner(), [*command, "--help"])
+    assert res.exit_code == 0 and res.stdout and res.stderr == ""
+
+
 def test_gen_missing_param_is_usage_error(tmp_path):
     runner = CliRunner()
     res = run(runner, ["gen", "wheel-map", "-o", str(tmp_path / "x.emb")])
@@ -526,6 +567,15 @@ def test_power_ranges_are_usage_errors(tmp_path, args):
                  id="gen-grid---seq-output"),
     pytest.param(["sweep", "--family", "wheel", "--values", "1", "--k", "3",
                   "-o", "{out}"], id="sweep-wheel---k"),
+    pytest.param(["gen", "grid", "--rows", "2", "--cols", "2", "--seed", "5",
+                  "-o", "{out}"], id="gen-grid---seed"),
+    pytest.param(["gen", "wheel-map", "--r", "2", "--seed", "5",
+                  "-o", "{out}"], id="gen-wheel-map---seed"),
+    # prefixes of --radial-to-map and --witness-r
+    pytest.param(["lift", "--radial", "{emb}", "{td}", "-o", "{out}"],
+                 id="lift---radial"),
+    pytest.param(["power", "{gr}", "--k", "1", "--witness", "1"],
+                 id="power---witness"),
     # and these lack an option or a value the command needs
     pytest.param(["lift", "{td}", "-o", "{out}"], id="lift-no-kind"),
     pytest.param(["check", "--td", "{td}"], id="check---td-no---gr"),

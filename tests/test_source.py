@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import sys
 
 import gridlab
 
@@ -16,6 +17,40 @@ def test_no_bare_assert_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _foreign_imports(tree):
+    """(line, module) of each import in `tree` of a module outside the
+    standard library and gridlab; relative imports are gridlab's own."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, module) for module in modules
+                  if module.partition(".")[0] not in
+                  sys.stdlib_module_names | {"gridlab"}]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    # gridlab has no runtime dependency
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}: {module}"
+                  for line, module in _foreign_imports(tree)]
+    assert found == []
+    for source in ("import numpy", "import os, numpy.linalg",
+                   "from requests.adapters import HTTPAdapter"):
+        assert len(_foreign_imports(ast.parse(source))) == 1, source
+    for source in ("import os.path", "from . import graph",
+                   "from gridlab import cli", "from .errors import X",
+                   "from __future__ import annotations"):
+        assert _foreign_imports(ast.parse(source)) == [], source
 
 
 def test_no_indented_json_dumps_in_package():
