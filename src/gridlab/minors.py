@@ -374,34 +374,6 @@ def _shortest_path(neighbors, src, dst, allowed):
     return path[::-1]
 
 
-def _nation_fan(e, fl, u, a, b, acceptable):
-    """Path of nations from a to b in the rotation around shared vertex u
-    (indices into fl.nations), every member passing `acceptable`.
-
-    Both cyclic directions are tried, preferring the shorter (then
-    lexicographically smaller) one.  A canonical map gives u at most one
-    lake corner, and no fan passes through it.
-    """
-    # None marks the lake corner
-    corners = [fl.dart_nation[d] for d in e.vertex_darts(u)]
-    m = len(corners)
-    pa = [i for i, c in enumerate(corners) if c == a]
-    pb = [i for i, c in enumerate(corners) if c == b]
-    candidates = []
-    for i in pa:
-        for j in pb:
-            fwd = [corners[(i + t) % m] for t in range((j - i) % m + 1)]
-            bwd = [corners[(i - t) % m] for t in range((i - j) % m + 1)]
-            candidates.extend([fwd, bwd])
-    candidates = [seg for seg in candidates
-                  if None not in seg and all(acceptable(c) for c in seg)]
-    if not candidates:
-        raise ConstructionError(
-            f"no nation fan from {a} to {b} around vertex {u} stays in "
-            f"the allowed rectangle")
-    return min(candidates, key=lambda seg: (len(seg), seg))
-
-
 def radial_grid_to_dual_grid(seq, e, fl):
     """Convert a k x k grid minor of the radial-dual union into a
     (floor(k/6)-1) x (floor(k/6)-1) grid minor of the dual graph.
@@ -460,20 +432,14 @@ def radial_grid_to_dual_grid(seq, e, fl):
             vhat[(i, j)] = min([u for u in labels[a] if u >= n]
                                or [u for u in labels[b] if u >= n])
 
-    def in_rect(v, rect):
-        x, y = coords[v]
-        x0, x1, y0, y1 = rect
-        return x0 <= x <= x1 and y0 <= y <= y1
-
     def transfer_path(src_key, dst_key, cut_axis, cut_line):
         """Simple path in the dual between vhat[src_key] and
         vhat[dst_key], plus its cut position (index of the last vertex
         contracted toward src).  Its union-graph walk stays inside the
-        label sets of the narrow rectangle spanning both blocks, so the
-        walk's nations and the fans around its primal vertices lie in
-        `wide`, that rectangle thickened by one."""
+        label sets of the narrow rectangle spanning both blocks, and the
+        dual path stays in the walk's corridor, whose nations all have
+        their owners in that rectangle thickened by one."""
         (i, j), (i2, j2) = src_key, dst_key
-        wide = (6 * i, 6 * i2 + 3, 6 * j, 6 * j2 + 3)
         narrow = set().union(*(labels[at[x, y]]
                                for x in range(6 * i + 1, 6 * i2 + 3)
                                for y in range(6 * j + 1, 6 * j2 + 3)))
@@ -485,35 +451,32 @@ def radial_grid_to_dual_grid(seq, e, fl):
 
         def acceptable(nation):
             v = owner.get(n + nation)
-            return v is not None and in_rect(v, wide)
+            if v is None:
+                return False
+            x, y = coords[v]
+            return 6 * i <= x <= 6 * i2 + 3 and 6 * j <= y <= 6 * j2 + 3
 
-        # project onto the dual: replace each shared primal vertex by a
-        # nation fan around it.  Every nation on the walk has its owner
-        # in the narrow rectangle, and `_nation_fan` keeps only
-        # acceptable nations, so the path stays in `wide`
-        path = [walk[0] - n]
-        for idx in range(1, len(walk)):
-            u = walk[idx]
-            if u >= n:
-                if u - n != path[-1]:
-                    path.append(u - n)
-                continue
-            w = walk[idx + 1]  # a primal vertex is never last on the walk
-            fan = _nation_fan(e, fl, u, path[-1], w - n, acceptable)
-            path.extend(fan[1:])
-        path = _shortest_path(dual.adj, path[0], path[-1], set(path))
-        # cut at the first edge crossing the mid line of the block gap
-        axis_coord = [coords[owner[n + d]][cut_axis] for d in path]
-        cut = None
-        for idx in range(len(path) - 1):
-            if axis_coord[idx] <= cut_line and axis_coord[idx + 1] > \
-                    cut_line:
-                cut = idx
-                break
-        if cut is None:
+        # the corridor: the walk's nations, whose owners lie in the narrow
+        # rectangle, and each acceptable nation on a corner of a primal
+        # vertex of the walk (None marks the lake corner)
+        corners = {fl.dart_nation[d] for u in walk if u < n
+                   for d in e.vertex_darts(u)}
+        allowed = {u - n for u in walk if u >= n}
+        allowed.update(c for c in corners
+                       if c is not None and acceptable(c))
+        path = _shortest_path(dual.adj, walk[0] - n, walk[-1] - n, allowed)
+        if path is None:
             raise ConstructionError(
-                f"transfer path between {src_key} and {dst_key} never "
-                f"crosses its cut line")
+                f"no dual path from block {src_key} to {dst_key} stays in "
+                f"its rectangle")
+        # cut at the first edge crossing the mid line of the block gap.
+        # One exists: with c the source block's index on the cut axis, the
+        # path starts at or below the line, since the source vhat cell
+        # lies at 6c+1 or 6c+2 and the line at 6c+4, and it ends above
+        # it, at 6c+7 or more
+        axis_coord = [coords[owner[n + d]][cut_axis] for d in path]
+        cut = next(idx for idx in range(len(path) - 1)
+                   if axis_coord[idx] <= cut_line < axis_coord[idx + 1])
         return path, cut
 
     # nation -> the block whose branch set holds it
@@ -614,11 +577,9 @@ def double_radial_minor(e):
     branch = {v: {v} for v in range(g.n)}
     diamond_of = {}
     for f, walk in enumerate(r1.faces):
-        cycle = [r1.vertex_of[d] for d in walk]
-        prim = sorted(v for v in cycle if v < n)
-        if len(cycle) != 4 or len(prim) != 2:
-            raise ConstructionError(
-                f"face {f} of the radial graph is not a diamond")
+        # every face of a radial map is the quadrilateral v-f-w-f' of one
+        # edge vw, so prim holds two primal vertices (v = w for a loop)
+        prim = sorted(v for v in (r1.vertex_of[d] for d in walk) if v < n)
         w = n1 + f
         branch[prim[0]].add(w)
         diamond_of.setdefault((prim[0], prim[1]), w)

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from gridlab.embedding import radial_embedding, union_radial_dual
 from gridlab.errors import ConstructionError, SizeLimitError
 from gridlab.generators import (_build_from_rotations, _triangle, grid,
-                                grid_map, random_canonical_map, random_graph,
-                                random_planar_triangulation, wheel_map)
+                                random_graph, random_planar_triangulation,
+                                wheel_map)
 from gridlab.graph import CliqueWitness, SimpleGraph
 from gridlab.minors import (ContractionSequence, MinorModel,
-                            _assign_grid_coords, _nation_fan,
+                            _assign_grid_coords,
                             double_radial_minor, largest_grid_minor,
                             minor_containment_exact,
                             model_dumps, model_loads,
@@ -560,11 +560,18 @@ def test_transfer_and_double_radial_models_are_pinned():
         # are not singletons
         "36 coarsened":
             "9b4de959e54415ce083c2057222226b95baec3f2fbdba552206dea2a98c3f476",
+        # larger label sets: 3x3 blocks (4 branch sets), and 16 branch sets
+        "54 coarsened 3":
+            "9656b3490248ba8e9ed06d819e91bb70b090ec2071346d8958fad6787f8d5e03",
+        "61 coarsened 2":
+            "0ce80991e7dfca47bdf41becf01e9ed96153ff6207f7355b93059c6b2e10a84a",
     }
+    coarsened = {"36 coarsened": (36, 2, 0), "54 coarsened 3": (54, 3, 1),
+                 "61 coarsened 2": (61, 2, 1)}
     models = {}
     for key, digest in transfer.items():
-        if key == "36 coarsened":
-            e, fl, seq, _ = _coarsened_transfer_instance(36, 2, 0)
+        if key in coarsened:
+            e, fl, seq, _ = _coarsened_transfer_instance(*coarsened[key])
         else:
             e, fl, seq = nation_grid_transfer_instance(key)
         models[key] = radial_grid_to_dual_grid(seq, e, fl)
@@ -588,36 +595,6 @@ def test_transfer_and_double_radial_models_are_pinned():
         m = models[key]
         seq = ContractionSequence(contraction_ops(m))
         assert _sha256(sequence_dumps(seq)) == digest
-
-
-def test_nation_fans_are_pinned():
-    # every fan around every vertex, with and without a rejected nation;
-    # the outer face of the grid map puts lake corners on its border
-    pins = {
-        "grid_map(3, 4)": (
-            grid_map(3, 4), 14, 280,
-            "6298aea94c9ef99ef0858818434a0369f7658b16641cac9e0f29bbd2ffd76f52"),
-        "random_canonical_map(12, 1)": (
-            random_canonical_map(12, 1), 12, 352,
-            "94b79f17e9dfe5e679043658ccc8ceb6ac34339eaa52a64c4c4df0e8ed93f458"),
-    }
-    for name, ((e, fl), lake_vertices, count, digest) in pins.items():
-        fans = []
-        lakes = 0
-        for u in range(e.num_vertices):
-            corners = [fl.dart_nation[d] for d in e.vertex_darts(u)]
-            lakes += None in corners
-            nations = sorted(set(corners) - {None})
-            for a in nations:
-                for b in nations:
-                    for acceptable in (lambda c: True, lambda c: c % 3 != 1):
-                        try:
-                            fans.append(
-                                _nation_fan(e, fl, u, a, b, acceptable))
-                        except ConstructionError:
-                            fans.append(None)
-        assert (lakes, len(fans), _sha256(repr(fans))) == (
-            lake_vertices, count, digest), name
 
 
 def _connected_by_distances(n, edges):
