@@ -344,28 +344,22 @@ def transfer(emb_path, seq_path, output):
     print(f"dual grid minor {side}x{side}")
 
 
-# sweep
-
-def _blank_row():
-    return {c: "" for c in CSV_COLUMNS} | {"schema": CSV_SCHEMA}
-
+# sweep: each row function returns its measured columns and its verdict,
+# and `sweep` fills in the identity columns and the blanks
 
 def _wheel_row(r, seed):
-    row = _blank_row() | {"family": "wheel", "r": r, "seed": seed}
     e, fl = wheel_map(r)
     m = emb.map_graph(e, fl)
     d = emb.dual_graph(e, fl)
     tw_m, _ = dec.treewidth_exact(m)
     tw_d, _ = dec.treewidth_exact(d)
     gr_r, _ = minors.largest_grid_minor(m)
-    row |= {"tw_M": tw_m, "tw_D": tw_d, "grid_r": gr_r,
+    return {"tw_M": tw_m, "tw_D": tw_d, "grid_r": gr_r,
             "verdict": "ok" if tw_m == r * r - 1 and gr_r == r
             else "fail"}
-    return row
 
 
 def _map_row(nations, seed):
-    row = _blank_row() | {"family": "map", "nations": nations, "seed": seed}
     e, fl = random_canonical_map(nations, seed)
     r_graph, _ = emb.radial_graph(e, fl)
     m = emb.map_graph(e, fl)
@@ -374,34 +368,29 @@ def _map_row(nations, seed):
     delta = e.max_degree()
     # the lift raises ConstructionError unless its result is valid
     dec.lift_radial_to_map(td_r, e, fl)
-    row |= {"tw_M": tw_m, "tw_R": tw_r, "delta_G": delta,
+    return {"tw_M": tw_m, "tw_R": tw_r, "delta_G": delta,
             "verdict": "ok" if tw_m + 1 <= delta * (tw_r + 1) else "fail"}
-    return row
 
 
 def _power_row(n, seed, k):
-    row = _blank_row() | {"family": "power", "n": n, "k": k, "seed": seed}
     g = random_graph(n, seed)
     gk = gr.power_graph(g, k)
     tw_g, td_g = dec.treewidth_exact(g)
     tw_gk, _ = dec.treewidth_exact(gk)
     # the lift raises ConstructionError unless its result is valid
     dec.lift_power(td_g, g, k)
-    row |= {"tw_G": tw_g, "tw_Gk": tw_gk, "delta_G": g.max_degree(),
+    return {"tw_G": tw_g, "tw_Gk": tw_gk, "delta_G": g.max_degree(),
             "delta_Gk": gk.max_degree(),
             "verdict": "ok" if tw_gk + 1 <= gk.max_degree() * (tw_g + 1)
             else "fail"}
-    return row
 
 
 def _primal_dual_row(n, seed):
-    row = _blank_row() | {"family": "primal-dual", "n": n, "seed": seed}
     e = random_planar_triangulation(n, seed)
     report = minors.primal_dual_width_report(e)
-    row |= {"tw_G": report["tw_primal"], "tw_dual": report["tw_dual"],
+    return {"tw_G": report["tw_primal"], "tw_dual": report["tw_dual"],
             "verdict": "ok" if abs(report["tw_primal"]
                                    - report["tw_dual"]) <= 1 else "fail"}
-    return row
 
 
 _SWEEP_FAMILIES = {
@@ -434,13 +423,13 @@ def sweep(family, values, seeds, k, output):
     params = {"k": 2 if k is None else k} if family == "power" else {}
 
     def run(v, s):
+        row = dict.fromkeys(CSV_COLUMNS, "") | params | {
+            "schema": CSV_SCHEMA, "family": family, key: v, "seed": s}
         started = time.monotonic()
         try:
-            row = row_fn(v, s, **params)
+            row |= row_fn(v, s, **params)
         except tuple(EXIT_CODES) as exc:  # expected failures end one row
-            row = _blank_row() | params | {
-                "family": family, key: v, "seed": s,
-                "error": f"{type(exc).__name__}: {exc}"}
+            row["error"] = f"{type(exc).__name__}: {exc}"
         row["runtime_s"] = f"{time.monotonic() - started:.3f}"
         return row
 

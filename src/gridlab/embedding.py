@@ -222,17 +222,31 @@ def all_nations(e):
     return FaceLabeling(e, range(len(e.faces)))
 
 
-def dual_graph(e, fl):
-    """Modified dual on nations: edge iff two nations share a primal edge."""
-    fl.check(e)
+def _radial_edges(e, fl):
+    """Edge (v, n + i) for each dart at v that lies on nation i, where
+    n is the vertex count."""
+    n = e.num_vertices
+    return {(v, n + i) for v, i in zip(e.vertex_of, fl.dart_nation)
+            if i is not None}
+
+
+def _dual_edges(e, fl, shift=0):
+    """Edge (shift + a, shift + b) for each primal edge with nation a on
+    one side and nation b > a on the other."""
     edges = set()
     dart_nation = fl.dart_nation
     # each edge is taken once, at the dart whose nation is the smaller
-    for d, t in enumerate(e.twin):
-        a, b = dart_nation[d], dart_nation[t]
+    for a, t in zip(dart_nation, e.twin):
+        b = dart_nation[t]
         if a is not None and b is not None and a < b:
-            edges.add((a, b))
-    return SimpleGraph(len(fl.nations), edges)
+            edges.add((shift + a, shift + b))
+    return edges
+
+
+def dual_graph(e, fl):
+    """Modified dual on nations: edge iff two nations share a primal edge."""
+    fl.check(e)
+    return SimpleGraph(len(fl.nations), _dual_edges(e, fl))
 
 
 def map_graph(e, fl):
@@ -252,33 +266,20 @@ def radial_graph(e, fl):
     Vertices 0..n-1 are the embedded graph's vertices; n+i is nation i.
     Returns (graph, bipartition) with the graph vertices on the left.
     """
+    fl.check(e)
     n = e.num_vertices
-    edges = set()
-    for v, touching in enumerate(e.incident_nations(fl)):
-        for i in touching:
-            edges.add((v, n + i))
-    g = SimpleGraph(n + len(fl.nations), edges)
+    g = SimpleGraph(n + len(fl.nations), _radial_edges(e, fl))
     bip = Bipartition(range(n), range(n, n + len(fl.nations)))
     return g, bip
 
 
 def union_radial_dual(e, fl):
-    """Radial edges plus dual edges under the shared nation ids: vertex
-    v < n joins n + i when a dart at v lies on nation i, and n + a joins
-    n + b when a primal edge has nation a on one side and nation b on
-    the other.  Built in one pass over the darts."""
+    """The radial edges plus the dual edges under the shared nation ids:
+    nation i is vertex n + i of both."""
     fl.check(e)
     n = e.num_vertices
-    twin = e.twin
-    dart_nation = fl.dart_nation
-    edges = set()
-    for d, (v, a) in enumerate(zip(e.vertex_of, dart_nation)):
-        if a is not None:
-            edges.add((v, n + a))
-            b = dart_nation[twin[d]]
-            if b is not None and a < b:
-                edges.add((n + a, n + b))
-    return SimpleGraph(n + len(fl.nations), edges)
+    return SimpleGraph(n + len(fl.nations),
+                       _radial_edges(e, fl) | _dual_edges(e, fl, n))
 
 
 # ---------------------------------------------------------------------------

@@ -302,16 +302,26 @@ def test_sweep_rows_come_in_numeric_value_then_seed_order(tmp_path):
         ("10", "1")]
 
 
-def test_sweep_power_error_row_keeps_its_k(tmp_path):
+@pytest.mark.parametrize("family, key, value, extra, error", [
+    ("wheel", "r", "0", [], "ValueError"),
+    ("map", "nations", "0", [], "ValueError"),
+    ("primal-dual", "n", "2", [], "ValueError"),
+    ("power", "n", "25", ["--k", "3"], "SizeLimitError"),
+], ids=["wheel", "map", "primal-dual", "power"])
+def test_sweep_error_row_keeps_its_identity(tmp_path, family, key, value,
+                                            extra, error):
     out = tmp_path / "sweep.csv"
-    res = run(CliRunner(), ["sweep", "--family", "power", "--values", "25",
-                            "--k", "3", "-o", str(out)])
+    res = run(CliRunner(), ["sweep", "--family", family, "--values", value,
+                            *extra, "-o", str(out)])
     assert res.exit_code == 1
     with out.open() as f:
         [row] = csv.DictReader(f)
-    assert row["error"].startswith("SizeLimitError")
-    assert (row["family"], row["n"], row["k"], row["seed"]) == (
-        "power", "25", "3", "0")
+    assert row["error"].startswith(error + ": ")
+    k = extra[1] if extra else ""
+    assert (row["schema"], row["family"], row[key], row["k"],
+            row["seed"]) == (cli.CSV_SCHEMA, family, value, k, "0")
+    identity = {"schema", "family", key, "k", "seed", "error", "runtime_s"}
+    assert all(v == "" for c, v in row.items() if c not in identity)
 
 
 def test_sweep_empty_values_gives_header_only(tmp_path):
@@ -598,6 +608,25 @@ def test_ignored_options_are_usage_errors(tmp_path, args):
             for a in args]
     assert_one_error_line(run(runner, args), 2)
     assert not out.exists() and not seq.exists()
+
+
+def test_option_values_that_start_with_a_dash(tmp_path, monkeypatch):
+    # joined to its option with `=`, a value that starts with `-` is a
+    # value; written apart, it is read as an option
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    gen = ["gen", "grid", "--rows", "2", "--cols", "2"]
+    sweep = ["sweep", "--family", "power", "--values", "4"]
+    assert run(runner, gen + ["--output=-x.gr"]).exit_code == 0
+    assert gr_loads((tmp_path / "-x.gr").read_text()) == grid(2, 2)
+    assert run(runner, sweep + ["--seeds=-1,2", "-o", "s.csv"]).exit_code == 0
+    with open("s.csv") as f:
+        assert [row["seed"] for row in csv.DictReader(f)] == ["-1", "2"]
+    (tmp_path / "-x.gr").unlink()
+    assert_one_error_line(run(runner, gen + ["-o", "-x.gr"]), 2)
+    assert_one_error_line(run(runner, sweep + ["--seeds", "-1,2",
+                                               "-o", "t.csv"]), 2)
+    assert sorted(os.listdir(tmp_path)) == ["s.csv"]
 
 
 # a pattern key with no pattern vertex, naming host vertex 7 of a

@@ -390,6 +390,8 @@ def test_union_and_dual_match_the_definition_oracle():
         radial, dual = radial_and_dual_by_definition(e, fl)
         n, nations = e.num_vertices, len(fl.nations)
         assert dual_graph(e, fl) == SimpleGraph(nations, dual)
+        assert radial_graph(e, fl)[0] == SimpleGraph(
+            n + nations, {(v, n + i) for v, i in radial})
         assert union_radial_dual(e, fl) == SimpleGraph(
             n + nations, {(v, n + i) for v, i in radial}
             | {(n + a, n + b) for a, b in dual})
