@@ -307,14 +307,14 @@ def _reducible(adj, q, cost):
 
 def treewidth_order(n, masks):
     """Exact treewidth and an optimal elimination order."""
-    if n == 0:
-        return -1, []
+    # n = 0 takes no branch of its own: min-fill gives (-1, []) and
+    # minor-min-width 0 >= -1, so the root closes and (-1, []) comes back
     full = (1 << n) - 1
     ub, ub_order = min_fill_order(n, masks)
 
-    # the bounds run in order while the root is open; no bound exceeds
-    # ub, and only a strictly larger one replaces lb, so a tie names the
-    # first run that reached it
+    # the bounds run in order while the root is open; no bound but the
+    # empty graph's exceeds ub, and only a strictly larger one replaces
+    # lb, so a tie names the first run that reached it
     lb = -1
     for rule in MMW_RULES:
         b = minor_min_width(n, masks, rule)

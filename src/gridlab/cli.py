@@ -47,16 +47,6 @@ EXIT_CODES = {_UsageError: EXIT_USAGE, FormatError: EXIT_USAGE,
               MemoryError: EXIT_SIZE, GridlabError: EXIT_VERIFY,
               ValueError: EXIT_VERIFY}
 
-# gen family -> the options it takes; each but --seed and --seq-output
-# is required
-GEN_FAMILIES = {"wheel-map": ["r"], "grid": ["rows", "cols"],
-                "ptgrid": ["rows", "cols", "seed"],
-                "random-map": ["nations", "seed"],
-                "triangulation": ["n", "seed"],
-                "nation-grid": ["size", "seq-output"]}
-_GEN_OPTIONAL = ("seed", "seq-output")
-
-
 class _Parser(argparse.ArgumentParser):
     """A parse error is a usage error, printed by `main` like any other."""
 
@@ -87,18 +77,32 @@ def main(args=None, prog_name=None, standalone_mode=True):
 
 
 def _arg(*flags, **options):
-    """The arguments of one `add_argument` call, for `_command`."""
-    return flags, options
+    """One `add_argument` call, for `_command`."""
+    return lambda parser: parser.add_argument(*flags, **options)
+
+
+def _one_of(*arguments):
+    """`_arg`s of which exactly one must be given."""
+    def add(parser):
+        group = parser.add_mutually_exclusive_group(required=True)
+        for argument in arguments:
+            argument(group)
+    return add
+
+
+def _subcommand(subcommands, name, doc, arguments):
+    """Add the subcommand `name`, with these `_arg`s, to `subcommands`."""
+    parser = subcommands.add_parser(name, help=doc, description=doc,
+                                    allow_abbrev=False)
+    for argument in arguments:
+        argument(parser)
 
 
 def _command(*arguments):
     """Add a subcommand, with these `_arg`s, for the function decorated."""
     def add(fn):
-        parser = _COMMANDS.add_parser(
-            fn.__name__.replace("_", "-"), help=fn.__doc__,
-            description=fn.__doc__, allow_abbrev=False)
-        for flags, options in arguments:
-            parser.add_argument(*flags, **options)
+        _subcommand(_COMMANDS, fn.__name__.replace("_", "-"), fn.__doc__,
+                    arguments)
         return fn
     return add
 
@@ -110,6 +114,15 @@ def _at_least(low):
             raise argparse.ArgumentTypeError(f"{text} is less than {low}")
         return int(text)
     return integer
+
+
+def _integers(text):
+    """Option type: comma-separated integers, in increasing order."""
+    try:
+        return sorted(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _read(path, loads):
@@ -138,44 +151,48 @@ def _emb_map_loads(text):
     return e, fl
 
 
-@_command(
-    _arg("family", choices=list(GEN_FAMILIES)),
-    _arg("--r", type=_at_least(1), help="wheel parameter (r^2 spokes)"),
-    _arg("--rows", type=_at_least(1)), _arg("--cols", type=_at_least(1)),
-    _arg("--nations", type=_at_least(1)),
-    _arg("--n", type=_at_least(3), help="triangulation vertex count"),
-    _arg("--size", type=_at_least(1), help="nation grid side"),
-    _arg("--seed", type=int, help="with ptgrid, random-map and "
-         "triangulation (default 0)"),
-    _arg("-o", "--output", required=True),
-    _arg("--seq-output", help="with nation-grid: also write the "
-         "grid-producing contraction sequence as JSON"))
-def gen(family, r, rows, cols, nations, n, size, seed, output, seq_output):
+_SIDES = (_arg("--rows", type=_at_least(1), required=True),
+          _arg("--cols", type=_at_least(1), required=True))
+_SEED = _arg("--seed", type=int, default=0, help="(default 0)")
+# gen family -> the options it takes besides -o
+GEN_FAMILIES = {
+    "wheel-map": [_arg("--r", type=_at_least(1), required=True,
+                       help="wheel parameter (r^2 spokes)")],
+    "grid": _SIDES, "ptgrid": [*_SIDES, _SEED],
+    "random-map": [_arg("--nations", type=_at_least(1), required=True),
+                   _SEED],
+    "triangulation": [_arg("--n", type=_at_least(3), required=True,
+                           help="vertex count"), _SEED],
+    "nation-grid": [_arg("--size", type=_at_least(1), required=True,
+                         help="nation grid side"),
+                    _arg("--seq-output", help="also write the "
+                         "grid-producing contraction sequence as JSON")]}
+
+
+def _gen_families(parser):
+    """gen's families: a subcommand each, with its own options."""
+    families = parser.add_subparsers(dest="family", required=True)
+    for family, arguments in GEN_FAMILIES.items():
+        _subcommand(families, family, None,
+                    [*arguments, _arg("-o", "--output", required=True)])
+
+
+@_command(_gen_families)
+def gen(family, output, seq_output=None, **params):
     """Generate an instance and write it as .emb or .gr."""
-    given = {"r": r, "rows": rows, "cols": cols, "nations": nations, "n": n,
-             "size": size, "seed": seed, "seq-output": seq_output}
-    missing = [f"--{p}" for p in GEN_FAMILIES[family]
-               if p not in _GEN_OPTIONAL and given[p] is None]
-    if missing:
-        raise _UsageError(f"{family} needs {' and '.join(missing)}")
-    extra = [f"--{p}" for p, value in given.items()
-             if value is not None and p not in GEN_FAMILIES[family]]
-    if extra:
-        raise _UsageError(f"{family} takes no {' or '.join(extra)}")
-    seed = 0 if seed is None else seed
     if family == "wheel-map":
-        emb.emb_dump(*wheel_map(r), output)
+        emb.emb_dump(*wheel_map(**params), output)
     elif family == "grid":
-        gr.gr_dump(grid(rows, cols), output)
+        gr.gr_dump(grid(**params), output)
     elif family == "ptgrid":
-        gr.gr_dump(partially_triangulated_grid(rows, cols, seed), output)
+        gr.gr_dump(partially_triangulated_grid(**params), output)
     elif family == "random-map":
-        emb.emb_dump(*random_canonical_map(nations, seed), output)
+        emb.emb_dump(*random_canonical_map(**params), output)
     elif family == "triangulation":
-        e = random_planar_triangulation(n, seed)
+        e = random_planar_triangulation(**params)
         emb.emb_dump(e, emb.all_nations(e), output)
     else:
-        e, fl, seq = minors.nation_grid_transfer_instance(size)
+        e, fl, seq = minors.nation_grid_transfer_instance(**params)
         emb.emb_dump(e, fl, output)
         if seq_output:
             gr._write_text(seq_output, minors.sequence_dumps(seq))
@@ -184,17 +201,13 @@ def gen(family, r, rows, cols, nations, n, size, seed, output, seq_output):
 
 @_command(
     _arg("input_path"),
-    *(_arg(f"--{kind}", action="store_true")
-      for kind in ("map", "dual", "radial", "union", "canonicalize")),
+    _one_of(*(_arg(f"--{kind}", dest="kind", action="store_const",
+                   const=kind)
+              for kind in ("map", "dual", "radial", "union", "canonicalize"))),
     _arg("-o", "--output", required=True))
-def derive(input_path, output, **flags):
+def derive(input_path, kind, output):
     """Derived graph of an .emb map: map/dual/radial/union as .gr,
     or the canonical form as .emb."""
-    kinds = [kind for kind, on in flags.items() if on]
-    if len(kinds) != 1:
-        raise _UsageError("pick exactly one of --map/--dual/--radial/"
-                          "--union/--canonicalize")
-    kind, = kinds
     e, fl = _read(input_path, _emb_map_loads)
     if kind == "canonicalize":
         emb.emb_dump(*emb.canonicalize(e, fl), output)
@@ -227,58 +240,55 @@ def tw(input_path, exact, output):
 
 
 @_command(
-    _arg("--radial-to-map", dest="emb_path",
-         help=".emb map whose radial decomposition is lifted"),
-    _arg("--power", dest="k", type=_at_least(1),
-         help="lift a decomposition of G to one of G^k"),
+    _one_of(_arg("--radial-to-map", dest="emb_path",
+                 help=".emb map whose radial decomposition is lifted"),
+            _arg("--power", dest="k", type=_at_least(1),
+                 help="lift a decomposition of G to one of G^k")),
     _arg("--gr", dest="gr_path", help="base graph for --power"),
     _arg("td_path"),
     _arg("-o", "--output", required=True))
 def lift(emb_path, k, gr_path, td_path, output):
     """Lift a tree decomposition (radial to map, or G to G^k)."""
-    if emb_path and (k or gr_path):
-        raise _UsageError("--radial-to-map takes no --power or --gr")
+    if k is None and gr_path is not None:
+        raise _UsageError("--radial-to-map takes no --gr")
+    if k is not None and gr_path is None:
+        raise _UsageError("--power needs --gr")
     td, td_n = _read(td_path, dec.td_loads)
-    if emb_path:
+    if k is None:
         e, fl = _read(emb_path, _emb_map_loads)
         # the radial graph has a vertex per map vertex and per nation
         _require_vertex_count(td_n, e.num_vertices + len(fl.nations))
         td2 = dec.lift_radial_to_map(td, e, fl)
         n = len(fl.nations)
-    elif k:
-        if not gr_path:
-            raise _UsageError("--power needs --gr")
+    else:
         g = _read(gr_path, gr.gr_loads)
         _require_vertex_count(td_n, g.n)
         td2 = dec.lift_power(td, g, k)
         n = g.n
-    else:
-        raise _UsageError("pick --radial-to-map or --power")
     dec.td_dump(td2, n, output)
     print(f"width {td2.width}")
 
 
 @_command(
-    _arg("--td", dest="td_path"), _arg("--gr", dest="gr_path"),
-    _arg("--model", dest="model_path"))
-def check(td_path, gr_path, model_path):
+    _one_of(_arg("--td", dest="td_path"), _arg("--model", dest="model_path")),
+    _arg("--gr", dest="gr_path"))
+def check(td_path, model_path, gr_path):
     """Verify a decomposition against a graph, or a minor model (with
     --gr: a minor model of that graph)."""
-    if model_path and td_path:
-        raise _UsageError("--model takes no --td")
-    if model_path:
+    if model_path is not None:
         model = _read(model_path, minors.model_loads)
-        if gr_path and model.host != _read(gr_path, gr.gr_loads):
+        if gr_path is not None and (
+                model.host != _read(gr_path, gr.gr_loads)):
             raise GridlabError(f"{model_path}: the model's host is not "
                                f"the graph in {gr_path}")
         violation = minors.verify_model(model)
-    elif td_path and gr_path:
+    elif gr_path is None:
+        raise _UsageError("--td needs --gr")
+    else:
         g = _read(gr_path, gr.gr_loads)
         td, td_n = _read(td_path, dec.td_loads)
         _require_vertex_count(td_n, g.n)
         violation = td.validate(g)
-    else:
-        raise _UsageError("pass --model, or both --td and --gr")
     if violation is not None:
         raise GridlabError(str(violation))
     print("ok")
@@ -403,9 +413,10 @@ _SWEEP_FAMILIES = {
 
 @_command(
     _arg("--family", required=True, choices=sorted(_SWEEP_FAMILIES)),
-    _arg("--values", default="",
+    _arg("--values", type=_integers, default="",
          help="comma-separated main parameter values (r, nations, n)"),
-    _arg("--seeds", default="0", help="comma-separated seeds (default 0)"),
+    _arg("--seeds", type=_integers, default="0",
+         help="comma-separated seeds (default 0)"),
     _arg("--k", type=_at_least(1),
          help="power exponent (family power only; default 2)"),
     _arg("-o", "--output", required=True))
@@ -414,11 +425,6 @@ def sweep(family, values, seeds, k, output):
     increasing value and, within a value, increasing seed."""
     if family != "power" and k is not None:
         raise _UsageError(f"{family} takes no --k")
-    try:
-        value_list = sorted(int(x) for x in values.split(",") if x.strip())
-        seed_list = sorted(int(x) for x in seeds.split(",") if x.strip())
-    except ValueError:
-        raise _UsageError("--values/--seeds must be integers")
     row_fn, key = _SWEEP_FAMILIES[family]
     params = {"k": 2 if k is None else k} if family == "power" else {}
 
@@ -433,7 +439,7 @@ def sweep(family, values, seeds, k, output):
         row["runtime_s"] = f"{time.monotonic() - started:.3f}"
         return row
 
-    rows = [run(v, s) for v in value_list for s in seed_list]
+    rows = [run(v, s) for v in values for s in seeds]
     buf = io.StringIO(newline="")
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
     writer.writeheader()

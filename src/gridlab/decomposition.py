@@ -68,15 +68,18 @@ class TreeDecomposition:
         if len(parent) != b:
             return Violation("tree", None, "tree is disconnected")
         # walking T from node 0, node i adds the vertices of its bag that
-        # its parent's bag lacks: each vertex once per component of the
-        # nodes holding it, at that component's top node (nearest node 0)
+        # its parent's bag lacks: each vertex once per piece (component)
+        # of the nodes holding it, at that piece's top node (nearest node 0)
         bags = self.bags
-        top = {}  # vertex -> bag of a top node (its only one under T3)
-        added = 0
+        top = {}  # vertex -> the union of its pieces' top bags
+        split = []  # the vertices added again, whose nodes break T3
         for i, p in parent.items():
-            new = bags[i] if p is None else bags[i] - bags[p]
-            added += len(new)
-            top.update(dict.fromkeys(new, bags[i]))
+            for v in bags[i] if p is None else bags[i] - bags[p]:
+                if v in top:
+                    split.append(v)
+                    top[v] = top[v] | bags[i]
+                else:
+                    top[v] = bags[i]
         # T1: the vertices added are the bag vertices
         covered = top.keys()
         if covered != set(range(g.n)):
@@ -85,38 +88,19 @@ class TreeDecomposition:
                     return Violation("T1", v, f"vertex {v} in no bag")
             v = min(v for v in covered if not 0 <= v < g.n)
             return Violation("T1", v, f"bag vertex {v} not in graph")
-        # T3: every vertex is added at least once, so its nodes form one
-        # subtree each iff exactly n are added
-        if added != g.n:
-            return self._first_violation(g)
-        # T2: the bags of u and of v are subtrees, and two subtrees meet
-        # iff the top node of one lies in the other
+        # T2: edge (u, v) lies in a bag iff a piece of u meets a piece of
+        # v, and two subtrees meet iff the top node of one lies in the
+        # other: iff v lies in a top bag of u or u in one of v
         uncovered = [(u, v) for u, v in g.edges
                      if v not in top[u] and u not in top[v]]
         if uncovered:
             e = min(uncovered)
             return Violation("T2", e, f"edge {e} in no bag")
+        if split:
+            v = min(split)
+            return Violation("T3", v,
+                             f"bags of vertex {v} are not connected in T")
         return None
-
-    def _first_violation(self, g):
-        """T2 or T3 violation of a tree that meets T1 but not T3."""
-        # vertex -> indices of the bags holding it
-        where = [set() for _ in range(g.n)]
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                where[v].add(i)
-        for u, v in sorted(g.edges):
-            if where[u].isdisjoint(where[v]):
-                return Violation("T2", (u, v), f"edge {(u, v)} in no bag")
-        inside = [0] * g.n
-        for a, c in self.tree_edges:
-            for v in self.bags[a] & self.bags[c]:
-                inside[v] += 1
-        # T is a tree, so the bags of v form a subtree iff the tree edges
-        # joining two of them number one fewer than the bags; more than n
-        # vertices were added, so some v fails this
-        v = min(v for v in range(g.n) if inside[v] != len(where[v]) - 1)
-        return Violation("T3", v, f"bags of vertex {v} are not connected in T")
 
     def __eq__(self, other):
         if not isinstance(other, TreeDecomposition):

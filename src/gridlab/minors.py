@@ -37,7 +37,12 @@ class MinorModel:
         self.edge_witness = {}
         pairs = (edge_witness.items() if isinstance(edge_witness, dict)
                  else edge_witness)
-        for (u, v), (a, b) in pairs:
+        for entry in pairs:
+            try:
+                (u, v), (a, b) = entry
+            except (TypeError, ValueError):
+                raise ValueError(f"witness entry {entry!r} is not a pair "
+                                 f"of vertex pairs") from None
             u, v, a, b = map(_strict_int, (u, v, a, b))
             key = (min(u, v), max(u, v))
             if key in self.edge_witness:
@@ -129,15 +134,19 @@ class ContractionSequence:
 
     @staticmethod
     def _check_op(op):
-        kind = op[0]
+        kind = op[0] if isinstance(op, (list, tuple)) and op else None
         if kind in (ContractionSequence.CONTRACT,
                     ContractionSequence.DELETE_EDGE):
-            _, u, v = op
-            return (kind, _strict_int(u), _strict_int(v))
-        if kind == ContractionSequence.DELETE_VERTEX:
-            _, v = op
-            return (kind, _strict_int(v))
-        raise ValueError(f"unknown operation {kind!r}")
+            if len(op) == 3:
+                return (kind, _strict_int(op[1]), _strict_int(op[2]))
+            form = "u, v"
+        elif kind == ContractionSequence.DELETE_VERTEX:
+            if len(op) == 2:
+                return (kind, _strict_int(op[1]))
+            form = "v"
+        else:
+            raise ValueError(f"unknown operation {op!r}")
+        raise ValueError(f"operation {op!r} is not [{kind!r}, {form}]")
 
     def replay(self, host):
         """Apply the operations to `host`.  Returns (vertices, edges,

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -28,54 +29,45 @@ from gridlab.minors import (MinorModel, largest_grid_minor, model_dumps,
                             verify_model)
 
 
-class CliRunner:
-    """Runs a CLI entry point in process and captures what it prints."""
-
-    def invoke(self, main, args, catch_exceptions=False):
-        """The exit code (of a SystemExit, else 0), stdout, stderr and
-        their concatenation `output`; any other exception propagates, so
-        `catch_exceptions` must be False."""
-        out, err, code = io.StringIO(), io.StringIO(), 0
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                main(args)
-            except SystemExit as exc:
-                code = exc.code
-        return types.SimpleNamespace(
-            exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
-            output=out.getvalue() + err.getvalue())
-
-
-def run(runner, args):
-    return runner.invoke(main, args, catch_exceptions=False)
+def run(args):
+    """Run the CLI in process on `args`: the exit code (of a SystemExit,
+    else 0), stdout, stderr and their concatenation `output`.  Any other
+    exception propagates."""
+    out, err, code = io.StringIO(), io.StringIO(), 0
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(args)
+        except SystemExit as exc:
+            code = exc.code
+    return types.SimpleNamespace(
+        exit_code=code, stdout=out.getvalue(), stderr=err.getvalue(),
+        output=out.getvalue() + err.getvalue())
 
 
 def test_gen_tw_check_pipeline(tmp_path):
-    runner = CliRunner()
     emb = tmp_path / "w2.emb"
     grf = tmp_path / "w2.gr"
     td = tmp_path / "w2.td"
-    assert run(runner, ["gen", "wheel-map", "--r", "2",
-                        "-o", str(emb)]).exit_code == 0
-    assert run(runner, ["derive", str(emb), "--map",
-                        "-o", str(grf)]).exit_code == 0
-    res = run(runner, ["tw", str(grf), "--exact", "-o", str(td)])
+    assert run(["gen", "wheel-map", "--r", "2",
+                "-o", str(emb)]).exit_code == 0
+    assert run(["derive", str(emb), "--map",
+                "-o", str(grf)]).exit_code == 0
+    res = run(["tw", str(grf), "--exact", "-o", str(td)])
     assert res.exit_code == 0
     assert "width 3" in res.output  # the map graph of wheel r=2 is K4
-    assert run(runner, ["check", "--td", str(td),
-                        "--gr", str(grf)]).exit_code == 0
+    assert run(["check", "--td", str(td),
+                "--gr", str(grf)]).exit_code == 0
 
 
 def test_derive_union_is_radial_plus_dual(tmp_path):
-    runner = CliRunner()
     emb = tmp_path / "m.emb"
-    run(runner, ["gen", "random-map", "--nations", "5", "--seed", "3",
-                 "-o", str(emb)])
+    run(["gen", "random-map", "--nations", "5", "--seed", "3",
+         "-o", str(emb)])
     paths = {}
     for kind in ("radial", "dual", "union"):
         paths[kind] = tmp_path / f"{kind}.gr"
-        assert run(runner, ["derive", str(emb), f"--{kind}",
-                            "-o", str(paths[kind])]).exit_code == 0
+        assert run(["derive", str(emb), f"--{kind}",
+                    "-o", str(paths[kind])]).exit_code == 0
     radial = gr_loads(paths["radial"].read_text())
     dual = gr_loads(paths["dual"].read_text())
     union = gr_loads(paths["union"].read_text())
@@ -85,74 +77,69 @@ def test_derive_union_is_radial_plus_dual(tmp_path):
 
 
 def test_lift_radial_to_map(tmp_path):
-    runner = CliRunner()
     emb = tmp_path / "m.emb"
     rad = tmp_path / "rad.gr"
     td_r = tmp_path / "rad.td"
     td_m = tmp_path / "map.td"
     mapg = tmp_path / "map.gr"
-    run(runner, ["gen", "random-map", "--nations", "4", "-o", str(emb)])
-    run(runner, ["derive", str(emb), "--radial", "-o", str(rad)])
-    run(runner, ["derive", str(emb), "--map", "-o", str(mapg)])
-    assert run(runner, ["tw", str(rad), "-o", str(td_r)]).exit_code == 0
-    assert run(runner, ["lift", "--radial-to-map", str(emb), str(td_r),
-                        "-o", str(td_m)]).exit_code == 0
-    assert run(runner, ["check", "--td", str(td_m),
-                        "--gr", str(mapg)]).exit_code == 0
+    run(["gen", "random-map", "--nations", "4", "-o", str(emb)])
+    run(["derive", str(emb), "--radial", "-o", str(rad)])
+    run(["derive", str(emb), "--map", "-o", str(mapg)])
+    assert run(["tw", str(rad), "-o", str(td_r)]).exit_code == 0
+    assert run(["lift", "--radial-to-map", str(emb), str(td_r),
+                "-o", str(td_m)]).exit_code == 0
+    assert run(["check", "--td", str(td_m),
+                "--gr", str(mapg)]).exit_code == 0
 
 
 def test_lift_power(tmp_path):
-    runner = CliRunner()
     g, g2 = tmp_path / "g.gr", tmp_path / "g2.gr"
     td, td2 = tmp_path / "g.td", tmp_path / "g2.td"
-    run(runner, ["gen", "ptgrid", "--rows", "3", "--cols", "3",
-                 "-o", str(g)])
-    run(runner, ["power", str(g), "--k", "2", "-o", str(g2)])
-    assert run(runner, ["tw", str(g), "-o", str(td)]).exit_code == 0
-    res = run(runner, ["lift", "--power", "2", "--gr", str(g), str(td),
-                       "-o", str(td2)])
+    run(["gen", "ptgrid", "--rows", "3", "--cols", "3",
+         "-o", str(g)])
+    run(["power", str(g), "--k", "2", "-o", str(g2)])
+    assert run(["tw", str(g), "-o", str(td)]).exit_code == 0
+    res = run(["lift", "--power", "2", "--gr", str(g), str(td),
+               "-o", str(td2)])
     assert res.exit_code == 0 and res.output.startswith("width ")
-    assert run(runner, ["check", "--td", str(td2),
-                        "--gr", str(g2)]).exit_code == 0
-    res = run(runner, ["lift", "--power", "2", str(td), "-o", str(td2)])
+    assert run(["check", "--td", str(td2),
+                "--gr", str(g2)]).exit_code == 0
+    res = run(["lift", "--power", "2", str(td), "-o", str(td2)])
     assert res.exit_code == 2
     assert "--power needs --gr" in res.output
 
 
 def test_lifted_grid_decomposition_has_maximal_bags(tmp_path):
     # one bag per vertex would give the 36 bags of the 6x6 grid
-    runner = CliRunner()
     g, g2 = tmp_path / "g.gr", tmp_path / "g2.gr"
     td, td2 = tmp_path / "g.td", tmp_path / "g2.td"
-    run(runner, ["gen", "grid", "--rows", "6", "--cols", "6", "-o", str(g)])
-    run(runner, ["power", str(g), "--k", "2", "-o", str(g2)])
-    assert run(runner, ["tw", str(g), "--upper", "-o", str(td)]).exit_code == 0
-    assert run(runner, ["lift", "--power", "2", "--gr", str(g), str(td),
-                        "-o", str(td2)]).exit_code == 0
+    run(["gen", "grid", "--rows", "6", "--cols", "6", "-o", str(g)])
+    run(["power", str(g), "--k", "2", "-o", str(g2)])
+    assert run(["tw", str(g), "--upper", "-o", str(td)]).exit_code == 0
+    assert run(["lift", "--power", "2", "--gr", str(g), str(td),
+                "-o", str(td2)]).exit_code == 0
     _, _, bags, _, n = td2.read_text().split("\n", 1)[0].split()
     assert n == "36" and int(bags) < 36
-    assert run(runner, ["check", "--td", str(td2),
-                        "--gr", str(g2)]).exit_code == 0
+    assert run(["check", "--td", str(td2),
+                "--gr", str(g2)]).exit_code == 0
 
 
 def test_gen_ptgrid_and_triangulation(tmp_path):
-    runner = CliRunner()
     grf, tri = tmp_path / "pt.gr", tmp_path / "tri.emb"
-    assert run(runner, ["gen", "ptgrid", "--rows", "3", "--cols", "4",
-                        "--seed", "1", "-o", str(grf)]).exit_code == 0
+    assert run(["gen", "ptgrid", "--rows", "3", "--cols", "4",
+                "--seed", "1", "-o", str(grf)]).exit_code == 0
     assert gr_loads(grf.read_text()) == partially_triangulated_grid(3, 4, 1)
-    assert run(runner, ["gen", "triangulation", "--n", "8", "--seed", "2",
-                        "-o", str(tri)]).exit_code == 0
+    assert run(["gen", "triangulation", "--n", "8", "--seed", "2",
+                "-o", str(tri)]).exit_code == 0
     e = random_planar_triangulation(8, 2)
     assert tri.read_text() == emb_dumps(e, all_nations(e))
 
 
 def test_derive_canonicalize(tmp_path):
-    runner = CliRunner()
     src, out = tmp_path / "w.emb", tmp_path / "canon.emb"
-    run(runner, ["gen", "wheel-map", "--r", "2", "-o", str(src)])
-    assert run(runner, ["derive", str(src), "--canonicalize",
-                        "-o", str(out)]).exit_code == 0
+    run(["gen", "wheel-map", "--r", "2", "-o", str(src)])
+    assert run(["derive", str(src), "--canonicalize",
+                "-o", str(out)]).exit_code == 0
     e, fl = emb_loads(out.read_text())
     assert is_canonical(e, fl)
     assert out.read_text() == emb_dumps(*canonicalize(*wheel_map(2)))
@@ -162,7 +149,7 @@ def test_check_refuses_a_decomposition_over_other_vertices(tmp_path):
     td, grf = tmp_path / "two.td", tmp_path / "three.gr"
     td.write_text("s td 1 2 2\nb 1 1 2\n")
     grf.write_text("p tw 3 1\n1 2\n")
-    res = run(CliRunner(), ["check", "--td", str(td), "--gr", str(grf)])
+    res = run(["check", "--td", str(td), "--gr", str(grf)])
     assert_one_error_line(res, 1, names="over 2 vertices, graph has 3")
     # lift reads the same header: a path decomposition of P3 over 99
     # vertices, and a radial decomposition of a wheel map whose radial
@@ -170,8 +157,8 @@ def test_check_refuses_a_decomposition_over_other_vertices(tmp_path):
     out = tmp_path / "out.td"
     td.write_text("s td 2 2 99\nb 1 1 2\nb 2 2 3\n1 2\n")
     grf.write_text("p tw 3 2\n1 2\n2 3\n")
-    res = run(CliRunner(), ["lift", "--power", "2", "--gr", str(grf),
-                            str(td), "-o", str(out)])
+    res = run(["lift", "--power", "2", "--gr", str(grf),
+               str(td), "-o", str(out)])
     assert_one_error_line(res, 1, names="over 99 vertices, graph has 3")
     e, fl = wheel_map(2)
     radial, _ = radial_graph(e, fl)
@@ -179,8 +166,8 @@ def test_check_refuses_a_decomposition_over_other_vertices(tmp_path):
     td.write_text(td_dumps(td_r, 7))
     wheel = tmp_path / "w.emb"
     wheel.write_text(emb_dumps(e, fl))
-    res = run(CliRunner(), ["lift", "--radial-to-map", str(wheel), str(td),
-                            "-o", str(out)])
+    res = run(["lift", "--radial-to-map", str(wheel), str(td),
+               "-o", str(out)])
     assert_one_error_line(res, 1, names="over 7 vertices, graph has 9")
     assert not out.exists()
 
@@ -189,8 +176,8 @@ def test_check_refuses_a_decomposition_over_other_vertices(tmp_path):
     ("map", "4"), ("power", "6"), ("primal-dual", "6")])
 def test_sweep_families(tmp_path, family, value):
     out = tmp_path / "sweep.csv"
-    res = run(CliRunner(), ["sweep", "--family", family, "--values", value,
-                            "-o", str(out)])
+    res = run(["sweep", "--family", family, "--values", value,
+               "-o", str(out)])
     assert res.exit_code == 0
     with out.open() as f:
         [row] = csv.DictReader(f)
@@ -198,18 +185,17 @@ def test_sweep_families(tmp_path, family, value):
 
 
 def test_power_witness(tmp_path):
-    runner = CliRunner()
     grf = tmp_path / "star.gr"
     lines = ["p tw 10 9"] + [f"1 {i}" for i in range(2, 11)]
     grf.write_text("\n".join(lines) + "\n")
-    res = run(runner, ["power", str(grf), "--k", "2", "--witness-r", "3"])
+    res = run(["power", str(grf), "--k", "2", "--witness-r", "3"])
     assert res.exit_code == 0
     assert "clique witness" in res.output
     # no 9 vertices of P_4 squared form a clique, so the case analysis
     # ends in a bound
     p4 = tmp_path / "p4.gr"
     p4.write_text("p tw 4 3\n1 2\n2 3\n3 4\n")
-    res = run(runner, ["power", str(p4), "--k", "2", "--witness-r", "3"])
+    res = run(["power", str(p4), "--k", "2", "--witness-r", "3"])
     assert res.exit_code == 0
     assert res.output.splitlines()[-1] == (
         "degree bound: max_degree(G^k) = 3 < 81 (even case)")
@@ -222,65 +208,60 @@ def test_power_refuses_a_false_degree_bound(tmp_path, monkeypatch):
     # vertex 0 (id 1 in the file) has 2
     monkeypatch.setattr(gridlab.graph, "power_clique_or_bound",
                         lambda g, k, r: BoundReport(k=k, r=r, center=0))
-    res = run(CliRunner(), ["power", str(grf), "--k", "2",
-                            "--witness-r", "1"])
+    res = run(["power", str(grf), "--k", "2",
+               "--witness-r", "1"])
     assert_one_error_line(res, 1)
     assert "vertex 0 has 2 >= 1" in res.stderr
 
 
 def test_grid_minor_and_transfer(tmp_path):
-    runner = CliRunner()
     emb = tmp_path / "ng.emb"
     seq = tmp_path / "ng.json"
     model = tmp_path / "model.json"
-    assert run(runner, ["gen", "nation-grid", "--size", "12",
-                        "-o", str(emb),
-                        "--seq-output", str(seq)]).exit_code == 0
-    res = run(runner, ["transfer", "--emb", str(emb), "--seq", str(seq),
-                       "-o", str(model)])
+    assert run(["gen", "nation-grid", "--size", "12",
+                "-o", str(emb),
+                "--seq-output", str(seq)]).exit_code == 0
+    res = run(["transfer", "--emb", str(emb), "--seq", str(seq),
+               "-o", str(model)])
     assert res.exit_code == 0
     assert "1x1" in res.output
-    assert run(runner, ["check", "--model", str(model)]).exit_code == 0
+    assert run(["check", "--model", str(model)]).exit_code == 0
 
 
 def test_check_flags_broken_model(tmp_path):
-    runner = CliRunner()
     model = tmp_path / "bad.json"
     grf = tmp_path / "k4.gr"
-    run(runner, ["gen", "grid", "--rows", "2", "--cols", "2",
-                 "-o", str(grf)])
-    res = run(runner, ["grid-minor", str(grf), "-o", str(model)])
+    run(["gen", "grid", "--rows", "2", "--cols", "2",
+         "-o", str(grf)])
+    res = run(["grid-minor", str(grf), "-o", str(model)])
     assert res.exit_code == 0
     obj = json.loads(model.read_text())
     obj["edge_witness"] = []
     model.write_text(json.dumps(obj))
-    res = run(runner, ["check", "--model", str(model)])
+    res = run(["check", "--model", str(model)])
     assert res.exit_code == 1
 
 
 def test_malformed_gr_is_usage_error(tmp_path):
-    runner = CliRunner()
     bad = tmp_path / "bad.gr"
     bad.write_text("p cnf 3 1\n1 2\n")
-    res = run(runner, ["tw", str(bad)])
+    res = run(["tw", str(bad)])
     assert res.exit_code == 2
 
 
 def test_tw_size_refusal(tmp_path):
-    runner = CliRunner()
     grf = tmp_path / "big.gr"
-    run(runner, ["gen", "grid", "--rows", "3", "--cols", "7",
-                 "-o", str(grf)])
-    res = run(runner, ["tw", str(grf), "--exact"])
+    run(["gen", "grid", "--rows", "3", "--cols", "7",
+         "-o", str(grf)])
+    res = run(["tw", str(grf), "--exact"])
     assert res.exit_code == 3
-    assert run(runner, ["tw", str(grf), "--upper"]).exit_code == 0
+    assert run(["tw", str(grf), "--upper"]).exit_code == 0
 
 
 def test_sweep_wheel(tmp_path):
-    runner = CliRunner()
     out = tmp_path / "sweep.csv"
-    res = run(runner, ["sweep", "--family", "wheel",
-                       "--values", "1,2", "-o", str(out)])
+    res = run(["sweep", "--family", "wheel",
+               "--values", "1,2", "-o", str(out)])
     assert res.exit_code == 0
     with out.open() as f:
         rows = list(csv.DictReader(f))
@@ -292,8 +273,8 @@ def test_sweep_wheel(tmp_path):
 
 def test_sweep_rows_come_in_numeric_value_then_seed_order(tmp_path):
     out = tmp_path / "sweep.csv"
-    res = run(CliRunner(), ["sweep", "--family", "power", "--values",
-                            "10,9,3", "--seeds", "1,0", "-o", str(out)])
+    res = run(["sweep", "--family", "power", "--values",
+               "10,9,3", "--seeds", "1,0", "-o", str(out)])
     assert res.exit_code == 0
     with out.open() as f:
         rows = list(csv.DictReader(f))
@@ -311,8 +292,8 @@ def test_sweep_rows_come_in_numeric_value_then_seed_order(tmp_path):
 def test_sweep_error_row_keeps_its_identity(tmp_path, family, key, value,
                                             extra, error):
     out = tmp_path / "sweep.csv"
-    res = run(CliRunner(), ["sweep", "--family", family, "--values", value,
-                            *extra, "-o", str(out)])
+    res = run(["sweep", "--family", family, "--values", value,
+               *extra, "-o", str(out)])
     assert res.exit_code == 1
     with out.open() as f:
         [row] = csv.DictReader(f)
@@ -325,10 +306,9 @@ def test_sweep_error_row_keeps_its_identity(tmp_path, family, key, value,
 
 
 def test_sweep_empty_values_gives_header_only(tmp_path):
-    runner = CliRunner()
     out = tmp_path / "empty.csv"
-    res = run(runner, ["sweep", "--family", "map", "--values", "",
-                       "-o", str(out)])
+    res = run(["sweep", "--family", "map", "--values", "",
+               "-o", str(out)])
     assert res.exit_code == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1
@@ -342,7 +322,7 @@ def test_sweep_keeps_the_traceback_of_a_bug(tmp_path, monkeypatch):
         raise ValueError("no such wheel")
 
     monkeypatch.setitem(cli._SWEEP_FAMILIES, "wheel", (refused, "r"))
-    res = run(CliRunner(), args)
+    res = run(args)
     assert res.exit_code == 1
     with out.open() as f:
         [row] = csv.DictReader(f)
@@ -353,34 +333,45 @@ def test_sweep_keeps_the_traceback_of_a_bug(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._SWEEP_FAMILIES, "wheel", (buggy, "r"))
     with pytest.raises(RuntimeError, match="bug in a row"):
-        run(CliRunner(), args)
+        run(args)
 
 
 @pytest.mark.parametrize("family, size", [
     ("ptgrid", ["--rows", "3", "--cols", "4"]),
     ("random-map", ["--nations", "5"]), ("triangulation", ["--n", "8"])])
 def test_gen_seed_defaults_to_0(tmp_path, family, size):
-    runner = CliRunner()
     default, zero = tmp_path / "default", tmp_path / "zero"
-    assert run(runner, ["gen", family, *size, "-o", str(default)]
-               ).exit_code == 0
-    assert run(runner, ["gen", family, *size, "--seed", "0",
-                        "-o", str(zero)]).exit_code == 0
+    assert run(["gen", family, *size, "-o", str(default)]).exit_code == 0
+    assert run(["gen", family, *size, "--seed", "0",
+                "-o", str(zero)]).exit_code == 0
     assert default.read_bytes() == zero.read_bytes()
+
+
+# gen family -> the options it takes besides -o
+GEN_OPTIONS = {"wheel-map": ["--r"], "grid": ["--rows", "--cols"],
+               "ptgrid": ["--rows", "--cols", "--seed"],
+               "random-map": ["--nations", "--seed"],
+               "triangulation": ["--n", "--seed"],
+               "nation-grid": ["--size", "--seq-output"]}
 
 
 @pytest.mark.parametrize("command", [
     [], ["gen"], ["derive"], ["tw"], ["lift"], ["check"], ["power"],
-    ["grid-minor"], ["transfer"], ["sweep"]],
-    ids=lambda command: command[0] if command else "gridlab")
+    ["grid-minor"], ["transfer"], ["sweep"],
+    *(["gen", family] for family in GEN_OPTIONS)],
+    ids=lambda command: "-".join(command) or "gridlab")
 def test_help_goes_to_stdout(command):
-    res = run(CliRunner(), [*command, "--help"])
+    res = run([*command, "--help"])
     assert res.exit_code == 0 and res.stdout and res.stderr == ""
+    if command[1:]:
+        # the usage line of a gen family names exactly its options
+        usage = res.stdout.split("\n\n")[0]
+        assert sorted(re.findall(r"[ \[](-[\w-]+)", usage)) == sorted(
+            ["-h", "-o", *GEN_OPTIONS[command[1]]])
 
 
 def test_gen_missing_param_is_usage_error(tmp_path):
-    runner = CliRunner()
-    res = run(runner, ["gen", "wheel-map", "-o", str(tmp_path / "x.emb")])
+    res = run(["gen", "wheel-map", "-o", str(tmp_path / "x.emb")])
     assert res.exit_code == 2
 
 
@@ -448,43 +439,65 @@ DUPLICATE_WITNESS_MODEL = json.dumps({
 ])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
                                                  command):
-    runner = CliRunner()
     paths = {"bad": tmp_path / name, "ok": tmp_path / "ok.gr",
              "emb": tmp_path / "w.emb", "out": tmp_path / "out"}
     paths["bad"].write_bytes(content)
     paths["ok"].write_text(OK_GR)
-    run(runner, ["gen", "wheel-map", "--r", "1", "-o", str(paths["emb"])])
+    run(["gen", "wheel-map", "--r", "1", "-o", str(paths["emb"])])
     args = [a.format(**{k: str(p) for k, p in paths.items()})
             for a in command]
-    assert_one_error_line(run(runner, args), 2, names=str(paths["bad"]))
+    assert_one_error_line(run(args), 2, names=str(paths["bad"]))
+
+
+@pytest.mark.parametrize("command, content, message", [
+    (["transfer", "--emb", "{emb}", "--seq", "{bad}"],
+     {"ops": [["contract", 1]]},
+     "operation ['contract', 1] is not ['contract', u, v]"),
+    (["transfer", "--emb", "{emb}", "--seq", "{bad}"],
+     {"ops": [["delete_vertex", 1, 2]]},
+     "operation ['delete_vertex', 1, 2] is not ['delete_vertex', v]"),
+    (["transfer", "--emb", "{emb}", "--seq", "{bad}"], {"ops": [[]]},
+     "unknown operation []"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 2, "edges": [[0, 1]]},
+      "host": {"n": 2, "edges": [[0, 1]]},
+      "branch_sets": {"0": [0], "1": [1]}, "edge_witness": [[[0, 1]]]},
+     "witness entry [[0, 1]] is not a pair of vertex pairs")],
+    ids=["contract-1", "delete_vertex-2", "empty-op", "witness-1"])
+def test_malformed_entries_are_named(tmp_path, command, content, message):
+    bad, emb = tmp_path / "bad.json", tmp_path / "w.emb"
+    bad.write_text(json.dumps(content))
+    run(["gen", "wheel-map", "--r", "1", "-o", str(emb)])
+    res = run([a.format(bad=bad, emb=emb) for a in command])
+    assert_one_error_line(res, 2)
+    assert res.stderr == f"error: {bad}: {message}\n"
 
 
 def test_each_error_kind_maps_to_its_exit_code(tmp_path):
-    runner = CliRunner()
     # ConstructionError: the sequence without its edge deletions leaves
     # a graph that is not a grid
     emb, seq = tmp_path / "ng.emb", tmp_path / "ng.json"
-    run(runner, ["gen", "nation-grid", "--size", "12", "-o", str(emb),
-                 "--seq-output", str(seq)])
+    run(["gen", "nation-grid", "--size", "12", "-o", str(emb),
+         "--seq-output", str(seq)])
     obj = json.loads(seq.read_text())
     obj["ops"] = [op for op in obj["ops"] if op[0] != "delete_edge"]
     seq.write_text(json.dumps(obj))
-    assert_one_error_line(run(runner, ["transfer", "--emb", str(emb),
-                                       "--seq", str(seq)]), 1)
+    assert_one_error_line(run(["transfer", "--emb", str(emb),
+                               "--seq", str(seq)]), 1)
     # ValueError: a well-formed .td that does not decompose the radial
     # graph
     m, td = tmp_path / "m.emb", tmp_path / "bad.td"
-    run(runner, ["gen", "random-map", "--nations", "4", "-o", str(m)])
+    run(["gen", "random-map", "--nations", "4", "-o", str(m)])
     td.write_text("s td 1 1 1\nb 1 1\n")
-    assert_one_error_line(run(runner, ["lift", "--radial-to-map", str(m),
-                                       str(td), "-o",
-                                       str(tmp_path / "out.td")]), 1)
+    assert_one_error_line(run(["lift", "--radial-to-map", str(m),
+                               str(td), "-o",
+                               str(tmp_path / "out.td")]), 1)
     # ValueError from the library: no grid minor of an empty graph
     empty = tmp_path / "empty.gr"
     empty.write_text("p tw 0 0\n")
-    assert_one_error_line(run(runner, ["grid-minor", str(empty)]), 1)
+    assert_one_error_line(run(["grid-minor", str(empty)]), 1)
     # OSError: an output path in a missing directory
-    assert_one_error_line(run(runner, [
+    assert_one_error_line(run([
         "gen", "grid", "--rows", "2", "--cols", "2",
         "-o", str(tmp_path / "missing" / "g.gr")]), 2)
 
@@ -493,17 +506,16 @@ def test_sequence_of_another_map_exits_1(tmp_path):
     # the sequence replays on the union built from --emb, so a sequence
     # written for another nation grid fails in replay, and the one error
     # line names both files
-    runner = CliRunner()
     paths = {}
     for size in (12, 18):
         paths[size] = (tmp_path / f"ng{size}.emb",
                        tmp_path / f"ng{size}.json")
-        run(runner, ["gen", "nation-grid", "--size", str(size),
-                     "-o", str(paths[size][0]),
-                     "--seq-output", str(paths[size][1])])
+        run(["gen", "nation-grid", "--size", str(size),
+             "-o", str(paths[size][0]),
+             "--seq-output", str(paths[size][1])])
     for a, b in ((12, 18), (18, 12)):
-        res = run(runner, ["transfer", "--emb", str(paths[a][0]),
-                           "--seq", str(paths[b][1])])
+        res = run(["transfer", "--emb", str(paths[a][0]),
+                   "--seq", str(paths[b][1])])
         assert_one_error_line(res, 1, "does not fit")
         assert str(paths[a][0]) in res.stderr
         assert str(paths[b][1]) in res.stderr
@@ -514,16 +526,15 @@ def test_sequence_of_another_map_exits_1(tmp_path):
 
 
 def test_transfer_of_a_non_canonical_map_exits_1(tmp_path):
-    runner = CliRunner()
     emb, seq = tmp_path / "ng.emb", tmp_path / "ng.json"
-    run(runner, ["gen", "nation-grid", "--size", "12", "-o", str(emb),
-                 "--seq-output", str(seq)])
+    run(["gen", "nation-grid", "--size", "12", "-o", str(emb),
+         "--seq-output", str(seq)])
     # with its least nation turned into a lake, the map is not canonical
     e, fl = emb_loads(emb.read_text())
     fl = FaceLabeling(e, sorted(fl.nations)[1:])
     assert not is_canonical(e, fl)
     emb.write_text(emb_dumps(e, fl))
-    res = run(runner, ["transfer", "--emb", str(emb), "--seq", str(seq)])
+    res = run(["transfer", "--emb", str(emb), "--seq", str(seq)])
     assert_one_error_line(res, 1, "map is not canonical")
 
 
@@ -557,7 +568,7 @@ def test_power_ranges_are_usage_errors(tmp_path, args):
     grf = tmp_path / "g.gr"
     grf.write_text(OK_GR)
     args = [a.format(gr=grf, out=tmp_path / "out.csv") for a in args]
-    assert run(CliRunner(), args).exit_code == 2
+    assert run(args).exit_code == 2
 
 
 @pytest.mark.parametrize("args", [
@@ -586,27 +597,37 @@ def test_power_ranges_are_usage_errors(tmp_path, args):
                  id="lift---radial"),
     pytest.param(["power", "{gr}", "--k", "1", "--witness", "1"],
                  id="power---witness"),
+    # and of --rows, which a gen family takes no more than a command
+    pytest.param(["gen", "grid", "--row", "2", "--cols", "2",
+                  "-o", "{out}"], id="gen-grid---row"),
     # and these lack an option or a value the command needs
     pytest.param(["lift", "{td}", "-o", "{out}"], id="lift-no-kind"),
     pytest.param(["check", "--td", "{td}"], id="check---td-no---gr"),
     pytest.param(["sweep", "--family", "wheel", "--values", "a",
-                  "-o", "{out}"], id="sweep---values-a")])
+                  "-o", "{out}"], id="sweep---values-a"),
+    pytest.param(["gen"], id="gen-no-family"),
+    pytest.param(["derive", "{emb}", "-o", "{out}"], id="derive-no-kind"),
+    pytest.param(["check", "--gr", "{gr}"], id="check---gr-alone"),
+    # an empty --gr is a path that cannot be read, not an absent --gr
+    pytest.param(["check", "--model", "{model}", "--gr", ""],
+                 id="check---model---gr-empty"),
+    pytest.param(["lift", "--radial-to-map", "{emb}", "--gr", "", "{td}",
+                  "-o", "{out}"], id="lift-radial-and-empty-gr")])
 def test_ignored_options_are_usage_errors(tmp_path, args):
     # each command once ran with one of these options silently ignored
-    runner = CliRunner()
     emb, rad = tmp_path / "w.emb", tmp_path / "r.gr"
     td, grf = tmp_path / "r.td", tmp_path / "p3.gr"
     model = tmp_path / "m.json"
-    run(runner, ["gen", "wheel-map", "--r", "2", "-o", str(emb)])
-    run(runner, ["derive", str(emb), "--radial", "-o", str(rad)])
-    run(runner, ["tw", str(rad), "-o", str(td)])
+    run(["gen", "wheel-map", "--r", "2", "-o", str(emb)])
+    run(["derive", str(emb), "--radial", "-o", str(rad)])
+    run(["tw", str(rad), "-o", str(td)])
     grf.write_text("p tw 3 2\n1 2\n2 3\n")
     model.write_text(model_dumps(
         MinorModel(SimpleGraph(1), SimpleGraph(1), {0: {0}}, {})))
     out, seq = tmp_path / "out", tmp_path / "seq.json"
     args = [a.format(emb=emb, gr=grf, td=td, model=model, out=out, seq=seq)
             for a in args]
-    assert_one_error_line(run(runner, args), 2)
+    assert_one_error_line(run(args), 2)
     assert not out.exists() and not seq.exists()
 
 
@@ -614,18 +635,17 @@ def test_option_values_that_start_with_a_dash(tmp_path, monkeypatch):
     # joined to its option with `=`, a value that starts with `-` is a
     # value; written apart, it is read as an option
     monkeypatch.chdir(tmp_path)
-    runner = CliRunner()
     gen = ["gen", "grid", "--rows", "2", "--cols", "2"]
     sweep = ["sweep", "--family", "power", "--values", "4"]
-    assert run(runner, gen + ["--output=-x.gr"]).exit_code == 0
+    assert run(gen + ["--output=-x.gr"]).exit_code == 0
     assert gr_loads((tmp_path / "-x.gr").read_text()) == grid(2, 2)
-    assert run(runner, sweep + ["--seeds=-1,2", "-o", "s.csv"]).exit_code == 0
+    assert run(sweep + ["--seeds=-1,2", "-o", "s.csv"]).exit_code == 0
     with open("s.csv") as f:
         assert [row["seed"] for row in csv.DictReader(f)] == ["-1", "2"]
     (tmp_path / "-x.gr").unlink()
-    assert_one_error_line(run(runner, gen + ["-o", "-x.gr"]), 2)
-    assert_one_error_line(run(runner, sweep + ["--seeds", "-1,2",
-                                               "-o", "t.csv"]), 2)
+    assert_one_error_line(run(gen + ["-o", "-x.gr"]), 2)
+    assert_one_error_line(run(sweep + ["--seeds", "-1,2",
+                                       "-o", "t.csv"]), 2)
     assert sorted(os.listdir(tmp_path)) == ["s.csv"]
 
 
@@ -645,7 +665,7 @@ def test_check_rejects_keys_outside_the_pattern(tmp_path, model):
     assert verify_model(model) is not None
     path = tmp_path / "model.json"
     path.write_text(model_dumps(model))
-    assert_one_error_line(run(CliRunner(), ["check", "--model", str(path)]),
+    assert_one_error_line(run(["check", "--model", str(path)]),
                           1)
 
 
@@ -661,19 +681,18 @@ WHEEL_SWEEP_CSV = (
 def _writer_inputs(tmp_path):
     """The input files of the commands in OUTPUT_OPTIONS, by name with
     its dot as an underscore."""
-    runner = CliRunner()
     paths = {name.replace(".", "_"): tmp_path / name for name in (
         "w.emb", "m.gr", "m.td", "r.gr", "r.td", "ng.emb", "ng.seq")}
-    run(runner, ["gen", "wheel-map", "--r", "2", "-o", str(paths["w_emb"])])
-    run(runner, ["derive", str(paths["w_emb"]), "--map",
-                 "-o", str(paths["m_gr"])])
-    run(runner, ["derive", str(paths["w_emb"]), "--radial",
-                 "-o", str(paths["r_gr"])])
-    run(runner, ["tw", str(paths["m_gr"]), "-o", str(paths["m_td"])])
-    run(runner, ["tw", str(paths["r_gr"]), "-o", str(paths["r_td"])])
-    run(runner, ["gen", "nation-grid", "--size", "12",
-                 "-o", str(paths["ng_emb"]),
-                 "--seq-output", str(paths["ng_seq"])])
+    run(["gen", "wheel-map", "--r", "2", "-o", str(paths["w_emb"])])
+    run(["derive", str(paths["w_emb"]), "--map",
+         "-o", str(paths["m_gr"])])
+    run(["derive", str(paths["w_emb"]), "--radial",
+         "-o", str(paths["r_gr"])])
+    run(["tw", str(paths["m_gr"]), "-o", str(paths["m_td"])])
+    run(["tw", str(paths["r_gr"]), "-o", str(paths["r_td"])])
+    run(["gen", "nation-grid", "--size", "12",
+         "-o", str(paths["ng_emb"]),
+         "--seq-output", str(paths["ng_seq"])])
     return {name: str(path) for name, path in paths.items()}
 
 
@@ -750,10 +769,9 @@ def test_outputs_are_rewritten_in_place(tmp_path, monkeypatch, args,
     out = tmp_path / "out"
     args = _output_args(tmp_path, args, out)
     want = expected().encode()
-    runner = CliRunner()
 
     def write():
-        assert run(runner, args).exit_code == 0
+        assert run(args).exit_code == 0
         return out.read_bytes()
 
     assert write() == want  # a new file
@@ -771,52 +789,49 @@ def test_outputs_are_rewritten_in_place(tmp_path, monkeypatch, args,
 
 @pytest.mark.parametrize("args, expected", OUTPUT_OPTIONS)
 def test_outputs_to_dev_null_and_to_a_directory(tmp_path, args, expected):
-    runner = CliRunner()
-    res = run(runner, _output_args(tmp_path, args, os.devnull))
+    res = run(_output_args(tmp_path, args, os.devnull))
     assert res.exit_code == 0, res.output
     folder = tmp_path / "folder"
     folder.mkdir()
     (folder / "kept").write_text("kept\n")
-    res = run(runner, _output_args(tmp_path, args, folder))
+    res = run(_output_args(tmp_path, args, folder))
     assert_one_error_line(res, 2, str(folder))
     assert [p.name for p in folder.iterdir()] == ["kept"]
     assert (folder / "kept").read_text() == "kept\n"
 
 
 def test_check_binds_a_model_to_its_graph(tmp_path):
-    runner = CliRunner()
     # a model of grid(5, 5) in itself with identity branch sets: valid,
     # but a certificate about grid(5, 5) only
     g = grid(5, 5)
     forged = tmp_path / "forged.json"
     forged.write_text(model_dumps(MinorModel(
         g, g, {v: {v} for v in range(g.n)}, {e: e for e in g.edges})))
-    assert run(runner, ["check", "--model", str(forged)]).exit_code == 0
+    assert run(["check", "--model", str(forged)]).exit_code == 0
     own, other = tmp_path / "own.gr", tmp_path / "other.gr"
     own.write_text(gr_dumps(g))
-    assert run(runner, ["check", "--model", str(forged),
-                        "--gr", str(own)]).exit_code == 0
+    assert run(["check", "--model", str(forged),
+                "--gr", str(own)]).exit_code == 0
     for h in (grid(5, 6), partially_triangulated_grid(5, 5, 0),
               SimpleGraph(25), grid(4, 4)):
         other.write_text(gr_dumps(h))
-        assert_one_error_line(run(runner, ["check", "--model", str(forged),
-                                           "--gr", str(other)]),
+        assert_one_error_line(run(["check", "--model", str(forged),
+                                   "--gr", str(other)]),
                               1, str(other))
 
 
 def test_transfer_model_checks_against_the_derived_dual(tmp_path):
-    runner = CliRunner()
     emb, seq = tmp_path / "ng.emb", tmp_path / "ng.seq"
     model, dual = tmp_path / "model.json", tmp_path / "dual.gr"
-    run(runner, ["gen", "nation-grid", "--size", "12", "-o", str(emb),
-                 "--seq-output", str(seq)])
-    run(runner, ["transfer", "--emb", str(emb), "--seq", str(seq),
-                 "-o", str(model)])
-    run(runner, ["derive", str(emb), "--dual", "-o", str(dual)])
-    res = run(runner, ["check", "--model", str(model), "--gr", str(dual)])
+    run(["gen", "nation-grid", "--size", "12", "-o", str(emb),
+         "--seq-output", str(seq)])
+    run(["transfer", "--emb", str(emb), "--seq", str(seq),
+         "-o", str(model)])
+    run(["derive", str(emb), "--dual", "-o", str(dual)])
+    res = run(["check", "--model", str(model), "--gr", str(dual)])
     assert res.exit_code == 0 and res.output == "ok\n"
     # the same model is no certificate about the map graph
     mapg = tmp_path / "map.gr"
-    run(runner, ["derive", str(emb), "--map", "-o", str(mapg)])
-    assert_one_error_line(run(runner, ["check", "--model", str(model),
-                                       "--gr", str(mapg)]), 1)
+    run(["derive", str(emb), "--map", "-o", str(mapg)])
+    assert_one_error_line(run(["check", "--model", str(model),
+                               "--gr", str(mapg)]), 1)
