@@ -20,10 +20,13 @@ class EmbeddedGraph:
 
     `rotations[v]` is the tuple of darts based at v in rotation order,
     starting at the smallest; it is stored when the constructor checks
-    the rotation orbits.  Faces and genus are derived lazily."""
+    the rotation orbits.  `faces` lists the face walks, the orbits of
+    d -> nxt[twin[d]], as dart tuples; each starts at its smallest dart
+    and they are sorted by it.  `face_of[d]` is the index of dart d's
+    walk.  Both are built with the embedding."""
 
     __slots__ = ("num_vertices", "twin", "nxt", "vertex_of", "rotations",
-                 "_faces", "_face_of")
+                 "faces", "face_of")
 
     def __init__(self, twin, nxt, vertex_of):
         twin = tuple(twin)
@@ -67,8 +70,20 @@ class EmbeddedGraph:
         self.vertex_of = vertex_of
         self.rotations = tuple(orbit_of[v] for v in range(n))
         self.num_vertices = n
-        self._faces = None
-        self._face_of = None
+        face_of = [None] * d
+        walks = []
+        for start in range(d):
+            if face_of[start] is not None:
+                continue
+            walk = []
+            cur = start
+            while face_of[cur] is None:
+                face_of[cur] = len(walks)
+                walk.append(cur)
+                cur = nxt[twin[cur]]
+            walks.append(tuple(walk))
+        self.faces = walks
+        self.face_of = face_of
 
     def num_darts(self):
         return len(self.twin)
@@ -77,39 +92,11 @@ class EmbeddedGraph:
         return len(self.twin) // 2
 
     def vertex_darts(self, v):
-        """Darts based at v in rotation order, starting at the smallest,
-        as a fresh list the caller may change."""
-        return list(self.rotations[v])
+        """Darts based at v in rotation order, starting at the smallest."""
+        return self.rotations[v]
 
     def max_degree(self):
         return max(map(len, self.rotations), default=0)
-
-    @property
-    def faces(self):
-        """Face walks as dart tuples; orbit of d -> nxt[twin[d]].  Each
-        walk starts at the least unvisited dart, so it starts at its
-        smallest dart and the walks are sorted by that dart."""
-        if self._faces is None:
-            face_of = [None] * len(self.twin)
-            walks = []
-            for start in range(len(self.twin)):
-                if face_of[start] is not None:
-                    continue
-                walk = []
-                cur = start
-                while face_of[cur] is None:
-                    face_of[cur] = len(walks)
-                    walk.append(cur)
-                    cur = self.nxt[self.twin[cur]]
-                walks.append(tuple(walk))
-            self._faces = walks
-            self._face_of = face_of
-        return self._faces
-
-    @property
-    def face_of(self):
-        self.faces
-        return self._face_of
 
     def components(self):
         """Vertex sets of connected components, each sorted, in the order

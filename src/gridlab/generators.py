@@ -11,7 +11,7 @@ import random
 from bisect import insort
 
 from .embedding import (FaceLabeling, _from_rotations,
-                        canonicalize_components, is_canonical, map_graph)
+                        canonicalize_components, is_canonical)
 from .errors import ConstructionError, GridlabError
 from .graph import SimpleGraph
 
@@ -209,8 +209,8 @@ def random_canonical_map(nations, seed):
         tri = random_planar_triangulation(n_tri, rng.randrange(2 ** 30))
         fl = FaceLabeling(tri, sorted(rng.sample(range(num_faces),
                                                  nations)))
-        # a split map or a disconnected map graph is a miss and retried;
-        # a surgery error or a non-canonical result is a fault, raised
+        # a split map is a miss and retried; a surgery error or a
+        # non-canonical result is a fault, raised
         parts = canonicalize_components(tri, fl)
         if len(parts) != 1:
             continue
@@ -219,8 +219,11 @@ def random_canonical_map(nations, seed):
             raise ConstructionError(
                 f"random_canonical_map(nations={nations}, seed={seed}): "
                 f"canonicalization returned a non-canonical map")
-        if not map_graph(e2, fl2).is_connected():
-            continue
+        # one component has a connected map graph: a canonical map has
+        # no lake-lake edge, so each edge uv has a nation on one side,
+        # whose face walk passes through u and v; along a path between
+        # two nations' vertices, consecutive edges give nations that
+        # share a vertex
         return e2, fl2
     raise GridlabError(
         f"no connected canonical map with {nations} nations found for "

@@ -9,7 +9,7 @@ import math
 
 from . import _json_writer
 from .decomposition import Violation, treewidth_exact
-from .embedding import (all_nations, dual_graph, is_canonical,
+from .embedding import (_dual_edges, all_nations, dual_graph, is_canonical,
                         radial_embedding, radial_graph, union_radial_dual)
 from .errors import ConstructionError, SizeLimitError, _raises_format_error
 from .generators import grid, grid_map
@@ -535,7 +535,6 @@ def nation_grid_transfer_instance(size):
     the diagonals inside it leaves exactly the k x k grid.
     """
     e, fl = grid_map(size, size)
-    host = union_radial_dual(e, fl)
     n = e.num_vertices
     w = size + 1
     pos = {}
@@ -554,11 +553,12 @@ def nation_grid_transfer_instance(size):
         raise ConstructionError(
             f"nation_grid_transfer_instance: the window has {len(window)} "
             f"vertices, expected {k * k}")
+    # the union's vertices are range(n + size*size), and its edges with
+    # both ends in the nations are the dual edges shifted by n
     ops = [("delete_vertex", v)
-           for v in sorted(set(range(host.n)) - window)]
-    for a, b in sorted(host.edges):
-        if a in window and b in window and a >= n and b >= n:
-            ops.append(("delete_edge", a, b))
+           for v in range(n + size * size) if v not in window]
+    ops += [("delete_edge", a, b) for a, b in sorted(_dual_edges(e, fl, n))
+            if a in window and b in window]
     return e, fl, ContractionSequence(ops)
 
 

@@ -462,13 +462,33 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
      {"pattern": {"n": 2, "edges": [[0, 1]]},
       "host": {"n": 2, "edges": [[0, 1]]},
       "branch_sets": {"0": [0], "1": [1]}, "edge_witness": [[[0, 1]]]},
-     "witness entry [[0, 1]] is not a pair of vertex pairs")],
-    ids=["contract-1", "delete_vertex-2", "empty-op", "witness-1"])
+     "witness entry [[0, 1]] is not a pair of vertex pairs"),
+    (["check", "--td", "{bad}", "--gr", "{ok}"],
+     "s td 2 1 2\nb 1 1\nb 1 2\n", "line 3: duplicate bag 1"),
+    # the rotation orbit 0 -> 1 -> 0 joins vertices 0 and 1
+    (["derive", "{bad}", "--map", "-o", "{out}"],
+     "emb 2\ntwin 1 0\nnext 1 0\nvertex_of 0 1\nnations 0\n",
+     "rotation orbit of dart 0 mixes vertices"),
+    (["derive", "{bad}", "--map", "-o", "{out}"],
+     "emb 2\ntwin 1 0\nnext 0 1\nvertex_of 0 2\nnations 0\n",
+     "vertex ids must be contiguous from 0"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []}, "host": {"n": -1, "edges": []},
+      "branch_sets": {"0": [0]}, "edge_witness": []},
+     "vertex count must be nonnegative")],
+    ids=["contract-1", "delete_vertex-2", "empty-op", "witness-1",
+         "td-duplicate-bag", "emb-orbit-mixes-vertices",
+         "emb-vertex-ids-not-contiguous", "model-host-n-negative"])
 def test_malformed_entries_are_named(tmp_path, command, content, message):
-    bad, emb = tmp_path / "bad.json", tmp_path / "w.emb"
-    bad.write_text(json.dumps(content))
-    run(["gen", "wheel-map", "--r", "1", "-o", str(emb)])
-    res = run([a.format(bad=bad, emb=emb) for a in command])
+    # `content` is the file's text, or an object written as JSON
+    paths = {"bad": tmp_path / "bad", "ok": tmp_path / "ok.gr",
+             "emb": tmp_path / "w.emb", "out": tmp_path / "out"}
+    bad = paths["bad"]
+    bad.write_text(content if isinstance(content, str)
+                   else json.dumps(content))
+    paths["ok"].write_text(OK_GR)
+    run(["gen", "wheel-map", "--r", "1", "-o", str(paths["emb"])])
+    res = run([a.format(**paths) for a in command])
     assert_one_error_line(res, 2)
     assert res.stderr == f"error: {bad}: {message}\n"
 

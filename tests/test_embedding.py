@@ -307,9 +307,8 @@ def test_vertex_darts_and_max_degree_match_a_dart_scan():
                 walk.append(e.nxt[walk[-1]])
             assert sorted(walk) == own
             got = e.vertex_darts(v)
-            assert got == walk
-            got.pop()  # callers may change the list they get
-            assert e.vertex_darts(v) == walk
+            assert got == tuple(walk)
+            assert got is e.rotations[v]  # the stored tuple, not a copy
             degrees.append(len(own))
         assert e.max_degree() == max(degrees)
 

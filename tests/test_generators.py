@@ -102,8 +102,9 @@ def test_triangulations_match_the_per_vertex_insertion():
 
 
 def test_random_canonical_map_properties():
-    for nations in (1, 2, 5, 9, 12):
-        for seed in range(3):
+    # the map graph is connected by proof, not by a retry
+    for nations in (*range(1, 41), 100, 300):
+        for seed in range(5):
             e, fl = random_canonical_map(nations, seed)
             e2, fl2 = random_canonical_map(nations, seed)
             assert e == e2 and fl == fl2
@@ -111,6 +112,7 @@ def test_random_canonical_map_properties():
             assert is_canonical(e, fl)
             assert e.genus() == 0
             assert len(e.components()) == 1
+            assert map_graph(e, fl).is_connected()
 
 
 def test_random_canonical_map_raises_a_failed_surgery(monkeypatch):

@@ -6,7 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridlab.embedding import radial_embedding, union_radial_dual
+from gridlab.embedding import emb_dumps, radial_embedding, union_radial_dual
 from gridlab.errors import ConstructionError, SizeLimitError
 from gridlab.generators import (_build_from_rotations, _triangle, grid,
                                 random_graph, random_planar_triangulation,
@@ -295,6 +295,34 @@ def test_transfer_deletion_only_instances():
         nations = len(fl.nations)
         for s in m.branch_sets.values():
             assert all(0 <= x < nations for x in s)
+
+
+def test_nation_grid_transfer_instances_are_pinned():
+    # (size, file) -> sha256 of the .emb or .seq text
+    pins = {
+        (1, "emb"):
+            "4cccdf48b3e29d889d0d1c5abf1c53bcf17702b1a2815841f1bb340317e06d2e",
+        (1, "seq"):
+            "a3a0546c5e926cd038382280d68d56314eb787d9bf2d16323c7a2d8b784c2e0f",
+        (2, "emb"):
+            "03f18e22cd22c7f4deb5d74b404a3fd64d2163af83c95fe1db3d3d9a76e54d19",
+        (2, "seq"):
+            "847d07d477ab7ba8c53be28c8aa95e5697cac3f4fe4317ea17c9de63740f45ff",
+        (12, "emb"):
+            "950f2f2d9b386c5d8994463c60d5800a910efed0bc32df3a062d6a85b3cda9db",
+        (12, "seq"):
+            "6a8f8d57c7ceb840d1115374a6830363f64b5888a99f13a72871e977d565aba7",
+        (31, "emb"):
+            "adfe36bb94bfc230b7079822c937b79f91bdd662f45aeaf857e093fdccce0444",
+        (31, "seq"):
+            "a1c708bc4606a31251c7b2241d0675e38111f46da6849deae6d1e3764cb1e8f4",
+    }
+    for size in (1, 2, 12, 31):
+        e, fl, seq = nation_grid_transfer_instance(size)
+        for name, text in (("emb", emb_dumps(e, fl)),
+                           ("seq", sequence_dumps(seq))):
+            digest = hashlib.sha256(text.encode()).hexdigest()
+            assert digest == pins[size, name], (size, name)
 
 
 @functools.lru_cache(maxsize=None)
