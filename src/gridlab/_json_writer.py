@@ -1,4 +1,4 @@
-"""Indented JSON text for the certificate files: byte for byte what
+"""Indented JSON text for model files: byte for byte what
 json.dumps(obj, indent=2, sort_keys=True) writes, without the
 pure-Python encoder that CPython's json falls back to whenever indent
 is given."""
@@ -8,9 +8,10 @@ from json.encoder import encode_basestring_ascii as _quote
 
 
 def dumps(obj):
-    """The text of json.dumps(obj, indent=2, sort_keys=True) for dicts
-    with string keys, lists, ints and strings; any other type raises
-    TypeError."""
+    """The text of json.dumps(obj, indent=2, sort_keys=True) for a
+    model's shapes: ints, dicts with string keys, flat int lists and
+    lists whose leaves are nonempty int lists at one depth; any other
+    value raises TypeError."""
     out = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -21,27 +22,15 @@ def _write(obj, nl, out):
     kind = type(obj)
     if kind is int:
         out.append(int.__repr__(obj))
-    elif kind is str:
-        out.append(_quote(obj))
     elif kind is list:
         if not obj:
             out.append("[]")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        if all(type(x) is int for x in obj):
-            out.append("[" + inner + sep.join(map(int.__repr__, obj))
+        elif all(type(x) is int for x in obj):
+            inner = nl + "  "
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj))
                        + nl + "]")
-            return
-        text = _int_lists(obj, nl) if type(obj[0]) is list else None
-        if text is not None:
-            out.append(text)
-            return
-        out.append("[")
-        for i, x in enumerate(obj):
-            out.append(sep if i else inner)
-            _write(x, inner, out)
-        out.append(nl + "]")
+        else:
+            out.append(_int_lists(obj, nl))
     elif kind is dict:
         if not obj:
             out.append("{}")
@@ -64,23 +53,22 @@ _NOT_INT_LIST_CHAR = str.maketrans("", "", "0123456789-,[]")
 
 def _int_lists(obj, nl):
     """The indented text of a list whose leaves are nonempty lists of
-    ints, all at one depth (edge lists, witness pairs), else None.
+    ints, all at one depth (edge lists, witness pairs); any other list
+    raises TypeError.
 
     Such a list is re-indented from its compact C-encoded text: a run
     of j closing brackets, a comma and j opening brackets separates
     siblings j - 1 levels above the leaves, and a bare comma separates
     two ints."""
     text = _compact(obj)
-    if text.translate(_NOT_INT_LIST_CHAR) or "[]" in text:
-        return None
     depth = len(text) - len(text.lstrip("["))
-    if not text.endswith("]" * depth):
-        return None
     body = text[depth:-depth]
     for j in range(depth - 1, 0, -1):
         body = body.replace("]" * j + "," + "[" * j, chr(j))
-    if "[" in body or "]" in body:
-        return None  # leaves at different depths
+    if (text.translate(_NOT_INT_LIST_CHAR) or "[]" in text
+            or not text.endswith("]" * depth) or "[" in body or "]" in body):
+        raise TypeError(f"cannot write {text[:40]}: its leaves are not "
+                        f"ints at one depth")
     indent = [nl + "  " * k for k in range(depth + 1)]
     body = body.replace(",", "," + indent[depth])
     for j in range(1, depth):

@@ -641,10 +641,20 @@ def _unique_keys(pairs):
     return obj
 
 
-def _graph_from_json(obj):
-    return SimpleGraph(_strict_int(obj["n"]),
-                       [(_strict_int(u), _strict_int(v))
-                        for u, v in obj["edges"]])
+def _fields(obj, keys, what):
+    """The values of `keys` in `obj`, a JSON object that must hold
+    exactly these keys."""
+    if not isinstance(obj, dict) or obj.keys() != set(keys):
+        found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise ValueError(f"{what}: expected a JSON object with exactly the "
+                         f"keys {sorted(keys)}, found {found}")
+    return [obj[k] for k in keys]
+
+
+def _graph_from_json(obj, what):
+    n, edges = _fields(obj, ("n", "edges"), what)
+    return SimpleGraph(_strict_int(n),
+                       [(_strict_int(u), _strict_int(v)) for u, v in edges])
 
 
 def model_dumps(m):
@@ -661,24 +671,24 @@ def model_dumps(m):
 
 @_raises_format_error
 def model_loads(text):
-    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    pattern, host, branch_sets, edge_witness = _fields(
+        json.loads(text, object_pairs_hook=_unique_keys),
+        ("pattern", "host", "branch_sets", "edge_witness"), "model")
     return MinorModel(
-        _graph_from_json(obj["pattern"]),
-        _graph_from_json(obj["host"]),
-        {_json_key(v): s for v, s in obj["branch_sets"].items()},
-        obj["edge_witness"],
+        _graph_from_json(pattern, "model pattern"),
+        _graph_from_json(host, "model host"),
+        {_json_key(v): s for v, s in branch_sets.items()},
+        edge_witness,
     )
 
 
 def sequence_dumps(seq):
-    return _json_writer.dumps({"ops": [list(op) for op in seq.ops]}) + "\n"
+    return json.dumps({"ops": seq.ops}, sort_keys=True,
+                      separators=(",", ":")) + "\n"
 
 
 @_raises_format_error
 def sequence_loads(text):
-    obj = json.loads(text, object_pairs_hook=_unique_keys)
-    if not isinstance(obj, dict) or list(obj) != ["ops"]:
-        found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-        raise ValueError(f"expected a JSON object whose only key is "
-                         f"'ops', found {found}")
-    return ContractionSequence(obj["ops"])
+    (ops,) = _fields(json.loads(text, object_pairs_hook=_unique_keys),
+                     ("ops",), "sequence")
+    return ContractionSequence(ops)

@@ -475,10 +475,31 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
     (["check", "--model", "{bad}"],
      {"pattern": {"n": 1, "edges": []}, "host": {"n": -1, "edges": []},
       "branch_sets": {"0": [0]}, "edge_witness": []},
-     "vertex count must be nonnegative")],
+     "vertex count must be nonnegative"),
+    # every certificate object takes exactly its keys
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []}, "host": {"n": 1, "edges": []},
+      "branch_sets": {"0": [0]}, "edge_witness": [], "width": 1},
+     "model: expected a JSON object with exactly the keys ['branch_sets', "
+     "'edge_witness', 'host', 'pattern'], found ['branch_sets', "
+     "'edge_witness', 'host', 'pattern', 'width']"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []},
+      "host": {"n": 1, "edges": [], "m": 0},
+      "branch_sets": {"0": [0]}, "edge_witness": []},
+     "model host: expected a JSON object with exactly the keys ['edges', "
+     "'n'], found ['edges', 'm', 'n']"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []}, "host": {"n": 1, "edges": []},
+      "branch_sets": {"0": [0]}},
+     "model: expected a JSON object with exactly the keys ['branch_sets', "
+     "'edge_witness', 'host', 'pattern'], found ['branch_sets', 'host', "
+     "'pattern']")],
     ids=["contract-1", "delete_vertex-2", "empty-op", "witness-1",
          "td-duplicate-bag", "emb-orbit-mixes-vertices",
-         "emb-vertex-ids-not-contiguous", "model-host-n-negative"])
+         "emb-vertex-ids-not-contiguous", "model-host-n-negative",
+         "model-extra-key", "model-host-extra-key",
+         "model-without-edge-witness"])
 def test_malformed_entries_are_named(tmp_path, command, content, message):
     # `content` is the file's text, or an object written as JSON
     paths = {"bad": tmp_path / "bad", "ok": tmp_path / "ok.gr",

@@ -17,7 +17,7 @@ from gridlab.errors import FormatError
 from gridlab.generators import (grid, random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph, gr_dumps, gr_loads
-from gridlab._json_writer import _int_lists, dumps as indented_dumps
+from gridlab._json_writer import dumps as indented_dumps
 from gridlab.minors import (ContractionSequence, MinorModel,
                             minor_containment_exact, model_dumps, model_loads,
                             sequence_dumps, sequence_loads)
@@ -303,7 +303,12 @@ def test_sequence_json_byte_identical():
     seq = ContractionSequence([("contract", 0, 1), ("delete_vertex", 8),
                                ("delete_edge", 3, 4)])
     text = sequence_dumps(seq)
+    assert text == ('{"ops":[["contract",0,1],["delete_vertex",8],'
+                    '["delete_edge",3,4]]}\n')
     assert sequence_dumps(sequence_loads(text)) == text
+    # files written with indent=2 hold the same JSON value
+    indented = json.dumps(json.loads(text), indent=2, sort_keys=True)
+    assert sequence_loads(indented).ops == seq.ops
 
 
 @settings(max_examples=50, deadline=None)
@@ -366,25 +371,19 @@ def test_mutated_text_loads_or_raises_format_error(fmt):
 
 
 def _random_json(rng, depth):
-    """A random nested value of the kinds the model writer emits.  Lists
-    of int lists come often and at one or several depths, so that both
-    the re-indented compact path and the general one are taken."""
-    kind = rng.randrange(7 if depth else 2)
+    """A random value of the shapes a model holds: ints, objects with
+    string keys, flat int lists, and lists whose leaves are nonempty int
+    lists at one depth (re-indented from their compact text)."""
+    kind = rng.randrange(5 if depth else 1)
     if kind == 0:
         return rng.choice((0, -1, 7, -12, 10 ** 30, -(10 ** 30),
                            rng.randint(-10 ** 6, 10 ** 6)))
     if kind == 1:
-        chars = 'ab"\\/\n\t\x00\x7f\xe9\u20ac\U0001f600[],: 09-'
-        return "".join(rng.choice(chars) for _ in range(rng.randrange(5)))
+        return [rng.randint(-30, 30) for _ in range(rng.randrange(4))]
     if kind == 2:
-        return [_random_json(rng, depth - 1)
-                for _ in range(rng.randrange(4))]
-    if kind == 3:
         keys = ["2", "10", "", "a", "b\"", "\u00e9", "-1", "n"]
         return {rng.choice(keys): _random_json(rng, depth - 1)
                 for _ in range(rng.randrange(5))}
-    # nested int lists: uniform depth, or with one item added that is
-    # empty, deeper, shallower or no int
     shape = rng.randint(1, min(depth, 3))
 
     def ints(d):
@@ -392,19 +391,12 @@ def _random_json(rng, depth):
             return rng.randint(-30, 30)
         return [ints(d - 1) for _ in range(rng.randint(1, 3))]
 
-    value = [ints(shape) for _ in range(rng.randint(1, 4))]
-    if kind == 6:
-        leaf = value
-        while isinstance(leaf[0], list):
-            leaf = leaf[0]
-        rng.choice((leaf, value)).append(
-            rng.choice(([], [5], [[5]], 5, {}, "x")))
-    return value
+    return [ints(shape) for _ in range(rng.randint(1, 4))]
 
 
 def test_json_writer_matches_json_dumps():
     rng = random.Random(31)
-    values = [{}, [], [[]], [[], [1]], {"2": 1, "10": [-3]}, [[1], [[2]]],
+    values = [{}, [], {"2": 1, "10": [-3]}, [[1, 2], [3]],
               [[[1, 2], [3]], [[-4]]]]
     values += [_random_json(rng, rng.randrange(5)) for _ in range(10000)]
     for value in values:
@@ -412,14 +404,16 @@ def test_json_writer_matches_json_dumps():
                                                 sort_keys=True)
     assert sum(isinstance(v, dict) for v in values) > 1000
     assert sum(isinstance(v, list) for v in values) > 3000
-    nested = [v for v in values if isinstance(v, list) and v
-              and isinstance(v[0], list)]
-    assert sum(_int_lists(v, "\n") is not None for v in nested) > 1000
-    assert sum(_int_lists(v, "\n") is None for v in nested) > 1000
+    # int lists nested two and three deep: edge lists and witness pairs
+    assert sum(json.dumps(v).startswith("[[") for v in values) > 1000
+    assert sum(json.dumps(v).startswith("[[[") for v in values) > 1000
 
 
 def test_json_writer_rejects_what_it_does_not_write():
-    for value in (True, 1.5, None, (1, 2), {1: 2}, [[True]]):
+    # no model holds a string, a float or a bool, nor an empty or
+    # irregular list of int lists
+    for value in (True, 1.5, None, "x", (1, 2), {1: 2}, [[True]], [[]],
+                  [1, [2]], [[1], [[2]]], [[], [1]]):
         with pytest.raises(TypeError):
             indented_dumps(value)
 

@@ -303,19 +303,19 @@ def test_nation_grid_transfer_instances_are_pinned():
         (1, "emb"):
             "4cccdf48b3e29d889d0d1c5abf1c53bcf17702b1a2815841f1bb340317e06d2e",
         (1, "seq"):
-            "a3a0546c5e926cd038382280d68d56314eb787d9bf2d16323c7a2d8b784c2e0f",
+            "e9563ffa7065a54eef9ed9d4a5198d5f8f1df9149c98c5288495db033fada426",
         (2, "emb"):
             "03f18e22cd22c7f4deb5d74b404a3fd64d2163af83c95fe1db3d3d9a76e54d19",
         (2, "seq"):
-            "847d07d477ab7ba8c53be28c8aa95e5697cac3f4fe4317ea17c9de63740f45ff",
+            "1cf93c448b6b6915620f2ae1da416524361f6acf42aba5ff76bc37adc7db5be9",
         (12, "emb"):
             "950f2f2d9b386c5d8994463c60d5800a910efed0bc32df3a062d6a85b3cda9db",
         (12, "seq"):
-            "6a8f8d57c7ceb840d1115374a6830363f64b5888a99f13a72871e977d565aba7",
+            "8b7b24768c7be5154e5e4bfb7c6f8fba9a8b10dd2a4b01d63ff9afaf8d9ac2d5",
         (31, "emb"):
             "adfe36bb94bfc230b7079822c937b79f91bdd662f45aeaf857e093fdccce0444",
         (31, "seq"):
-            "a1c708bc4606a31251c7b2241d0675e38111f46da6849deae6d1e3764cb1e8f4",
+            "81cd6290576e59b4d7f0329776e551bfcb90d95faf43386db0fa008911b60eda",
     }
     for size in (1, 2, 12, 31):
         e, fl, seq = nation_grid_transfer_instance(size)
@@ -615,9 +615,9 @@ def test_transfer_and_double_radial_models_are_pinned():
             random_planar_triangulation(n, seed))
         assert _sha256(model_dumps(models[n, seed])) == digest
     sequences = {
-        18: "89a087cd3611e043a6c5a4de54eece885f97ce77dd56d71f831628b0d8c5a510",
+        18: "cb85d87acecb2cae24fcfc27f6c41f10e74d170ccc9fff4a41c967937a4f3fd9",
         (9, 1):
-            "ca9b41b2bc64ebad28bda58aab2a243fc1fbf9405aba01f15441319472893cb6",
+            "2910c0436d69bfd5b3c5dbe72ff2e1534c0b6f57761064559db0c82d4d415132",
     }
     for key, digest in sequences.items():
         m = models[key]

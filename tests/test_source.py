@@ -2,11 +2,13 @@ import ast
 import importlib
 import inspect
 import pathlib
+import re
 import sys
 
 import gridlab
 
 SRC = pathlib.Path(gridlab.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_no_bare_assert_in_package():
@@ -51,6 +53,36 @@ def test_package_imports_only_the_standard_library():
                    "from gridlab import cli", "from .errors import X",
                    "from __future__ import annotations"):
         assert _foreign_imports(ast.parse(source)) == [], source
+
+
+def _test_extra(pyproject):
+    """Module names of the requirements in the `test` extra of the
+    pyproject.toml text `pyproject`, read without tomllib, which Python
+    3.10 lacks."""
+    section = pyproject.split("[project.optional-dependencies]")[1]
+    body = re.search(r"^test = \[(.*?)\]", section, re.M | re.S).group(1)
+    body = "\n".join(line.partition("#")[0] for line in body.splitlines())
+    return {re.match(r"[\w.-]+", req).group(0).lower().replace("-", "_")
+            for req in re.findall(r'"([^"]*)"', body)}
+
+
+def test_test_imports_are_declared():
+    # tests/ and gridbench/ run in an environment built from the test
+    # extra; a module with a file beside the importer is their own
+    declared = _test_extra((ROOT / "pyproject.toml").read_text())
+    found = []
+    for folder in ("tests", "gridbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            for line, module in _foreign_imports(tree):
+                top = module.partition(".")[0]
+                if (top not in declared
+                        and not (path.parent / f"{top}.py").exists()):
+                    found.append(f"{folder}/{path.name}:{line}: {module}")
+    assert found == []
+    assert _test_extra('[project.optional-dependencies]\ntest = [\n'
+                       '    "pytest>=7",  # "numpy"\n    "Foo-Bar",\n]\n'
+                       '[tool.x]\ntest = ["y"]\n') == {"pytest", "foo_bar"}
 
 
 def test_no_indented_json_dumps_in_package():
