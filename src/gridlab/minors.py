@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import starmap
 
-from . import _json_writer
 from .decomposition import Violation, treewidth_exact
 from .embedding import (_dual_edges, all_nations, dual_graph, is_canonical,
                         radial_embedding, radial_graph, union_radial_dual)
@@ -614,10 +614,6 @@ def primal_dual_width_report(e):
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def _graph_to_json(g):
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
-
-
 def _json_key(k):
     # int() also takes "00", "+1", " 1" and "1_0"; only the form that
     # model_dumps writes is accepted, so distinct keys name distinct
@@ -641,54 +637,100 @@ def _unique_keys(pairs):
     return obj
 
 
+_JSON_TYPE = {dict: "object", list: "array", int: "integer", float: "number",
+              str: "string", bool: "boolean", type(None): "null"}
+
+
+def _typed(value, kind, what):
+    """`value`, which must have the JSON type `kind` (bool is no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"{what}: expected a JSON {_JSON_TYPE[kind]}, "
+                         f"found {_JSON_TYPE[type(value)]}")
+    return value
+
+
 def _fields(obj, keys, what):
-    """The values of `keys` in `obj`, a JSON object that must hold
-    exactly these keys."""
-    if not isinstance(obj, dict) or obj.keys() != set(keys):
-        found = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+    """The values in `obj`, a JSON object that must hold exactly the
+    keys of `keys`, each with the JSON type that `keys` maps it to."""
+    if _typed(obj, dict, what).keys() != keys.keys():
         raise ValueError(f"{what}: expected a JSON object with exactly the "
-                         f"keys {sorted(keys)}, found {found}")
-    return [obj[k] for k in keys]
+                         f"keys {sorted(keys)}, found {sorted(obj)}")
+    return [_typed(obj[k], kind, f"{what} {k}") for k, kind in keys.items()]
 
 
 def _graph_from_json(obj, what):
-    n, edges = _fields(obj, ("n", "edges"), what)
-    return SimpleGraph(_strict_int(n),
-                       [(_strict_int(u), _strict_int(v)) for u, v in edges])
+    n, edges = _fields(obj, {"n": int, "edges": list}, what)
+    # name only a bad edge: a name per edge adds a third to model_loads
+    for i, e in enumerate(edges):
+        if type(e) is not list:
+            _typed(e, list, f"{what} edges[{i}]")
+    return SimpleGraph(n, [(_strict_int(u), _strict_int(v))
+                           for u, v in edges])
+
+
+# model_dumps writes the text of json.dumps(obj, indent=2, sort_keys=True)
+# for the model's one fixed shape without CPython's pure-Python indented
+# encoder; nl is a newline plus the indent of the line a value starts
+# on, and every int goes through format spec "d", so a non-int raises
+
+def _array(items, nl, brackets="[]"):
+    # an array (or, with brackets "{}", an object) of written items
+    if not items:
+        return brackets
+    inner = nl + "  "
+    return (brackets[0] + inner + ("," + inner).join(items) + nl
+            + brackets[1])
+
+
+def _pairs(pairs, nl):
+    inner = nl + "  "
+    deeper = inner + "  "
+    pair = "[" + deeper + "{:d}," + deeper + "{:d}" + inner + "]"
+    return _array(list(starmap(pair.format, pairs)), nl)
+
+
+def _graph(g, nl):
+    return _array([f'"edges": {_pairs(sorted(g.edges), nl + "  ")}',
+                   f'"n": {g.n:d}'], nl, "{}")
 
 
 def model_dumps(m):
-    obj = {
-        "pattern": _graph_to_json(m.pattern),
-        "host": _graph_to_json(m.host),
-        "branch_sets": {str(v): sorted(s)
-                        for v, s in m.branch_sets.items()},
-        "edge_witness": [[list(k), list(w)]
-                         for k, w in sorted(m.edge_witness.items())],
-    }
-    return _json_writer.dumps(obj) + "\n"
+    nl = "\n  "
+    inner = nl + "  "
+    # sort_keys orders branch-set keys as strings: "10" before "2"
+    sets = [f'"{v:d}": ' + _array([f"{x:d}" for x in sorted(s)], inner)
+            for v, s in sorted(m.branch_sets.items(),
+                               key=lambda vs: str(vs[0]))]
+    witness = [_pairs(entry, inner)
+               for entry in sorted(m.edge_witness.items())]
+    return _array([f'"branch_sets": {_array(sets, nl, "{}")}',
+                   f'"edge_witness": {_array(witness, nl)}',
+                   f'"host": {_graph(m.host, nl)}',
+                   f'"pattern": {_graph(m.pattern, nl)}'],
+                  "\n", "{}") + "\n"
 
 
 @_raises_format_error
 def model_loads(text):
     pattern, host, branch_sets, edge_witness = _fields(
         json.loads(text, object_pairs_hook=_unique_keys),
-        ("pattern", "host", "branch_sets", "edge_witness"), "model")
+        {"pattern": dict, "host": dict, "branch_sets": dict,
+         "edge_witness": list}, "model")
     return MinorModel(
         _graph_from_json(pattern, "model pattern"),
         _graph_from_json(host, "model host"),
-        {_json_key(v): s for v, s in branch_sets.items()},
+        {_json_key(k): _typed(s, list, f"model branch_sets[{k!r}]")
+         for k, s in branch_sets.items()},
         edge_witness,
     )
 
 
 def sequence_dumps(seq):
-    return json.dumps({"ops": seq.ops}, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return json.dumps({"ops": seq.ops}, separators=(",", ":")) + "\n"
 
 
 @_raises_format_error
 def sequence_loads(text):
     (ops,) = _fields(json.loads(text, object_pairs_hook=_unique_keys),
-                     ("ops",), "sequence")
+                     {"ops": list}, "sequence")
     return ContractionSequence(ops)

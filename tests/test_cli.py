@@ -494,12 +494,37 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
       "branch_sets": {"0": [0]}},
      "model: expected a JSON object with exactly the keys ['branch_sets', "
      "'edge_witness', 'host', 'pattern'], found ['branch_sets', 'host', "
-     "'pattern']")],
+     "'pattern']"),
+    # each value is read as the JSON type its key takes
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []}, "host": {"n": 1, "edges": []},
+      "branch_sets": [[0]], "edge_witness": []},
+     "model branch_sets: expected a JSON object, found array"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []}, "host": {"n": 1, "edges": []},
+      "branch_sets": {"0": 0}, "edge_witness": []},
+     "model branch_sets['0']: expected a JSON array, found integer"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []}, "host": {"n": 1, "edges": []},
+      "branch_sets": {"0": [0]}, "edge_witness": 0},
+     "model edge_witness: expected a JSON array, found integer"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []}, "host": {"n": 1, "edges": 0},
+      "branch_sets": {"0": [0]}, "edge_witness": []},
+     "model host edges: expected a JSON array, found integer"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []}, "host": {"n": 2, "edges": [[0, 1], 1]},
+      "branch_sets": {"0": [0]}, "edge_witness": []},
+     "model host edges[1]: expected a JSON array, found integer"),
+    (["transfer", "--emb", "{emb}", "--seq", "{bad}"], {"ops": 5},
+     "sequence ops: expected a JSON array, found integer")],
     ids=["contract-1", "delete_vertex-2", "empty-op", "witness-1",
          "td-duplicate-bag", "emb-orbit-mixes-vertices",
          "emb-vertex-ids-not-contiguous", "model-host-n-negative",
          "model-extra-key", "model-host-extra-key",
-         "model-without-edge-witness"])
+         "model-without-edge-witness", "model-branch-sets-array",
+         "model-branch-set-int", "model-edge-witness-int",
+         "model-host-edges-int", "model-host-edge-int", "seq-ops-int"])
 def test_malformed_entries_are_named(tmp_path, command, content, message):
     # `content` is the file's text, or an object written as JSON
     paths = {"bad": tmp_path / "bad", "ok": tmp_path / "ok.gr",

@@ -17,7 +17,6 @@ from gridlab.errors import FormatError
 from gridlab.generators import (grid, random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph, gr_dumps, gr_loads
-from gridlab._json_writer import dumps as indented_dumps
 from gridlab.minors import (ContractionSequence, MinorModel,
                             minor_containment_exact, model_dumps, model_loads,
                             sequence_dumps, sequence_loads)
@@ -370,52 +369,59 @@ def test_mutated_text_loads_or_raises_format_error(fmt):
     check()
 
 
-def _random_json(rng, depth):
-    """A random value of the shapes a model holds: ints, objects with
-    string keys, flat int lists, and lists whose leaves are nonempty int
-    lists at one depth (re-indented from their compact text)."""
-    kind = rng.randrange(5 if depth else 1)
-    if kind == 0:
-        return rng.choice((0, -1, 7, -12, 10 ** 30, -(10 ** 30),
-                           rng.randint(-10 ** 6, 10 ** 6)))
-    if kind == 1:
-        return [rng.randint(-30, 30) for _ in range(rng.randrange(4))]
-    if kind == 2:
-        keys = ["2", "10", "", "a", "b\"", "\u00e9", "-1", "n"]
-        return {rng.choice(keys): _random_json(rng, depth - 1)
-                for _ in range(rng.randrange(5))}
-    shape = rng.randint(1, min(depth, 3))
+def _random_model(rng):
+    """A MinorModel of random shape, verified or not: branch-set keys up
+    to 25, so that their string order differs from their int order,
+    empty branch sets, negative ids, and graphs that may be empty or
+    have no edges."""
+    def graph():
+        n = rng.randrange(8)
+        m = rng.randrange(n * n) if n > 1 else 0
+        return SimpleGraph(n, [rng.sample(range(n), 2) for _ in range(m)])
 
-    def ints(d):
-        if d == 0:
-            return rng.randint(-30, 30)
-        return [ints(d - 1) for _ in range(rng.randint(1, 3))]
-
-    return [ints(shape) for _ in range(rng.randint(1, 4))]
+    ids = range(-3, 26)
+    branch_sets = {rng.choice(ids): rng.sample(ids, rng.randrange(4))
+                   for _ in range(rng.randrange(8))}
+    witness = {tuple(sorted(rng.sample(ids, 2))): rng.sample(ids, 2)
+               for _ in range(rng.randrange(4))}
+    return MinorModel(graph(), graph(), branch_sets, witness.items())
 
 
-def test_json_writer_matches_json_dumps():
-    rng = random.Random(31)
-    values = [{}, [], {"2": 1, "10": [-3]}, [[1, 2], [3]],
-              [[[1, 2], [3]], [[-4]]]]
-    values += [_random_json(rng, rng.randrange(5)) for _ in range(10000)]
-    for value in values:
-        assert indented_dumps(value) == json.dumps(value, indent=2,
-                                                sort_keys=True)
-    assert sum(isinstance(v, dict) for v in values) > 1000
-    assert sum(isinstance(v, list) for v in values) > 3000
-    # int lists nested two and three deep: edge lists and witness pairs
-    assert sum(json.dumps(v).startswith("[[") for v in values) > 1000
-    assert sum(json.dumps(v).startswith("[[[") for v in values) > 1000
+def _graph_object(g):
+    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
-def test_json_writer_rejects_what_it_does_not_write():
-    # no model holds a string, a float or a bool, nor an empty or
-    # irregular list of int lists
-    for value in (True, 1.5, None, "x", (1, 2), {1: 2}, [[True]], [[]],
-                  [1, [2]], [[1], [[2]]], [[], [1]]):
-        with pytest.raises(TypeError):
-            indented_dumps(value)
+def test_model_dumps_matches_json_dumps():
+    rng = random.Random(37)
+    models = [MinorModel(SimpleGraph(0), SimpleGraph(0), {}, []),
+              MinorModel(SimpleGraph(11, [(2, 10)]), SimpleGraph(3),
+                         {2: [], 10: [-1, 0], 11: [2]}, [((2, 10), (0, 1))])]
+    models += [_random_model(rng) for _ in range(2000)]
+    for m in models:
+        # the object model files held when the stdlib's encoder wrote
+        # them; model_dumps writes its text from the model's fixed shape
+        obj = {"pattern": _graph_object(m.pattern),
+               "host": _graph_object(m.host),
+               "branch_sets": {str(v): sorted(s)
+                               for v, s in m.branch_sets.items()},
+               "edge_witness": [[list(k), list(w)]
+                                for k, w in sorted(m.edge_witness.items())]}
+        assert model_dumps(m) == json.dumps(obj, indent=2,
+                                            sort_keys=True) + "\n"
+    assert sum(m.pattern.n == 0 for m in models) > 100
+    assert sum(not m.host.edges for m in models) > 100
+    assert sum(not m.edge_witness for m in models) > 100
+    assert sum(any(not s for s in m.branch_sets.values())
+               for m in models) > 100
+    assert sum(any(x < 0 for s in m.branch_sets.values() for x in s)
+               for m in models) > 100
+    # "10" sorts before "2" as a string
+    assert sum(sorted(map(str, m.branch_sets)) != list(map(str, sorted(
+        m.branch_sets))) for m in models) > 100
+    # a float is written as no JSON integer, nor as any other text
+    with pytest.raises(ValueError):
+        model_dumps(MinorModel(SimpleGraph(1), SimpleGraph(3, [(0, 1.0)]),
+                               {0: [0]}, []))
 
 
 _GRID_TD = treewidth_exact(grid(3, 4))[1]

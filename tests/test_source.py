@@ -87,7 +87,7 @@ def test_test_imports_are_declared():
 
 def test_no_indented_json_dumps_in_package():
     # json.dumps(..., indent=...) runs CPython's pure-Python encoder;
-    # indented output goes through gridlab._json_writer instead
+    # indented output goes through minors.model_dumps instead
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
