@@ -1,7 +1,9 @@
 """Exact treewidth kernel in pure Python.
 
-Graphs are given as neighbor bitmasks.  `treewidth_order` is a branch
-and bound over elimination orderings with subset memoization:
+Graphs are given as neighbor bitmasks.  `treewidth_order` brackets the
+treewidth at the root, refutes a narrower order if it can, and runs a
+branch and bound over elimination orderings only once a narrower order
+is known to exist:
 
 - upper bound: the greedy min-fill order (`min_fill_order`);
 - lower bound at the root: the larger of two minor-min-width runs
@@ -12,21 +14,35 @@ and bound over elimination orderings with subset memoization:
   degeneracy d under either rule, because the d-core stays a subgraph
   of the current minor until one of its vertices is the minimum-degree
   vertex, which then has degree at least d;
-- the search carries the fill graph of the eliminated set and reduces
+- refutation: while the root is open, a decision search
+  (`_width_at_most`) asks whether some order has width at most ub - 1.
+  For any clique C some optimal order eliminates C last (Bodlaender,
+  Fomin, Koster, Kratsch & Thilikos, "On exact algorithms for
+  treewidth", ESA 2006), so it branches only on the vertices outside
+  one maximum clique (`_max_clique`), on none of degree above the
+  bound, and memoizes the eliminated sets that failed.  If the answer
+  is no, the min-fill order is optimal and is returned, as the branch
+  and bound would return it after finding nothing narrower;
+- both searches carry the fill graph of the eliminated set and reduce
   without branching at simplicial and almost simplicial vertices
   (Gogate & Dechter, "A complete anytime algorithm for treewidth",
-  UAI 2004).  The test (`_reducible`) is linear in the neighborhood
-  q: one pass finds the vertices of q that miss a neighbor in q, and
-  at most two of them can be the vertex whose removal leaves a clique;
-- the parent's candidate loop prunes each child in one place, before
-  its fill graph is built: at the best width found, or when its
-  eliminated set is memoized at no greater width.
+  UAI 2004; Bodlaender, Koster & van den Eijkhof, "Preprocessing rules
+  for triangulation of probabilistic networks", Comput. Intell. 2005).
+  The test (`_reducible`) is linear in the neighborhood q: one pass
+  finds the vertices of q that miss a neighbor in q, and at most two
+  of them can be the vertex whose removal leaves a clique.  Both take
+  their candidates from one scan (`_candidates`);
+- the branch and bound's candidate loop prunes each child in one
+  place, before its fill graph is built: at the best width found, or
+  when its eliminated set is memoized at no greater width.
 
-The search is exponential; `decomposition.treewidth_exact` refuses
+The searches are exponential; `decomposition.treewidth_exact` refuses
 graphs with more than `TREEWIDTH_EXACT_LIMIT` (20) vertices.  Each call
 logs one debug record with its search statistics on the
 `gridlab.kernels` logger; its `lb_bound` names the minor-min-width run
-that set the lower bound.
+that set the lower bound, `refuted` says whether the decision search
+proved the min-fill width optimal, and `nodes` and `memo` count both
+searches.
 """
 
 from __future__ import annotations
@@ -305,6 +321,87 @@ def _reducible(adj, q, cost):
     return False
 
 
+def _candidates(adj, live, k, cost):
+    """The vertices of `live` to branch on, as sorted (degree, vertex)
+    pairs: those of degree at most k, or only the first of them that
+    `_reducible` eliminates without branching at width `cost`.
+
+    Eliminating v first is optimal when q is a clique (simplicial v),
+    and also when q minus one vertex u is a clique and |q| <= cost
+    (almost simplicial v): the fill graph after eliminating v is then G
+    contracted along vu, a minor of G of treewidth at most tw(G), so
+    the width max(cost, |q|, tw(G / vu)) is at most max(cost, tw(G))."""
+    cand = []
+    for v in _bits(live):
+        q = adj[v]
+        qn = q.bit_count()
+        if qn > k:
+            continue
+        if _reducible(adj, q, cost):
+            return [(qn, v)]
+        cand.append((qn, v))
+    cand.sort()
+    return cand
+
+
+def _max_clique(n, masks):
+    """A maximum clique as a vertex mask: a branch and bound that grows
+    cliques in increasing vertex id and stops a branch once the clique
+    and all its common neighbors left cannot beat the best found."""
+    best = best_size = 0
+
+    def grow(clique, size, cand):
+        nonlocal best, best_size
+        while cand:
+            if size + cand.bit_count() <= best_size:
+                return
+            low = cand & -cand
+            cand ^= low
+            grow(clique | low, size + 1,
+                 cand & masks[low.bit_length() - 1])
+        if size > best_size:
+            best, best_size = clique, size
+
+    grow(0, 0, (1 << n) - 1)
+    return best
+
+
+def _width_at_most(n, masks, k):
+    """(fits, nodes, memo): whether the graph has an elimination order
+    of width at most k, and the search's expanded nodes and memo size.
+
+    Some order of width tw(G) eliminates a given clique C last
+    (Bodlaender, Fomin, Koster, Kratsch & Thilikos, ESA 2006); C stays
+    a clique in every fill graph, so the search branches only on the
+    vertices outside a maximum clique, and never on one of degree above
+    k, which no order of width k can eliminate next.  A reducible
+    vertex of degree at most k is eliminated without branching: its
+    fill graph is a minor of the current one.  The fill graph depends
+    only on the eliminated set, so a failed set is memoized."""
+    clique = _max_clique(n, masks)
+    if clique.bit_count() > k + 1:
+        return False, 0, 0
+    outside = ((1 << n) - 1) & ~clique
+    failed = set()
+    nodes = 0
+
+    def fits(eliminated, adj):
+        nonlocal nodes
+        # any order of the k + 1 or fewer vertices left has width <= k;
+        # once only C is left this holds, so an empty scan means no
+        if n - eliminated.bit_count() <= k + 1:
+            return True
+        nodes += 1
+        for _, v in _candidates(adj, outside & ~eliminated, k, k):
+            child = eliminated | (1 << v)
+            if child not in failed and fits(child, _eliminate(adj, v)):
+                return True
+        failed.add(eliminated)
+        return False
+
+    return fits(0, list(masks)), nodes, len(failed)
+
+
 def treewidth_order(n, masks):
     """Exact treewidth and an optimal elimination order."""
     # n = 0 takes no branch of its own: min-fill gives (-1, []) and
@@ -329,7 +426,9 @@ def treewidth_order(n, masks):
     def search(eliminated, adj, cost, order):
         # adj is the fill graph of `eliminated` on the other vertices.
         # Nothing prunes on entry: the root opens only when lb < ub, on
-        # an empty memo, and the loop below prunes every other call.
+        # an empty memo, and the loop below prunes every other call, so
+        # cost < best[0] here and a vertex of degree at most best[0] - 1
+        # is one whose width max(cost, degree) stays below best[0].
         nonlocal nodes
         if eliminated == full:
             best[0] = cost
@@ -337,25 +436,8 @@ def treewidth_order(n, masks):
             return
         memo[eliminated] = cost
         nodes += 1
-
-        cand = []
-        for v in _bits(full & ~eliminated):
-            q = adj[v]
-            qn = q.bit_count()
-            if max(cost, qn) >= best[0]:
-                continue
-            # Eliminating v first is optimal when q is a clique
-            # (simplicial v), and also when q minus one vertex u is a
-            # clique and |q| <= cost (almost simplicial v): the fill
-            # graph after eliminating v is then G contracted along vu,
-            # a minor of G of treewidth at most tw(G), so the width
-            # max(cost, |q|, tw(G / vu)) is at most max(cost, tw(G)).
-            if _reducible(adj, q, cost):
-                cand = [(qn, v)]
-                break
-            cand.append((qn, v))
-        cand.sort()
-        for qn, v in cand:
+        for qn, v in _candidates(adj, full & ~eliminated, best[0] - 1,
+                                 cost):
             child_cost = max(cost, qn)
             if child_cost >= best[0]:
                 break
@@ -368,13 +450,22 @@ def treewidth_order(n, masks):
             search(child, _eliminate(adj, v), child_cost, order)
             order.pop()
 
+    # the branch and bound replaces the min-fill order only by a
+    # narrower one, so once no order of width ub - 1 exists it would
+    # return (ub, min-fill order) unchanged and is not run
+    refuted = False
+    decision_memo = 0
     if lb < ub:
-        search(0, list(masks), lb, [])
+        fits, nodes, decision_memo = _width_at_most(n, masks, ub - 1)
+        refuted = not fits
+        if fits:
+            search(0, list(masks), lb, [])
     # a single dict argument becomes the record's `args`
     log.debug("treewidth_order n=%(n)d lb=%(lb)d (%(lb_bound)s) ub=%(ub)d "
-              "root_closed=%(root_closed)s width=%(width)d nodes=%(nodes)d "
-              "memo=%(memo)d",
+              "root_closed=%(root_closed)s refuted=%(refuted)s "
+              "width=%(width)d nodes=%(nodes)d memo=%(memo)d",
               {"n": n, "lb": lb, "lb_bound": bound, "ub": ub,
-               "root_closed": lb >= ub, "width": best[0], "nodes": nodes,
-               "memo": len(memo)})
+               "root_closed": lb >= ub, "refuted": refuted,
+               "width": best[0], "nodes": nodes,
+               "memo": decision_memo + len(memo)})
     return best[0], best[1]

@@ -26,10 +26,19 @@ class SimpleGraph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n, edges=()):
+        # the one test that keeps a float, bool or str vertex out of
+        # every graph a verifier reads, as `_strict_int` does for the
+        # vertices of certificates
+        if type(n) is not int:
+            raise ValueError(f"vertex count: expected an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         es = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                bad = v if type(u) is int else u
+                raise ValueError(f"edge {(u, v)!r}: expected an integer, "
+                                 f"got {bad!r}")
             e = _normalize_edge(u, v)
             if not (0 <= e[0] and e[1] < n):
                 raise ValueError(f"edge {e} out of range for n={n}")

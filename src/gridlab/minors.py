@@ -664,8 +664,8 @@ def _graph_from_json(obj, what):
     for i, e in enumerate(edges):
         if type(e) is not list:
             _typed(e, list, f"{what} edges[{i}]")
-    return SimpleGraph(n, [(_strict_int(u), _strict_int(v))
-                           for u, v in edges])
+    # SimpleGraph refuses an edge end that is not an int
+    return SimpleGraph(n, edges)
 
 
 # model_dumps writes the text of json.dumps(obj, indent=2, sort_keys=True)

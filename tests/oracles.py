@@ -56,6 +56,16 @@ def treewidth_brute(g):
     return best[0]
 
 
+def max_clique_brute(g):
+    """Size of a largest clique, by subset enumeration from the top."""
+    for size in range(g.n, 0, -1):
+        for combo in itertools.combinations(range(g.n), size):
+            if all(g.has_edge(u, v)
+                   for u, v in itertools.combinations(combo, 2)):
+                return size
+    return 0
+
+
 def vertex_cover_brute(g):
     """Smallest vertex cover by subset enumeration (n <= 14ish)."""
     verts = range(g.n)

@@ -23,6 +23,21 @@ def test_simple_graph_rejects_loops_and_range():
         SimpleGraph(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (2.0, (), "vertex count: expected an integer, got 2.0"),
+    (True, (), "vertex count: expected an integer, got True"),
+    ("3", (), "vertex count: expected an integer, got '3'"),
+    (2, [(0, 1.0)], "edge (0, 1.0): expected an integer, got 1.0"),
+    (2, [(0, True)], "edge (0, True): expected an integer, got True"),
+    (3, [(0, 1), ("1", 2)], "edge ('1', 2): expected an integer, got '1'"),
+])
+def test_simple_graph_takes_only_int_vertices(n, edges, message):
+    # 1.0 and True compare equal to 1 and would pass the range test
+    with pytest.raises(ValueError) as exc:
+        SimpleGraph(n, edges)
+    assert str(exc.value) == message
+
+
 def test_power_k1_is_identity():
     g = random_graph(8, 3)
     assert power_graph(g, 1) == g

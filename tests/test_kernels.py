@@ -3,8 +3,9 @@ import logging
 import random
 
 from hypothesis import given, settings, strategies as st
-from oracles import (min_fill_rescan, minor_min_width_scan,
-                     reducible_by_definition, treewidth_brute)
+from oracles import (max_clique_brute, min_fill_rescan,
+                     minor_min_width_scan, reducible_by_definition,
+                     treewidth_brute)
 
 from gridlab import _kernels
 from gridlab.decomposition import decomposition_from_order
@@ -72,14 +73,24 @@ def test_bounds_bracket_exact():
 
 def test_search_statistics_are_logged(caplog):
     caplog.set_level(logging.DEBUG, logger="gridlab.kernels")
-    for g in (_dual(12, 1), grid(4, 4), SimpleGraph.complete(6)):
+    # the gnp graph is one of the pinned corpus below whose min-fill
+    # width is not optimal
+    for g in (_dual(12, 1), random_graph(13, 36, 0.3), grid(4, 4),
+              SimpleGraph.complete(6)):
         _kernels.treewidth_order(g.n, g.adjacency_masks())
-    searched, closed, tied = [rec.args for rec in caplog.records
-                              if rec.name == "gridlab.kernels"]
-    assert searched["n"] == 20 and not searched["root_closed"]
-    assert 0 < searched["nodes"] < 100
-    assert searched["lb"] < searched["ub"] == searched["width"] == 4
+    refuted, searched, closed, tied = [rec.args for rec in caplog.records
+                                       if rec.name == "gridlab.kernels"]
+    # the decision search proves the min-fill width 4 optimal, so the
+    # branch and bound never runs
+    assert refuted["n"] == 20 and not refuted["root_closed"]
+    assert refuted["refuted"] and 0 < refuted["nodes"] < 100
+    assert refuted["lb"] < refuted["ub"] == refuted["width"] == 4
+    # here a narrower order exists and the branch and bound finds it
+    assert not searched["root_closed"] and not searched["refuted"]
+    assert searched["lb"] <= searched["width"] < searched["ub"]
+    assert searched["nodes"] > 0 and searched["memo"] > 0
     assert closed["root_closed"] and closed["lb_bound"].startswith("mmw")
+    assert not closed["refuted"]
     assert closed["nodes"] == closed["memo"] == 0
     # on K6 the first minor-min-width run reaches ub = 5 and names lb
     assert tied["lb"] == 5 and tied["lb_bound"] == "mmw min-d"
@@ -325,5 +336,54 @@ def test_exact_outputs_and_search_effort_are_pinned(caplog):
     assert len(stats) == len(graphs)
     assert hashlib.sha256(repr(results).encode()).hexdigest() == (
         "ea7b7e8c67b2d7e06c5e77e588dad470d8791283d18214fd82c3dc3b127aed77")
-    assert sum(s["nodes"] for s in stats) == 4004
-    assert sum(s["memo"] for s in stats) == 4004
+    assert sum(s["nodes"] for s in stats) == 2600
+    assert sum(s["memo"] for s in stats) == 2572
+
+
+def _small_graphs():
+    """n = 0 and n = 1, and 750 seeded random graphs with 2-9 vertices
+    and their squares."""
+    graphs = [SimpleGraph(0), SimpleGraph(1)]
+    for seed in range(750):
+        g = random_graph(2 + seed % 8, seed, 0.1 + 0.1 * (seed % 7))
+        graphs += [g, power_graph(g, 2)]
+    return graphs
+
+
+def test_width_at_most_matches_brute():
+    checks = searched_no = 0
+    for g in _small_graphs():
+        masks = g.adjacency_masks()
+        tw = treewidth_brute(g)
+        for k in range(-1, g.n):
+            fits, nodes, memo = _kernels._width_at_most(g.n, masks, k)
+            assert fits == (tw <= k), (g.n, sorted(g.edges), k)
+            assert memo <= nodes
+            checks += 1
+            searched_no += not fits and nodes > 0
+    # most no-answers come from the clique bound alone
+    assert checks > 9000 and searched_no > 100
+
+
+def test_max_clique_matches_brute():
+    for g in _small_graphs():
+        clique = _kernels._max_clique(g.n, g.adjacency_masks())
+        members = [v for v in range(g.n) if clique >> v & 1]
+        assert all(g.has_edge(u, v) for i, u in enumerate(members)
+                   for v in members[i + 1:])
+        assert len(members) == max_clique_brute(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 10 ** 6), st.floats(0.1, 0.7))
+def test_min_fill_width_comes_with_the_min_fill_order(n, seed, p):
+    # the branch and bound replaces the min-fill order only by a narrower
+    # one, and the refutation returns it as it is
+    g = random_graph(n, seed, p)
+    for h in (g, power_graph(g, 2)):
+        masks = h.adjacency_masks()
+        ub, ub_order = _kernels.min_fill_order(n, masks)
+        width, order = _kernels.treewidth_order(n, masks)
+        assert width <= ub
+        if width == ub:
+            assert order == ub_order

@@ -88,10 +88,17 @@ def test_verify_model_catches_violations():
         MinorModel(h, g, {0: {0}, 1: {1}}, {(0, 1): (0.0, 1.0)})),
     lambda h, g: CliqueWitness({0, "1"}, 1).verify(g),
     lambda h, g: CliqueWitness({0, True}, 1).verify(g),
-], ids=["float-member", "float-witness", "str-vertex", "bool-vertex"])
+    lambda h, g: verify_model(
+        MinorModel(h, SimpleGraph(3, [(0, 1.0), (1, 2)]), {0: {0}, 1: {1}},
+                   {(0, 1): (0, 1)})),
+    lambda h, g: verify_model(
+        MinorModel(SimpleGraph(2, [(0, True)]), g, {0: {0}, 1: {1}},
+                   {(0, 1): (0, 1)})),
+], ids=["float-member", "float-witness", "str-vertex", "bool-vertex",
+        "float-host-edge", "bool-pattern-edge"])
 def test_certificates_take_only_int_vertices(certify):
     # a float or str vertex must not crash a verifier, nor 0.0 or True
-    # pass as the vertex 0 or 1
+    # pass as the vertex 0 or 1; a graph refuses one when it is built
     with pytest.raises(ValueError, match="expected an integer"):
         certify(SimpleGraph(2, [(0, 1)]), SimpleGraph.path(4))
 
