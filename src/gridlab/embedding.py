@@ -32,6 +32,14 @@ class EmbeddedGraph:
         twin = tuple(twin)
         nxt = tuple(nxt)
         vertex_of = tuple(vertex_of)
+        # the one test that keeps a float, bool or str id out of the
+        # graphs derived from an embedding, which are built unchecked
+        for name, a in (("twin", twin), ("next", nxt),
+                        ("vertex_of", vertex_of)):
+            if set(map(type, a)) - {int}:
+                i = next(i for i, x in enumerate(a) if type(x) is not int)
+                raise ValueError(f"{name} of dart {i}: expected an "
+                                 f"integer, got {a[i]!r}")
         d = len(twin)
         if d % 2 or len(nxt) != d or len(vertex_of) != d:
             raise ValueError("dart arrays must have equal even length")
@@ -122,7 +130,7 @@ class EmbeddedGraph:
             u, v = self.vertex_of[d], self.vertex_of[self.twin[d]]
             if u != v:
                 edges.add((min(u, v), max(u, v)))
-        return SimpleGraph(self.num_vertices, edges)
+        return SimpleGraph._trusted(self.num_vertices, edges)
 
     def incident_nations(self, fl):
         """vertex -> set of nation indices whose face touches it."""
@@ -233,7 +241,7 @@ def _dual_edges(e, fl, shift=0):
 def dual_graph(e, fl):
     """Modified dual on nations: edge iff two nations share a primal edge."""
     fl.check(e)
-    return SimpleGraph(len(fl.nations), _dual_edges(e, fl))
+    return SimpleGraph._trusted(len(fl.nations), _dual_edges(e, fl))
 
 
 def map_graph(e, fl):
@@ -244,7 +252,7 @@ def map_graph(e, fl):
         for i, a in enumerate(touching):
             for b in touching[i + 1:]:
                 edges.add((a, b))
-    return SimpleGraph(len(fl.nations), edges)
+    return SimpleGraph._trusted(len(fl.nations), edges)
 
 
 def radial_graph(e, fl):
@@ -255,7 +263,7 @@ def radial_graph(e, fl):
     """
     fl.check(e)
     n = e.num_vertices
-    g = SimpleGraph(n + len(fl.nations), _radial_edges(e, fl))
+    g = SimpleGraph._trusted(n + len(fl.nations), _radial_edges(e, fl))
     bip = Bipartition(range(n), range(n, n + len(fl.nations)))
     return g, bip
 
@@ -265,8 +273,8 @@ def union_radial_dual(e, fl):
     nation i is vertex n + i of both."""
     fl.check(e)
     n = e.num_vertices
-    return SimpleGraph(n + len(fl.nations),
-                       _radial_edges(e, fl) | _dual_edges(e, fl, n))
+    return SimpleGraph._trusted(n + len(fl.nations),
+                                _radial_edges(e, fl) | _dual_edges(e, fl, n))
 
 
 # ---------------------------------------------------------------------------

@@ -110,22 +110,32 @@ def grid_map(rows, cols):
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     w = cols + 1
-    rots = []
+    # each corner takes the next dart ids in its rotation order,
+    # counterclockwise with y pointing down: E, N, W, S; an N dart is
+    # the twin of the S dart of the corner above, a W dart that of the
+    # E dart of the corner to its left
+    twin = [0] * (2 * ((rows + 1) * cols + rows * w))
+    rotations = []
+    south = [0] * w  # the S dart of each corner of the row above
+    d = 0
     for i in range(rows + 1):
-        for j in range(cols + 1):
-            v = i * w + j
-            rot = []
-            # counterclockwise with y pointing down: E, N, W, S
-            if j + 1 <= cols:
-                rot.append((v + 1, ("h", v)))
-            if i - 1 >= 0:
-                rot.append((v - w, ("v", v - w)))
-            if j - 1 >= 0:
-                rot.append((v - 1, ("h", v - 1)))
-            if i + 1 <= rows:
-                rot.append((v + w, ("v", v)))
-            rots.append(rot)
-    e = _build_from_rotations(rots)
+        east = 0  # the E dart of the corner to the left
+        for j in range(w):
+            first = d
+            if j < cols:
+                d += 1
+            if i > 0:
+                twin[d], twin[south[j]] = south[j], d
+                d += 1
+            if j > 0:
+                twin[d], twin[east] = east, d
+                d += 1
+            if i < rows:
+                south[j] = d
+                d += 1
+            east = first
+            rotations.append(list(range(first, d)))
+    e = _from_rotations(twin, rotations)
     # the smallest dart at corner (i, j) points east and walks cell (i, j)
     nations = [e.face_of[e.rotations[i * w + j][0]]
                for i in range(rows) for j in range(cols)]

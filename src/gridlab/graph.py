@@ -26,9 +26,10 @@ class SimpleGraph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n, edges=()):
-        # the one test that keeps a float, bool or str vertex out of
-        # every graph a verifier reads, as `_strict_int` does for the
-        # vertices of certificates
+        # keeps a float, bool or str vertex out of every graph read from
+        # outside data, as `_strict_int` does for the vertices of
+        # certificates; the graphs gridlab derives are built by
+        # `_trusted` from ids this test or `EmbeddedGraph`'s has passed
         if type(n) is not int:
             raise ValueError(f"vertex count: expected an integer, got {n!r}")
         if n < 0:
@@ -46,6 +47,18 @@ class SimpleGraph:
         self.n = n
         self.edges = frozenset(es)
         self._adj = None
+
+    @classmethod
+    def _trusted(cls, n, pairs):
+        """Graph on n vertices with edge set `pairs`, checked for
+        nothing.  Only for gridlab's own producers, whose pairs are
+        Python-int (u, v) with 0 <= u < v < n by construction; every
+        graph read from outside data goes through the constructor."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.edges = frozenset(pairs)
+        g._adj = None
+        return g
 
     @property
     def adj(self):
@@ -82,9 +95,10 @@ class SimpleGraph:
         old_ids = sorted(set(vertices))
         index = {v: i for i, v in enumerate(old_ids)}
         adj = self.adj
+        # old_ids is sorted, so u < w gives index[u] < index[w]
         edges = [(index[u], index[w]) for u in old_ids if 0 <= u < self.n
                  for w in adj[u] if u < w and w in index]
-        return SimpleGraph(len(old_ids), edges), old_ids
+        return SimpleGraph._trusted(len(old_ids), edges), old_ids
 
     def is_complete(self):
         return len(self.edges) == self.n * (self.n - 1) // 2
@@ -242,7 +256,7 @@ def _power_with_balls(g, k):
         raise ValueError("power exponent k must be >= 1")
     balls = [k_neighborhood(g, v, k) for v in range(g.n)]
     edges = [(u, v) for u in range(g.n) for v in balls[u] if v > u]
-    return SimpleGraph(g.n, edges), balls
+    return SimpleGraph._trusted(g.n, edges), balls
 
 
 def k_neighborhood(g, v, k):

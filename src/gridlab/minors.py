@@ -664,6 +664,10 @@ def _graph_from_json(obj, what):
     for i, e in enumerate(edges):
         if type(e) is not list:
             _typed(e, list, f"{what} edges[{i}]")
+        if len(e) != 2:
+            raise ValueError(f"{what} edges[{i}]: expected a pair of "
+                             f"vertices, found {len(e)} "
+                             f"{'entry' if len(e) == 1 else 'entries'}")
     # SimpleGraph refuses an edge end that is not an int
     return SimpleGraph(n, edges)
 

@@ -11,6 +11,18 @@ import itertools
 import random
 
 from gridlab.embedding import EmbeddedGraph, radial_embedding
+from gridlab.graph import SimpleGraph
+
+
+def in_checked_form(g):
+    """True iff g, however it was built, holds what the checking
+    constructor `SimpleGraph(n, edges)` would: an int vertex count and
+    a frozenset of int pairs (u, v) with 0 <= u < v < n, equal to the
+    graph that constructor makes of them."""
+    return (type(g.n) is int and type(g.edges) is frozenset
+            and all(type(u) is int and type(v) is int and 0 <= u < v < g.n
+                    for u, v in g.edges)
+            and g == SimpleGraph(g.n, g.edges))
 
 
 def all_pairs_distances(g):

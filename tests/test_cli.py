@@ -516,6 +516,15 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
      {"pattern": {"n": 1, "edges": []}, "host": {"n": 2, "edges": [[0, 1], 1]},
       "branch_sets": {"0": [0]}, "edge_witness": []},
      "model host edges[1]: expected a JSON array, found integer"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 1, "edges": []}, "host": {"n": 3, "edges": [[0, 1, 2]]},
+      "branch_sets": {"0": [0]}, "edge_witness": []},
+     "model host edges[0]: expected a pair of vertices, found 3 entries"),
+    (["check", "--model", "{bad}"],
+     {"pattern": {"n": 2, "edges": [[0, 1], [0]]},
+      "host": {"n": 2, "edges": [[0, 1]]},
+      "branch_sets": {"0": [0], "1": [1]}, "edge_witness": []},
+     "model pattern edges[1]: expected a pair of vertices, found 1 entry"),
     (["transfer", "--emb", "{emb}", "--seq", "{bad}"], {"ops": 5},
      "sequence ops: expected a JSON array, found integer")],
     ids=["contract-1", "delete_vertex-2", "empty-op", "witness-1",
@@ -524,7 +533,9 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
          "model-extra-key", "model-host-extra-key",
          "model-without-edge-witness", "model-branch-sets-array",
          "model-branch-set-int", "model-edge-witness-int",
-         "model-host-edges-int", "model-host-edge-int", "seq-ops-int"])
+         "model-host-edges-int", "model-host-edge-int",
+         "model-host-edge-triple", "model-pattern-edge-single",
+         "seq-ops-int"])
 def test_malformed_entries_are_named(tmp_path, command, content, message):
     # `content` is the file's text, or an object written as JSON
     paths = {"bad": tmp_path / "bad", "ok": tmp_path / "ok.gr",

@@ -13,8 +13,8 @@ from gridlab.generators import (_build_from_rotations, _triangle, grid_map,
                                 random_canonical_map,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph
-from oracles import (face_of_by_walks, is_canonical_per_vertex,
-                     radial_and_dual_by_definition)
+from oracles import (face_of_by_walks, in_checked_form,
+                     is_canonical_per_vertex, radial_and_dual_by_definition)
 
 
 def bowtie():
@@ -35,6 +35,34 @@ def test_rejects_bad_dart_structure():
     with pytest.raises(ValueError):
         # vertex 0 owns two rotation orbits
         EmbeddedGraph([1, 0, 3, 2], [0, 1, 2, 3], [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("twin, nxt, vertex_of, message", [
+    ([True, 0], [0, 1], [0, 1], "twin of dart 0: expected an integer, "
+                                "got True"),
+    ([1, 0.0], [0, 1], [0, 1], "twin of dart 1: expected an integer, "
+                               "got 0.0"),
+    (["1", 0], [0, 1], [0, 1], "twin of dart 0: expected an integer, "
+                               "got '1'"),
+    ([1, 0], [False, 1], [0, 1], "next of dart 0: expected an integer, "
+                                 "got False"),
+    ([1, 0], [0, 1.0], [0, 1], "next of dart 1: expected an integer, "
+                               "got 1.0"),
+    ([1, 0], [0, "1"], [0, 1], "next of dart 1: expected an integer, "
+                               "got '1'"),
+    ([1, 0], [0, 1], [False, True], "vertex_of of dart 0: expected an "
+                                    "integer, got False"),
+    ([1, 0], [0, 1], [0, 1.0], "vertex_of of dart 1: expected an integer, "
+                               "got 1.0"),
+    ([1, 0], [0, 1], ["0", 1], "vertex_of of dart 0: expected an integer, "
+                               "got '0'"),
+])
+def test_dart_arrays_take_only_ints(twin, nxt, vertex_of, message):
+    # graphs derived from an embedding are built unchecked, so a bool,
+    # float or str id must stop here
+    with pytest.raises(ValueError) as exc:
+        EmbeddedGraph(twin, nxt, vertex_of)
+    assert str(exc.value) == message
 
 
 def test_triangle_faces_and_genus():
@@ -394,3 +422,26 @@ def test_union_and_dual_match_the_definition_oracle():
         assert union_radial_dual(e, fl) == SimpleGraph(
             n + nations, {(v, n + i) for v, i in radial}
             | {(n + a, n + b) for a, b in dual})
+
+
+def test_unchecked_derived_graphs_are_in_checked_form():
+    # the graphs derived from an embedding skip the SimpleGraph checks
+    rng = random.Random(23)
+    cases = [random_canonical_map(nations, rng.randrange(1000))
+             for nations in (1, 2, 3, 5, 8, 20, 60, 150, 300)]
+    cases += [wheel_map(r) for r in (1, 2, 3)]
+    cases += [grid_map(rows, cols) for rows, cols in ((1, 1), (2, 5), (7, 4))]
+    for n in (3, 4, 9, 40, 150):
+        t = random_planar_triangulation(n, rng.randrange(1000))
+        r = radial_embedding(t)
+        cases += [(t, all_nations(t)), (r, all_nations(r)),
+                  (t, FaceLabeling(t, rng.sample(range(len(t.faces)), 2)))]
+    for trial in range(60):
+        e = random_rotation_system(rng, 1 + trial % 10)
+        faces = list(range(len(e.faces)))
+        cases.append((e, FaceLabeling(e, rng.sample(
+            faces, rng.randint(1, len(faces))))))
+    for e, fl in cases:
+        for g in (e.simple_graph(), dual_graph(e, fl), map_graph(e, fl),
+                  radial_graph(e, fl)[0], union_radial_dual(e, fl)):
+            assert in_checked_form(g)

@@ -289,10 +289,13 @@ def test_json_edges_are_pairs_of_json_integers():
     host = {"n": 3, "edges": [[0, 1], [1, 2]]}
     g = model_loads(_model_text(host)).host
     assert g == SimpleGraph(3, [(0, 1), (1, 2)])
-    for edge, message in (([0], "not enough values"),
-                          ([0, 1, 2], "too many values"),
-                          ([0, True], "expected an integer, got True"),
-                          ([0, 1.0], "expected an integer, got 1.0")):
+    for edge, message in (
+            ([0], "model host edges[1]: expected a pair of vertices, "
+                  "found 1 entry"),
+            ([0, 1, 2], "model host edges[1]: expected a pair of vertices, "
+                        "found 3 entries"),
+            ([0, True], "expected an integer, got True"),
+            ([0, 1.0], "expected an integer, got 1.0")):
         bad = {"n": 3, "edges": [[1, 2], edge]}
         with pytest.raises(FormatError, match=re.escape(message)):
             model_loads(_model_text(bad))

@@ -188,3 +188,9 @@ def test_generated_instances_are_pinned():
             every_small_grid.update(emb_dumps(*grid_map(rows, cols)).encode())
     assert every_small_grid.hexdigest() == (
         "99c91e3d1b21605510f179083ad9a47de031856d22f0bd074e1c3df310948b9f")
+    # the square grids that the transfer benchmark sets up
+    transfer_grids = hashlib.sha256()
+    for size in range(12, 32):
+        transfer_grids.update(emb_dumps(*grid_map(size, size)).encode())
+    assert transfer_grids.hexdigest() == (
+        "cdbc6c1ee8195e2e91a943170273d6282abb505f4ced19f88f25521992f88a9f")

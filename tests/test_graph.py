@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridlab.embedding import map_graph, radial_graph
-from gridlab.generators import grid, random_canonical_map, random_graph
+from gridlab.generators import (grid, partially_triangulated_grid,
+                                random_canonical_map, random_graph)
 from gridlab.graph import (Bipartition, BoundReport, CliqueWitness,
-                           SimpleGraph, _bfs_parents, k_neighborhood,
-                           power_clique_or_bound, power_graph)
+                           SimpleGraph, _bfs_parents, _power_with_balls,
+                           k_neighborhood, power_clique_or_bound, power_graph)
 
 from oracles import (all_pairs_distances, first_far_pair,
                      first_power_degree_at_least, half_square,
-                     power_max_degree)
+                     in_checked_form, power_max_degree)
 
 
 def test_simple_graph_rejects_loops_and_range():
@@ -208,6 +209,32 @@ def test_subgraph_matches_definition():
             assert sub.edges == {(i, j) for i in range(sub.n)
                                  for j in range(i + 1, sub.n)
                                  if (old[i], old[j]) in g.edges}
+
+
+def test_unchecked_powers_and_subgraphs_are_in_checked_form():
+    # _power_with_balls (power_graph, lift_power) and subgraph skip the
+    # SimpleGraph checks
+    rng = random.Random(29)
+    graphs = [SimpleGraph(0), SimpleGraph(1), SimpleGraph.star(4)]
+    graphs += [partially_triangulated_grid(rows, cols, seed)
+               for rows, cols, seed in ((1, 1, 0), (2, 7, 1), (5, 5, 2),
+                                        (9, 6, 3), (12, 12, 4))]
+    graphs += [random_graph(n, seed, 0.2) for n, seed in ((2, 0), (9, 1),
+                                                          (30, 2))]
+    for nations in (1, 7, 40):
+        e, fl = random_canonical_map(nations, rng.randrange(1000))
+        graphs += [map_graph(e, fl), radial_graph(e, fl)[0]]
+    for g in graphs:
+        for k in (1, 2, 3):
+            assert in_checked_form(_power_with_balls(g, k)[0])
+            assert in_checked_form(power_graph(g, k))
+        pool = list(range(-2, g.n + 2))
+        subsets = [[], list(range(g.n)), pool, [0, 0, 0], pool + pool]
+        subsets += [[rng.choice(pool)
+                     for _ in range(rng.randrange(2 * g.n + 2))]
+                    for _ in range(8)]
+        for verts in subsets:
+            assert in_checked_form(g.subgraph(verts)[0])
 
 
 def test_power_clique_star():

@@ -171,6 +171,65 @@ def test_public_loaders_raise_only_format_error():
     assert bare == []
 
 
+# the functions whose pairs are int (u, v) with 0 <= u < v < n by
+# construction, and the only ones that may build a graph unchecked
+UNCHECKED_PRODUCERS = {
+    ("embedding.py", "EmbeddedGraph.simple_graph"),
+    ("embedding.py", "dual_graph"), ("embedding.py", "map_graph"),
+    ("embedding.py", "radial_graph"), ("embedding.py", "union_radial_dual"),
+    ("graph.py", "SimpleGraph.subgraph"), ("graph.py", "_power_with_balls")}
+
+
+def _trusted_uses(tree):
+    """(line, scope) of each use of an attribute named `_trusted` in
+    `tree`; scope is the dotted name of the enclosing classes and
+    functions, or "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_trusted":
+                found.append((child.lineno, ".".join(scope) or "<module>"))
+            visit(child, scope)
+    visit(tree, [])
+    return found
+
+
+def test_graphs_are_built_unchecked_only_by_the_producers():
+    # SimpleGraph._trusted skips every edge check, so no loader or
+    # other reader of outside data may call it
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(path.name, scope) for _, scope in _trusted_uses(tree)}
+    assert found == UNCHECKED_PRODUCERS
+    producers = {scope for _, scope in UNCHECKED_PRODUCERS}
+    assert not any(scope.endswith("_loads") or scope == "_graph_from_json"
+                   for scope in producers)
+    for source, scope in (
+            ("def gr_loads(text):\n    return SimpleGraph._trusted(1, [])",
+             "gr_loads"),
+            ("def _graph_from_json(obj, what):\n"
+             "    return SimpleGraph._trusted(n, edges)", "_graph_from_json"),
+            ("g = SimpleGraph._trusted(2, [(0, 1)])", "<module>"),
+            ("make = SimpleGraph._trusted", "<module>"),
+            ("def map_graph(e, fl):\n    def f():\n"
+             "        return SimpleGraph._trusted(0, ())", "map_graph.f"),
+            ("class MinorModel:\n    def host(self):\n"
+             "        return SimpleGraph._trusted(0, ())", "MinorModel.host")):
+        uses = _trusted_uses(ast.parse(source))
+        assert [s for _, s in uses] == [scope], source
+        assert scope not in producers, source
+    assert _trusted_uses(ast.parse(
+        "def map_graph(e, fl):\n    return SimpleGraph._trusted(0, ())")) == [
+            (2, "map_graph")]
+    assert _trusted_uses(ast.parse("SimpleGraph(2, [(0, 1)])")) == []
+
+
 def _literal(path, name):
     """Value of the module-level literal assignment `name` in `path`."""
     tree = ast.parse(path.read_text(), filename=str(path))
