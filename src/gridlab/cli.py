@@ -61,13 +61,23 @@ _COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
 
 def main(args=None, prog_name=None, standalone_mode=True):
     """Run the command in `args` (default: sys.argv[1:]); an expected
-    error exits with its code and one `error:` line on stderr.  The other
-    two parameters do nothing; gridbench/workloads.py passes them."""
+    error exits with its code and one `error:` line on stderr.  A first
+    argument that names a command hands the rest straight to that
+    command's parser; only what names no command (nothing, `--help`, an
+    unknown name) goes through the top-level parser.  The other two
+    parameters do nothing; gridbench/workloads.py passes them."""
+    if args is None:
+        args = sys.argv[1:]
     try:
-        options = vars(_PARSER.parse_args(args))
+        sub = _COMMANDS.choices.get(args[0]) if args else None
+        if sub is None:
+            options = vars(_PARSER.parse_args(args))
+            name = options.pop("command")
+        else:
+            name, options = args[0], vars(sub.parse_args(args[1:]))
         # looked up when called, so that a wrapper patched in (as the
         # benchmark's tracer does) runs
-        globals()[options.pop("command").replace("-", "_")](**options)
+        globals()[name.replace("-", "_")](**options)
     except tuple(EXIT_CODES) as exc:
         # a MemoryError usually has an empty message
         message = "out of memory" if isinstance(exc, MemoryError) else exc

@@ -9,6 +9,8 @@ outputs always collapse duplicates and drop loops.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import (FormatError, GridlabError, _int_token,
                      _raises_format_error)
 from .graph import Bipartition, SimpleGraph, _components, _write_text
@@ -43,11 +45,23 @@ class EmbeddedGraph:
         d = len(twin)
         if d % 2 or len(nxt) != d or len(vertex_of) != d:
             raise ValueError("dart arrays must have equal even length")
-        for i in range(d):
-            if twin[i] == i or twin[twin[i]] != i:
-                raise ValueError(f"twin is not a fixed-point-free "
-                                 f"involution at dart {i}")
-        if sorted(nxt) != list(range(d)):
+        # whole-array tests, and a search for the dart only on failure;
+        # a negative twin reads from the end of the array, so it fails
+        # the involution test too
+        darts = list(range(d))
+        try:
+            involution = [twin[t] for t in twin] == darts
+        except IndexError:
+            involution = False
+        if not involution or any(map(operator.eq, twin, darts)):
+            i = next((i for i, t in enumerate(twin) if not 0 <= t < d), None)
+            if i is not None:
+                raise ValueError(f"twin of dart {i}: expected a dart id in "
+                                 f"0..{d - 1}, got {twin[i]}")
+            i = next(i for i in darts if twin[i] == i or twin[twin[i]] != i)
+            raise ValueError(f"twin is not a fixed-point-free "
+                             f"involution at dart {i}")
+        if sorted(nxt) != darts:
             raise ValueError("next is not a permutation of the darts")
         # rotation orbits must be exactly the per-vertex dart classes;
         # the first dart met of each vertex is its smallest

@@ -92,6 +92,12 @@ class SimpleGraph:
         Returns (graph, old_ids) where old_ids[i] is the original id of
         new vertex i.
         """
+        vertices = tuple(vertices)
+        # one C-level pass, as verify_model calls this per branch set
+        if set(map(type, vertices)) - {int}:
+            bad = next(v for v in vertices if type(v) is not int)
+            raise ValueError(f"subgraph vertex: expected an integer, "
+                             f"got {bad!r}")
         old_ids = sorted(set(vertices))
         index = {v: i for i, v in enumerate(old_ids)}
         adj = self.adj

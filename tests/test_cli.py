@@ -526,7 +526,13 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
       "branch_sets": {"0": [0], "1": [1]}, "edge_witness": []},
      "model pattern edges[1]: expected a pair of vertices, found 1 entry"),
     (["transfer", "--emb", "{emb}", "--seq", "{bad}"], {"ops": 5},
-     "sequence ops: expected a JSON array, found integer")],
+     "sequence ops: expected a JSON array, found integer"),
+    (["derive", "{bad}", "--map", "-o", "{out}"],
+     "emb 2\ntwin 5 0\nnext 0 1\nvertex_of 0 0\nnations 0\n",
+     "twin of dart 0: expected a dart id in 0..1, got 5"),
+    (["derive", "{bad}", "--map", "-o", "{out}"],
+     "emb 2\ntwin 1 2\nnext 0 1\nvertex_of 0 0\nnations 0\n",
+     "twin of dart 1: expected a dart id in 0..1, got 2")],
     ids=["contract-1", "delete_vertex-2", "empty-op", "witness-1",
          "td-duplicate-bag", "emb-orbit-mixes-vertices",
          "emb-vertex-ids-not-contiguous", "model-host-n-negative",
@@ -535,7 +541,7 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
          "model-branch-set-int", "model-edge-witness-int",
          "model-host-edges-int", "model-host-edge-int",
          "model-host-edge-triple", "model-pattern-edge-single",
-         "seq-ops-int"])
+         "seq-ops-int", "emb-twin-past-end", "emb-twin-at-dart-count"])
 def test_malformed_entries_are_named(tmp_path, command, content, message):
     # `content` is the file's text, or an object written as JSON
     paths = {"bad": tmp_path / "bad", "ok": tmp_path / "ok.gr",
@@ -912,3 +918,73 @@ def test_transfer_model_checks_against_the_derived_dual(tmp_path):
     run(["derive", str(emb), "--map", "-o", str(mapg)])
     assert_one_error_line(run(["check", "--model", str(model),
                                "--gr", str(mapg)]), 1)
+
+
+# argument lists that parse, one or more per command and gen family
+PARSED = [
+    ["gen", "wheel-map", "--r", "2", "-o", "x"],
+    ["gen", "grid", "--rows", "2", "--cols", "3", "--output=-x.gr"],
+    ["gen", "ptgrid", "--rows", "3", "--cols", "4", "-o", "x"],
+    ["gen", "ptgrid", "--seed", "5", "--cols", "4", "--rows", "3", "-o", "x"],
+    ["gen", "random-map", "--nations", "5", "-o", "x"],
+    ["gen", "triangulation", "--n", "8", "--seed", "1", "-o", "x"],
+    ["gen", "nation-grid", "--size", "12", "-o", "x", "--seq-output", "s"],
+    *(["derive", "m.emb", f"--{kind}", "-o", "x"]
+      for kind in ("map", "dual", "radial", "union", "canonicalize")),
+    ["tw", "g.gr"], ["tw", "g.gr", "--exact", "--upper", "-o", "t.td"],
+    ["tw", "--upper", "--exact", "g.gr"],
+    ["lift", "--radial-to-map", "m.emb", "r.td", "-o", "x"],
+    ["lift", "--power", "2", "--gr", "g.gr", "g.td", "-o", "x"],
+    ["check", "--td", "t.td", "--gr", "g.gr"], ["check", "--model", "m.json"],
+    ["check", "--gr", "g.gr", "--model", "m.json"],
+    ["power", "g.gr", "--k", "2"],
+    ["power", "g.gr", "--k", "3", "--witness-r", "2", "-o", "x"],
+    ["grid-minor", "g.gr"], ["grid-minor", "g.gr", "-o", "x"],
+    ["transfer", "--seq", "s.json", "--emb", "m.emb", "-o", "x"],
+    ["sweep", "--family", "wheel", "--values", "1,2", "-o", "x"],
+    ["sweep", "--family", "power", "--values", "5,4", "--seeds=-1,2",
+     "--k", "3", "-o", "x"]]
+# and ones that parse to a usage error, or to help
+REFUSED = [
+    [], ["--help"], ["bogus"], ["-o", "x"], ["tw", "--help"],
+    ["gen"], ["gen", "bogus"], ["gen", "grid", "--help"], ["tw"],
+    ["derive", "m.emb", "-o", "x"], ["tw", "g.gr", "--bogus"],
+    ["lift", "--radial", "m.emb", "r.td", "-o", "x"],
+    ["derive", "m.emb", "--map", "--dual", "-o", "x"],
+    ["check", "--td", "t.td", "--model", "m.json"],
+    ["tw", "g.gr", "h.gr"], ["grid-minor", "g.gr", "-o", "x", "y"],
+    ["gen", "grid", "--rows", "2", "--cols", "2", "-o", "-x.gr"],
+    ["gen", "grid", "--rows", "0", "--cols", "2", "-o", "x"],
+    ["sweep", "--family", "wheel", "--values", "a", "-o", "x"],
+    ["sweep", "--family", "bogus", "-o", "x"]]
+
+
+@pytest.mark.parametrize("args", PARSED + REFUSED,
+                         ids=lambda args: " ".join(args) or "gridlab")
+def test_main_parses_as_the_top_level_parser(monkeypatch, args):
+    # `main` hands a command's arguments to that command's parser: the
+    # command called, its options and any output are what the top-level
+    # parser makes of the same list
+    calls = []
+    for name in cli._COMMANDS.choices:
+        fn = name.replace("-", "_")
+        monkeypatch.setattr(cli, fn, lambda _fn=fn, **options:
+                            calls.append((_fn, options)))
+    res = run(args)
+    out, err, code, expected = io.StringIO(), "", 0, []
+    with redirect_stdout(out):
+        try:
+            options = vars(cli._PARSER.parse_args(args))
+            expected = [(options.pop("command").replace("-", "_"), options)]
+        except cli._UsageError as exc:
+            err, code = f"error: {exc}\n", 2
+        except SystemExit as exc:
+            code = exc.code
+    assert (res.exit_code, res.stdout, res.stderr, calls) == (
+        code, out.getvalue(), err, expected)
+    if args in PARSED:
+        assert calls and calls[0][1]
+    elif code == 0:
+        assert res.stdout.startswith("usage: gridlab")
+    else:
+        assert_one_error_line(res, 2)

@@ -56,10 +56,24 @@ def test_rejects_bad_dart_structure():
                                "got 1.0"),
     ([1, 0], [0, 1], ["0", 1], "vertex_of of dart 0: expected an integer, "
                                "got '0'"),
+    # a twin past the end once escaped as an IndexError, and a negative
+    # one was read from the end of the array
+    ([5, 0], [0, 1], [0, 0], "twin of dart 0: expected a dart id in 0..1, "
+                             "got 5"),
+    ([1, 2], [0, 1], [0, 0], "twin of dart 1: expected a dart id in 0..1, "
+                             "got 2"),
+    ([-1, 0], [0, 1], [0, 0], "twin of dart 0: expected a dart id in 0..1, "
+                              "got -1"),
+    ([1, 0, 3, -4], [0, 1, 2, 3], [0, 1, 2, 3],
+     "twin of dart 3: expected a dart id in 0..3, got -4"),
+    ([1, 0, 0, 2], [0, 1, 2, 3], [0, 1, 2, 3],
+     "twin is not a fixed-point-free involution at dart 2"),
+    ([1, 0, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3],
+     "twin is not a fixed-point-free involution at dart 2"),
 ])
 def test_dart_arrays_take_only_ints(twin, nxt, vertex_of, message):
     # graphs derived from an embedding are built unchecked, so a bool,
-    # float or str id must stop here
+    # float or str id, or a twin that is no dart, must stop here
     with pytest.raises(ValueError) as exc:
         EmbeddedGraph(twin, nxt, vertex_of)
     assert str(exc.value) == message

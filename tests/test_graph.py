@@ -237,6 +237,18 @@ def test_unchecked_powers_and_subgraphs_are_in_checked_form():
             assert in_checked_form(g.subgraph(verts)[0])
 
 
+@pytest.mark.parametrize("vertices, bad", [
+    ([0, 1.5], "1.5"), ([True, 2], "True"), ((v for v in (2, "0")), "'0'"),
+    ({0, None}, "None"), ([1, True], "True")])
+def test_subgraph_takes_only_int_vertices(vertices, bad):
+    # a float once raised a TypeError from the adjacency lists, and a
+    # bool came back among the old ids
+    g = SimpleGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError) as exc:
+        g.subgraph(vertices)
+    assert str(exc.value) == f"subgraph vertex: expected an integer, got {bad}"
+
+
 def test_power_clique_star():
     star = SimpleGraph.star(9)
     out = power_clique_or_bound(star, 2, 3)
