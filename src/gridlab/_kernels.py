@@ -1,9 +1,8 @@
 """Exact treewidth kernel in pure Python.
 
 Graphs are given as neighbor bitmasks.  `treewidth_order` brackets the
-treewidth at the root, refutes a narrower order if it can, and runs a
-branch and bound over elimination orderings only once a narrower order
-is known to exist:
+treewidth at the root and, while the root is open, asks one decision
+search for ever narrower orders:
 
 - upper bound: the greedy min-fill order (`min_fill_order`);
 - lower bound at the root: the larger of two minor-min-width runs
@@ -14,35 +13,31 @@ is known to exist:
   degeneracy d under either rule, because the d-core stays a subgraph
   of the current minor until one of its vertices is the minimum-degree
   vertex, which then has degree at least d;
-- refutation: while the root is open, a decision search
-  (`_width_at_most`) asks whether some order has width at most ub - 1.
-  For any clique C some optimal order eliminates C last (Bodlaender,
-  Fomin, Koster, Kratsch & Thilikos, "On exact algorithms for
-  treewidth", ESA 2006), so it branches only on the vertices outside
-  one maximum clique (`_max_clique`), on none of degree above the
-  bound, and memoizes the eliminated sets that failed.  If the answer
-  is no, the min-fill order is optimal and is returned, as the branch
-  and bound would return it after finding nothing narrower;
-- both searches carry the fill graph of the eliminated set and reduce
+- descending decisions: `_width_at_most` asks for an order of width at
+  most k = ub - 1, then at one below the width of each order it finds,
+  until it says no or the width reaches the lower bound; with no order
+  found, the min-fill order is optimal.  For any clique C some optimal
+  order eliminates C last (Bodlaender, Fomin, Koster, Kratsch &
+  Thilikos, "On exact algorithms for treewidth", ESA 2006), so it
+  branches only on the vertices outside one maximum clique
+  (`_max_clique`), on none of degree above k, and memoizes the
+  eliminated sets that failed, in one memo for every level;
+- the search carries the fill graph of the eliminated set and reduces
   without branching at simplicial and almost simplicial vertices
   (Gogate & Dechter, "A complete anytime algorithm for treewidth",
   UAI 2004; Bodlaender, Koster & van den Eijkhof, "Preprocessing rules
   for triangulation of probabilistic networks", Comput. Intell. 2005).
   The test (`_reducible`) is linear in the neighborhood q: one pass
   finds the vertices of q that miss a neighbor in q, and at most two
-  of them can be the vertex whose removal leaves a clique.  Both take
-  their candidates from one scan (`_candidates`);
-- the branch and bound's candidate loop prunes each child in one
-  place, before its fill graph is built: at the best width found, or
-  when its eliminated set is memoized at no greater width.
+  of them can be the vertex whose removal leaves a clique.
 
-The searches are exponential; `decomposition.treewidth_exact` refuses
+The search is exponential; `decomposition.treewidth_exact` refuses
 graphs with more than `TREEWIDTH_EXACT_LIMIT` (20) vertices.  Each call
 logs one debug record with its search statistics on the
 `gridlab.kernels` logger; its `lb_bound` names the minor-min-width run
-that set the lower bound, `refuted` says whether the decision search
-proved the min-fill width optimal, and `nodes` and `memo` count both
-searches.
+that set the lower bound, `refuted` says whether the first decision
+proved the min-fill width optimal, `nodes` counts the nodes expanded
+at every level and `memo` the failed sets.
 """
 
 from __future__ import annotations
@@ -321,23 +316,24 @@ def _reducible(adj, q, cost):
     return False
 
 
-def _candidates(adj, live, k, cost):
+def _candidates(adj, live, k):
     """The vertices of `live` to branch on, as sorted (degree, vertex)
     pairs: those of degree at most k, or only the first of them that
-    `_reducible` eliminates without branching at width `cost`.
+    `_reducible` eliminates without branching at width k.
 
     Eliminating v first is optimal when q is a clique (simplicial v),
-    and also when q minus one vertex u is a clique and |q| <= cost
-    (almost simplicial v): the fill graph after eliminating v is then G
+    and also when q minus one vertex u is a clique and |q| <= k (almost
+    simplicial v): the fill graph after eliminating v is then G
     contracted along vu, a minor of G of treewidth at most tw(G), so
-    the width max(cost, |q|, tw(G / vu)) is at most max(cost, tw(G))."""
+    some order of width at most k eliminates v first if any order
+    does."""
     cand = []
     for v in _bits(live):
         q = adj[v]
         qn = q.bit_count()
         if qn > k:
             continue
-        if _reducible(adj, q, cost):
+        if _reducible(adj, q, k):
             return [(qn, v)]
         cand.append((qn, v))
     cand.sort()
@@ -366,48 +362,58 @@ def _max_clique(n, masks):
     return best
 
 
-def _width_at_most(n, masks, k):
-    """(fits, nodes, memo): whether the graph has an elimination order
-    of width at most k, and the search's expanded nodes and memo size.
+def _width_at_most(n, masks, k, clique, failed):
+    """(width, order) of an elimination order of width at most k, or
+    None if there is none.  The order is the vertices branched on, then
+    the k + 1 or fewer vertices left in increasing id, and the width
+    is that of the order.
 
     Some order of width tw(G) eliminates a given clique C last
     (Bodlaender, Fomin, Koster, Kratsch & Thilikos, ESA 2006); C stays
     a clique in every fill graph, so the search branches only on the
-    vertices outside a maximum clique, and never on one of degree above
-    k, which no order of width k can eliminate next.  A reducible
-    vertex of degree at most k is eliminated without branching: its
-    fill graph is a minor of the current one.  The fill graph depends
-    only on the eliminated set, so a failed set is memoized."""
-    clique = _max_clique(n, masks)
+    vertices outside `clique`, a maximum clique as a vertex mask, and
+    never on one of degree above k, which no order of width k can
+    eliminate next.  A reducible vertex of degree at most k is
+    eliminated without branching: its fill graph is a minor of the
+    current one.  The fill graph depends only on the eliminated set,
+    so a set that fails at k fails at every smaller k: the search skips
+    the sets in `failed`, and adds those it fails on."""
     if clique.bit_count() > k + 1:
-        return False, 0, 0
-    outside = ((1 << n) - 1) & ~clique
-    failed = set()
-    nodes = 0
+        return None
+    full = (1 << n) - 1
+    outside = full & ~clique
+    order = []
 
-    def fits(eliminated, adj):
-        nonlocal nodes
-        # any order of the k + 1 or fewer vertices left has width <= k;
-        # once only C is left this holds, so an empty scan means no
-        if n - eliminated.bit_count() <= k + 1:
-            return True
-        nodes += 1
-        for _, v in _candidates(adj, outside & ~eliminated, k, k):
+    def fits(eliminated, adj, cost):
+        # cost is the largest degree branched on so far.  Any order of
+        # the k + 1 or fewer vertices left has width <= k; once only C
+        # is left this holds, so an empty scan means no
+        live = full & ~eliminated
+        if live.bit_count() <= k + 1:
+            tail = list(_bits(live))
+            for v in tail:
+                cost = max(cost, adj[v].bit_count())
+                adj = _eliminate(adj, v)
+            return cost, order + tail
+        for qn, v in _candidates(adj, outside & ~eliminated, k):
             child = eliminated | (1 << v)
-            if child not in failed and fits(child, _eliminate(adj, v)):
-                return True
+            if child not in failed:
+                order.append(v)
+                found = fits(child, _eliminate(adj, v), max(cost, qn))
+                if found:
+                    return found
+                order.pop()
         failed.add(eliminated)
-        return False
+        return None
 
-    return fits(0, list(masks)), nodes, len(failed)
+    return fits(0, list(masks), -1)
 
 
 def treewidth_order(n, masks):
     """Exact treewidth and an optimal elimination order."""
     # n = 0 takes no branch of its own: min-fill gives (-1, []) and
     # minor-min-width 0 >= -1, so the root closes and (-1, []) comes back
-    full = (1 << n) - 1
-    ub, ub_order = min_fill_order(n, masks)
+    ub, order = min_fill_order(n, masks)
 
     # the bounds run in order while the root is open; no bound but the
     # empty graph's exceeds ub, and only a strictly larger one replaces
@@ -419,53 +425,27 @@ def treewidth_order(n, masks):
             lb, bound = b, "mmw " + rule
         if lb >= ub:
             break
-    best = [ub, list(ub_order)]
-    memo = {}
+    width = ub
+    failed = set()
     nodes = 0
-
-    def search(eliminated, adj, cost, order):
-        # adj is the fill graph of `eliminated` on the other vertices.
-        # Nothing prunes on entry: the root opens only when lb < ub, on
-        # an empty memo, and the loop below prunes every other call, so
-        # cost < best[0] here and a vertex of degree at most best[0] - 1
-        # is one whose width max(cost, degree) stays below best[0].
-        nonlocal nodes
-        if eliminated == full:
-            best[0] = cost
-            best[1] = list(order)
-            return
-        memo[eliminated] = cost
-        nodes += 1
-        for qn, v in _candidates(adj, full & ~eliminated, best[0] - 1,
-                                 cost):
-            child_cost = max(cost, qn)
-            if child_cost >= best[0]:
-                break
-            # a child memoized at no greater width is skipped before its
-            # fill graph is built; the full set is never memoized
-            child = eliminated | (1 << v)
-            if memo.get(child, child_cost + 1) <= child_cost:
-                continue
-            order.append(v)
-            search(child, _eliminate(adj, v), child_cost, order)
-            order.pop()
-
-    # the branch and bound replaces the min-fill order only by a
-    # narrower one, so once no order of width ub - 1 exists it would
-    # return (ub, min-fill order) unchanged and is not run
-    refuted = False
-    decision_memo = 0
     if lb < ub:
-        fits, nodes, decision_memo = _width_at_most(n, masks, ub - 1)
-        refuted = not fits
-        if fits:
-            search(0, list(masks), lb, [])
+        clique = _max_clique(n, masks)
+        # each order found is narrower than the last, and a no or lb
+        # proves the last optimal.  Besides the sets it adds to
+        # `failed`, a yes at k expands the n - k - 1 sets along its
+        # order, from n vertices left down to k + 2
+        k = ub - 1
+        while k >= lb and (found := _width_at_most(n, masks, k, clique,
+                                                   failed)):
+            width, order = found
+            nodes += n - k - 1
+            k = width - 1
     # a single dict argument becomes the record's `args`
     log.debug("treewidth_order n=%(n)d lb=%(lb)d (%(lb_bound)s) ub=%(ub)d "
               "root_closed=%(root_closed)s refuted=%(refuted)s "
               "width=%(width)d nodes=%(nodes)d memo=%(memo)d",
               {"n": n, "lb": lb, "lb_bound": bound, "ub": ub,
-               "root_closed": lb >= ub, "refuted": refuted,
-               "width": best[0], "nodes": nodes,
-               "memo": decision_memo + len(memo)})
-    return best[0], best[1]
+               "root_closed": lb >= ub, "refuted": lb < ub == width,
+               "width": width, "nodes": nodes + len(failed),
+               "memo": len(failed)})
+    return width, order

@@ -99,10 +99,15 @@ class SimpleGraph:
             raise ValueError(f"subgraph vertex: expected an integer, "
                              f"got {bad!r}")
         old_ids = sorted(set(vertices))
+        # old_ids is sorted, so only its ends need a range check
+        if old_ids and not (old_ids[0] >= 0 and old_ids[-1] < self.n):
+            bad = old_ids[0] if old_ids[0] < 0 else old_ids[-1]
+            raise ValueError(f"subgraph vertex: expected a vertex id in "
+                             f"0..{self.n - 1}, got {bad}")
         index = {v: i for i, v in enumerate(old_ids)}
         adj = self.adj
-        # old_ids is sorted, so u < w gives index[u] < index[w]
-        edges = [(index[u], index[w]) for u in old_ids if 0 <= u < self.n
+        # and u < w gives index[u] < index[w]
+        edges = [(index[u], index[w]) for u in old_ids
                  for w in adj[u] if u < w and w in index]
         return SimpleGraph._trusted(len(old_ids), edges), old_ids
 

@@ -3,7 +3,7 @@ import logging
 import random
 
 from hypothesis import given, settings, strategies as st
-from oracles import (max_clique_brute, min_fill_rescan,
+from oracles import (elimination_bags, max_clique_brute, min_fill_rescan,
                      minor_min_width_scan, reducible_by_definition,
                      treewidth_brute)
 
@@ -80,15 +80,22 @@ def test_search_statistics_are_logged(caplog):
         _kernels.treewidth_order(g.n, g.adjacency_masks())
     refuted, searched, closed, tied = [rec.args for rec in caplog.records
                                        if rec.name == "gridlab.kernels"]
-    # the decision search proves the min-fill width 4 optimal, so the
-    # branch and bound never runs
+    # the first decision proves the min-fill width 4 optimal, so no
+    # narrower level is asked
     assert refuted["n"] == 20 and not refuted["root_closed"]
     assert refuted["refuted"] and 0 < refuted["nodes"] < 100
     assert refuted["lb"] < refuted["ub"] == refuted["width"] == 4
-    # here a narrower order exists and the branch and bound finds it
+    # a no expands only the sets it fails on
+    assert refuted["nodes"] == refuted["memo"]
+    # here a narrower order exists and the descending decisions find it
     assert not searched["root_closed"] and not searched["refuted"]
     assert searched["lb"] <= searched["width"] < searched["ub"]
     assert searched["nodes"] > 0 and searched["memo"] > 0
+    # its one yes, at ub - 1, reaches lb and also expands the
+    # n - ub sets along its order
+    assert searched["width"] == searched["lb"]
+    assert searched["nodes"] == (searched["memo"] + searched["n"]
+                                 - searched["ub"])
     assert closed["root_closed"] and closed["lb_bound"].startswith("mmw")
     assert not closed["refuted"]
     assert closed["nodes"] == closed["memo"] == 0
@@ -323,9 +330,11 @@ def test_minor_min_width_is_at_least_the_degeneracy(n, seed, p):
 
 
 def test_exact_outputs_and_search_effort_are_pinned(caplog):
-    # a speed-up of the branch and bound must return the same orders and
+    # a change to the search must keep every width: the digest of the
+    # widths of this corpus was recorded with the earlier branch and
+    # bound kernel.  A speed-up must also return the same orders and
     # expand no more nodes: the digest of every (width, order) and the
-    # summed search statistics of this corpus are pinned
+    # summed search statistics are pinned
     caplog.set_level(logging.DEBUG, logger="gridlab.kernels")
     graphs = [random_graph(12 + seed % 7, seed, 0.3) for seed in range(100)]
     graphs += [_dual(10 + seed % 3, seed) for seed in range(50)]
@@ -334,10 +343,13 @@ def test_exact_outputs_and_search_effort_are_pinned(caplog):
     stats = [rec.args for rec in caplog.records
              if rec.name == "gridlab.kernels"]
     assert len(stats) == len(graphs)
+    widths = [width for width, _ in results]
+    assert hashlib.sha256(repr(widths).encode()).hexdigest() == (
+        "06ca192513f63a4eda4ee3c3c522ee23a9df29f1a8e3a2c90a29e6ccabcf343f")
     assert hashlib.sha256(repr(results).encode()).hexdigest() == (
-        "ea7b7e8c67b2d7e06c5e77e588dad470d8791283d18214fd82c3dc3b127aed77")
-    assert sum(s["nodes"] for s in stats) == 2600
-    assert sum(s["memo"] for s in stats) == 2572
+        "9f41635511d6da63543348146f5502df144848183aa06c34f583dcd182307cab")
+    assert sum(s["nodes"] for s in stats) == 2470
+    assert sum(s["memo"] for s in stats) == 2442
 
 
 def _small_graphs():
@@ -355,12 +367,23 @@ def test_width_at_most_matches_brute():
     for g in _small_graphs():
         masks = g.adjacency_masks()
         tw = treewidth_brute(g)
-        for k in range(-1, g.n):
-            fits, nodes, memo = _kernels._width_at_most(g.n, masks, k)
-            assert fits == (tw <= k), (g.n, sorted(g.edges), k)
-            assert memo <= nodes
+        clique = _kernels._max_clique(g.n, masks)
+        # k walks down with one shared failure memo, as treewidth_order
+        # carries it, and on past the first no
+        failed = set()
+        for k in range(g.n - 1, -2, -1):
+            memo = len(failed)
+            found = _kernels._width_at_most(g.n, masks, k, clique, failed)
+            assert (found is not None) == (tw <= k), (g.n, sorted(g.edges),
+                                                      k)
             checks += 1
-            searched_no += not fits and nodes > 0
+            if found is None:
+                searched_no += len(failed) > memo
+                continue
+            width, order = found
+            assert sorted(order) == list(range(g.n))
+            bags, _ = elimination_bags(g, order)
+            assert max(map(len, bags)) - 1 == width <= k
     # most no-answers come from the clique bound alone
     assert checks > 9000 and searched_no > 100
 
@@ -377,8 +400,8 @@ def test_max_clique_matches_brute():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 16), st.integers(0, 10 ** 6), st.floats(0.1, 0.7))
 def test_min_fill_width_comes_with_the_min_fill_order(n, seed, p):
-    # the branch and bound replaces the min-fill order only by a narrower
-    # one, and the refutation returns it as it is
+    # the descending decisions replace the min-fill order only by a
+    # narrower one, and a first no returns it as it is
     g = random_graph(n, seed, p)
     for h in (g, power_graph(g, 2)):
         masks = h.adjacency_masks()
