@@ -5,14 +5,12 @@ treewidth at the root and, while the root is open, asks one decision
 search for ever narrower orders:
 
 - upper bound: the greedy min-fill order (`min_fill_order`);
-- lower bound at the root: the larger of two minor-min-width runs
-  (`minor_min_width`, Bodlaender & Koster, "Contraction and treewidth
-  lower bounds", JGAA 2006), run in order and only until one meets the
-  upper bound, when the min-fill order is returned without a search.
-  No degeneracy run follows: minor-min-width is at least the
-  degeneracy d under either rule, because the d-core stays a subgraph
-  of the current minor until one of its vertices is the minimum-degree
-  vertex, which then has degree at least d;
+- lower bound: one minor-min-width run (`minor_min_width`, Bodlaender
+  & Koster, "Contraction and treewidth lower bounds", JGAA 2006); if
+  it meets the upper bound, the min-fill order is returned unsearched.
+  It is at least the degeneracy d: the d-core stays a subgraph of the
+  current minor until one of its vertices is the minimum-degree vertex,
+  which then has degree at least d;
 - descending decisions: `_width_at_most` asks for an order of width at
   most k = ub - 1, then at one below the width of each order it finds,
   until it says no or the width reaches the lower bound; with no order
@@ -34,10 +32,10 @@ search for ever narrower orders:
 The search is exponential; `decomposition.treewidth_exact` refuses
 graphs with more than `TREEWIDTH_EXACT_LIMIT` (20) vertices.  Each call
 logs one debug record with its search statistics on the
-`gridlab.kernels` logger; its `lb_bound` names the minor-min-width run
-that set the lower bound, `refuted` says whether the first decision
-proved the min-fill width optimal, `nodes` counts the nodes expanded
-at every level and `memo` the failed sets.
+`gridlab.kernels` logger: the root bounds `lb` and `ub`, whether they
+met (`root_closed`), whether the first decision proved the min-fill
+width optimal (`refuted`), the `width`, `nodes`, the nodes expanded at
+every level, and `memo`, the failed sets.
 """
 
 from __future__ import annotations
@@ -45,9 +43,6 @@ from __future__ import annotations
 import logging
 
 IMPLEMENTATION = "pure"
-
-# neighbor choices for the contraction step of `minor_min_width`
-MMW_RULES = ("min-d", "least-c")
 
 log = logging.getLogger("gridlab.kernels")
 
@@ -219,16 +214,14 @@ def degeneracy(n, masks):
     return best
 
 
-def minor_min_width(n, masks, rule="min-d"):
+def minor_min_width(n, masks):
     """Minor-min-width, a treewidth lower bound: the max over a sequence
     of minors of their minimum degree.  Each step takes a minimum-degree
-    vertex and contracts it into the neighbor of least degree (`rule`
-    "min-d") or with the fewest common neighbors ("least-c").  Both
-    choices scan in increasing id with a strict <, so ties go to the
-    smaller id."""
+    vertex and contracts it into the neighbor with the fewest common
+    neighbors.  Both choices scan in increasing id with a strict <, so
+    ties go to the smaller id."""
     adj = list(masks)
     alive = (1 << n) - 1
-    least_c = rule != "min-d"
     best = 0
     while alive:
         vbit = alive & -alive
@@ -256,7 +249,7 @@ def minor_min_width(n, masks, rule="min-d"):
             w = low.bit_length() - 1
             a = adj[w] ^ vbit
             adj[w] = a
-            k = (a & nb if least_c else a).bit_count()
+            k = (a & nb).bit_count()
             if k < least:
                 ubit, least = low, k
         rest = nb ^ ubit
@@ -414,17 +407,7 @@ def treewidth_order(n, masks):
     # n = 0 takes no branch of its own: min-fill gives (-1, []) and
     # minor-min-width 0 >= -1, so the root closes and (-1, []) comes back
     ub, order = min_fill_order(n, masks)
-
-    # the bounds run in order while the root is open; no bound but the
-    # empty graph's exceeds ub, and only a strictly larger one replaces
-    # lb, so a tie names the first run that reached it
-    lb = -1
-    for rule in MMW_RULES:
-        b = minor_min_width(n, masks, rule)
-        if b > lb:
-            lb, bound = b, "mmw " + rule
-        if lb >= ub:
-            break
+    lb = minor_min_width(n, masks)
     width = ub
     failed = set()
     nodes = 0
@@ -441,10 +424,10 @@ def treewidth_order(n, masks):
             nodes += n - k - 1
             k = width - 1
     # a single dict argument becomes the record's `args`
-    log.debug("treewidth_order n=%(n)d lb=%(lb)d (%(lb_bound)s) ub=%(ub)d "
+    log.debug("treewidth_order n=%(n)d lb=%(lb)d ub=%(ub)d "
               "root_closed=%(root_closed)s refuted=%(refuted)s "
               "width=%(width)d nodes=%(nodes)d memo=%(memo)d",
-              {"n": n, "lb": lb, "lb_bound": bound, "ub": ub,
+              {"n": n, "lb": lb, "ub": ub,
                "root_closed": lb >= ub, "refuted": lb < ub == width,
                "width": width, "nodes": nodes + len(failed),
                "memo": len(failed)})

@@ -284,7 +284,7 @@ def lift(emb_path, k, gr_path, td_path, output):
     _arg("--gr", dest="gr_path"))
 def check(td_path, model_path, gr_path):
     """Verify a decomposition against a graph, or a minor model (with
-    --gr: a minor model of that graph)."""
+    --gr: a minor model of that graph), and print what it proved."""
     if model_path is not None:
         model = _read(model_path, minors.model_loads)
         if gr_path is not None and (
@@ -292,6 +292,10 @@ def check(td_path, model_path, gr_path):
             raise GridlabError(f"{model_path}: the model's host is not "
                                f"the graph in {gr_path}")
         violation = minors.verify_model(model)
+        p = model.pattern
+        r = math.isqrt(p.n)
+        proved = (f"{r}x{r} grid minor" if r and p == grid(r, r)
+                  else f"minor with n={p.n} m={len(p.edges)}")
     elif gr_path is None:
         raise _UsageError("--td needs --gr")
     else:
@@ -299,9 +303,10 @@ def check(td_path, model_path, gr_path):
         td, td_n = _read(td_path, dec.td_loads)
         _require_vertex_count(td_n, g.n)
         violation = td.validate(g)
+        proved = f"width <= {td.width}"
     if violation is not None:
         raise GridlabError(str(violation))
-    print("ok")
+    print(f"ok: {proved}")
 
 
 @_command(

@@ -9,7 +9,7 @@ from . import _kernels
 from .embedding import map_graph, radial_graph
 from .errors import (ConstructionError, FormatError, SizeLimitError,
                      _int_token, _raises_format_error)
-from .graph import _bfs_parents, _power_with_balls, _write_text
+from .graph import _bfs_parents, _power_with_balls, _strict_int, _write_text
 
 TREEWIDTH_EXACT_LIMIT = 20  # documented desk-scale limit
 
@@ -35,13 +35,18 @@ class TreeDecomposition:
 
     def __init__(self, bags, tree_edges):
         self.bags = [frozenset(b) for b in bags]
-        self.tree_edges = sorted(
-            (min(a, b), max(a, b)) for a, b in tree_edges)
-        for a, b in self.tree_edges:
+        edges = []
+        for a, b in tree_edges:
+            # node ids are ints: 0.0 and True would pass the range test
+            if not type(a) is int is type(b):
+                raise ValueError(f"tree edge {(a, b)}: expected integer "
+                                 f"node ids")
             if not (0 <= a < len(self.bags) and 0 <= b < len(self.bags)):
                 raise ValueError(f"tree edge {(a, b)} out of range")
             if a == b:
                 raise ValueError("tree self-loop")
+            edges.append((a, b) if a < b else (b, a))
+        self.tree_edges = sorted(edges)
 
     @property
     def width(self):
@@ -80,7 +85,11 @@ class TreeDecomposition:
                     top[v] = top[v] | bags[i]
                 else:
                     top[v] = bags[i]
-        # T1: the vertices added are the bag vertices
+        # T1: the vertices added are the bag vertices, all ints: 1.0 and
+        # True equal 1, and a str compares with no vertex id
+        for v in top:
+            if type(v) is not int:
+                return Violation("T1", v, f"bag vertex {v!r} not an integer")
         covered = top.keys()
         if covered != set(range(g.n)):
             for v in range(g.n):
@@ -115,7 +124,7 @@ class TreeDecomposition:
 def decomposition_from_order(g, order):
     """Tree decomposition from an elimination ordering: one bag per
     maximal clique of the fill graph."""
-    if sorted(order) != list(range(g.n)):
+    if sorted(map(_strict_int, order)) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
     adj = g.adjacency_masks()  # live neighbors of each live vertex
     pos = [0] * g.n

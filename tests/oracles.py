@@ -287,11 +287,11 @@ def _mask_bits(mask):
         mask ^= low
 
 
-def minor_min_width_scan(n, masks, rule="min-d"):
+def minor_min_width_scan(n, masks):
     """Minor-min-width by `min` over generator scans: each step takes a
     minimum-degree vertex (ties to smaller id) and contracts it into the
-    neighbor of least degree ("min-d") or with the fewest common
-    neighbors ("least-c"), again ties to smaller id."""
+    neighbor with the fewest common neighbors, again ties to smaller
+    id."""
     adj = list(masks)
     alive = (1 << n) - 1
     best = 0
@@ -302,10 +302,7 @@ def minor_min_width_scan(n, masks, rule="min-d"):
         alive &= ~(1 << v)
         if not nb:
             continue
-        if rule == "min-d":
-            u = min(_mask_bits(nb), key=lambda w: adj[w].bit_count())
-        else:
-            u = min(_mask_bits(nb), key=lambda w: (adj[w] & nb).bit_count())
+        u = min(_mask_bits(nb), key=lambda w: (adj[w] & nb).bit_count())
         rest = nb & ~(1 << u)
         for w in _mask_bits(nb):
             adj[w] &= ~(1 << v)

@@ -55,8 +55,8 @@ def test_gen_tw_check_pipeline(tmp_path):
     res = run(["tw", str(grf), "--exact", "-o", str(td)])
     assert res.exit_code == 0
     assert "width 3" in res.output  # the map graph of wheel r=2 is K4
-    assert run(["check", "--td", str(td),
-                "--gr", str(grf)]).exit_code == 0
+    res = run(["check", "--td", str(td), "--gr", str(grf)])
+    assert res.exit_code == 0 and res.output == "ok: width <= 3\n"
 
 
 def test_derive_union_is_radial_plus_dual(tmp_path):
@@ -885,12 +885,20 @@ def test_outputs_to_dev_null_and_to_a_directory(tmp_path, args, expected):
 
 def test_check_binds_a_model_to_its_graph(tmp_path):
     # a model of grid(5, 5) in itself with identity branch sets: valid,
-    # but a certificate about grid(5, 5) only
+    # but a certificate about grid(5, 5) only.  With one pattern edge
+    # and its witness dropped it is a valid model of a pattern that is
+    # no grid, and with one vertex left one of the 1x1 grid
     g = grid(5, 5)
     forged = tmp_path / "forged.json"
-    forged.write_text(model_dumps(MinorModel(
-        g, g, {v: {v} for v in range(g.n)}, {e: e for e in g.edges})))
-    assert run(["check", "--model", str(forged)]).exit_code == 0
+    for pattern, line in ((SimpleGraph(1), "ok: 1x1 grid minor\n"),
+                          (SimpleGraph(25, g.edges - {min(g.edges)}),
+                           "ok: minor with n=25 m=39\n"),
+                          (g, "ok: 5x5 grid minor\n")):
+        forged.write_text(model_dumps(MinorModel(
+            pattern, g, {v: {v} for v in range(pattern.n)},
+            {e: e for e in pattern.edges})))
+        res = run(["check", "--model", str(forged)])
+        assert res.exit_code == 0 and res.output == line
     own, other = tmp_path / "own.gr", tmp_path / "other.gr"
     own.write_text(gr_dumps(g))
     assert run(["check", "--model", str(forged),
@@ -912,7 +920,7 @@ def test_transfer_model_checks_against_the_derived_dual(tmp_path):
          "-o", str(model)])
     run(["derive", str(emb), "--dual", "-o", str(dual)])
     res = run(["check", "--model", str(model), "--gr", str(dual)])
-    assert res.exit_code == 0 and res.output == "ok\n"
+    assert res.exit_code == 0 and res.output == "ok: 1x1 grid minor\n"
     # the same model is no certificate about the map graph
     mapg = tmp_path / "map.gr"
     run(["derive", str(emb), "--map", "-o", str(mapg)])

@@ -48,6 +48,33 @@ def test_validate_catches_each_condition():
     assert v is not None and v.condition == "T3"
 
 
+def test_non_int_vertices_are_refused():
+    # 0.0, 1.0 and False, True hash and compare like 0 and 1, so without
+    # a type test they cover the vertices of an edge; td_dumps would
+    # write "1.0" and td_loads refuse it
+    edge = SimpleGraph(2, [(0, 1)])
+    cases = [([{0.0, 1.0}], edge), ([{False, True}], edge),
+             ([{0, 1.0}], edge), ([{0, "a"}], SimpleGraph(1))]
+    for bags, g in cases:
+        v = TreeDecomposition(bags, []).validate(g)
+        assert v is not None and v.condition == "T1"
+        assert type(v.witness) is not int
+        assert str(v) == f"T1: bag vertex {v.witness!r} not an integer"
+    float_td = TreeDecomposition([{0.0, 1.0}], [])
+    for run in (lambda: lift_power(float_td, edge, 2),
+                lambda: vertex_cover_dp(edge, float_td)):
+        with pytest.raises(ValueError, match="^invalid input decomposition"
+                           " of .*: T1: bag vertex 0.0 not an integer$"):
+            run()
+    for ends in ((0.0, 1), (0, True), (0, "1")):
+        with pytest.raises(ValueError, match="^tree edge .*: expected "
+                                             "integer node ids$"):
+            TreeDecomposition([{0}, {1}], [ends])
+    for order in ([0.0, 1.0], [0, True], [0, "1"]):
+        with pytest.raises(ValueError, match="^expected an integer, got "):
+            decomposition_from_order(edge, order)
+
+
 def test_decomposition_from_order_always_valid():
     for seed in range(10):
         g = random_graph(9, seed, 0.3)

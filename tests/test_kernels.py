@@ -67,8 +67,7 @@ def test_bounds_bracket_exact():
         exact, _ = _kernels.treewidth_order(g.n, masks)
         hi, _ = _kernels.min_fill_order(g.n, masks)
         assert _kernels.degeneracy(g.n, masks) <= exact <= hi
-        for rule in _kernels.MMW_RULES:
-            assert _kernels.minor_min_width(g.n, masks, rule) <= exact
+        assert _kernels.minor_min_width(g.n, masks) <= exact
 
 
 def test_search_statistics_are_logged(caplog):
@@ -96,23 +95,22 @@ def test_search_statistics_are_logged(caplog):
     assert searched["width"] == searched["lb"]
     assert searched["nodes"] == (searched["memo"] + searched["n"]
                                  - searched["ub"])
-    assert closed["root_closed"] and closed["lb_bound"].startswith("mmw")
-    assert not closed["refuted"]
+    assert closed["root_closed"] and not closed["refuted"]
     assert closed["nodes"] == closed["memo"] == 0
-    # on K6 the first minor-min-width run reaches ub = 5 and names lb
-    assert tied["lb"] == 5 and tied["lb_bound"] == "mmw min-d"
+    # on K6 minor-min-width reaches ub = 5
+    assert tied["lb"] == 5 and tied["root_closed"]
 
 
-def test_root_bounds_stop_once_the_root_is_closed(monkeypatch, caplog):
-    # the root bounds run in order only while lb < ub: when min-d
-    # closes the root, least-c does not run; the degeneracy never runs
+def test_root_runs_one_minor_min_width(monkeypatch, caplog):
+    # the root runs minor-min-width once, whether it closes the root
+    # (K6) or not (the dual), and never the degeneracy
     caplog.set_level(logging.DEBUG, logger="gridlab.kernels")
     calls = []
     mmw, degeneracy = _kernels.minor_min_width, _kernels.degeneracy
 
-    def counted_mmw(n, masks, rule="min-d"):
-        calls.append("mmw " + rule)
-        return mmw(n, masks, rule)
+    def counted_mmw(n, masks):
+        calls.append("mmw")
+        return mmw(n, masks)
 
     def counted_degeneracy(n, masks):
         calls.append("degeneracy")
@@ -120,17 +118,21 @@ def test_root_bounds_stop_once_the_root_is_closed(monkeypatch, caplog):
 
     monkeypatch.setattr(_kernels, "minor_min_width", counted_mmw)
     monkeypatch.setattr(_kernels, "degeneracy", counted_degeneracy)
-    g = SimpleGraph.complete(6)
-    _kernels.treewidth_order(g.n, g.adjacency_masks())
-    closed = caplog.records[-1].args
-    assert closed["root_closed"] and closed["lb_bound"] == "mmw min-d"
-    assert calls == ["mmw min-d"]
-    # this dual stays open at the root, so both minor-min-width runs run
-    calls.clear()
-    g = _dual(12, 1)
-    _kernels.treewidth_order(g.n, g.adjacency_masks())
-    assert not caplog.records[-1].args["root_closed"]
-    assert calls == ["mmw min-d", "mmw least-c"]
+    for g, closed in ((SimpleGraph.complete(6), True), (_dual(12, 1), False)):
+        calls.clear()
+        _kernels.treewidth_order(g.n, g.adjacency_masks())
+        assert caplog.records[-1].args["root_closed"] == closed
+        assert calls == ["mmw"]
+    # the logged lb is that one run's bound
+    monkeypatch.undo()
+    caplog.clear()
+    graphs = _pinned_corpus()
+    for g in graphs:
+        _kernels.treewidth_order(g.n, g.adjacency_masks())
+    stats = [rec.args for rec in caplog.records
+             if rec.name == "gridlab.kernels"]
+    assert [s["lb"] for s in stats] == [
+        mmw(g.n, g.adjacency_masks()) for g in graphs]
 
 
 def _disjoint_union(g, h):
@@ -308,9 +310,8 @@ def test_minor_min_width_matches_scan():
     assert len(graphs) >= 500 and max(g.n for g in graphs) <= 30
     for g in graphs:
         masks = g.adjacency_masks()
-        for rule in _kernels.MMW_RULES:
-            assert _kernels.minor_min_width(g.n, masks, rule) == \
-                minor_min_width_scan(g.n, masks, rule)
+        assert _kernels.minor_min_width(g.n, masks) == minor_min_width_scan(
+            g.n, masks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -324,9 +325,14 @@ def test_minor_min_width_is_at_least_the_degeneracy(n, seed, p):
             if rng.random() < p:
                 masks[u] |= 1 << v
                 masks[v] |= 1 << u
-    for rule in _kernels.MMW_RULES:
-        assert (_kernels.minor_min_width(n, masks, rule)
-                >= _kernels.degeneracy(n, masks))
+    assert _kernels.minor_min_width(n, masks) >= _kernels.degeneracy(n,
+                                                                     masks)
+
+
+def _pinned_corpus():
+    """100 gnp graphs with 12-18 vertices and 50 triangulation duals."""
+    graphs = [random_graph(12 + seed % 7, seed, 0.3) for seed in range(100)]
+    return graphs + [_dual(10 + seed % 3, seed) for seed in range(50)]
 
 
 def test_exact_outputs_and_search_effort_are_pinned(caplog):
@@ -334,10 +340,11 @@ def test_exact_outputs_and_search_effort_are_pinned(caplog):
     # widths of this corpus was recorded with the earlier branch and
     # bound kernel.  A speed-up must also return the same orders and
     # expand no more nodes: the digest of every (width, order) and the
-    # summed search statistics are pinned
+    # summed search statistics are pinned.  Where the root's lower bound
+    # is below the width, the last level asked is one below the width
+    # and answers no: a lower bound adds to the sums, not to the orders
     caplog.set_level(logging.DEBUG, logger="gridlab.kernels")
-    graphs = [random_graph(12 + seed % 7, seed, 0.3) for seed in range(100)]
-    graphs += [_dual(10 + seed % 3, seed) for seed in range(50)]
+    graphs = _pinned_corpus()
     results = [_kernels.treewidth_order(g.n, g.adjacency_masks())
                for g in graphs]
     stats = [rec.args for rec in caplog.records
@@ -348,8 +355,8 @@ def test_exact_outputs_and_search_effort_are_pinned(caplog):
         "06ca192513f63a4eda4ee3c3c522ee23a9df29f1a8e3a2c90a29e6ccabcf343f")
     assert hashlib.sha256(repr(results).encode()).hexdigest() == (
         "9f41635511d6da63543348146f5502df144848183aa06c34f583dcd182307cab")
-    assert sum(s["nodes"] for s in stats) == 2470
-    assert sum(s["memo"] for s in stats) == 2442
+    assert sum(s["nodes"] for s in stats) == 2615
+    assert sum(s["memo"] for s in stats) == 2587
 
 
 def _small_graphs():
