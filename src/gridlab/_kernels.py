@@ -87,7 +87,8 @@ def min_fill_order(n, masks):
     - each end y of a fill edge (y, z) rises by its neighbors outside
       N[v] that miss z.
 
-    When f_v = 0 (v is simplicial) only the first rule applies.  A step
+    When f_v = 0 (v is simplicial) no vertex of N gains an edge and only
+    the first rule applies, so the step skips the scan for them.  A step
     costs O(d + the sum over fill edges of their common neighbors) bit
     operations.  The fills stay exact, so ties and the order match a
     full rescan.
@@ -113,24 +114,8 @@ def min_fill_order(n, masks):
         order.append(v)
         nb = adj[v]
         width = max(width, nb.bit_count())
-        if not f:
-            # N is a clique: each neighbor only loses v
-            m = nb
-            while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
-                a = adj[u] ^ vbit
-                adj[u] = a
-                d = (a & ~nb).bit_count()
-                if d:
-                    g = fill[u]
-                    bucket[g] ^= low
-                    fill[u] = g = g - d
-                    bucket[g] |= low
-            continue
         grown = 0  # the vertices of N that gain an edge
-        m = nb
+        m = nb if f else 0
         while m:
             low = m & -m
             m ^= low
@@ -168,15 +153,16 @@ def min_fill_order(n, masks):
             low = m & -m
             u = low.bit_length() - 1
             m ^= low
-            a = (adj[u] | nb) & ~(low | vbit)
-            adj[u] = a
-            # the pairs (v, x), x a neighbor of u outside N[v]
-            d = (a & ~nb).bit_count()
+            # u loses the pairs (v, x), x a neighbor of u outside N[v]
             if grown & low:
-                d = delta[u] - d
+                a = (adj[u] | nb) & ~(low | vbit)
+                d = delta[u] - (a & ~nb).bit_count()
                 delta[u] = 0
             else:
-                d = -d - f
+                # u already holds the rest of N
+                a = adj[u] ^ vbit
+                d = -(a & ~nb).bit_count() - f
+            adj[u] = a
             if d:
                 g = fill[u]
                 bucket[g] ^= low

@@ -124,6 +124,7 @@ class TreeDecomposition:
 def decomposition_from_order(g, order):
     """Tree decomposition from an elimination ordering: one bag per
     maximal clique of the fill graph."""
+    order = list(order)  # read once: an iterator would be used up
     if sorted(map(_strict_int, order)) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
     adj = g.adjacency_masks()  # live neighbors of each live vertex
@@ -181,7 +182,7 @@ def _checked(td, g, stage):
 
 
 def _from_kernel_order(g, width, order, stage):
-    td = decomposition_from_order(g, list(order))
+    td = decomposition_from_order(g, order)
     if td.width != width:
         raise ConstructionError(f"{stage}: the kernel reported width "
                                 f"{width}, its order gives {td.width}")

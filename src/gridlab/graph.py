@@ -255,7 +255,7 @@ class BoundReport:
 
 def power_graph(g, k):
     """k-th power: same vertices, edge iff 1 <= dist_G(u,v) <= k."""
-    if k == 1:
+    if _strict_int(k) == 1:
         return g
     return _power_with_balls(g, k)[0]
 
@@ -263,7 +263,7 @@ def power_graph(g, k):
 def _power_with_balls(g, k):
     """(g^k, the radius-k ball of every vertex of g), each ball
     computed once."""
-    if k < 1:
+    if _strict_int(k) < 1:
         raise ValueError("power exponent k must be >= 1")
     balls = [k_neighborhood(g, v, k) for v in range(g.n)]
     edges = [(u, v) for u in range(g.n) for v in balls[u] if v > u]
@@ -273,6 +273,9 @@ def _power_with_balls(g, k):
 def k_neighborhood(g, v, k):
     """All vertices at distance <= k from v, including v: a BFS from v
     that stops at depth k."""
+    if type(v) is not int or type(k) is not int:
+        raise ValueError(f"expected an integer vertex and radius, "
+                         f"got {v!r} and {k!r}")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     if k < 0:

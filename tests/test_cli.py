@@ -21,8 +21,8 @@ from gridlab.embedding import (FaceLabeling, all_nations, canonicalize,
                                radial_graph)
 from gridlab.generators import (grid, partially_triangulated_grid,
                                 random_planar_triangulation, wheel_map)
-from gridlab.graph import (BoundReport, SimpleGraph, gr_dumps, gr_loads,
-                           power_graph)
+from gridlab.graph import (BoundReport, CliqueWitness, SimpleGraph,
+                           gr_dumps, gr_loads, power_graph)
 from gridlab.minors import (MinorModel, largest_grid_minor, model_dumps,
                             nation_grid_transfer_instance,
                             radial_grid_to_dual_grid, sequence_dumps,
@@ -212,6 +212,17 @@ def test_power_refuses_a_false_degree_bound(tmp_path, monkeypatch):
                "--witness-r", "1"])
     assert_one_error_line(res, 1)
     assert "vertex 0 has 2 >= 1" in res.stderr
+
+
+def test_power_refuses_a_false_clique_witness(tmp_path, monkeypatch):
+    grf = tmp_path / "p4.gr"
+    grf.write_text("p tw 4 3\n1 2\n2 3\n3 4\n")
+    # the ends of P_4 lie 3 apart, so they are no clique of P_4 squared
+    monkeypatch.setattr(gridlab.graph, "power_clique_or_bound",
+                        lambda g, k, r: CliqueWitness({0, 3}, k))
+    res = run(["power", str(grf), "--k", "2", "--witness-r", "1"])
+    assert_one_error_line(res, 1)
+    assert res.stderr == "error: witness pair (0, 3) too far apart\n"
 
 
 def test_grid_minor_and_transfer(tmp_path):
@@ -532,7 +543,10 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
      "twin of dart 0: expected a dart id in 0..1, got 5"),
     (["derive", "{bad}", "--map", "-o", "{out}"],
      "emb 2\ntwin 1 2\nnext 0 1\nvertex_of 0 0\nnations 0\n",
-     "twin of dart 1: expected a dart id in 0..1, got 2")],
+     "twin of dart 1: expected a dart id in 0..1, got 2"),
+    (["derive", "{bad}", "--map", "-o", "{out}"],
+     "emb 3\ntwin 1 0 2\nnext 0 1 2\nvertex_of 0 0 0\nnations 0\n",
+     "dart arrays must have equal even length")],
     ids=["contract-1", "delete_vertex-2", "empty-op", "witness-1",
          "td-duplicate-bag", "emb-orbit-mixes-vertices",
          "emb-vertex-ids-not-contiguous", "model-host-n-negative",
@@ -541,7 +555,8 @@ def test_malformed_input_exits_2_naming_the_file(tmp_path, name, content,
          "model-branch-set-int", "model-edge-witness-int",
          "model-host-edges-int", "model-host-edge-int",
          "model-host-edge-triple", "model-pattern-edge-single",
-         "seq-ops-int", "emb-twin-past-end", "emb-twin-at-dart-count"])
+         "seq-ops-int", "emb-twin-past-end", "emb-twin-at-dart-count",
+         "emb-odd-dart-count"])
 def test_malformed_entries_are_named(tmp_path, command, content, message):
     # `content` is the file's text, or an object written as JSON
     paths = {"bad": tmp_path / "bad", "ok": tmp_path / "ok.gr",

@@ -84,6 +84,27 @@ def test_decomposition_from_order_always_valid():
         decomposition_from_order(SimpleGraph.path(3), [0, 1, 1])
 
 
+def test_an_iterator_order_gives_the_list_order_decomposition():
+    # the permutation test must not use up the order it then eliminates
+    cases = [(SimpleGraph.path(3), [0, 1, 2])]
+    g = random_graph(14, 3, 0.3)
+    cases.append((g, _kernels.min_fill_order(g.n, g.adjacency_masks())[1]))
+    for g, order in cases:
+        td = decomposition_from_order(g, iter(order))
+        assert td == decomposition_from_order(g, order)
+        assert td.validate(g) is None
+
+
+@pytest.mark.parametrize("ends, message", [
+    ((0, 2), "tree edge (0, 2) out of range"),
+    ((-1, 0), "tree edge (-1, 0) out of range"),
+    ((1, 1), "tree self-loop")])
+def test_tree_edges_are_refused(ends, message):
+    with pytest.raises(ValueError) as exc:
+        TreeDecomposition([{0}, {1}], [ends])
+    assert str(exc.value) == message
+
+
 def test_kernel_width_mismatch_names_the_stage(monkeypatch):
     kernel = _kernels.treewidth_order
 
@@ -433,6 +454,16 @@ def test_lift_power_refuses_k_below_one():
             lift_power(td, g, k)
         with pytest.raises(ValueError, match="k must be >= 1"):
             power_graph(g, k)
+
+
+def test_lift_power_refuses_a_non_int_k():
+    # range would refuse 1.5 with a TypeError, and True would lift like 1
+    g = SimpleGraph.path(4)
+    _, td = treewidth_exact(g)
+    for k in (1.5, 2.0, True):
+        with pytest.raises(ValueError) as exc:
+            lift_power(td, g, k)
+        assert str(exc.value) == f"expected an integer, got {k!r}"
 
 
 def test_lift_power_validates_against_the_distance_power():

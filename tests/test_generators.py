@@ -65,6 +65,8 @@ def test_grid_map_counts():
     assert e.genus() == 0
     e1, fl1 = grid_map(1, 1)
     assert len(fl1.nations) == 1 and is_canonical(e1, fl1)
+    with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
+        grid_map(0, 3)
 
 
 def test_random_graph_deterministic_and_nonempty():
@@ -73,6 +75,8 @@ def test_random_graph_deterministic_and_nonempty():
             g = random_graph(n, seed)
             assert g == random_graph(n, seed)
             assert g.num_edges() >= 1
+    with pytest.raises(ValueError, match="^need at least 2 vertices$"):
+        random_graph(1, 0)
 
 
 def test_random_planar_triangulation_properties():

@@ -22,6 +22,8 @@ def test_simple_graph_rejects_loops_and_range():
         SimpleGraph(3, [(1, 1)])
     with pytest.raises(ValueError):
         SimpleGraph(3, [(0, 3)])
+    with pytest.raises(ValueError, match="^cycle needs at least 3 vertices$"):
+        SimpleGraph.cycle(2)
 
 
 @pytest.mark.parametrize("n, edges, message", [
@@ -115,6 +117,30 @@ def test_k_neighborhood_basics():
     assert len(k_neighborhood(center, 4, 1)) == 5
     with pytest.raises(ValueError):
         k_neighborhood(g, 7, 1)
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        k_neighborhood(g, 0, -1)
+
+
+# True and 2.0 compare equal to 1 and 2: without a type test a bool
+# vertex joins its own ball, power_graph(g, True) is g, and range
+# refuses a float radius with a TypeError
+@pytest.mark.parametrize("call, message", [
+    (lambda g: k_neighborhood(g, True, 1),
+     "expected an integer vertex and radius, got True and 1"),
+    (lambda g: k_neighborhood(g, 1.0, 1),
+     "expected an integer vertex and radius, got 1.0 and 1"),
+    (lambda g: k_neighborhood(g, 0, 1.5),
+     "expected an integer vertex and radius, got 0 and 1.5"),
+    (lambda g: k_neighborhood(g, 0, True),
+     "expected an integer vertex and radius, got 0 and True"),
+    (lambda g: power_graph(g, True), "expected an integer, got True"),
+    (lambda g: power_graph(g, 2.0), "expected an integer, got 2.0")],
+    ids=["ball-vertex-bool", "ball-vertex-float", "ball-radius-float",
+         "ball-radius-bool", "power-bool", "power-float"])
+def test_power_radii_and_vertices_are_ints(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(SimpleGraph.path(3))
+    assert str(exc.value) == message
 
 
 def test_half_square_tiny():
@@ -310,6 +336,16 @@ def test_bound_report_verify():
 def test_bound_report_rejects_a_self_contradicting_claim(fields):
     with pytest.raises(ValueError):
         BoundReport(**fields)
+
+
+@pytest.mark.parametrize("g, k, r, message", [
+    (SimpleGraph(0), 2, 1, "graph must be nonempty"),
+    (SimpleGraph.path(3), 0, 1, "k must be >= 1"),
+    (SimpleGraph.path(3), 2, 0, "r must be >= 1")])
+def test_power_clique_or_bound_refuses_its_arguments(g, k, r, message):
+    with pytest.raises(ValueError) as exc:
+        power_clique_or_bound(g, k, r)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("bound", [1.9, True, "2", None])

@@ -85,6 +85,44 @@ def test_test_imports_are_declared():
                        '[tool.x]\ntest = ["y"]\n') == {"pytest", "foo_bar"}
 
 
+def _python_floor(pyproject):
+    """(major, minor) of the `requires-python = ">=X.Y"` line of the
+    pyproject.toml text `pyproject`, read without tomllib."""
+    m = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', pyproject, re.M)
+    return int(m.group(1)), int(m.group(2))
+
+
+def _newer_syntax(source, floor):
+    """The first line of `source` that Python `floor` cannot parse, as
+    "line: message", or None."""
+    try:
+        ast.parse(source, feature_version=floor)
+    except SyntaxError as exc:
+        return f"{exc.lineno}: {exc.msg}"
+    return None
+
+
+def test_package_parses_at_the_declared_python_floor():
+    # the installer trusts requires-python; syntax newer than the floor
+    # would install and then fail at import
+    floor = _python_floor((ROOT / "pyproject.toml").read_text())
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        error = _newer_syntax(path.read_text(), floor)
+        if error is not None:
+            found.append(f"{path.name}:{error}")
+    assert found == []
+    assert _python_floor('[project]\nname = "x"\n'
+                         'requires-python = ">=3.10"\n') == (3, 10)
+    for source in ("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                   "type X = int\n", "def f[T](x: T):\n    pass\n"):
+        assert _newer_syntax(source, (3, 10)) is not None, source
+    for source in ("match x:\n    case [y]:\n        pass\n",
+                   "with (open(a) as f, open(b) as g):\n    pass\n",
+                   "def f(x: int | None): pass\n"):
+        assert _newer_syntax(source, (3, 10)) is None, source
+
+
 def test_no_indented_json_dumps_in_package():
     # json.dumps(..., indent=...) runs CPython's pure-Python encoder;
     # indented output goes through minors.model_dumps instead
