@@ -13,12 +13,12 @@ from bisect import insort
 from .embedding import (FaceLabeling, _from_rotations,
                         canonicalize_components, is_canonical)
 from .errors import ConstructionError, GridlabError
-from .graph import SimpleGraph
+from .graph import SimpleGraph, _strict_int
 
 
 def grid(rows, cols):
     """rows x cols grid graph, vertex (i,j) -> i*cols + j."""
-    if rows < 1 or cols < 1:
+    if _strict_int(rows) < 1 or _strict_int(cols) < 1:
         raise ValueError("grid dimensions must be positive")
     edges = []
     for i in range(rows):
@@ -85,7 +85,7 @@ def wheel_map(r):
     """Embedded wheel with r^2 spokes; bounded faces are nations (in
     spoke order), the outer face is the lake.  At r = 1 the rim is a
     loop around the single spoke."""
-    if r < 1:
+    if _strict_int(r) < 1:
         raise ValueError("r must be >= 1")
     s = r * r
     rots = [[(i, ("spoke", i)) for i in range(1, s + 1)]]
@@ -107,7 +107,7 @@ def wheel_map(r):
 def grid_map(rows, cols):
     """Map whose nations are the rows x cols unit cells of a planar grid;
     the unbounded face is the lake.  Nation (i,j) has index i*cols + j."""
-    if rows < 1 or cols < 1:
+    if _strict_int(rows) < 1 or _strict_int(cols) < 1:
         raise ValueError("grid dimensions must be positive")
     w = cols + 1
     # each corner takes the next dart ids in its rotation order,
@@ -148,7 +148,7 @@ def grid_map(rows, cols):
 
 def random_graph(n, seed, edge_prob=0.4):
     """Seeded Erdos-Renyi style graph with at least one edge."""
-    if n < 2:
+    if _strict_int(n) < 2:
         raise ValueError("need at least 2 vertices")
     rng = random.Random(f"gnp:{n}:{seed}")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -175,7 +175,7 @@ def random_planar_triangulation(n, seed):
     built and checked at the end.  Each new face starts at an old dart
     of the face it splits, as every new dart is larger, so the faces
     keyed by their least dart keep the order of `EmbeddedGraph.faces`."""
-    if n < 3:
+    if _strict_int(n) < 3:
         raise ValueError("need at least 3 vertices")
     rng = random.Random(f"tri:{n}:{seed}")
     start = _triangle()
@@ -209,7 +209,7 @@ def random_canonical_map(nations, seed):
     """Random canonical map with the requested number of nations and a
     connected map graph.  Built triangulation-first, then a random face
     subset is marked as lakes and the result canonicalized."""
-    if nations < 1:
+    if _strict_int(nations) < 1:
         raise ValueError("need at least one nation")
     rng = random.Random(f"map:{nations}:{seed}")
     for _ in range(500):

@@ -332,86 +332,62 @@ def _components(neighbors, vertices):
     return out
 
 
-def _bfs_tree_labels(g, center, depth_cap):
-    """Label each vertex reachable from center with its BFS-tree
-    ancestor at depth exactly depth_cap (the vertex itself if
-    shallower)."""
-    depth = {}
-    label = {}
-    for w, u in _bfs_parents(g.adj, center).items():
-        depth[w] = 0 if u is None else depth[u] + 1
-        label[w] = w if depth[w] <= depth_cap else label[u]
-    return label
-
-
-def _least_big_class(label, members, target):
-    """Group `members` by label; the class of at least `target` members
-    with the least minimum, or None."""
-    classes = collections.defaultdict(set)
-    for u in members:
-        classes[label[u]].add(u)
-    big = [c for c in classes.values() if len(c) >= target]
-    return min(big, key=min) if big else None
-
-
 def power_clique_or_bound(g, k, r):
-    """Case analysis at the maximum-degree vertex of G^k.
+    """Case analysis at the maximum-degree vertex v of G^k.
 
-    Returns a CliqueWitness of size >= r^2 when one of the stages finds
-    one, else a BoundReport claiming max_degree(G^k) < r^4 (even k) or
-    < r^6 (odd k); `BoundReport.verify` checks the claim.
+    The stages are (depth, radius) pairs: (0, k//2) and (k//2, k) for
+    even k; (0, k//2), (k//2, k-1) and (k-1, k) for odd k.  A stage
+    groups the radius-ball around v by each member's ancestor at
+    `depth` in the BFS tree from v (a vertex no deeper is its own
+    ancestor).  The first class with at least r^2 members, the one with
+    the least member on ties, is returned as a CliqueWitness: two of
+    its members lie within 2*(radius - depth) <= k of each other, except
+    in the last stage of k = 1, where the class is checked in G and a
+    ValueError raised if it is no clique.
+
+    When no stage finds one, a BoundReport claims max_degree(G^k) < r^4
+    (even k) or < r^6 (odd k); `BoundReport.verify` checks the claim.
+    It follows because the ancestors of a stage are members of the
+    previous stage's ball: the first ball has fewer than r^2 members,
+    and each later stage, whose classes have fewer than r^2, multiplies
+    that bound by r^2.  So the radius-k ball of v, which has the most
+    members of any radius-k ball, has fewer than r^4 or r^6.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
-    if k < 1:
+    if _strict_int(k) < 1:
         raise ValueError("k must be >= 1")
-    if r < 1:
+    if _strict_int(r) < 1:
         raise ValueError("r must be >= 1")
-    target = r * r
-
-    # center = vertex of maximum k-neighborhood size (max degree in G^k),
-    # smallest id on ties.
-    v, nk = 0, set()
-    for u in range(g.n):
-        ball = k_neighborhood(g, u, k)
-        if len(ball) > len(nk):
-            v, nk = u, ball
+    # smallest id on ties
+    _, v = min((-len(k_neighborhood(g, u, k)), u) for u in range(g.n))
+    parent = _bfs_parents(g.adj, v)
+    dist = {}
+    for w, u in parent.items():
+        dist[w] = 0 if u is None else dist[u] + 1
     half = k // 2
-    n_half = k_neighborhood(g, v, half)
-
-    if len(n_half) >= target:
-        # pairwise distance <= 2*floor(k/2) <= k
-        return CliqueWitness(n_half, k)
-
-    label = _bfs_tree_labels(g, v, half)
-    if k % 2 == 0:
-        cls = _least_big_class(label, nk, target)
-        if cls is not None:
-            return CliqueWitness(cls, k)
-        return BoundReport(k=k, r=r, center=v)
-
-    # odd k: second stage over N_{k-1}, third over N_k
-    # members within floor(k/2) of a common label: pairwise <= k-1
-    cls = _least_big_class(label, k_neighborhood(g, v, k - 1), target)
-    if cls is not None:
-        return CliqueWitness(cls, k)
-
-    cls = _least_big_class(_bfs_tree_labels(g, v, k - 1), nk, target)
-    if cls is not None:
-        witness = CliqueWitness(cls, k)
-        if witness.verify(g) is not None:
-            # Only reachable for k = 1, where the two-stage argument
-            # gives pairwise distance 2 > k.  The theorem's other case
-            # (treewidth already large) covers k = 1; this routine alone
-            # cannot certify either outcome.
-            raise ValueError(
-                "k=1 stage-3 class is not a clique in G itself; "
-                "power_clique_or_bound gives no certificate here")
-        return witness
-    # the bound holds: fewer than r^2 labels at depth floor(k/2), each
-    # class of N_{k-1} under them smaller than r^2, so |N_{k-1}| < r^4;
-    # its members label the classes of N_k, each smaller than r^2, so
-    # |N_k| < r^6.  For k = 1 the stage-3 class is N_k itself
+    stages = ([(0, half), (half, k)] if k % 2 == 0
+              else [(0, half), (half, k - 1), (k - 1, k)])
+    for depth, radius in stages:
+        label = {}
+        classes = collections.defaultdict(set)
+        # the parents come in BFS order, so by nondecreasing distance
+        for w, u in parent.items():
+            if dist[w] > radius:
+                break
+            label[w] = w if dist[w] <= depth else label[u]
+            classes[label[w]].add(w)
+        big = [c for c in classes.values() if len(c) >= r * r]
+        if big:
+            witness = CliqueWitness(min(big, key=min), k)
+            # only the last stage of k = 1 gets here: the theorem's other
+            # case (treewidth already large) covers k = 1, and this
+            # routine alone cannot certify either outcome
+            if 2 * (radius - depth) > k and witness.verify(g) is not None:
+                raise ValueError(
+                    "k=1 stage-3 class is not a clique in G itself; "
+                    "power_clique_or_bound gives no certificate here")
+            return witness
     return BoundReport(k=k, r=r, center=v)
 
 

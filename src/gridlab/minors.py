@@ -291,7 +291,9 @@ def largest_grid_minor(g):
 
     Analytic fast path for complete graphs (r = floor(sqrt(n)), since a
     minor never has more vertices than its host); otherwise exhaustive
-    search at desk scale.
+    search at desk scale from r = floor(sqrt(n)) down, so the host may
+    have at most 15 vertices: the r x r pattern must stay within
+    MINOR_PATTERN_LIMIT.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
@@ -302,10 +304,12 @@ def largest_grid_minor(g):
         witness = {(u, v): (u, v) for u, v in pattern.edges}
         return r, _checked(MinorModel(pattern, g, branch, witness),
                            "largest_grid_minor")
-    if g.n > MINOR_HOST_LIMIT:
+    limit = min(MINOR_HOST_LIMIT,
+                (math.isqrt(MINOR_PATTERN_LIMIT) + 1) ** 2 - 1)
+    if g.n > limit:
         raise SizeLimitError(
             f"largest_grid_minor needs a complete graph or at most "
-            f"{MINOR_HOST_LIMIT} vertices, got {g.n}")
+            f"{limit} vertices, got {g.n}")
     for r in range(math.isqrt(g.n), 0, -1):
         model = minor_containment_exact(grid(r, r), g)
         if model is not None:
@@ -488,21 +492,13 @@ def radial_grid_to_dual_grid(seq, e, fl):
                    if axis_coord[idx] <= cut_line < axis_coord[idx + 1])
         return path, cut
 
-    # nation -> the block whose branch set holds it
-    claimed = {vhat[key] - n: key for key in vhat}
-    witness = {}
-
     def grid_id(i, j):
         return (i - 1) * t + (j - 1)
 
-    def absorb(key, nations):
-        for d in nations:
-            other = claimed.setdefault(d, key)
-            if other != key:
-                raise ConstructionError(
-                    f"dual vertex {d} claimed by blocks {other} and "
-                    f"{key}; transfer paths are not disjoint")
-
+    # each block's branch set grows from its vhat along the transfer
+    # paths; `_checked` refuses branch sets that overlap
+    branch_sets = {grid_id(*key): {vhat[key] - n} for key in vhat}
+    witness = {}
     for i in range(1, t + 1):
         for j in range(1, t + 1):
             for di, dj in ((0, 1), (1, 0)):
@@ -511,15 +507,10 @@ def radial_grid_to_dual_grid(seq, e, fl):
                     continue
                 path, cut = transfer_path(src, dst, cut_axis=dj,
                                           cut_line=6 * (i * di + j * dj) + 4)
-                absorb(src, path[1:cut + 1])
-                absorb(dst, path[cut + 1:-1])
+                branch_sets[grid_id(*src)].update(path[:cut + 1])
+                branch_sets[grid_id(*dst)].update(path[cut + 1:])
                 witness[(grid_id(*src), grid_id(*dst))] = (
                     path[cut], path[cut + 1])
-
-    branch_sets = {grid_id(i, j): set()
-                   for i in range(1, t + 1) for j in range(1, t + 1)}
-    for d, key in claimed.items():
-        branch_sets[grid_id(*key)].add(d)
     return _checked(MinorModel(grid(t, t), dual, branch_sets, witness),
                     "radial_grid_to_dual_grid")
 

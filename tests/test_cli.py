@@ -594,6 +594,13 @@ def test_each_error_kind_maps_to_its_exit_code(tmp_path):
     empty = tmp_path / "empty.gr"
     empty.write_text("p tw 0 0\n")
     assert_one_error_line(run(["grid-minor", str(empty)]), 1)
+    # SizeLimitError: a non-complete host past the grid search's limit
+    g44 = tmp_path / "g44.gr"
+    run(["gen", "grid", "--rows", "4", "--cols", "4", "-o", str(g44)])
+    res = run(["grid-minor", str(g44)])
+    assert_one_error_line(res, 3)
+    assert res.stderr == ("error: largest_grid_minor needs a complete graph "
+                          "or at most 15 vertices, got 16\n")
     # OSError: an output path in a missing directory
     assert_one_error_line(run([
         "gen", "grid", "--rows", "2", "--cols", "2",

@@ -12,6 +12,7 @@ from gridlab.generators import (grid, grid_map, partially_triangulated_grid,
                                 random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph
+from gridlab.minors import nation_grid_transfer_instance
 
 
 def test_grid_trivia():
@@ -67,6 +68,19 @@ def test_grid_map_counts():
     assert len(fl1.nations) == 1 and is_canonical(e1, fl1)
     with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
         grid_map(0, 3)
+
+
+@pytest.mark.parametrize("make, args, bad", [
+    (grid, (2.0, 2), 2.0), (grid, (2, 2.0), 2.0), (grid, (True, 3), True),
+    (grid_map, (2.0, 2), 2.0), (wheel_map, (2.0,), 2.0),
+    (wheel_map, (True,), True), (random_graph, (5.0, 0), 5.0),
+    (random_planar_triangulation, (5.0, 0), 5.0),
+    (random_canonical_map, (3.0, 0), 3.0),
+    (nation_grid_transfer_instance, (3.0,), 3.0)])
+def test_generator_sizes_are_ints(make, args, bad):
+    with pytest.raises(ValueError) as exc:
+        make(*args)
+    assert str(exc.value) == f"expected an integer, got {bad!r}"
 
 
 def test_random_graph_deterministic_and_nonempty():

@@ -341,11 +341,27 @@ def test_bound_report_rejects_a_self_contradicting_claim(fields):
 @pytest.mark.parametrize("g, k, r, message", [
     (SimpleGraph(0), 2, 1, "graph must be nonempty"),
     (SimpleGraph.path(3), 0, 1, "k must be >= 1"),
-    (SimpleGraph.path(3), 2, 0, "r must be >= 1")])
+    (SimpleGraph.path(3), 2, 0, "r must be >= 1"),
+    (SimpleGraph.path(3), 2, 1.5, "expected an integer, got 1.5"),
+    (SimpleGraph.star(9), 2, 1.5, "expected an integer, got 1.5"),
+    (SimpleGraph.path(3), 2, True, "expected an integer, got True"),
+    (SimpleGraph.path(3), 2.0, 1, "expected an integer, got 2.0")])
 def test_power_clique_or_bound_refuses_its_arguments(g, k, r, message):
     with pytest.raises(ValueError) as exc:
         power_clique_or_bound(g, k, r)
     assert str(exc.value) == message
+
+
+def test_power_clique_k1_checks_its_last_class_in_g():
+    # for k = 1 the last stage's class is N_1(v), whose members may lie 2
+    # apart: in K_5 it is a clique, in the star K_{1,4} it is not
+    assert (power_clique_or_bound(SimpleGraph.complete(5), 1, 2)
+            == CliqueWitness(range(5), 1))
+    with pytest.raises(ValueError) as exc:
+        power_clique_or_bound(SimpleGraph.star(4), 1, 2)
+    assert str(exc.value) == (
+        "k=1 stage-3 class is not a clique in G itself; "
+        "power_clique_or_bound gives no certificate here")
 
 
 @pytest.mark.parametrize("bound", [1.9, True, "2", None])

@@ -125,8 +125,13 @@ def test_minor_containment_size_refusals():
     with pytest.raises(SizeLimitError):
         minor_containment_exact(SimpleGraph(3), SimpleGraph(17))
     # only a complete host skips the exhaustive search
-    with pytest.raises(SizeLimitError, match="at most 16 vertices, got 17"):
+    with pytest.raises(SizeLimitError, match="at most 15 vertices, got 17"):
         largest_grid_minor(SimpleGraph.path(17))
+    # from 16 vertices the search would start at the 4x4 pattern, past
+    # the pattern limit
+    with pytest.raises(SizeLimitError, match="at most 15 vertices, got 16"):
+        largest_grid_minor(grid(4, 4))
+    assert largest_grid_minor(grid(3, 5))[0] == 3
 
 
 def test_largest_grid_minor_known():
