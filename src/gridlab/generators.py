@@ -53,34 +53,6 @@ def partially_triangulated_grid(rows, cols, seed):
 # ---------------------------------------------------------------------------
 # embedded maps
 
-def _build_from_rotations(neighbor_lists):
-    """EmbeddedGraph from per-vertex rotations given as neighbor-id lists
-    (parallel edges allowed if distinguished by key; a loop lists its
-    vertex twice with one key).
-
-    neighbor_lists[v] lists, in rotation order, (neighbor, edge_key)
-    pairs; the two endpoints of an edge must use the same key.
-    """
-    rotations = []
-    darts = []
-    for v, rot in enumerate(neighbor_lists):
-        rotations.append(list(range(len(darts), len(darts) + len(rot))))
-        darts += [(v, w, key) for w, key in rot]
-    twin = [None] * len(darts)
-    by_key = {}
-    for d, (v, w, key) in enumerate(darts):
-        k = (min(v, w), max(v, w), key)
-        if k in by_key:
-            other = by_key.pop(k)
-            twin[d] = other
-            twin[other] = d
-        else:
-            by_key[k] = d
-    if by_key:
-        raise ValueError(f"unmatched darts: {sorted(by_key)}")
-    return _from_rotations(twin, rotations)
-
-
 def wheel_map(r):
     """Embedded wheel with r^2 spokes; bounded faces are nations (in
     spoke order), the outer face is the lake.  At r = 1 the rim is a
@@ -88,14 +60,17 @@ def wheel_map(r):
     if _strict_int(r) < 1:
         raise ValueError("r must be >= 1")
     s = r * r
-    rots = [[(i, ("spoke", i)) for i in range(1, s + 1)]]
-    for i in range(1, s + 1):
-        nxt_rim = i % s + 1
-        prev_rim = (i - 2) % s + 1
-        rots.append([(0, ("spoke", i)),
-                     (prev_rim, ("rim", min(i, prev_rim), max(i, prev_rim))),
-                     (nxt_rim, ("rim", min(i, nxt_rim), max(i, nxt_rim)))])
-    e = _build_from_rotations(rots)
+    # hub dart i is spoke i + 1; rim vertex i + 1 owns s + 3i (its spoke),
+    # then s + 3i + 1 and s + 3i + 2 to the previous and next rim vertex
+    twin = [0] * (4 * s)
+    rotations = [list(range(s))]
+    for i in range(s):
+        d = s + 3 * i
+        back = s + 3 * ((i + 1) % s) + 1
+        twin[i], twin[d] = d, i
+        twin[d + 2], twin[back] = back, d + 2
+        rotations.append([d, d + 1, d + 2])
+    e = _from_rotations(twin, rotations)
     # the face after each hub dart is that spoke's triangle
     nations = [e.face_of[d] for d in e.rotations[0]]
     if len(e.faces) != s + 1 or len(set(nations)) != s:
@@ -160,10 +135,7 @@ def random_graph(n, seed, edge_prob=0.4):
 
 
 def _triangle():
-    rots = [[(1, "a"), (2, "c")],
-            [(2, "b"), (0, "a")],
-            [(0, "c"), (1, "b")]]
-    return _build_from_rotations(rots)
+    return _from_rotations([3, 4, 5, 0, 1, 2], [[0, 1], [2, 3], [4, 5]])
 
 
 def random_planar_triangulation(n, seed):

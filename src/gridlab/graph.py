@@ -135,21 +135,24 @@ class SimpleGraph:
 
     @staticmethod
     def complete(n):
-        return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return SimpleGraph(n, [(i, j) for i in range(_strict_int(n))
+                               for j in range(i + 1, n)])
 
     @staticmethod
     def path(n):
-        return SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
+        return SimpleGraph(n, [(i, i + 1) for i in range(_strict_int(n) - 1)])
 
     @staticmethod
     def cycle(n):
-        if n < 3:
+        if _strict_int(n) < 3:
             raise ValueError("cycle needs at least 3 vertices")
         return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
     @staticmethod
     def star(m):
         """Star K_{1,m}: center 0, leaves 1..m."""
+        if _strict_int(m) < 0:
+            raise ValueError("star needs a nonnegative number of leaves")
         return SimpleGraph(m + 1, [(0, i) for i in range(1, m + 1)])
 
 

@@ -4,7 +4,8 @@ Deliberately naive: these share no code with the package internals,
 except `double_radial_host`, which keeps the construction of R(R(G))
 as a second embedding for reference, and
 `stacked_triangulation_by_insertion`, which builds and checks a whole
-`EmbeddedGraph` after every inserted vertex.
+`EmbeddedGraph` after every inserted vertex, and `build_from_rotations`,
+which pairs darts by edge keys into a checked `EmbeddedGraph`.
 """
 
 import itertools
@@ -606,3 +607,34 @@ def stacked_triangulation_by_insertion(n, seed):
             raise ValueError(f"inserting vertex {v} broke the "
                              f"triangulation")
     return e
+
+
+def build_from_rotations(neighbor_lists):
+    """EmbeddedGraph from per-vertex rotations given as neighbor-id lists
+    (parallel edges allowed if distinguished by key; a loop lists its
+    vertex twice with one key).
+
+    neighbor_lists[v] lists, in rotation order, (neighbor, edge_key)
+    pairs; the two endpoints of an edge must use the same key.  Each
+    vertex numbers its darts in rotation order, after the darts of the
+    vertices before it.
+    """
+    darts = [(v, w, key) for v, rot in enumerate(neighbor_lists)
+             for w, key in rot]
+    nxt = []
+    for rot in neighbor_lists:
+        first = len(nxt)
+        nxt += [first + (i + 1) % len(rot) for i in range(len(rot))]
+    twin = [None] * len(darts)
+    by_key = {}
+    for d, (v, w, key) in enumerate(darts):
+        k = (min(v, w), max(v, w), key)
+        if k in by_key:
+            other = by_key.pop(k)
+            twin[d] = other
+            twin[other] = d
+        else:
+            by_key[k] = d
+    if by_key:
+        raise ValueError(f"unmatched darts: {sorted(by_key)}")
+    return EmbeddedGraph(twin, nxt, [v for v, _, _ in darts])

@@ -9,11 +9,10 @@ from gridlab.embedding import (EmbeddedGraph, FaceLabeling, all_nations,
                                radial_embedding, radial_graph,
                                union_radial_dual)
 from gridlab.errors import GridlabError
-from gridlab.generators import (_build_from_rotations, _triangle, grid_map,
-                                random_canonical_map,
+from gridlab.generators import (_triangle, grid_map, random_canonical_map,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph
-from oracles import (face_of_by_walks, in_checked_form,
+from oracles import (build_from_rotations, face_of_by_walks, in_checked_form,
                      is_canonical_per_vertex, radial_and_dual_by_definition)
 
 
@@ -24,7 +23,7 @@ def bowtie():
             [(0, "b"), (1, "e")],
             [(4, "f"), (0, "c")],
             [(0, "d"), (3, "f")]]
-    return _build_from_rotations(rots)
+    return build_from_rotations(rots)
 
 
 def test_rejects_bad_dart_structure():
@@ -196,7 +195,7 @@ def test_canonicalize_separates_lake_bridge():
             [(2, "x"), (4, "d"), (5, "e")],
             [(5, "f"), (3, "d")],
             [(3, "e"), (4, "f")]]
-    g = _build_from_rotations(rots)
+    g = build_from_rotations(rots)
     tri_faces = [f for f, w in enumerate(g.faces) if len(w) == 3]
     assert len(tri_faces) == 2
     fl = FaceLabeling(g, tri_faces)
@@ -368,10 +367,10 @@ def test_is_canonical_matches_the_per_vertex_oracle():
         verdicts.add(want)
     assert verdicts == {True, False}
     # a triangle with a pendant vertex whose only corner lies on a lake
-    e = _build_from_rotations([[(1, "a"), (2, "c")],
-                               [(2, "b"), (0, "a")],
-                               [(0, "c"), (3, "p"), (1, "b")],
-                               [(2, "p")]])
+    e = build_from_rotations([[(1, "a"), (2, "c")],
+                              [(2, "b"), (0, "a")],
+                              [(0, "c"), (3, "p"), (1, "b")],
+                              [(2, "p")]])
     pendant_face = e.face_of[e.vertex_darts(3)[0]]
     other = 1 - pendant_face
     fl = FaceLabeling(e, [other])
@@ -380,11 +379,11 @@ def test_is_canonical_matches_the_per_vertex_oracle():
     assert is_canonical(e, FaceLabeling(e, [pendant_face]))
     # an isolated edge on a lake: no vertex has two lake corners, so the
     # lake-lake edge is the only fault
-    e = _build_from_rotations([[(1, "a"), (2, "c")],
-                               [(2, "b"), (0, "a")],
-                               [(0, "c"), (1, "b")],
-                               [(4, "x")],
-                               [(3, "x")]])
+    e = build_from_rotations([[(1, "a"), (2, "c")],
+                              [(2, "b"), (0, "a")],
+                              [(0, "c"), (1, "b")],
+                              [(4, "x")],
+                              [(3, "x")]])
     lake = e.face_of[e.vertex_darts(3)[0]]
     fl = FaceLabeling(e, [f for f in range(3) if f != lake])
     assert not is_canonical_per_vertex(e, fl)
@@ -419,8 +418,8 @@ def test_union_and_dual_match_the_definition_oracle():
             faces, rng.randint(1, len(faces))))))
     # a loop at vertex 0 and two parallel edges between 0 and 1, with
     # every face a nation and with one face a lake
-    loop = _build_from_rotations([[(1, "a"), (0, "c"), (0, "c"), (1, "b")],
-                                  [(0, "b"), (0, "a")]])
+    loop = build_from_rotations([[(1, "a"), (0, "c"), (0, "c"), (1, "b")],
+                                 [(0, "b"), (0, "a")]])
     cases += [(loop, all_nations(loop)), (loop, FaceLabeling(loop, [0, 1]))]
     for trial in range(60):
         e = random_rotation_system(rng, 1 + trial % 10)

@@ -1,14 +1,16 @@
 import hashlib
 
 import pytest
-from oracles import (is_three_connected_by_deletion,
+from oracles import (build_from_rotations, face_of_by_walks,
+                     is_three_connected_by_deletion,
                      stacked_triangulation_by_insertion)
 
 from gridlab import generators
-from gridlab.embedding import (dual_graph, emb_dumps, is_canonical, map_graph,
-                               radial_graph)
+from gridlab.embedding import (FaceLabeling, dual_graph, emb_dumps,
+                               is_canonical, map_graph, radial_graph)
 from gridlab.errors import ConstructionError
-from gridlab.generators import (grid, grid_map, partially_triangulated_grid,
+from gridlab.generators import (_triangle, grid, grid_map,
+                                partially_triangulated_grid,
                                 random_canonical_map, random_graph,
                                 random_planar_triangulation, wheel_map)
 from gridlab.graph import SimpleGraph
@@ -59,6 +61,34 @@ def test_wheel_map_radial_size():
         bip.check(rad)
 
 
+def test_wheel_and_triangle_match_the_keyed_build():
+    # the keyed oracle pairs the two darts of an edge by a shared key;
+    # the generators pair them by index and must give the same darts
+    for r in range(1, 7):
+        s = r * r
+        rots = [[(i, ("spoke", i)) for i in range(1, s + 1)]]
+        for i in range(1, s + 1):
+            prev_rim, next_rim = (i - 2) % s + 1, i % s + 1
+            rots.append([(0, ("spoke", i)),
+                         (prev_rim, ("rim", min(i, prev_rim),
+                                     max(i, prev_rim))),
+                         (next_rim, ("rim", min(i, next_rim),
+                                     max(i, next_rim)))])
+        want = build_from_rotations(rots)
+        face_of = face_of_by_walks(want)
+        e, fl = wheel_map(r)
+        assert (e.twin, e.nxt, e.vertex_of) == (want.twin, want.nxt,
+                                                want.vertex_of)
+        # nation i is the sector after the hub's dart to rim vertex i + 1
+        assert fl == FaceLabeling(want, [face_of[d] for d in range(s)])
+    want = build_from_rotations([[(1, "a"), (2, "c")],
+                                 [(2, "b"), (0, "a")],
+                                 [(0, "c"), (1, "b")]])
+    t = _triangle()
+    assert (t.twin, t.nxt, t.vertex_of) == (want.twin, want.nxt,
+                                            want.vertex_of)
+
+
 def test_grid_map_counts():
     e, fl = grid_map(3, 4)
     assert len(fl.nations) == 12
@@ -76,7 +106,9 @@ def test_grid_map_counts():
     (wheel_map, (True,), True), (random_graph, (5.0, 0), 5.0),
     (random_planar_triangulation, (5.0, 0), 5.0),
     (random_canonical_map, (3.0, 0), 3.0),
-    (nation_grid_transfer_instance, (3.0,), 3.0)])
+    (nation_grid_transfer_instance, (3.0,), 3.0),
+    (SimpleGraph.complete, (2.0,), 2.0), (SimpleGraph.path, (True,), True),
+    (SimpleGraph.cycle, (2.0,), 2.0), (SimpleGraph.star, (True,), True)])
 def test_generator_sizes_are_ints(make, args, bad):
     with pytest.raises(ValueError) as exc:
         make(*args)

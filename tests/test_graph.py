@@ -24,6 +24,11 @@ def test_simple_graph_rejects_loops_and_range():
         SimpleGraph(3, [(0, 3)])
     with pytest.raises(ValueError, match="^cycle needs at least 3 vertices$"):
         SimpleGraph.cycle(2)
+    with pytest.raises(ValueError,
+                       match="^star needs a nonnegative number of leaves$"):
+        SimpleGraph.star(-1)
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        SimpleGraph.path(-1)
 
 
 @pytest.mark.parametrize("n, edges, message", [

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from gridlab.embedding import emb_dumps, radial_embedding, union_radial_dual
 from gridlab.errors import ConstructionError, SizeLimitError
-from gridlab.generators import (_build_from_rotations, _triangle, grid,
-                                random_graph, random_planar_triangulation,
-                                wheel_map)
+from gridlab.generators import (_triangle, grid, random_graph,
+                                random_planar_triangulation, wheel_map)
 from gridlab.graph import CliqueWitness, SimpleGraph
 from gridlab.minors import (ContractionSequence, MinorModel,
                             _assign_grid_coords,
@@ -22,9 +21,9 @@ from gridlab.minors import (ContractionSequence, MinorModel,
                             radial_grid_to_dual_grid, sequence_dumps,
                             sequence_loads, verify_model)
 
-from oracles import (all_pairs_distances, contraction_ops,
-                     double_radial_host, first_model_violation,
-                     replay_by_definition)
+from oracles import (all_pairs_distances, build_from_rotations,
+                     contraction_ops, double_radial_host,
+                     first_model_violation, replay_by_definition)
 from test_embedding import random_rotation_system
 
 
@@ -42,7 +41,7 @@ def cube_embedding():
               (4 + (i - 1) % 4, f"i{(i - 1) % 4}"),
               (4 + (i + 1) % 4, f"i{i}")]
         rots.append(nb)
-    e = _build_from_rotations(rots)
+    e = build_from_rotations(rots)
     assert e.genus() == 0
     return e
 
@@ -523,8 +522,8 @@ def test_double_radial_minor_on_any_embedding():
     # rotation systems with loops, parallel edges and higher genus, and
     # simple graphs, connected or not, with shuffled rotations
     rng = random.Random(25)
-    path = _build_from_rotations([[(1, "a")], [(0, "a"), (2, "b")],
-                                  [(1, "b")]])
+    path = build_from_rotations([[(1, "a")], [(0, "a"), (2, "b")],
+                                 [(1, "b")]])
     cases = [path] + [random_rotation_system(rng, 1 + trial % 12)
                       for trial in range(600)]
     for trial in range(300):
@@ -542,7 +541,7 @@ def test_double_radial_minor_on_any_embedding():
             rots[v].append((u, 0))
         for r in rots:
             rng.shuffle(r)
-        cases.append(_build_from_rotations(rots))
+        cases.append(build_from_rotations(rots))
     shapes = set()
     for e in cases:
         m = double_radial_minor(e)
