@@ -107,9 +107,6 @@ class EmbeddedGraph:
         self.faces = walks
         self.face_of = face_of
 
-    def num_darts(self):
-        return len(self.twin)
-
     def num_edges(self):
         return len(self.twin) // 2
 
@@ -432,7 +429,7 @@ def radial_embedding(e):
 # .emb text format
 
 def emb_dumps(e, fl=None):
-    lines = [f"emb {e.num_darts()}",
+    lines = [f"emb {len(e.twin)}",
              "twin " + " ".join(map(str, e.twin)),
              "next " + " ".join(map(str, e.nxt)),
              "vertex_of " + " ".join(map(str, e.vertex_of))]

@@ -34,7 +34,7 @@ def grid(rows, cols):
 def partially_triangulated_grid(rows, cols, seed):
     """Grid plus at most one seeded random diagonal per bounded face."""
     g = grid(rows, cols)
-    rng = random.Random((rows, cols, seed).__repr__())
+    rng = random.Random((rows, cols, _strict_int(seed)).__repr__())
     edges = set(g.edges)
     for i in range(rows - 1):
         for j in range(cols - 1):
@@ -125,7 +125,7 @@ def random_graph(n, seed, edge_prob=0.4):
     """Seeded Erdos-Renyi style graph with at least one edge."""
     if _strict_int(n) < 2:
         raise ValueError("need at least 2 vertices")
-    rng = random.Random(f"gnp:{n}:{seed}")
+    rng = random.Random(f"gnp:{n}:{_strict_int(seed)}")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < edge_prob]
     if not edges:
@@ -149,7 +149,7 @@ def random_planar_triangulation(n, seed):
     keyed by their least dart keep the order of `EmbeddedGraph.faces`."""
     if _strict_int(n) < 3:
         raise ValueError("need at least 3 vertices")
-    rng = random.Random(f"tri:{n}:{seed}")
+    rng = random.Random(f"tri:{n}:{_strict_int(seed)}")
     start = _triangle()
     twin = list(start.twin)
     vertex_of = list(start.vertex_of)
@@ -183,7 +183,7 @@ def random_canonical_map(nations, seed):
     subset is marked as lakes and the result canonicalized."""
     if _strict_int(nations) < 1:
         raise ValueError("need at least one nation")
-    rng = random.Random(f"map:{nations}:{seed}")
+    rng = random.Random(f"map:{nations}:{_strict_int(seed)}")
     for _ in range(500):
         n_tri = max(4, (nations + 5) // 2 + rng.randint(0, 3))
         # 2 * n_tri - 4 >= nations, since n_tri >= (nations + 5) // 2

@@ -14,12 +14,6 @@ from dataclasses import dataclass, field
 from .errors import FormatError, _int_token, _raises_format_error
 
 
-def _normalize_edge(u, v):
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
-    return (u, v) if u < v else (v, u)
-
-
 class SimpleGraph:
     """Loop-free undirected graph on vertices 0..n-1."""
 
@@ -40,7 +34,9 @@ class SimpleGraph:
                 bad = v if type(u) is int else u
                 raise ValueError(f"edge {(u, v)!r}: expected an integer, "
                                  f"got {bad!r}")
-            e = _normalize_edge(u, v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            e = (u, v) if u < v else (v, u)
             if not (0 <= e[0] and e[1] < n):
                 raise ValueError(f"edge {e} out of range for n={n}")
             es.add(e)
@@ -71,17 +67,11 @@ class SimpleGraph:
             self._adj = adj
         return self._adj
 
-    def num_edges(self):
-        return len(self.edges)
-
-    def degree(self, v):
-        return len(self.adj[v])
-
     def max_degree(self):
         return max((len(a) for a in self.adj), default=0)
 
     def has_edge(self, u, v):
-        return _normalize_edge(u, v) in self.edges if u != v else False
+        return ((u, v) if u < v else (v, u)) in self.edges
 
     def is_connected(self):
         return self.n <= 1 or len(_bfs_parents(self.adj, 0)) == self.n
@@ -436,7 +426,7 @@ def gr_loads(text):
     if n is None:
         raise FormatError("missing problem line")
     g = SimpleGraph(n, edges)
-    if m is not None and len(g.edges) != m:
+    if len(g.edges) != m:
         raise FormatError(f"header claims {m} edges, found {len(g.edges)}")
     return g
 

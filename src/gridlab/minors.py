@@ -125,22 +125,17 @@ class ContractionSequence:
 
     __slots__ = ("ops",)
 
-    CONTRACT = "contract"
-    DELETE_EDGE = "delete_edge"
-    DELETE_VERTEX = "delete_vertex"
-
     def __init__(self, ops=()):
         self.ops = [self._check_op(op) for op in ops]
 
     @staticmethod
     def _check_op(op):
         kind = op[0] if isinstance(op, (list, tuple)) and op else None
-        if kind in (ContractionSequence.CONTRACT,
-                    ContractionSequence.DELETE_EDGE):
+        if kind in ("contract", "delete_edge"):
             if len(op) == 3:
                 return (kind, _strict_int(op[1]), _strict_int(op[2]))
             form = "u, v"
-        elif kind == ContractionSequence.DELETE_VERTEX:
+        elif kind == "delete_vertex":
             if len(op) == 2:
                 return (kind, _strict_int(op[1]))
             form = "v"
@@ -162,7 +157,7 @@ class ContractionSequence:
             kind, u, v = op[0], op[1], op[-1]  # u == v for delete_vertex
             if u not in adj or v not in adj:
                 raise ConstructionError(f"{op}: missing vertex")
-            if kind == self.DELETE_VERTEX:
+            if kind == "delete_vertex":
                 for w in adj.pop(v):
                     adj[w].discard(v)
                 del labels[v]
@@ -171,7 +166,7 @@ class ContractionSequence:
                 raise ConstructionError(f"{op}: edge not present")
             adj[u].discard(v)
             adj[v].discard(u)
-            if kind == self.CONTRACT:
+            if kind == "contract":
                 for w in adj.pop(v):
                     adj[w].discard(v)
                     adj[u].add(w)
@@ -243,7 +238,7 @@ def minor_containment_exact(h, g):
         placed = set(order)
         anchored = [v for v in remaining if h.adj[v] & placed]
         pool = anchored or remaining
-        nxt = max(sorted(pool), key=lambda v: h.degree(v))
+        nxt = max(sorted(pool), key=lambda v: len(h.adj[v]))
         order.append(nxt)
         remaining.discard(nxt)
     pos = {v: i for i, v in enumerate(order)}
@@ -269,7 +264,6 @@ def minor_containment_exact(h, g):
             assignment[v] = s
             if search(step + 1, free & ~s):
                 return True
-        assignment[v] = 0
         return False
 
     if not search(0, (1 << g.n) - 1):

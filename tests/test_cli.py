@@ -285,7 +285,7 @@ def test_sweep_wheel(tmp_path):
 def test_sweep_rows_come_in_numeric_value_then_seed_order(tmp_path):
     out = tmp_path / "sweep.csv"
     res = run(["sweep", "--family", "power", "--values",
-               "10,9,3", "--seeds", "1,0", "-o", str(out)])
+               "10,9,3,9", "--seeds", "1,0,1", "-o", str(out)])
     assert res.exit_code == 0
     with out.open() as f:
         rows = list(csv.DictReader(f))

@@ -292,7 +292,7 @@ def test_radial_embedding_structure():
         assert hashlib.sha256(emb_dumps(r).encode()).hexdigest() == digest
         assert r.genus() == 0
         assert r.num_vertices == t.num_vertices + len(t.faces)
-        assert r.num_edges() == t.num_darts()
+        assert r.num_edges() == len(t.twin)
         # faces of the radial graph are the diamonds, one per edge
         assert all(len(w) == 4 for w in r.faces)
         assert len(r.faces) == t.num_edges()
@@ -342,7 +342,7 @@ def test_vertex_darts_and_max_degree_match_a_dart_scan():
         e = random_rotation_system(rng, 1 + trial % 12)
         degrees = []
         for v in range(e.num_vertices):
-            own = [d for d in range(e.num_darts()) if e.vertex_of[d] == v]
+            own = [d for d in range(len(e.twin)) if e.vertex_of[d] == v]
             walk = [min(own)]
             while e.nxt[walk[-1]] != walk[0]:
                 walk.append(e.nxt[walk[-1]])
@@ -400,7 +400,7 @@ def test_dart_nation_matches_a_face_walk_lookup():
         fl = FaceLabeling(e, nations)
         assert fl.dart_nation == tuple(
             nations.index(face_of[d]) if face_of[d] in nations else None
-            for d in range(e.num_darts()))
+            for d in range(len(e.twin)))
         assert fl.lakes == set(faces) - set(nations)
 
 

@@ -6,8 +6,9 @@ from oracles import (build_from_rotations, face_of_by_walks,
                      stacked_triangulation_by_insertion)
 
 from gridlab import generators
-from gridlab.embedding import (FaceLabeling, dual_graph, emb_dumps,
-                               is_canonical, map_graph, radial_graph)
+from gridlab.embedding import (FaceLabeling, canonicalize_components,
+                               dual_graph, emb_dumps, is_canonical,
+                               map_graph, radial_graph)
 from gridlab.errors import ConstructionError
 from gridlab.generators import (_triangle, grid, grid_map,
                                 partially_triangulated_grid,
@@ -21,7 +22,7 @@ def test_grid_trivia():
     assert grid(1, 1) == SimpleGraph(1)
     assert grid(2, 2) == SimpleGraph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     g = grid(3, 5)
-    assert g.n == 15 and g.num_edges() == 3 * 4 + 5 * 2
+    assert g.n == 15 and len(g.edges) == 3 * 4 + 5 * 2
     with pytest.raises(ValueError):
         grid(0, 4)
 
@@ -108,7 +109,13 @@ def test_grid_map_counts():
     (random_canonical_map, (3.0, 0), 3.0),
     (nation_grid_transfer_instance, (3.0,), 3.0),
     (SimpleGraph.complete, (2.0,), 2.0), (SimpleGraph.path, (True,), True),
-    (SimpleGraph.cycle, (2.0,), 2.0), (SimpleGraph.star, (True,), True)])
+    (SimpleGraph.cycle, (2.0,), 2.0), (SimpleGraph.star, (True,), True),
+    # seeds too: a bool, float or str seed would stand for an int one
+    (random_graph, (6, "1"), "1"),
+    (random_planar_triangulation, (6, True), True),
+    (random_planar_triangulation, (6, 1.0), 1.0),
+    (partially_triangulated_grid, (3, 3, True), True),
+    (random_canonical_map, (5, True), True)])
 def test_generator_sizes_are_ints(make, args, bad):
     with pytest.raises(ValueError) as exc:
         make(*args)
@@ -120,7 +127,7 @@ def test_random_graph_deterministic_and_nonempty():
         for seed in (0, 7):
             g = random_graph(n, seed)
             assert g == random_graph(n, seed)
-            assert g.num_edges() >= 1
+            assert len(g.edges) >= 1
     with pytest.raises(ValueError, match="^need at least 2 vertices$"):
         random_graph(1, 0)
 
@@ -163,6 +170,24 @@ def test_random_canonical_map_properties():
             assert e.genus() == 0
             assert len(e.components()) == 1
             assert map_graph(e, fl).is_connected()
+
+
+def test_random_canonical_map_retries_a_split_map(monkeypatch):
+    # seed 15's first two triangulations split into two pieces each
+    parts = []
+
+    def spy(e, fl):
+        out = canonicalize_components(e, fl)
+        parts.append(len(out))
+        return out
+
+    monkeypatch.setattr(generators, "canonicalize_components", spy)
+    e, fl = random_canonical_map(2, 15)
+    assert parts == [2, 2, 1]
+    assert is_canonical(e, fl) and len(fl.nations) == 2
+    assert map_graph(e, fl).is_connected()
+    assert _emb_sha256(e, fl) == (
+        "669da591f97a8b8980af17eb9c36f9b0301d3899960e5536beb875505f2aaf0b")
 
 
 def test_random_canonical_map_raises_a_failed_surgery(monkeypatch):

@@ -174,6 +174,8 @@ def test_bipartition_check():
         Bipartition({0, 1}, {2}).check(g)
     with pytest.raises(ValueError):
         Bipartition({0}, {1}).check(g)
+    with pytest.raises(ValueError, match="^bipartition sides overlap$"):
+        Bipartition({0, 1}, {1, 2}).check(g)
 
 
 def test_clique_witness_verify():
